@@ -28,7 +28,11 @@ from .config import (
 from .evaluation import (
     EnrolledPredictions,
     EvaluationError,
+    EvaluationGrid,
+    chart_svg,
+    points_csv,
     predict_enrolled,
+    read_accuracy_csv,
     render_report,
     run_grid,
     score_points,
@@ -298,8 +302,6 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .evaluation import EvaluationGrid, read_accuracy_csv
-
     grid_dir = Path(args.grid_dir)
     accuracy_files = sorted(grid_dir.glob("accuracy_*.csv"))
     if not accuracy_files:
@@ -324,19 +326,9 @@ def _cmd_report(args) -> int:
                 if value is not None:
                     grid.accuracy[(name, classifier, t)] = value
         table = score_points(grid, approach, mode=args.points_mode)
-        (out_dir / f"points_{name}.csv").write_text(
-            _render_points_text(table), encoding="utf-8"
-        )
-        from .evaluation import _chart_svg
-
-        (out_dir / f"chart_{name}.svg").write_text(_chart_svg(grid, name), encoding="utf-8")
+        (out_dir / f"points_{name}.csv").write_text(points_csv(table), encoding="utf-8")
+        (out_dir / f"chart_{name}.svg").write_text(chart_svg(grid, name), encoding="utf-8")
     return 0
-
-
-def _render_points_text(table) -> str:
-    from .evaluation import _points_csv
-
-    return _points_csv(table)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--approaches", default=None)
     p.add_argument("--t-start", dest="t_start", default=None)
     p.add_argument("--t-end", dest="t_end", default=None)
-    p.add_argument("--jobs", type=int, default=1, help="worker cap (evaluation is sequential today)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evaluate)
 

@@ -1,12 +1,15 @@
 """Flat key=value run configuration.
 
-One assignment per line, ``#`` starts a comment; values are plain text so the
-format can be written and diffed from any tooling. This module also turns
-config mappings into the typed objects the library modules expect.
+One assignment per line; a ``#`` at the start of a line or after whitespace
+starts a comment, so a ``#`` inside a value such as a path is kept. Values are
+plain text so the format can be written and diffed from any tooling. This
+module also turns config mappings into the typed objects the library modules
+expect.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +28,7 @@ def load_kv(path: str | Path) -> dict[str, str]:
     """Parse a flat key=value file, ignoring blanks and # comments."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -66,11 +69,13 @@ def _get_term(kv: dict[str, str], key: str, terms_per_year: int) -> Term:
 
 def ingest_config_from(kv: dict[str, str]) -> IngestConfig:
     tpy = _get_int(kv, "terms_per_year", 2)
-    miniterm = {
-        key.split(".", 1)[1]: int(value)
-        for key, value in kv.items()
-        if key.startswith("map.")
-    }
+    miniterm = {}
+    for key in kv:
+        if key.startswith("map."):
+            index = _get_int(kv, key)
+            if not 1 <= index <= tpy:
+                raise ConfigError(f"key {key!r}: term index {index} outside 1..{tpy}")
+            miniterm[key.split(".", 1)[1]] = index
     attr_codes = None
     if "attr_codes" in kv and kv["attr_codes"]:
         attr_codes = _read_attr_codes(kv["attr_codes"])

@@ -18,13 +18,7 @@ import numpy as np
 from .classifiers import ClassifierSpec, accuracy, confusion, fit, predict
 from .features import FeatureSetSpec, UndefinedFeatureVector, VectorCache
 from .records import Cohort, subset_enrolled, subset_exited_before, subset_exited_from
-from .splits import (
-    LabeledDataset,
-    SplitApproach,
-    SplitError,
-    SplitRequest,
-    build_split,
-)
+from .splits import RULES, Exclusion, SplitApproach, SplitError, SplitRequest, apply_rule, build_split
 from .terms import Term, format_term, to_ordinal
 
 
@@ -241,39 +235,8 @@ class EnrolledPredictions:
     reference_term: Term
     predictions: list[tuple[str, int]]
     exclusions: list[tuple[str, str]]
-
-
-def _train_rows_for_final(
-    cohort: Cohort,
-    approach: SplitApproach,
-    cache: VectorCache,
-) -> LabeledDataset:
-    """All exited students, rows built per the approach's training rule."""
-    horizon = cohort.range.hi
-    exited = subset_exited_before(cohort, horizon) + subset_exited_from(cohort, horizon)
-    exited.sort(key=lambda s: s.student_id)
-    vectors = []
-    for s in exited:
-        try:
-            if approach in (SplitApproach.A, SplitApproach.B1):
-                vectors.append(cache.at_end(s))
-            elif approach in (SplitApproach.B2, SplitApproach.B2T):
-                vectors.append(cache.at_last(s))
-            else:
-                history = cache.history(s)
-                if not history:
-                    raise UndefinedFeatureVector(s.student_id, "single_term_history")
-                vectors.extend(history)
-                if approach is SplitApproach.B4T:
-                    vectors.append(cache.at_end(s))
-        except UndefinedFeatureVector:
-            continue
-    if not vectors:
-        raise EvaluationError("no exited students with computable training vectors")
-    X = np.array([v.values for v in vectors], dtype=np.float64)
-    y = np.array([v.label for v in vectors], dtype=np.int64)
-    ds = LabeledDataset.from_arrays(X, y, feature_names=cache.spec.names)
-    return ds
+    train_rows: tuple[tuple[str, Term], ...]
+    train_exclusions: tuple[Exclusion, ...]
 
 
 def predict_enrolled(
@@ -285,43 +248,36 @@ def predict_enrolled(
 ) -> EnrolledPredictions:
     """Refit on every exited student and predict each enrolled student's outcome.
 
-    Enrolled students without a computable vector at the horizon are listed as
-    exclusions, so predictions plus exclusions always account for the whole
-    enrolled population.
+    The training rows follow the approach's train rule, so every exited student
+    is either a training row or a training exclusion. Enrolled students without
+    a computable vector at the horizon are listed as exclusions, so predictions
+    plus exclusions always account for the whole enrolled population. With no
+    enrolled student nothing is fitted and both sides are empty.
     """
     if cache is None:
         cache = VectorCache(cohort, feature_spec)
     horizon = cohort.range.hi
+    result = EnrolledPredictions(approach.value, winning_spec.label, horizon, [], [], (), ())
     enrolled = subset_enrolled(cohort, horizon)
     if not enrolled:
-        return EnrolledPredictions(
-            approach=approach.value,
-            classifier=winning_spec.label,
-            reference_term=horizon,
-            predictions=[],
-            exclusions=[],
-        )
-    train = _train_rows_for_final(cohort, approach, cache)
+        return result
+    exited = subset_exited_before(cohort, horizon) + subset_exited_from(cohort, horizon)
+    train = apply_rule(approach, "train", exited, horizon, cache)
+    if not train.n:
+        raise EvaluationError("no exited students with computable training vectors")
+    result.train_rows, result.train_exclusions = train.rows, train.meta.exclusions
     model = fit(winning_spec, train)
     rows = []
-    exclusions: list[tuple[str, str]] = []
     for s in enrolled:
         try:
             rows.append(cache.as_of(s, horizon))
         except UndefinedFeatureVector as exc:
-            exclusions.append((s.student_id, exc.reason))
-    predictions: list[tuple[str, int]] = []
+            result.exclusions.append((s.student_id, exc.reason))
     if rows:
         X = np.array([v.values for v in rows], dtype=np.float64)
         labels = predict(model, X)
-        predictions = [(v.student_id, int(lb)) for v, lb in zip(rows, labels)]
-    return EnrolledPredictions(
-        approach=approach.value,
-        classifier=winning_spec.label,
-        reference_term=horizon,
-        predictions=predictions,
-        exclusions=exclusions,
-    )
+        result.predictions = [(v.student_id, int(lb)) for v, lb in zip(rows, labels)]
+    return result
 
 
 # --- report rendering ---------------------------------------------------------
@@ -367,14 +323,14 @@ def _setsizes_csv(grid: EvaluationGrid) -> str:
         for role, attr in (("train", "train_students"), ("test", "test_students")):
             cells = [str(getattr(grid.sizes[(a, t)], attr)) for t in grid.t_values]
             lines.append(",".join([f"{a} {role}"] + cells))
-        if approach in (SplitApproach.B3T, SplitApproach.B4T):
+        if RULES[approach].expanded:
             cells = [str(grid.sizes[(a, t)].train_rows) for t in grid.t_values]
             lines.append(",".join([f"{a} train rows"] + cells))
     lines.append(",".join(["enrolled"] + [str(grid.enrolled[t]) for t in grid.t_values]))
     return "\n".join(lines) + "\n"
 
 
-def _points_csv(table: PointTable) -> str:
+def points_csv(table: PointTable) -> str:
     lines = ["classifier,points,period_mean,selection"]
     for c in sorted(table.points):
         mean = table.period_means.get(c)
@@ -391,7 +347,7 @@ def _confusion_csv(matrix: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _chart_svg(grid: EvaluationGrid, approach: str) -> str:
+def chart_svg(grid: EvaluationGrid, approach: str) -> str:
     """One polyline per classifier: accuracy against the reference term."""
     width, height = 860, 480
     left, right, top, bottom = 60, 180, 30, 50
@@ -470,10 +426,10 @@ def render_report(
     for approach in grid.approaches:
         a = approach.value
         emit(f"accuracy_{a}.csv", _accuracy_csv(grid, a))
-        emit(f"chart_{a}.svg", _chart_svg(grid, a))
+        emit(f"chart_{a}.svg", chart_svg(grid, a))
         table = point_tables.get(a)
         if table is not None:
-            emit(f"points_{a}.csv", _points_csv(table))
+            emit(f"points_{a}.csv", points_csv(table))
             methods = [m for m in (table.winner, table.runner_up) if m]
             for t in confusion_terms or []:
                 for method in methods:

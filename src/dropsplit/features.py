@@ -9,10 +9,12 @@ than zero-filled, and callers decide how to count the exclusion.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .records import Cohort, EnrollmentStatus, StudentStructure
-from .terms import DEFAULT_TERMS_PER_YEAR, Term, iter_terms, next_term, term_distance
+from .terms import DEFAULT_TERMS_PER_YEAR, Term, iter_terms, next_term, term_distance, to_ordinal
 
 CANONICAL_TIME_FEATURES = (
     "completed_terms",
@@ -36,39 +38,17 @@ class UndefinedFeatureVector(Exception):
         self.reason = reason
 
 
-def _completed_terms(s: StudentStructure, t: Term, window, tpy: int) -> float:
-    return float(len({c.term for c in window}))
-
-
-def _courses_taken(s, t, window, tpy) -> float:
-    return float(len(window))
-
-
-def _courses_failed(s, t, window, tpy) -> float:
-    return float(sum(1 for c in window if c.result == 0))
-
-
-def _mean_attendance(s, t, window, tpy) -> float:
-    return sum(c.attendance_pct for c in window) / len(window)
-
-
-def _mean_score(s, t, window, tpy) -> float:
-    return sum(c.score for c in window) / len(window)
-
-
-def _elapsed_terms(s: StudentStructure, t: Term, window, tpy: int) -> float:
+# Each aggregate reads the ledger entry j that covers the window before the
+# as-of term, whose ordinal is o.
+TIME_FEATURES = {
+    "completed_terms": lambda led, j, o: float(j),
+    "courses_taken": lambda led, j, o: float(led.taken[j]),
+    "courses_failed": lambda led, j, o: float(led.failed[j]),
+    "mean_attendance": lambda led, j, o: led.attendance[j] / led.taken[j],
+    "mean_score": lambda led, j, o: led.score[j] / led.taken[j],
     # Calendar terms since entrance, counting gap terms; the alternative to
     # completed_terms for callers who want wall-clock progress.
-    return float(term_distance(s.entrance, t, tpy))
-
-
-TIME_FEATURES = {
-    "completed_terms": _completed_terms,
-    "courses_taken": _courses_taken,
-    "courses_failed": _courses_failed,
-    "mean_attendance": _mean_attendance,
-    "mean_score": _mean_score,
-    "elapsed_terms": _elapsed_terms,
+    "elapsed_terms": lambda led, j, o: float(o - led.entrance),
 }
 
 
@@ -116,20 +96,56 @@ def _spec_for(s: StudentStructure, spec: FeatureSetSpec | None) -> FeatureSetSpe
     return FeatureSetSpec(static_names=tuple(name for name, _ in s.static_attrs))
 
 
-def _compute(
-    s: StudentStructure,
-    as_of: Term,
-    spec: FeatureSetSpec,
-    terms_per_year: int,
-    empty_reason: str,
-) -> FeatureVector:
-    window = [c for c in s.courses if c.term < as_of]
-    if not window:
+@dataclass(frozen=True)
+class _Ledger:
+    """Running totals over one student's courses, one entry per distinct term.
+
+    Entry j covers the courses of the first j course terms, added left to
+    right, so a mean over the window before a term is bit-equal to
+    ``sum(window) / len(window)``.
+    """
+
+    student: StudentStructure
+    terms_per_year: int
+    entrance: int  # ordinal of the entrance term
+    terms: tuple[int, ...]  # distinct course-term ordinals, ascending
+    taken: tuple[int, ...]  # the four totals have len(terms) + 1 entries
+    failed: tuple[int, ...]
+    attendance: tuple[float, ...]
+    score: tuple[float, ...]
+
+    @staticmethod
+    def of(s: StudentStructure, terms_per_year: int) -> "_Ledger":
+        ords = [to_ordinal(c.term, terms_per_year) for c in s.courses]
+        n = len(ords)
+        ends = [0] + [k for k in range(1, n + 1) if k == n or ords[k] != ords[k - 1]]
+
+        def totals(items, start) -> tuple:
+            sums = list(accumulate(items, initial=start))
+            return tuple(sums[k] for k in ends)
+
+        return _Ledger(
+            student=s,
+            terms_per_year=terms_per_year,
+            entrance=to_ordinal(s.entrance, terms_per_year),
+            terms=tuple(ords[k - 1] for k in ends[1:]),
+            taken=tuple(ends),
+            failed=totals((c.result == 0 for c in s.courses), 0),
+            attendance=totals((c.attendance_pct for c in s.courses), 0.0),
+            score=totals((c.score for c in s.courses), 0.0),
+        )
+
+
+def _vector(led: _Ledger, as_of: Term, spec: FeatureSetSpec, empty_reason: str) -> FeatureVector:
+    """The vector over the records strictly before as_of; raises if there are none."""
+    s = led.student
+    o = to_ordinal(as_of, led.terms_per_year)
+    j = bisect_left(led.terms, o)
+    if j == 0:
         raise UndefinedFeatureVector(s.student_id, empty_reason)
     static = dict(s.static_attrs)
     values = [static[name] for name in spec.static_names]
-    for name in spec.time_features:
-        values.append(TIME_FEATURES[name](s, as_of, window, terms_per_year))
+    values += [TIME_FEATURES[name](led, j, o) for name in spec.time_features]
     return FeatureVector(
         student_id=s.student_id,
         as_of=as_of,
@@ -154,7 +170,7 @@ def feature_vector(
         raise FeatureWindowError(
             f"student {s.student_id}: as-of term {t} outside ({s.entrance} .. {end}]"
         )
-    return _compute(s, t, _spec_for(s, spec), terms_per_year, "empty_window")
+    return _vector(_Ledger.of(s, terms_per_year), t, _spec_for(s, spec), "empty_window")
 
 
 def vector_as_of(
@@ -171,7 +187,7 @@ def vector_as_of(
     """
     if t <= s.entrance:
         raise UndefinedFeatureVector(s.student_id, "starts_at_reference_term")
-    return _compute(s, t, _spec_for(s, spec), terms_per_year, "no_records_before_reference")
+    return _vector(_Ledger.of(s, terms_per_year), t, _spec_for(s, spec), "no_records_before_reference")
 
 
 def vector_at_last(
@@ -197,7 +213,7 @@ def vector_at_end(
 ) -> FeatureVector:
     """Vector one term past the final activity, i.e. over the complete history."""
     end = next_term(s.last, terms_per_year)
-    return _compute(s, end, _spec_for(s, spec), terms_per_year, "no_course_records")
+    return _vector(_Ledger.of(s, terms_per_year), end, _spec_for(s, spec), "no_course_records")
 
 
 def expand_history(
@@ -216,16 +232,13 @@ def expand_history(
     end = next_term(s.last, terms_per_year)
     if hi > end:
         raise FeatureWindowError(f"student {s.student_id}: range end {hi} past {end}")
-    floor = next_term(s.entrance, terms_per_year)
-    if lo < floor:
-        lo = floor
-    if lo > hi:
-        return []
+    lo = max(lo, next_term(s.entrance, terms_per_year))
+    led = _Ledger.of(s, terms_per_year)
     resolved = _spec_for(s, spec)
     out = []
     for t in iter_terms(lo, hi, terms_per_year):
         try:
-            out.append(_compute(s, t, resolved, terms_per_year, "empty_window"))
+            out.append(_vector(led, t, resolved, "empty_window"))
         except UndefinedFeatureVector:
             continue
     return out
@@ -234,54 +247,49 @@ def expand_history(
 class VectorCache:
     """Memoized per-student vectors for repeated split construction.
 
-    Outcomes are cached including the undefined-vector signal, so replaying a
-    split rebuilds byte-identical datasets without recomputing histories.
+    The one memo holds, per student, the vectors as of every term from just
+    after entrance through one term past the final activity, leaving out the
+    leading terms whose window is still empty (windows only grow, so the
+    defined vectors are a suffix of that range). Replaying a split therefore
+    rebuilds byte-identical datasets without recomputing histories.
     """
 
     def __init__(self, cohort: Cohort, spec: FeatureSetSpec | None = None) -> None:
-        self.cohort = cohort
         self.spec = spec if spec is not None else FeatureSetSpec.for_cohort(cohort)
         self.terms_per_year = cohort.terms_per_year
-        self._at_end: dict[str, FeatureVector | UndefinedFeatureVector] = {}
-        self._at_last: dict[str, FeatureVector | UndefinedFeatureVector] = {}
-        self._history: dict[str, tuple[FeatureVector, ...]] = {}
-        self._as_of: dict[tuple[str, Term], FeatureVector | UndefinedFeatureVector] = {}
+        self._vectors: dict[str, tuple[FeatureVector, ...]] = {}
 
-    @staticmethod
-    def _unwrap(outcome: FeatureVector | UndefinedFeatureVector) -> FeatureVector:
-        if isinstance(outcome, UndefinedFeatureVector):
-            raise outcome
-        return outcome
+    def _through_end(self, s: StudentStructure) -> tuple[FeatureVector, ...]:
+        vectors = self._vectors.get(s.student_id)
+        if vectors is None:
+            end = next_term(s.last, self.terms_per_year)
+            vectors = tuple(expand_history(s, s.entrance, end, self.spec, self.terms_per_year))
+            self._vectors[s.student_id] = vectors
+        return vectors
+
+    # Each accessor picks an index into the memo; where none fits, the public
+    # function gives the undefined outcome and its reason, or the vector past
+    # the end term, which is the full history as of a later term.
 
     def at_end(self, s: StudentStructure) -> FeatureVector:
-        if s.student_id not in self._at_end:
-            try:
-                self._at_end[s.student_id] = vector_at_end(s, self.spec, self.terms_per_year)
-            except UndefinedFeatureVector as exc:
-                self._at_end[s.student_id] = exc
-        return self._unwrap(self._at_end[s.student_id])
+        vectors = self._through_end(s)
+        if vectors:
+            return vectors[-1]
+        return vector_at_end(s, self.spec, self.terms_per_year)
 
     def at_last(self, s: StudentStructure) -> FeatureVector:
-        if s.student_id not in self._at_last:
-            try:
-                self._at_last[s.student_id] = vector_at_last(s, self.spec, self.terms_per_year)
-            except UndefinedFeatureVector as exc:
-                self._at_last[s.student_id] = exc
-        return self._unwrap(self._at_last[s.student_id])
+        vectors = self._through_end(s)
+        if len(vectors) >= 2:
+            return vectors[-2]
+        return vector_at_last(s, self.spec, self.terms_per_year)
 
     def history(self, s: StudentStructure) -> tuple[FeatureVector, ...]:
         """Vectors for every term from just after entrance through the final one."""
-        if s.student_id not in self._history:
-            lo = next_term(s.entrance, self.terms_per_year)
-            vectors = expand_history(s, lo, s.last, self.spec, self.terms_per_year) if s.last > s.entrance else []
-            self._history[s.student_id] = tuple(vectors)
-        return self._history[s.student_id]
+        return self._through_end(s)[:-1]
 
     def as_of(self, s: StudentStructure, t: Term) -> FeatureVector:
-        key = (s.student_id, t)
-        if key not in self._as_of:
-            try:
-                self._as_of[key] = vector_as_of(s, t, self.spec, self.terms_per_year)
-            except UndefinedFeatureVector as exc:
-                self._as_of[key] = exc
-        return self._unwrap(self._as_of[key])
+        vectors = self._through_end(s)
+        i = len(vectors) - 2 + term_distance(s.last, t, self.terms_per_year)
+        if 0 <= i < len(vectors):
+            return vectors[i]
+        return vector_as_of(s, t, self.spec, self.terms_per_year)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -101,14 +102,13 @@ def _materialize(
     approach: SplitApproach,
     reference_term: Term,
     role: str,
-    feature_names: tuple[str, ...],
     exclusions: list[Exclusion],
-    terms_per_year: int,
+    cache: VectorCache,
     seed: int | None = None,
 ) -> LabeledDataset:
-    vectors = sorted(vectors, key=lambda v: (v.student_id, to_ordinal(v.as_of, terms_per_year)))
+    vectors = sorted(vectors, key=lambda v: (v.student_id, to_ordinal(v.as_of, cache.terms_per_year)))
     n = len(vectors)
-    m = len(feature_names)
+    m = len(cache.spec.names)
     X = np.empty((n, m), dtype=np.float64)
     y = np.empty(n, dtype=np.int64)
     rows = []
@@ -122,190 +122,107 @@ def _materialize(
         approach=approach,
         reference_term=reference_term,
         role=role,
-        feature_names=feature_names,
+        feature_names=cache.spec.names,
         exclusions=tuple(exclusions),
         seed=seed,
     )
     return LabeledDataset(X=X, y=y, rows=tuple(rows), meta=meta)
 
 
-def _collect(students, getter, role: str, exclusions: list[Exclusion]) -> list[FeatureVector]:
-    out = []
+Rule = Callable[[VectorCache, StudentStructure, Term], tuple[FeatureVector, ...]]
+
+
+def _final(cache: VectorCache, s: StudentStructure, t: Term) -> tuple[FeatureVector, ...]:
+    return (cache.at_end(s),)
+
+
+def _last(cache: VectorCache, s: StudentStructure, t: Term) -> tuple[FeatureVector, ...]:
+    return (cache.at_last(s),)
+
+
+def _reference(cache: VectorCache, s: StudentStructure, t: Term) -> tuple[FeatureVector, ...]:
+    return (cache.as_of(s, t),)
+
+
+def _expanded(cache: VectorCache, s: StudentStructure, t: Term) -> tuple[FeatureVector, ...]:
+    history = cache.history(s)
+    if not history:
+        raise UndefinedFeatureVector(s.student_id, "single_term_history")
+    return history
+
+
+def _expanded_and_final(cache: VectorCache, s: StudentStructure, t: Term) -> tuple[FeatureVector, ...]:
+    return _expanded(cache, s, t) + (cache.at_end(s),)
+
+
+class Rules(NamedTuple):
+    """Which vectors each side of an approach uses for one student at T."""
+
+    train: Rule
+    test: Rule
+    expanded: bool = False  # the train side has one row per enrolled term
+
+
+# The one encoding of the approaches. A and B1 use full-history vectors on both
+# sides. B2 cuts vectors just before each student's final term, but its test
+# vectors still follow each student to their own final term, so records dated
+# at or after T can inform a test row. Only the *T test rule pins vectors at T,
+# which removes that leak; the three differ only in their training rows.
+RULES: dict[SplitApproach, Rules] = {
+    SplitApproach.A: Rules(_final, _final),
+    SplitApproach.B1: Rules(_final, _final),
+    SplitApproach.B2: Rules(_last, _last),
+    SplitApproach.B2T: Rules(_last, _reference),
+    SplitApproach.B3T: Rules(_expanded, _reference, expanded=True),
+    SplitApproach.B4T: Rules(_expanded_and_final, _reference, expanded=True),
+}
+
+
+def _collect(
+    rule: Rule, students: list[StudentStructure], t: Term, cache: VectorCache, role: str, exclusions: list[Exclusion]
+) -> list[FeatureVector]:
+    out: list[FeatureVector] = []
     for s in students:
         try:
-            out.append(getter(s))
+            out.extend(rule(cache, s, t))
         except UndefinedFeatureVector as exc:
             exclusions.append(Exclusion(s.student_id, role, exc.reason))
     return out
 
 
-def _populations(c: Cohort, t: Term) -> tuple[list[StudentStructure], list[StudentStructure]]:
-    return subset_exited_before(c, t), subset_exited_from(c, t)
+def apply_rule(
+    approach: SplitApproach, role: str, students: list[StudentStructure], t: Term, cache: VectorCache
+) -> LabeledDataset:
+    """One side of a split: the approach's rule for role ("train" or "test")
+    applied to each student, every undefined vector kept as an exclusion."""
+    exclusions: list[Exclusion] = []
+    vectors = _collect(getattr(RULES[approach], role), students, t, cache, role, exclusions)
+    return _materialize(vectors, approach, t, role, exclusions, cache)
 
 
-def _require_nonempty(vectors: list[FeatureVector], side: str, t: Term) -> None:
-    if vectors:
-        return
-    if side == "train":
-        raise SplitError(f"train side empty: no student exited before {t} with a usable vector")
-    raise SplitError(f"test side empty: no student active at {t} exited within the window with a usable vector")
-
-
-def _cache_for(c: Cohort, spec: FeatureSetSpec | None, cache: VectorCache | None) -> VectorCache:
-    if cache is not None:
-        return cache
-    return VectorCache(c, spec)
-
-
-def split_A(
-    c: Cohort,
-    t: Term,
-    seed: int,
-    spec: FeatureSetSpec | None = None,
-    cache: VectorCache | None = None,
+def _pooled(
+    before: list[StudentStructure], onward: list[StudentStructure], t: Term, seed: int, cache: VectorCache
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """Seeded random partition of the pooled exited students, final vectors.
+    """Approach A: a seeded random partition of both populations' vectors.
 
     Set sizes match the temporal populations so accuracy is comparable with
-    the temporal approaches, but membership ignores exit order entirely.
+    the temporal approaches, but membership ignores exit order entirely. Every
+    exclusion is recorded on the train side, with role "pool".
     """
-    cache = _cache_for(c, spec, cache)
-    before, onward = _populations(c, t)
+    rules = RULES[SplitApproach.A]
     excl: list[Exclusion] = []
-    vecs_before = _collect(before, cache.at_end, "pool", excl)
-    vecs_onward = _collect(onward, cache.at_end, "pool", excl)
+    vecs_before = _collect(rules.train, before, t, cache, "pool", excl)
+    vecs_onward = _collect(rules.test, onward, t, cache, "pool", excl)
     if not vecs_before:
         raise SplitError(f"no students exited before reference term {t}")
     if not vecs_onward:
         raise SplitError(f"no students active at {t} exited within the window")
-    pool = vecs_before + vecs_onward
-    pool.sort(key=lambda v: v.student_id)
-    gen = Xoshiro256StarStar(seed)
-    gen.shuffle(pool)
+    pool = sorted(vecs_before + vecs_onward, key=lambda v: v.student_id)
+    Xoshiro256StarStar(seed).shuffle(pool)
     n_train = len(vecs_before)
-    names = cache.spec.names
-    train = _materialize(
-        pool[:n_train], SplitApproach.A, t, "train", names, excl, c.terms_per_year, seed
-    )
-    test = _materialize(
-        pool[n_train:], SplitApproach.A, t, "test", names, [], c.terms_per_year, seed
-    )
+    train = _materialize(pool[:n_train], SplitApproach.A, t, "train", excl, cache, seed)
+    test = _materialize(pool[n_train:], SplitApproach.A, t, "test", [], cache, seed)
     return train, test
-
-
-def split_B1(
-    c: Cohort,
-    t: Term,
-    spec: FeatureSetSpec | None = None,
-    cache: VectorCache | None = None,
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Temporal membership, full-history vectors on both sides."""
-    cache = _cache_for(c, spec, cache)
-    before, onward = _populations(c, t)
-    train_excl: list[Exclusion] = []
-    test_excl: list[Exclusion] = []
-    train_vecs = _collect(before, cache.at_end, "train", train_excl)
-    test_vecs = _collect(onward, cache.at_end, "test", test_excl)
-    _require_nonempty(train_vecs, "train", t)
-    _require_nonempty(test_vecs, "test", t)
-    names = cache.spec.names
-    return (
-        _materialize(train_vecs, SplitApproach.B1, t, "train", names, train_excl, c.terms_per_year),
-        _materialize(test_vecs, SplitApproach.B1, t, "test", names, test_excl, c.terms_per_year),
-    )
-
-
-def split_B2(
-    c: Cohort,
-    t: Term,
-    spec: FeatureSetSpec | None = None,
-    cache: VectorCache | None = None,
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Temporal membership, vectors cut just before each student's final term.
-
-    Single-term students are excluded on both sides. Test vectors still follow
-    each student to their own final term, so records dated at or after the
-    reference term can inform a test row; that residual leak is what the
-    truncated variants remove.
-    """
-    cache = _cache_for(c, spec, cache)
-    before, onward = _populations(c, t)
-    train_excl: list[Exclusion] = []
-    test_excl: list[Exclusion] = []
-    train_vecs = _collect(before, cache.at_last, "train", train_excl)
-    test_vecs = _collect(onward, cache.at_last, "test", test_excl)
-    _require_nonempty(train_vecs, "train", t)
-    _require_nonempty(test_vecs, "test", t)
-    names = cache.spec.names
-    return (
-        _materialize(train_vecs, SplitApproach.B2, t, "train", names, train_excl, c.terms_per_year),
-        _materialize(test_vecs, SplitApproach.B2, t, "test", names, test_excl, c.terms_per_year),
-    )
-
-
-def _reference_test(
-    onward: list[StudentStructure],
-    t: Term,
-    cache: VectorCache,
-    exclusions: list[Exclusion],
-) -> list[FeatureVector]:
-    return _collect(onward, lambda s: cache.as_of(s, t), "test", exclusions)
-
-
-def _truncated_split(
-    approach: SplitApproach,
-    c: Cohort,
-    t: Term,
-    spec: FeatureSetSpec | None,
-    cache: VectorCache | None,
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Shared construction for the three leakage-free approaches.
-
-    They share the test set (vectors pinned at the reference term) and differ
-    only in the training rows built per exited student.
-    """
-    cache = _cache_for(c, spec, cache)
-    before, onward = _populations(c, t)
-    train_excl: list[Exclusion] = []
-    test_excl: list[Exclusion] = []
-    train_vecs: list[FeatureVector] = []
-    for s in before:
-        if approach is SplitApproach.B2T:
-            try:
-                train_vecs.append(cache.at_last(s))
-            except UndefinedFeatureVector as exc:
-                train_excl.append(Exclusion(s.student_id, "train", exc.reason))
-            continue
-        history = cache.history(s)
-        if not history:
-            train_excl.append(Exclusion(s.student_id, "train", "single_term_history"))
-            continue
-        train_vecs.extend(history)
-        if approach is SplitApproach.B4T:
-            train_vecs.append(cache.at_end(s))
-    test_vecs = _reference_test(onward, t, cache, test_excl)
-    _require_nonempty(train_vecs, "train", t)
-    _require_nonempty(test_vecs, "test", t)
-    names = cache.spec.names
-    return (
-        _materialize(train_vecs, approach, t, "train", names, train_excl, c.terms_per_year),
-        _materialize(test_vecs, approach, t, "test", names, test_excl, c.terms_per_year),
-    )
-
-
-def split_B2T(c, t, spec=None, cache=None):
-    """Final-term vectors for training; test vectors pinned at the reference term."""
-    return _truncated_split(SplitApproach.B2T, c, t, spec, cache)
-
-
-def split_B3T(c, t, spec=None, cache=None):
-    """Training expanded to one vector per enrolled term; reference-term test."""
-    return _truncated_split(SplitApproach.B3T, c, t, spec, cache)
-
-
-def split_B4T(c, t, spec=None, cache=None):
-    """Expanded training rows plus each student's full-history vector."""
-    return _truncated_split(SplitApproach.B4T, c, t, spec, cache)
 
 
 def build_split(
@@ -314,15 +231,52 @@ def build_split(
     spec: FeatureSetSpec | None = None,
     cache: VectorCache | None = None,
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """Dispatch a SplitRequest to its approach."""
-    a = request.approach
-    if a is SplitApproach.A:
-        return split_A(c, request.reference_term, request.seed, spec, cache)
-    builder = {
-        SplitApproach.B1: split_B1,
-        SplitApproach.B2: split_B2,
-        SplitApproach.B2T: split_B2T,
-        SplitApproach.B3T: split_B3T,
-        SplitApproach.B4T: split_B4T,
-    }[a]
-    return builder(c, request.reference_term, spec, cache)
+    """Materialize one approach's (train, test) pair at a reference term T.
+
+    Train rows come from students who exited before T, test rows from students
+    active at T who exited by the end of the window; RULES says which vectors
+    each side uses.
+    """
+    t = request.reference_term
+    if cache is None:
+        cache = VectorCache(c, spec)
+    before, onward = subset_exited_before(c, t), subset_exited_from(c, t)
+    if request.approach is SplitApproach.A:
+        return _pooled(before, onward, t, request.seed, cache)
+    train = apply_rule(request.approach, "train", before, t, cache)
+    test = apply_rule(request.approach, "test", onward, t, cache)
+    if not train.n:
+        raise SplitError(f"train side empty: no student exited before {t} with a usable vector")
+    if not test.n:
+        raise SplitError(f"test side empty: no student active at {t} exited within the window with a usable vector")
+    return train, test
+
+
+def split_A(c, t, seed, spec=None, cache=None):
+    """Seeded random partition of the pooled exited students, final vectors."""
+    return build_split(c, SplitRequest(SplitApproach.A, t, seed), spec, cache)
+
+
+def split_B1(c, t, spec=None, cache=None):
+    """Temporal membership, full-history vectors on both sides."""
+    return build_split(c, SplitRequest(SplitApproach.B1, t), spec, cache)
+
+
+def split_B2(c, t, spec=None, cache=None):
+    """Temporal membership, vectors cut just before each student's final term."""
+    return build_split(c, SplitRequest(SplitApproach.B2, t), spec, cache)
+
+
+def split_B2T(c, t, spec=None, cache=None):
+    """Final-term vectors for training; test vectors pinned at the reference term."""
+    return build_split(c, SplitRequest(SplitApproach.B2T, t), spec, cache)
+
+
+def split_B3T(c, t, spec=None, cache=None):
+    """Training expanded to one vector per enrolled term; reference-term test."""
+    return build_split(c, SplitRequest(SplitApproach.B3T, t), spec, cache)
+
+
+def split_B4T(c, t, spec=None, cache=None):
+    """Expanded training rows plus each student's full-history vector."""
+    return build_split(c, SplitRequest(SplitApproach.B4T, t), spec, cache)

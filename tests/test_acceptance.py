@@ -332,7 +332,12 @@ def test_criterion_9_enrolled_prediction(default_synth, default_cohort, default_
     result = predict_enrolled(default_cohort, winner, SplitApproach.B4T)
     horizon = default_cohort.range.hi
     n_enrolled = len(subset_enrolled(default_cohort, horizon))
-    accounting_ok = len(result.predictions) + len(result.exclusions) == n_enrolled
+    exited = subset_exited_before(default_cohort, horizon) + subset_exited_from(default_cohort, horizon)
+    n_trained = len({sid for sid, _ in result.train_rows})
+    accounting_ok = (
+        len(result.predictions) + len(result.exclusions) == n_enrolled
+        and n_trained + len(result.train_exclusions) == len(exited)
+    )
 
     truth = default_synth.truth
     pairs = [
@@ -347,5 +352,6 @@ def test_criterion_9_enrolled_prediction(default_synth, default_cohort, default_
         9,
         accounting_ok and acc >= majority + 0.05,
         f"predictions {len(result.predictions)} + exclusions {len(result.exclusions)} = {n_enrolled}; "
+        f"training students {n_trained} + exclusions {len(result.train_exclusions)} = {len(exited)} exited; "
         f"winner {table.winner} sealed-truth accuracy {acc:.3f} vs majority {majority:.3f}",
     )

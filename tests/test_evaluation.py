@@ -14,7 +14,7 @@ from dropsplit.evaluation import (
     run_grid,
     score_points,
 )
-from dropsplit.records import subset_enrolled
+from dropsplit.records import subset_enrolled, subset_exited_before, subset_exited_from
 from dropsplit.splits import SplitApproach, SplitRequest, build_split
 from dropsplit.terms import Term, iter_terms
 
@@ -262,6 +262,14 @@ class TestPredictEnrolled:
     def test_all_train_rules_work(self, medium_synth, approach):
         result = predict_enrolled(medium_synth, ClassifierSpec(kind="gaussian_nb"), approach)
         assert result.predictions
+        # Training accounting: every exited student is a row or an exclusion.
+        horizon = medium_synth.range.hi
+        exited = subset_exited_before(medium_synth, horizon) + subset_exited_from(medium_synth, horizon)
+        trained = {sid for sid, _ in result.train_rows}
+        excluded = [e.student_id for e in result.train_exclusions]
+        assert not trained & set(excluded)
+        assert len(excluded) == len(set(excluded))
+        assert trained | set(excluded) == {s.student_id for s in exited}
 
     def test_deterministic(self, medium_synth):
         spec = ClassifierSpec(kind="extra_trees", n_trees=5, seed=3)

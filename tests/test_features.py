@@ -16,8 +16,8 @@ from dropsplit.features import (
     vector_at_end,
     vector_at_last,
 )
-from dropsplit.records import CourseRecord, EnrollmentStatus, StudentStructure
-from dropsplit.terms import Term, next_term, term_distance
+from dropsplit.records import Cohort, CourseRecord, EnrollmentStatus, StudentStructure
+from dropsplit.terms import Term, TermRange, iter_terms, next_term, prev_term, term_distance
 
 from conftest import ATTRS, course, make_student
 
@@ -221,6 +221,80 @@ def test_windows_nest(student):
     taken_pos = len(ATTRS) + CANONICAL_TIME_FEATURES.index("courses_taken")
     series = [v.values[taken_pos] for v in vectors]
     assert series == sorted(series)
+
+
+def naive_values(s, t, spec):
+    """Reference vector values: filter the window, then apply sum and len."""
+    window = [c for c in s.courses if c.term < t]
+    if not window:
+        return None
+    aggregates = {
+        "completed_terms": float(len({c.term for c in window})),
+        "courses_taken": float(len(window)),
+        "courses_failed": float(sum(1 for c in window if c.result == 0)),
+        "mean_attendance": sum(c.attendance_pct for c in window) / len(window),
+        "mean_score": sum(c.score for c in window) / len(window),
+        "elapsed_terms": float(term_distance(s.entrance, t)),
+    }
+    static = dict(s.static_attrs)
+    return tuple(static[n] for n in spec.static_names) + tuple(aggregates[n] for n in spec.time_features)
+
+
+def outcome(build, *args):
+    """A vector's values, or the reason it is undefined."""
+    try:
+        return build(*args).values
+    except UndefinedFeatureVector as exc:
+        return exc.reason
+
+
+FULL_SPEC = FeatureSetSpec(
+    static_names=tuple(name for name, _ in ATTRS),
+    time_features=CANONICAL_TIME_FEATURES + ("elapsed_terms",),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_students(), st.integers(0, 2))
+def test_vectors_match_naive_reference(drawn, gap):
+    """Every entry point, and the cache, equals the naive window computation.
+
+    The entrance moves back by `gap` terms so some windows after entrance are
+    empty. As-of terms run from entrance through two terms past the end.
+    """
+    entrance = drawn.entrance
+    for _ in range(gap):
+        entrance = prev_term(entrance)
+    s = StudentStructure(
+        student_id=drawn.student_id,
+        static_attrs=drawn.static_attrs,
+        entrance=entrance,
+        status=drawn.status,
+        exit_term=drawn.exit_term,
+        courses=drawn.courses,
+    )
+    end = next_term(s.last)
+    cohort = Cohort(students=(s,), range=TermRange(entrance, end))
+    cache = VectorCache(cohort, FULL_SPEC)
+    for t in iter_terms(entrance, next_term(next_term(end))):
+        expected = naive_values(s, t, FULL_SPEC)
+        as_of = "starts_at_reference_term" if t <= entrance else expected or "no_records_before_reference"
+        assert outcome(vector_as_of, s, t, FULL_SPEC) == as_of
+        assert outcome(cache.as_of, s, t) == as_of
+        if entrance < t <= end:
+            assert outcome(feature_vector, s, t, FULL_SPEC) == (expected or "empty_window")
+        else:
+            with pytest.raises(FeatureWindowError):
+                feature_vector(s, t, FULL_SPEC)
+    at_end = naive_values(s, end, FULL_SPEC) or "no_course_records"
+    assert outcome(vector_at_end, s, FULL_SPEC) == at_end
+    assert outcome(cache.at_end, s) == at_end
+    at_last = "single_term_history" if s.last <= entrance else naive_values(s, s.last, FULL_SPEC) or "empty_window"
+    assert outcome(vector_at_last, s, FULL_SPEC) == at_last
+    assert outcome(cache.at_last, s) == at_last
+    history = [v for t in iter_terms(next_term(entrance), s.last) if (v := naive_values(s, t, FULL_SPEC))]
+    assert [v.values for v in expand_history(s, entrance, s.last, FULL_SPEC)] == history
+    assert [v.values for v in cache.history(s)] == history
 
 
 class TestSpecAndCache:
