@@ -10,6 +10,12 @@ are first-best by (feature index, threshold), forest randomness comes from a
 per-tree seed derived from the spec seed, and KNN breaks distance ties by
 training-row index. Vote ties resolve to label 0, the intervention-safe
 default for dropout screening (configurable ties are a non-goal here).
+
+Two hot paths are batched without changing any result. The trees of a forest
+grow in lockstep, one node of every tree per step, each tree still drawing
+from its own stream in its own depth-first order, so the forest is the one
+grown tree by tree. KNN finds the k-th distance by partition rather than a
+full sort, then fills ties at that distance in training-row order.
 """
 
 from __future__ import annotations
@@ -181,36 +187,116 @@ def _subsample_count(feature_subsample, m: int) -> int:
     return min(m, int(feature_subsample))
 
 
-def _random_split_chooser(gen: Xoshiro256StarStar, k_features: int):
-    """Extra-trees node splitter: one uniform threshold per sampled feature."""
+def _grow_forest(Z, y, gens, k_features, max_depth, min_samples_split) -> list[list[_Node]]:
+    """Extra-trees growth, every tree of the forest in lockstep.
 
-    def choose(X, y, idx):
-        sub = X[idx]
-        mins = sub.min(axis=0)
-        maxs = sub.max(axis=0)
-        candidates = [f for f in range(X.shape[1]) if mins[f] < maxs[f]]
-        if not candidates:
-            return None
-        k = min(k_features, len(candidates))
-        chosen = [candidates[p] for p in gen.sample_indices(len(candidates), k)]
-        ys = y[idx].astype(np.float64)
-        n = idx.size
-        best_cost = math.inf
-        best = None
-        for f in chosen:
-            thr = mins[f] + gen.random() * (maxs[f] - mins[f])
-            mask = sub[:, f] <= thr
-            n_left = int(mask.sum())
-            if n_left == 0 or n_left == n:
+    Each tree keeps its own depth-first stack and its own generator, and draws
+    from it in the order a tree grown alone would: ``sample_indices`` over the
+    node's non-constant features, then one ``random()`` per chosen feature,
+    each giving the threshold ``min + u * (max - min)``. Each step pops the
+    next splittable node of every tree, gathers their rows once and scores all
+    their candidate thresholds together; the first lowest Gini cost in chosen
+    order wins. The trees are therefore node for node those grown one at a time.
+    """
+
+    def splittable(size: int, ones: int, depth: int) -> bool:
+        return (
+            0 < ones < size
+            and size >= min_samples_split
+            and (max_depth is None or depth < max_depth)
+        )
+
+    n, ones = len(y), int(y.sum())
+    trees = [[_Node(prob1=ones / n)] for _ in gens]
+    stacks = [[(0, np.arange(n), ones, 0)] if splittable(n, ones, 0) else [] for _ in gens]
+    while True:
+        batch = [(t, *stack.pop()) for t, stack in enumerate(stacks) if stack]
+        if not batch:
+            return trees
+        sizes = np.array([node[2].size for node in batch])
+        starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+        rows = np.concatenate([node[2] for node in batch])
+        sub = Z[rows]
+        mins = np.minimum.reduceat(sub, starts, axis=0)
+        maxs = np.maximum.reduceat(sub, starts, axis=0)
+        # Per node, the chosen features and their uniforms; unused slots stay
+        # feature 0 and are masked out of the scoring below.
+        feats = np.zeros((len(batch), k_features), dtype=np.intp)
+        draws = np.zeros((len(batch), k_features))
+        used = np.zeros((len(batch), k_features), dtype=bool)
+        for b, (varies, (t, *_)) in enumerate(zip((mins < maxs).tolist(), batch)):
+            candidates = [f for f, v in enumerate(varies) if v]
+            if not candidates:
                 continue
-            n1_left = float(ys[mask].sum())
-            cost = _gini_cost(float(n_left), n1_left, float(n - n_left), float(ys.sum()) - n1_left)
-            if cost < best_cost:
-                best_cost = cost
-                best = (f, float(thr))
-        return best
+            gen = gens[t]
+            k = min(k_features, len(candidates))
+            feats[b, :k] = [candidates[p] for p in gen.sample_indices(len(candidates), k)]
+            draws[b, :k] = [gen.random() for _ in range(k)]
+            used[b, :k] = True
+        node_ix = np.arange(len(batch))[:, None]
+        lo, hi = mins[node_ix, feats], maxs[node_ix, feats]
+        thresholds = lo + draws * (hi - lo)
+        owner = np.repeat(np.arange(len(batch)), sizes)
+        goes_left = sub[np.arange(rows.size)[:, None], feats[owner]] <= thresholds[owner]
+        n_left = np.add.reduceat(goes_left, starts, axis=0, dtype=np.int64)
+        n1_left = np.add.reduceat(goes_left * y[rows][:, None], starts, axis=0, dtype=np.int64)
+        n_node = sizes[:, None]
+        ones_node = np.array([node[3] for node in batch])[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cost = _gini_cost(
+                n_left.astype(np.float64),
+                n1_left.astype(np.float64),
+                (n_node - n_left).astype(np.float64),
+                (ones_node - n1_left).astype(np.float64),
+            )
+        cost = np.where(used & (n_left > 0) & (n_left < n_node), cost, np.inf)
+        best = cost.argmin(axis=1)
+        for b, (t, nid, idx, ones, depth) in enumerate(batch):
+            j = best[b]
+            if cost[b, j] == np.inf:
+                continue
+            nodes = trees[t]
+            node = nodes[nid]
+            node.feature, node.threshold = int(feats[b, j]), float(thresholds[b, j])
+            node.left, node.right = len(nodes), len(nodes) + 1
+            left_size, left_ones = int(n_left[b, j]), int(n1_left[b, j])
+            right_size, right_ones = idx.size - left_size, ones - left_ones
+            nodes.append(_Node(prob1=left_ones / left_size))
+            nodes.append(_Node(prob1=right_ones / right_size))
+            # Children that will never split are final leaves and are not
+            # pushed; pushing left then right pops the right child first.
+            mask = goes_left[starts[b] : starts[b] + idx.size, j]
+            if splittable(left_size, left_ones, depth + 1):
+                stacks[t].append((node.left, idx[mask], left_ones, depth + 1))
+            if splittable(right_size, right_ones, depth + 1):
+                stacks[t].append((node.right, idx[~mask], right_ones, depth + 1))
 
-    return choose
+
+# --- nearest neighbours -----------------------------------------------------
+
+# Bytes of the (query rows x training rows x features) difference array that
+# one KNN predict chunk may build; numpy adds a temporary of the same size.
+_KNN_CHUNK_BYTES = 32 << 20
+
+
+def _knn_ones(Ztrain: np.ndarray, ytrain: np.ndarray, block: np.ndarray, k: int) -> np.ndarray:
+    """Class-1 labels among each query row's k nearest training rows.
+
+    Neighbours are those a stable sort by squared distance would put first:
+    every row closer than the k-th distance, then rows at exactly that distance
+    in training-row order. Only a query with more such ties than free places
+    needs a look at the order of its ties.
+    """
+    d2 = ((block[:, None, :] - Ztrain[None, :, :]) ** 2).sum(axis=2)
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    within = d2 <= kth
+    positive = ytrain == 1
+    ones = np.count_nonzero(within & positive, axis=1)
+    excess = np.count_nonzero(within, axis=1) - k
+    for r in np.flatnonzero(excess):
+        dropped = np.flatnonzero(d2[r] == kth[r])[-excess[r] :]
+        ones[r] -= np.count_nonzero(positive[dropped])
+    return ones
 
 
 # --- fitting ---------------------------------------------------------------
@@ -238,12 +324,8 @@ def fit(spec: ClassifierSpec, train: LabeledDataset) -> TrainedModel:
         state = _grow_tree(Z, y, spec.max_depth, spec.min_samples_split, _best_exact_split)
     elif spec.kind == "extra_trees":
         k = _subsample_count(spec.feature_subsample, X.shape[1])
-        forest = []
-        for t in range(spec.n_trees):
-            gen = Xoshiro256StarStar(derive_seed(spec.seed, t))
-            chooser = _random_split_chooser(gen, k)
-            forest.append(_grow_tree(Z, y, spec.max_depth, spec.min_samples_split, chooser))
-        state = forest
+        gens = [Xoshiro256StarStar(derive_seed(spec.seed, t)) for t in range(spec.n_trees)]
+        state = _grow_forest(Z, y, gens, k, spec.max_depth, spec.min_samples_split)
     elif spec.kind == "knn":
         state = (Z.copy(), y.copy())
     else:  # gaussian_nb
@@ -290,12 +372,10 @@ def predict_proba(model: TrainedModel, X) -> np.ndarray:
         Ztrain, ytrain = model.state
         k = min(spec.k, len(ytrain))
         ones = np.empty(len(Z), dtype=np.float64)
-        chunk = max(1, 2_000_000 // max(1, len(ytrain)))
+        chunk = max(1, _KNN_CHUNK_BYTES // (Ztrain.itemsize * Ztrain.size))
         for start in range(0, len(Z), chunk):
             block = Z[start : start + chunk]
-            d2 = ((block[:, None, :] - Ztrain[None, :, :]) ** 2).sum(axis=2)
-            nn = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            ones[start : start + len(block)] = ytrain[nn].sum(axis=1) / k
+            ones[start : start + len(block)] = _knn_ones(Ztrain, ytrain, block, k) / k
         return ones
     priors, params = model.state
     log_post = np.full((len(Z), 2), -np.inf, dtype=np.float64)

@@ -23,6 +23,7 @@ from .config import (
     classifier_specs_from,
     generator_config_from,
     load_kv,
+    split_seed_from,
     write_attr_codes,
 )
 from .evaluation import (
@@ -37,7 +38,7 @@ from .evaluation import (
     run_grid,
     score_points,
 )
-from .features import FeatureSetSpec
+from .features import FeatureSetSpec, VectorCache
 from .records import Cohort, IngestError, ingest
 from .splits import LabeledDataset, SplitApproach, SplitError, SplitRequest, build_split
 from .synthgen import (
@@ -174,10 +175,10 @@ def _cmd_split(args) -> int:
     config_path = Path(args.config)
     cfg = RunConfig.load(config_path)
     approach = approaches_from(args.approach)[0]
+    seed = args.seed if args.seed is not None else split_seed_from(cfg.raw)
     out_dir, entries = _start_out_dir(args.out, "split", config_path)
     cohort, extras = _load_cohort(cfg)
     t = parse_term(args.t, cfg.terms_per_year)
-    seed = args.seed if args.seed is not None else int(cfg.raw.get("split_seed", "0"))
     train, test = build_split(cohort, SplitRequest(approach, t, seed), spec=_feature_spec(cfg, cohort))
     _write_dataset_csv(train, out_dir / "train.csv")
     _write_dataset_csv(test, out_dir / "test.csv")
@@ -204,7 +205,7 @@ def _resolve_grid_args(cfg: RunConfig, args):
     t_start = parse_term(args.t_start or kv["t_start"], cfg.terms_per_year)
     t_end = parse_term(args.t_end or kv["t_end"], cfg.terms_per_year)
     specs = classifier_specs_from(kv)
-    seed = int(kv.get("split_seed", "0"))
+    seed = split_seed_from(kv)
     return approaches, t_start, t_end, specs, seed
 
 
@@ -216,7 +217,8 @@ def _cmd_evaluate(args) -> int:
     cohort, extras = _load_cohort(cfg)
     feature_spec = _feature_spec(cfg, cohort)
     t_values = list(iter_terms(t_start, t_end, cfg.terms_per_year))
-    grid = run_grid(cohort, approaches, specs, t_values, split_seed=seed, feature_spec=feature_spec)
+    cache = VectorCache(cohort, feature_spec)
+    grid = run_grid(cohort, approaches, specs, t_values, split_seed=seed, cache=cache)
     mode = cfg.raw.get("points_mode", "pairs")
     tables = {}
     for approach in approaches:
@@ -235,7 +237,7 @@ def _cmd_evaluate(args) -> int:
     table = tables.get(final_approach.value)
     if table is not None and final_approach in approaches:
         winning = next(s for s in specs if s.label == table.winner)
-        result = predict_enrolled(cohort, winning, final_approach, feature_spec=feature_spec)
+        result = predict_enrolled(cohort, winning, final_approach, cache=cache)
         _write_predictions_csv(result, out_dir / "predictions.csv")
         entries_extra = [
             ("final_approach", final_approach.value),

@@ -187,6 +187,11 @@ def classifier_specs_from(kv: dict[str, str]) -> list[ClassifierSpec]:
     return specs
 
 
+def split_seed_from(kv: dict[str, str]) -> int:
+    """The `split_seed=` integer (default 0) that seeds approach A's pooling."""
+    return _get_int(kv, "split_seed", 0)
+
+
 def approaches_from(text: str) -> list[SplitApproach]:
     out = []
     for token in text.split(","):

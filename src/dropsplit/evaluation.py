@@ -10,6 +10,7 @@ period means breaking ties.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +19,16 @@ import numpy as np
 from .classifiers import ClassifierSpec, accuracy, confusion, fit, predict
 from .features import FeatureSetSpec, UndefinedFeatureVector, VectorCache
 from .records import Cohort, subset_enrolled, subset_exited_before, subset_exited_from
-from .splits import RULES, Exclusion, SplitApproach, SplitError, SplitRequest, apply_rule, build_split
+from .splits import (
+    RULES,
+    Exclusion,
+    LabeledDataset,
+    SplitApproach,
+    SplitError,
+    SplitRequest,
+    apply_rule,
+    build_split,
+)
 from .terms import Term, format_term, to_ordinal
 
 
@@ -78,11 +88,15 @@ def run_grid(
     t_values: list[Term],
     split_seed: int = 0,
     feature_spec: FeatureSetSpec | None = None,
+    cache: VectorCache | None = None,
 ) -> EvaluationGrid:
     """Fit and score every (reference term, approach, classifier) cell.
 
-    One vector cache is shared across the whole walk, and cells are visited in
-    a fixed order so results do not depend on scheduling.
+    One vector cache is shared across the whole walk (pass `cache` to share it
+    with the final stage too), and cells are visited in a fixed order so
+    results do not depend on scheduling. Within one reference term a
+    classifier is fitted once per distinct training set (B2 and B2T train on
+    the same rows) and that model scores each test set that needs it.
     """
     if not specs:
         raise EvaluationError("no classifier specs given")
@@ -92,7 +106,8 @@ def run_grid(
     for t in t_values:
         if t not in cohort.range:
             raise EvaluationError(f"reference term {t} outside cohort range")
-    cache = VectorCache(cohort, feature_spec)
+    if cache is None:
+        cache = VectorCache(cohort, feature_spec)
     grid = EvaluationGrid(
         approaches=tuple(approaches),
         classifiers=tuple(labels),
@@ -100,6 +115,7 @@ def run_grid(
         terms_per_year=cohort.terms_per_year,
     )
     for t in t_values:
+        models: dict = {}  # reused within one term only, so memory stays bounded
         grid.enrolled[t] = len(subset_enrolled(cohort, t))
         for approach in approaches:
             a = approach.value
@@ -119,12 +135,22 @@ def run_grid(
                 test_rows=test.n,
             )
             grid.exclusion_counts[(a, t)] = len(train.meta.exclusions) + len(test.meta.exclusions)
+            digest = _digest(train)
             for spec in specs:
-                model = fit(spec, train)
+                model = models.get((spec, digest))
+                if model is None:
+                    model = models[(spec, digest)] = fit(spec, train)
                 y_pred = predict(model, test.X)
                 grid.accuracy[(a, spec.label, t)] = accuracy(test.y, y_pred)
                 grid.confusions[(a, spec.label, t)] = confusion(test.y, y_pred)
     return grid
+
+
+def _digest(ds: LabeledDataset) -> tuple:
+    """Shape and SHA-256 of a dataset's feature and label bytes: what a fit reads."""
+    h = hashlib.sha256(np.ascontiguousarray(ds.X))
+    h.update(np.ascontiguousarray(ds.y))
+    return ds.X.shape, h.digest()
 
 
 @dataclass

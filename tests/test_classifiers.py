@@ -4,15 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dropsplit import classifiers
 from dropsplit.classifiers import (
     ClassifierSpec,
+    _gini_cost,
+    _grow_tree,
+    _subsample_count,
     accuracy,
     confusion,
     fit,
     predict,
     predict_proba,
 )
+from dropsplit.rng import Xoshiro256StarStar, derive_seed
 from dropsplit.splits import LabeledDataset
 
 ALL_KINDS = ["decision_tree", "extra_trees", "knn", "gaussian_nb"]
@@ -95,6 +101,62 @@ class TestKNN:
         assert list(predict(model, np.array([[0.5]]))) == [1]
 
 
+def reference_knn_proba(model, X):
+    """KNN scores by a full stable argsort per query row."""
+    Z = (np.asarray(X, dtype=float) - model.feature_means) / model.feature_stds
+    Ztrain, ytrain = model.state
+    k = min(model.spec.k, len(ytrain))
+    d2 = ((Z[:, None, :] - Ztrain[None, :, :]) ** 2).sum(axis=2)
+    nn = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return ytrain[nn].sum(axis=1) / k
+
+
+@st.composite
+def integer_knn_case(draw):
+    n_train = draw(st.integers(1, 25))
+    n_query = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 3))
+    cells = st.integers(-2, 2)
+    X = np.array(draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n_train, max_size=n_train)))
+    Xq = np.array(draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n_query, max_size=n_query)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n_train, max_size=n_train)))
+    k = draw(st.integers(1, n_train + 3))
+    return X.astype(float), y, Xq.astype(float), k
+
+
+class TestKNNNeighbourSelection:
+    """Partition-based selection must equal a stable argsort, distance ties included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=integer_knn_case())
+    def test_matches_stable_argsort(self, case):
+        X, y, Xq, k = case
+        model = fit(ClassifierSpec(kind="knn", k=k), dataset(X, y))
+        assert np.array_equal(predict_proba(model, Xq), reference_knn_proba(model, Xq))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=integer_knn_case())
+    def test_matches_across_many_chunks(self, case):
+        X, y, Xq, k = case
+        model = fit(ClassifierSpec(kind="knn", k=k), dataset(X, y))
+        # One query row per chunk: every row goes through its own partition.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classifiers, "_KNN_CHUNK_BYTES", 1)
+            got = predict_proba(model, Xq)
+        assert np.array_equal(got, reference_knn_proba(model, Xq))
+
+    def test_chunk_size_does_not_change_scores(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        X = rng.integers(0, 3, size=(300, 4)).astype(float)
+        y = rng.integers(0, 2, size=300)
+        Xq = rng.integers(0, 3, size=(97, 4)).astype(float)
+        model = fit(ClassifierSpec(kind="knn", k=7), dataset(X, y))
+        whole = predict_proba(model, Xq)
+        monkeypatch.setattr(classifiers, "_KNN_CHUNK_BYTES", 300 * 4 * 8 * 5)
+        assert np.array_equal(predict_proba(model, Xq), whole)
+        assert np.array_equal(whole, reference_knn_proba(model, Xq))
+
+
 class TestGaussianNB:
     def test_hand_computed_posterior_1d(self):
         # Four 1-D points, two per class. The oracle below redoes the whole
@@ -135,6 +197,93 @@ class TestGaussianNB:
         model = fit(ClassifierSpec(kind="gaussian_nb"), dataset(X, y))
         out = predict(model, X)
         assert np.array_equal(out, y)
+
+
+def reference_split_chooser(gen, k_features):
+    """Extra-trees node splitter as one tree grown alone draws it."""
+
+    def choose(X, y, idx):
+        sub = X[idx]
+        mins = sub.min(axis=0)
+        maxs = sub.max(axis=0)
+        candidates = [f for f in range(X.shape[1]) if mins[f] < maxs[f]]
+        if not candidates:
+            return None
+        k = min(k_features, len(candidates))
+        chosen = [candidates[p] for p in gen.sample_indices(len(candidates), k)]
+        ys = y[idx].astype(np.float64)
+        n = idx.size
+        best_cost = math.inf
+        best = None
+        for f in chosen:
+            thr = mins[f] + gen.random() * (maxs[f] - mins[f])
+            mask = sub[:, f] <= thr
+            n_left = int(mask.sum())
+            if n_left == 0 or n_left == n:
+                continue
+            n1_left = float(ys[mask].sum())
+            cost = _gini_cost(float(n_left), n1_left, float(n - n_left), float(ys.sum()) - n1_left)
+            if cost < best_cost:
+                best_cost = cost
+                best = (f, float(thr))
+        return best
+
+    return choose
+
+
+def reference_forest(spec, X, y):
+    """Each tree grown on its own, depth first, from its own seeded stream."""
+    means = X.mean(axis=0)
+    stds = X.std(axis=0)
+    Z = (X - means) / np.where(stds < 1e-12, 1.0, stds)
+    k = _subsample_count(spec.feature_subsample, X.shape[1])
+    return [
+        _grow_tree(
+            Z, y, spec.max_depth, spec.min_samples_split,
+            reference_split_chooser(Xoshiro256StarStar(derive_seed(spec.seed, t)), k),
+        )
+        for t in range(spec.n_trees)
+    ]
+
+
+@st.composite
+def forest_case(draw):
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(1, 5))
+    # Few distinct values give duplicated rows and ties; a column may be constant.
+    columns = []
+    for _ in range(m):
+        levels = draw(st.sampled_from([1, 2, 3, 8]))
+        columns.append(draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n)))
+    X = np.array(columns, dtype=float).T * draw(st.sampled_from([1.0, 0.1, 3.7]))
+    y = np.array(draw(st.one_of(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        st.sampled_from([[0] * n, [1] * n]),
+    )))
+    spec = ClassifierSpec(
+        kind="extra_trees",
+        max_depth=draw(st.sampled_from([None, 1, 3])),
+        min_samples_split=draw(st.integers(2, 6)),
+        n_trees=draw(st.integers(1, 5)),
+        feature_subsample=draw(st.sampled_from(["sqrt", "log2", 1, 2, 7, None])),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return spec, X, y
+
+
+class TestExtraTreesLockstep:
+    """A forest grown in lockstep equals, node for node, trees grown one at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=forest_case())
+    def test_matches_per_tree_growth(self, case):
+        spec, X, y = case
+        assert fit(spec, dataset(X, y)).state == reference_forest(spec, X, y)
+
+    def test_matches_on_continuous_blobs(self):
+        X, y = blobs(300, separation=1.5, std=1.5, seed=3)
+        spec = ClassifierSpec(kind="extra_trees", n_trees=8, seed=5, max_depth=12)
+        assert fit(spec, dataset(X, y)).state == reference_forest(spec, X, y)
 
 
 class TestDegenerateAndErrors:

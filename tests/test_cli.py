@@ -140,6 +140,14 @@ class TestSplitCommand:
 
 
 class TestEvaluateCommand:
+    def test_bad_split_seed_names_the_key(self, tmp_path, run_cfg, capsys):
+        cfg = tmp_path / "bad_seed.cfg"
+        cfg.write_text(run_cfg.read_text().replace("split_seed=3", "split_seed=x"))
+        out = tmp_path / "bad_seed_out"
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error [config]: key 'split_seed'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_end_to_end_outputs(self, tmp_path, run_cfg):
         out = tmp_path / "eval_out"
         assert main(["evaluate", "--config", str(run_cfg), "--out", str(out)]) == 0

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from dropsplit.config import ConfigError, ingest_config_from, load_kv
+from dropsplit.config import ConfigError, ingest_config_from, load_kv, split_seed_from
 
 RANGE = "range_start=2009.1\nrange_end=2012.2\n"
 
@@ -37,3 +37,14 @@ class TestMinitermMap:
     def test_valid_index_is_mapped(self, tmp_path):
         kv = kv_from(tmp_path, RANGE + "map.S1=2\n")
         assert ingest_config_from(kv).miniterm_map == {"S1": 2}
+
+
+class TestSplitSeed:
+    def test_non_integer_names_the_key(self, tmp_path):
+        kv = kv_from(tmp_path, "split_seed=x\n")
+        with pytest.raises(ConfigError, match="split_seed"):
+            split_seed_from(kv)
+
+    def test_value_and_default(self, tmp_path):
+        assert split_seed_from(kv_from(tmp_path, "split_seed=42\n")) == 42
+        assert split_seed_from({}) == 0

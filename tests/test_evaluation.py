@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dropsplit import evaluation
 from dropsplit.classifiers import ClassifierSpec, accuracy, fit, predict
 from dropsplit.evaluation import (
     EvaluationError,
@@ -14,6 +15,7 @@ from dropsplit.evaluation import (
     run_grid,
     score_points,
 )
+from dropsplit.features import VectorCache
 from dropsplit.records import subset_enrolled, subset_exited_before, subset_exited_from
 from dropsplit.splits import SplitApproach, SplitRequest, build_split
 from dropsplit.terms import Term, iter_terms
@@ -81,6 +83,25 @@ class TestRunGrid:
                 ]
                 expected = sum(cells) / len(cells) if cells else None
                 assert small_grid.per_t_mean(a, t) == expected
+
+    def test_fits_once_per_distinct_training_set(self, medium_synth, monkeypatch):
+        # B2 and B2T train on the same rows, so each spec is fitted once per term.
+        fits = []
+
+        def counting_fit(spec, train):
+            fits.append((spec.label, train.X.tobytes(), train.y.tobytes()))
+            return fit(spec, train)
+
+        monkeypatch.setattr(evaluation, "fit", counting_fit)
+        terms = [Term(2011, 2), Term(2012, 1)]
+        grid = run_grid(medium_synth, [SplitApproach.B2, SplitApproach.B2T], FAST_SPECS, terms)
+        assert len(fits) == len(set(fits)) == len(FAST_SPECS) * len(terms)
+        assert len(grid.accuracy) == 2 * len(FAST_SPECS) * len(terms)
+
+    def test_fills_the_cache_it_is_given(self, medium_synth):
+        cache = VectorCache(medium_synth)
+        run_grid(medium_synth, [SplitApproach.B1], FAST_SPECS, [Term(2012, 1)], cache=cache)
+        assert cache._vectors
 
     def test_duplicate_labels_rejected(self, medium_synth):
         with pytest.raises(EvaluationError, match="duplicate"):
