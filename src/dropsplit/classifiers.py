@@ -11,11 +11,15 @@ per-tree seed derived from the spec seed, and KNN breaks distance ties by
 training-row index. Vote ties resolve to label 0, the intervention-safe
 default for dropout screening (configurable ties are a non-goal here).
 
-Two hot paths are batched without changing any result. The trees of a forest
-grow in lockstep, one node of every tree per step, each tree still drawing
-from its own stream in its own depth-first order, so the forest is the one
-grown tree by tree. KNN finds the k-th distance by partition rather than a
-full sort, then fills ties at that distance in training-row order.
+The hot paths are batched without changing any result. The decision tree
+presorts each feature once per fit and stable-partitions the sorted rows at
+each split. The trees of a forest grow in lockstep, one node of many trees
+per byte-bounded step, each tree still drawing from its own stream in its own
+depth-first order, so the forest is the one grown tree by tree. Trees predict
+by array descent, all rows one level per step. KNN builds squared distances
+one feature column at a time, summed in numpy's own pairwise order, finds the
+k-th distance by partition rather than a full sort, then fills ties at that
+distance in training-row order.
 """
 
 from __future__ import annotations
@@ -101,80 +105,80 @@ def _gini_cost(n_left, n1_left, n_right, n1_right):
     return (n_left * gini_l + n_right * gini_r) / n
 
 
-def _best_exact_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray):
-    """Best (feature, midpoint threshold) over all distinct-value boundaries.
+def _grow_decision_tree(Z, y, max_depth, min_samples_split) -> list[_Node]:
+    """CART growth over presorted rows; rows with value <= threshold go left.
 
-    Ties keep the lowest feature index, then the lowest threshold.
+    Each feature is stable-argsorted once per fit. A node holds its rows as an
+    (features, size) matrix, row f ordered by feature f and then by row index,
+    and a split stable-partitions every row of it, so each node sees the order
+    a stable sort of its own rows would give. The midpoints between distinct
+    adjacent values of all features are scored as one cost matrix; its flat
+    argmin keeps the lowest feature, then the lowest threshold. Children are
+    numbered left then right and grown depth first, right child first.
     """
-    n = idx.size
-    best_cost = math.inf
-    best = None
-    for f in range(X.shape[1]):
-        xs = X[idx, f]
-        order = np.argsort(xs, kind="stable")
-        xs_s = xs[order]
-        ys = y[idx][order]
-        boundary = np.nonzero(xs_s[1:] != xs_s[:-1])[0] + 1
-        if boundary.size == 0:
-            continue
-        ones = np.cumsum(ys)
-        n_left = boundary.astype(np.float64)
-        n1_left = ones[boundary - 1].astype(np.float64)
-        cost = _gini_cost(n_left, n1_left, n - n_left, ones[-1] - n1_left)
-        j = int(np.argmin(cost))
-        if cost[j] < best_cost:
-            best_cost = float(cost[j])
-            b = boundary[j]
-            best = (f, float((xs_s[b - 1] + xs_s[b]) / 2.0))
-    return best
-
-
-def _grow_tree(X, y, max_depth, min_samples_split, choose_split) -> list[_Node]:
-    """Iterative tree growth; rows with value <= threshold go left."""
+    ZT = np.ascontiguousarray(Z.T)
     nodes = [_Node()]
-    stack = [(0, np.arange(len(y)), 0)]
+    stack = [(0, np.argsort(ZT, axis=1, kind="stable"), 0)]
+    goes_left = np.empty(len(y), dtype=bool)
     while stack:
-        nid, idx, depth = stack.pop()
+        nid, order, depth = stack.pop()
         node = nodes[nid]
-        ys = y[idx]
-        ones = int(ys.sum())
-        node.prob1 = ones / idx.size
-        if ones == 0 or ones == idx.size:
+        size = order.shape[1]
+        ones = int(y[order[0]].sum())
+        node.prob1 = ones / size
+        if ones == 0 or ones == size:
             continue
-        if idx.size < min_samples_split or (max_depth is not None and depth >= max_depth):
+        if size < min_samples_split or (max_depth is not None and depth >= max_depth):
             continue
-        split = choose_split(X, y, idx)
-        if split is None:
+        values = np.take_along_axis(ZT, order, axis=1)
+        ones_through = np.cumsum(y[order], axis=1)
+        # Column c scores the cut after sorted position c.
+        n_left = np.arange(1, size, dtype=np.float64)
+        n1_left = ones_through[:, :-1].astype(np.float64)
+        cost = _gini_cost(n_left, n1_left, size - n_left, ones_through[:, -1:] - n1_left)
+        cost[values[:, 1:] == values[:, :-1]] = np.inf
+        f, c = divmod(int(cost.argmin()), size - 1)
+        if cost[f, c] == np.inf:
             continue
-        f, thr = split
-        mask = X[idx, f] <= thr
-        left_idx, right_idx = idx[mask], idx[~mask]
-        if left_idx.size == 0 or right_idx.size == 0:
+        thr = float((values[f, c] + values[f, c + 1]) / 2.0)
+        goes_left[order[f]] = values[f] <= thr
+        mask = goes_left[order]
+        left_size = int(np.count_nonzero(mask[0]))
+        if left_size == 0 or left_size == size:
             continue
         node.feature, node.threshold = f, thr
         node.left, node.right = len(nodes), len(nodes) + 1
         nodes.append(_Node())
         nodes.append(_Node())
-        stack.append((node.left, left_idx, depth + 1))
-        stack.append((node.right, right_idx, depth + 1))
+        stack.append((node.left, order[mask].reshape(-1, left_size), depth + 1))
+        stack.append((node.right, order[~mask].reshape(-1, size - left_size), depth + 1))
     return nodes
 
 
-def _tree_prob1(nodes: list[_Node], X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X), dtype=np.float64)
-    stack = [(0, np.arange(len(X)))]
-    while stack:
-        nid, rows = stack.pop()
-        if rows.size == 0:
-            continue
-        node = nodes[nid]
-        if node.feature == _LEAF:
-            out[rows] = node.prob1
-            continue
-        mask = X[rows, node.feature] <= node.threshold
-        stack.append((node.left, rows[mask]))
-        stack.append((node.right, rows[~mask]))
-    return out
+def _prob1_by_tree(trees: list[list[_Node]], Z: np.ndarray) -> np.ndarray:
+    """Every tree's class-1 score for every row, shape (trees, rows).
+
+    The trees' nodes are laid end to end as arrays, and all (tree, row) pairs
+    descend together, one level per step, left when value <= threshold.
+    """
+    sizes = [len(tree) for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    base = np.repeat(roots, sizes)
+    nodes = [node for tree in trees for node in tree]
+    feature = np.array([node.feature for node in nodes], dtype=np.intp)
+    threshold = np.array([node.threshold for node in nodes], dtype=np.float64)
+    left = np.array([node.left for node in nodes], dtype=np.intp) + base
+    right = np.array([node.right for node in nodes], dtype=np.intp) + base
+    prob1 = np.array([node.prob1 for node in nodes], dtype=np.float64)
+    at = np.repeat(roots, len(Z))
+    row = np.tile(np.arange(len(Z)), len(trees))
+    live = np.flatnonzero(feature[at] != _LEAF)
+    while live.size:
+        node = at[live]
+        goes_left = Z[row[live], feature[node]] <= threshold[node]
+        at[live] = np.where(goes_left, left[node], right[node])
+        live = live[feature[at[live]] != _LEAF]
+    return prob1[at].reshape(len(trees), len(Z))
 
 
 def _subsample_count(feature_subsample, m: int) -> int:
@@ -187,16 +191,23 @@ def _subsample_count(feature_subsample, m: int) -> int:
     return min(m, int(feature_subsample))
 
 
+# Bytes of the gathered training rows that one lockstep forest step may score;
+# each step then holds a few temporaries of this size.
+_FOREST_STEP_BYTES = 8 << 20
+
+
 def _grow_forest(Z, y, gens, k_features, max_depth, min_samples_split) -> list[list[_Node]]:
-    """Extra-trees growth, every tree of the forest in lockstep.
+    """Extra-trees growth, the trees of the forest in lockstep.
 
     Each tree keeps its own depth-first stack and its own generator, and draws
     from it in the order a tree grown alone would: ``sample_indices`` over the
     node's non-constant features, then one ``random()`` per chosen feature,
     each giving the threshold ``min + u * (max - min)``. Each step pops the
-    next splittable node of every tree, gathers their rows once and scores all
-    their candidate thresholds together; the first lowest Gini cost in chosen
-    order wins. The trees are therefore node for node those grown one at a time.
+    next splittable node of one tree after another, at most one per tree and
+    until their rows would pass ``_FOREST_STEP_BYTES``, gathers those rows once
+    and scores all their candidate thresholds together; the first lowest Gini
+    cost in chosen order wins. Only a tree's own pops touch its stack, so the
+    trees are node for node those grown one at a time.
     """
 
     def splittable(size: int, ones: int, depth: int) -> bool:
@@ -206,11 +217,21 @@ def _grow_forest(Z, y, gens, k_features, max_depth, min_samples_split) -> list[l
             and (max_depth is None or depth < max_depth)
         )
 
-    n, ones = len(y), int(y.sum())
+    n, m, ones = len(y), Z.shape[1], int(y.sum())
+    positive = y == 1
+    row_budget = _FOREST_STEP_BYTES // Z[0].nbytes
     trees = [[_Node(prob1=ones / n)] for _ in gens]
     stacks = [[(0, np.arange(n), ones, 0)] if splittable(n, ones, 0) else [] for _ in gens]
     while True:
-        batch = [(t, *stack.pop()) for t, stack in enumerate(stacks) if stack]
+        batch, taken = [], 0
+        for t, stack in enumerate(stacks):
+            if not stack:
+                continue
+            size = stack[-1][1].size
+            if batch and taken + size > row_budget:
+                break
+            batch.append((t, *stack.pop()))
+            taken += size
         if not batch:
             return trees
         sizes = np.array([node[2].size for node in batch])
@@ -236,10 +257,15 @@ def _grow_forest(Z, y, gens, k_features, max_depth, min_samples_split) -> list[l
         node_ix = np.arange(len(batch))[:, None]
         lo, hi = mins[node_ix, feats], maxs[node_ix, feats]
         thresholds = lo + draws * (hi - lo)
-        owner = np.repeat(np.arange(len(batch)), sizes)
-        goes_left = sub[np.arange(rows.size)[:, None], feats[owner]] <= thresholds[owner]
-        n_left = np.add.reduceat(goes_left, starts, axis=0, dtype=np.int64)
-        n1_left = np.add.reduceat(goes_left * y[rows][:, None], starts, axis=0, dtype=np.int64)
+        # One threshold per node and column (a node's chosen features are
+        # distinct); every column is compared, only the chosen ones are read.
+        column_thr = np.zeros((len(batch), m))
+        column_thr[np.nonzero(used)[0], feats[used]] = thresholds[used]
+        goes_left = sub <= np.repeat(column_thr, sizes, axis=0)
+        n_left_by_col = np.add.reduceat(goes_left, starts, axis=0, dtype=np.int64)
+        goes_left_pos = goes_left & positive[rows][:, None]
+        n1_left_by_col = np.add.reduceat(goes_left_pos, starts, axis=0, dtype=np.int64)
+        n_left, n1_left = n_left_by_col[node_ix, feats], n1_left_by_col[node_ix, feats]
         n_node = sizes[:, None]
         ones_node = np.array([node[3] for node in batch])[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -250,22 +276,29 @@ def _grow_forest(Z, y, gens, k_features, max_depth, min_samples_split) -> list[l
                 (ones_node - n1_left).astype(np.float64),
             )
         cost = np.where(used & (n_left > 0) & (n_left < n_node), cost, np.inf)
-        best = cost.argmin(axis=1)
-        for b, (t, nid, idx, ones, depth) in enumerate(batch):
-            j = best[b]
-            if cost[b, j] == np.inf:
+        best = (np.arange(len(batch)), cost.argmin(axis=1))
+        winners = zip(
+            batch,
+            (cost[best] < np.inf).tolist(),
+            feats[best].tolist(),
+            thresholds[best].tolist(),
+            n_left[best].tolist(),
+            n1_left[best].tolist(),
+            starts.tolist(),
+        )
+        for (t, nid, idx, ones, depth), split, f, thr, left_size, left_ones, start in winners:
+            if not split:
                 continue
             nodes = trees[t]
             node = nodes[nid]
-            node.feature, node.threshold = int(feats[b, j]), float(thresholds[b, j])
+            node.feature, node.threshold = f, thr
             node.left, node.right = len(nodes), len(nodes) + 1
-            left_size, left_ones = int(n_left[b, j]), int(n1_left[b, j])
             right_size, right_ones = idx.size - left_size, ones - left_ones
             nodes.append(_Node(prob1=left_ones / left_size))
             nodes.append(_Node(prob1=right_ones / right_size))
             # Children that will never split are final leaves and are not
             # pushed; pushing left then right pops the right child first.
-            mask = goes_left[starts[b] : starts[b] + idx.size, j]
+            mask = goes_left[start : start + idx.size, f]
             if splittable(left_size, left_ones, depth + 1):
                 stacks[t].append((node.left, idx[mask], left_ones, depth + 1))
             if splittable(right_size, right_ones, depth + 1):
@@ -274,20 +307,66 @@ def _grow_forest(Z, y, gens, k_features, max_depth, min_samples_split) -> list[l
 
 # --- nearest neighbours -----------------------------------------------------
 
-# Bytes of the (query rows x training rows x features) difference array that
-# one KNN predict chunk may build; numpy adds a temporary of the same size.
-_KNN_CHUNK_BYTES = 32 << 20
+# Bytes of the (features x query rows x training rows) buffer of squared
+# differences that KNN prediction fills one chunk of query rows at a time;
+# small enough that a chunk stays in cache.
+_KNN_CHUNK_BYTES = 2 << 20
 
 
-def _knn_ones(Ztrain: np.ndarray, ytrain: np.ndarray, block: np.ndarray, k: int) -> np.ndarray:
+def _sum_columns(cols: list[np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """Add cols[lo:hi] in place in numpy's pairwise ``add.reduce`` order.
+
+    ``a.sum(axis=-1)`` over a contiguous axis of n values adds them in order
+    when n < 8; up to 128 it keeps 8 running sums (sum j takes values j, j+8,
+    ...), joins them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then adds the
+    rest in order; above 128 it sums two halves, split at a multiple of 8, and
+    adds them. Doing the same to whole columns gives the same floats. The sum
+    lands in, and is returned as, one of the columns; the others are clobbered.
+    """
+    n = hi - lo
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _sum_columns(cols, lo, lo + half)
+        total += _sum_columns(cols, lo + half, hi)
+        return total
+    if n < 8:
+        for i in range(lo + 1, hi):
+            cols[lo] += cols[i]
+        return cols[lo]
+    tail = hi - n % 8
+    for i in range(lo + 8, tail):
+        cols[lo + (i - lo) % 8] += cols[i]
+    r = cols[lo : lo + 8]
+    r[0] += r[1]
+    r[2] += r[3]
+    r[0] += r[2]
+    r[4] += r[5]
+    r[6] += r[7]
+    r[4] += r[6]
+    r[0] += r[4]
+    for i in range(tail, hi):
+        r[0] += cols[i]
+    return r[0]
+
+
+def _knn_ones(
+    ZtrainT: np.ndarray, ytrain: np.ndarray, block: np.ndarray, k: int, buf: np.ndarray
+) -> np.ndarray:
     """Class-1 labels among each query row's k nearest training rows.
 
-    Neighbours are those a stable sort by squared distance would put first:
-    every row closer than the k-th distance, then rows at exactly that distance
-    in training-row order. Only a query with more such ties than free places
-    needs a look at the order of its ties.
+    ``ZtrainT`` holds the training rows by feature column and ``buf`` has room
+    for at least ``len(block)`` rows of every column's squared differences.
+    The squared distances equal ``((block[:, None, :] - Ztrain) ** 2).sum(axis=2)``
+    float for float. Neighbours are those a stable sort by squared distance
+    would put first: every row closer than the k-th distance, then rows at
+    exactly that distance in training-row order. Only a query with more such
+    ties than free places needs a look at the order of its ties.
     """
-    d2 = ((block[:, None, :] - Ztrain[None, :, :]) ** 2).sum(axis=2)
+    cols = list(buf[:, : len(block)])
+    for f, col in enumerate(cols):
+        np.subtract(block[:, f, None], ZtrainT[f], out=col)
+        np.square(col, out=col)
+    d2 = _sum_columns(cols, 0, len(cols))
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
     within = d2 <= kth
     positive = ytrain == 1
@@ -321,7 +400,7 @@ def fit(spec: ClassifierSpec, train: LabeledDataset) -> TrainedModel:
     Z = (X - means) / stds
 
     if spec.kind == "decision_tree":
-        state = _grow_tree(Z, y, spec.max_depth, spec.min_samples_split, _best_exact_split)
+        state = _grow_decision_tree(Z, y, spec.max_depth, spec.min_samples_split)
     elif spec.kind == "extra_trees":
         k = _subsample_count(spec.feature_subsample, X.shape[1])
         gens = [Xoshiro256StarStar(derive_seed(spec.seed, t)) for t in range(spec.n_trees)]
@@ -362,20 +441,22 @@ def predict_proba(model: TrainedModel, X) -> np.ndarray:
     Z = (X - model.feature_means) / model.feature_stds
     spec = model.spec
     if spec.kind == "decision_tree":
-        return _tree_prob1(model.state, Z)
+        return _prob1_by_tree([model.state], Z)[0]
     if spec.kind == "extra_trees":
         total = np.zeros(len(Z), dtype=np.float64)
-        for nodes in model.state:
-            total += _tree_prob1(nodes, Z)
+        for tree_prob in _prob1_by_tree(model.state, Z):
+            total += tree_prob
         return total / len(model.state)
     if spec.kind == "knn":
         Ztrain, ytrain = model.state
         k = min(spec.k, len(ytrain))
-        ones = np.empty(len(Z), dtype=np.float64)
+        ZtrainT = np.ascontiguousarray(Ztrain.T)
         chunk = max(1, _KNN_CHUNK_BYTES // (Ztrain.itemsize * Ztrain.size))
+        buf = np.empty((Ztrain.shape[1], min(chunk, len(Z)), len(ytrain)))
+        ones = np.empty(len(Z), dtype=np.float64)
         for start in range(0, len(Z), chunk):
             block = Z[start : start + chunk]
-            ones[start : start + len(block)] = _knn_ones(Ztrain, ytrain, block, k) / k
+            ones[start : start + len(block)] = _knn_ones(ZtrainT, ytrain, block, k, buf) / k
         return ones
     priors, params = model.state
     log_post = np.full((len(Z), 2), -np.inf, dtype=np.float64)

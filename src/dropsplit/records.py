@@ -110,13 +110,15 @@ class Cohort:
     range: TermRange
     terms_per_year: int = DEFAULT_TERMS_PER_YEAR
 
+    _by_id: dict[str, StudentStructure] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        by_id: dict[str, StudentStructure] = {}
         names: tuple[str, ...] | None = None
         for s in self.students:
-            if s.student_id in seen:
+            if s.student_id in by_id:
                 raise ValueError(f"duplicate student id {s.student_id}")
-            seen.add(s.student_id)
+            by_id[s.student_id] = s
             if s.entrance not in self.range:
                 raise ValueError(
                     f"student {s.student_id}: entrance {s.entrance} outside {self.range.lo}..{self.range.hi}"
@@ -129,16 +131,14 @@ class Cohort:
         ids = [s.student_id for s in self.students]
         if ids != sorted(ids):
             raise ValueError("cohort students must be sorted by student id")
+        object.__setattr__(self, "_by_id", by_id)
 
     @property
     def static_attr_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.students[0].static_attrs) if self.students else ()
 
     def student(self, student_id: str) -> StudentStructure:
-        for s in self.students:
-            if s.student_id == student_id:
-                return s
-        raise KeyError(student_id)
+        return self._by_id[student_id]
 
 
 def _check_reference(c: Cohort, t: Term) -> None:

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from dropsplit import classifiers
 from dropsplit.classifiers import (
     ClassifierSpec,
+    _Node,
     _gini_cost,
-    _grow_tree,
     _subsample_count,
     accuracy,
     confusion,
@@ -157,6 +157,46 @@ class TestKNNNeighbourSelection:
         assert np.array_equal(whole, reference_knn_proba(model, Xq))
 
 
+@st.composite
+def float_knn_case(draw):
+    n_train = draw(st.integers(1, 8))
+    n_query = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 140))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    X = rng.standard_normal((n_train, m)) * scale
+    Xq = rng.standard_normal((n_query, m)) * scale
+    # Repeated rows give distance ties even with non-integer features.
+    X[rng.integers(0, n_train, n_train // 2)] = X[0]
+    y = rng.integers(0, 2, n_train)
+    k = draw(st.integers(1, n_train + 2))
+    return X, y, Xq, k
+
+
+class TestKNNFloatDistances:
+    """Distances by feature column must be numpy's own sum(axis=2), float for float.
+
+    Non-integer features make the order of the additions matter, and m runs
+    past 8 and past 128, where numpy's pairwise summation changes shape.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=float_knn_case())
+    def test_matches_stable_argsort_on_floats(self, case):
+        X, y, Xq, k = case
+        model = fit(ClassifierSpec(kind="knn", k=k), dataset(X, y))
+        assert np.array_equal(predict_proba(model, Xq), reference_knn_proba(model, Xq))
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 15, 16, 17, 128, 129, 137, 300])
+    def test_squared_distances_sum_in_numpy_order(self, m):
+        rng = np.random.default_rng(m)
+        Ztrain = rng.standard_normal((40, m)) * rng.choice([1e-8, 1.0, 1e8], size=(40, m))
+        block = rng.standard_normal((5, m))
+        expected = ((block[:, None, :] - Ztrain[None, :, :]) ** 2).sum(axis=2)
+        cols = list((block.T[:, :, None] - Ztrain.T[:, None, :]) ** 2)
+        assert np.array_equal(classifiers._sum_columns(cols, 0, m), expected)
+
+
 class TestGaussianNB:
     def test_hand_computed_posterior_1d(self):
         # Four 1-D points, two per class. The oracle below redoes the whole
@@ -199,6 +239,100 @@ class TestGaussianNB:
         assert np.array_equal(out, y)
 
 
+def reference_grow_tree(X, y, max_depth, min_samples_split, choose_split):
+    """Tree growth one node at a time; rows with value <= threshold go left."""
+    nodes = [_Node()]
+    stack = [(0, np.arange(len(y)), 0)]
+    while stack:
+        nid, idx, depth = stack.pop()
+        node = nodes[nid]
+        ys = y[idx]
+        ones = int(ys.sum())
+        node.prob1 = ones / idx.size
+        if ones == 0 or ones == idx.size:
+            continue
+        if idx.size < min_samples_split or (max_depth is not None and depth >= max_depth):
+            continue
+        split = choose_split(X, y, idx)
+        if split is None:
+            continue
+        f, thr = split
+        mask = X[idx, f] <= thr
+        left_idx, right_idx = idx[mask], idx[~mask]
+        if left_idx.size == 0 or right_idx.size == 0:
+            continue
+        node.feature, node.threshold = f, thr
+        node.left, node.right = len(nodes), len(nodes) + 1
+        nodes.append(_Node())
+        nodes.append(_Node())
+        stack.append((node.left, left_idx, depth + 1))
+        stack.append((node.right, right_idx, depth + 1))
+    return nodes
+
+
+def reference_exact_split(X, y, idx):
+    """Best (feature, midpoint threshold) by a fresh stable sort per feature.
+
+    Ties keep the lowest feature index, then the lowest threshold.
+    """
+    n = idx.size
+    best_cost = math.inf
+    best = None
+    for f in range(X.shape[1]):
+        xs = X[idx, f]
+        order = np.argsort(xs, kind="stable")
+        xs_s = xs[order]
+        ys = y[idx][order]
+        boundary = np.nonzero(xs_s[1:] != xs_s[:-1])[0] + 1
+        if boundary.size == 0:
+            continue
+        ones = np.cumsum(ys)
+        n_left = boundary.astype(np.float64)
+        n1_left = ones[boundary - 1].astype(np.float64)
+        cost = _gini_cost(n_left, n1_left, n - n_left, ones[-1] - n1_left)
+        j = int(np.argmin(cost))
+        if cost[j] < best_cost:
+            best_cost = float(cost[j])
+            b = boundary[j]
+            best = (f, float((xs_s[b - 1] + xs_s[b]) / 2.0))
+    return best
+
+
+def reference_tree_prob1(nodes, X):
+    """Class-1 score per row by walking each node's rows down the tree."""
+    out = np.empty(len(X), dtype=np.float64)
+    stack = [(0, np.arange(len(X)))]
+    while stack:
+        nid, rows = stack.pop()
+        if rows.size == 0:
+            continue
+        node = nodes[nid]
+        if node.feature == -1:
+            out[rows] = node.prob1
+            continue
+        mask = X[rows, node.feature] <= node.threshold
+        stack.append((node.left, rows[mask]))
+        stack.append((node.right, rows[~mask]))
+    return out
+
+
+def reference_proba(model, X):
+    """Tree and forest scores by the per-node walk, summed in tree order."""
+    Z = (np.asarray(X, dtype=float) - model.feature_means) / model.feature_stds
+    if model.spec.kind == "decision_tree":
+        return reference_tree_prob1(model.state, Z)
+    total = np.zeros(len(Z), dtype=np.float64)
+    for nodes in model.state:
+        total += reference_tree_prob1(nodes, Z)
+    return total / len(model.state)
+
+
+def standardized(X):
+    means = X.mean(axis=0)
+    stds = X.std(axis=0)
+    return (X - means) / np.where(stds < 1e-12, 1.0, stds)
+
+
 def reference_split_chooser(gen, k_features):
     """Extra-trees node splitter as one tree grown alone draws it."""
 
@@ -233,12 +367,10 @@ def reference_split_chooser(gen, k_features):
 
 def reference_forest(spec, X, y):
     """Each tree grown on its own, depth first, from its own seeded stream."""
-    means = X.mean(axis=0)
-    stds = X.std(axis=0)
-    Z = (X - means) / np.where(stds < 1e-12, 1.0, stds)
+    Z = standardized(X)
     k = _subsample_count(spec.feature_subsample, X.shape[1])
     return [
-        _grow_tree(
+        reference_grow_tree(
             Z, y, spec.max_depth, spec.min_samples_split,
             reference_split_chooser(Xoshiro256StarStar(derive_seed(spec.seed, t)), k),
         )
@@ -247,7 +379,7 @@ def reference_forest(spec, X, y):
 
 
 @st.composite
-def forest_case(draw):
+def tied_matrix(draw):
     n = draw(st.integers(1, 30))
     m = draw(st.integers(1, 5))
     # Few distinct values give duplicated rows and ties; a column may be constant.
@@ -260,6 +392,23 @@ def forest_case(draw):
         st.lists(st.integers(0, 1), min_size=n, max_size=n),
         st.sampled_from([[0] * n, [1] * n]),
     )))
+    return X, y
+
+
+@st.composite
+def tree_case(draw):
+    X, y = draw(tied_matrix())
+    spec = ClassifierSpec(
+        kind="decision_tree",
+        max_depth=draw(st.sampled_from([None, 1, 3])),
+        min_samples_split=draw(st.integers(2, 6)),
+    )
+    return spec, X, y
+
+
+@st.composite
+def forest_case(draw):
+    X, y = draw(tied_matrix())
     spec = ClassifierSpec(
         kind="extra_trees",
         max_depth=draw(st.sampled_from([None, 1, 3])),
@@ -284,6 +433,80 @@ class TestExtraTreesLockstep:
         X, y = blobs(300, separation=1.5, std=1.5, seed=3)
         spec = ClassifierSpec(kind="extra_trees", n_trees=8, seed=5, max_depth=12)
         assert fit(spec, dataset(X, y)).state == reference_forest(spec, X, y)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=forest_case())
+    def test_step_byte_bound_does_not_change_forest(self, case):
+        spec, X, y = case
+        # A 1-byte bound scores one node per step, trees taken in turn.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classifiers, "_FOREST_STEP_BYTES", 1)
+            state = fit(spec, dataset(X, y)).state
+        assert state == reference_forest(spec, X, y)
+
+
+class TestDecisionTreePresort:
+    """Presorted growth equals, node for node, a fresh stable sort per node."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=tree_case())
+    def test_matches_per_node_sort(self, case):
+        spec, X, y = case
+        expected = reference_grow_tree(
+            standardized(X), y, spec.max_depth, spec.min_samples_split, reference_exact_split
+        )
+        assert fit(spec, dataset(X, y)).state == expected
+
+    def test_matches_on_continuous_blobs(self):
+        X, y = blobs(300, separation=1.5, std=1.5, seed=3)
+        spec = ClassifierSpec(kind="decision_tree", max_depth=12)
+        expected = reference_grow_tree(standardized(X), y, 12, 2, reference_exact_split)
+        assert fit(spec, dataset(X, y)).state == expected
+
+    def test_midpoint_rounding_onto_a_value_leaves_a_leaf(self):
+        # The midpoint of the two smallest subnormals rounds up to the larger
+        # one, so "<= threshold" sends every row left and no split is made.
+        Z = np.array([[5e-324], [1e-323]])
+        y = np.array([0, 1])
+        got = classifiers._grow_decision_tree(Z, y, None, 2)
+        assert got == reference_grow_tree(Z, y, None, 2, reference_exact_split)
+        assert got == [_Node(prob1=0.5)]
+
+
+@st.composite
+def descent_case(draw):
+    spec, X, y = draw(st.one_of(tree_case(), forest_case()))
+    # Queries on the training lattice, between its levels and beyond it.
+    Xq = np.array(draw(st.lists(
+        st.lists(st.integers(-2, 16), min_size=X.shape[1], max_size=X.shape[1]),
+        min_size=0, max_size=12,
+    )), dtype=float).reshape(-1, X.shape[1]) / 2.0
+    return spec, X, y, np.vstack([X, Xq])
+
+
+class TestArrayDescent:
+    """Level-by-level descent over node arrays equals the per-node walk."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=descent_case())
+    def test_matches_per_node_walk(self, case):
+        spec, X, y, Xq = case
+        model = fit(spec, dataset(X, y))
+        assert np.array_equal(predict_proba(model, Xq), reference_proba(model, Xq))
+
+    @pytest.mark.parametrize("kind", ["decision_tree", "extra_trees"])
+    def test_matches_on_continuous_blobs(self, kind):
+        X, y = blobs(300, separation=1.5, std=1.5, seed=3)
+        Xq, _ = blobs(200, separation=1.5, std=1.5, seed=4)
+        model = fit(ClassifierSpec(kind=kind, n_trees=12, seed=5), dataset(X, y))
+        assert np.array_equal(predict_proba(model, Xq), reference_proba(model, Xq))
+
+    @pytest.mark.parametrize("kind", ["decision_tree", "extra_trees"])
+    def test_no_rows(self, kind):
+        X, y = blobs(40)
+        model = fit(ClassifierSpec(kind=kind), dataset(X, y))
+        assert predict_proba(model, np.zeros((0, 2))).shape == (0,)
 
 
 class TestDegenerateAndErrors:

@@ -62,6 +62,9 @@ class TestIngest:
         # sex is non-numeric and gets a deterministic sorted coding: F=0, M=1
         assert result.attr_codes == {"sex": {"F": 0, "M": 1}}
         assert dict(s1.static_attrs) == {"age": 18.0, "sex": 0.0}
+        assert all(cohort.student(s.student_id) is s for s in cohort.students)
+        with pytest.raises(KeyError, match="nobody"):
+            cohort.student("nobody")
 
     def test_ingest_is_deterministic(self, tmp_path):
         sp, cp = write_inputs(tmp_path)
