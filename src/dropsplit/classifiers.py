@@ -396,6 +396,9 @@ def fit(spec: ClassifierSpec, train: LabeledDataset) -> TrainedModel:
         raise ValueError("training set must be a nonempty 2-D matrix")
     if len(X) != len(y):
         raise ValueError(f"{len(X)} rows but {len(y)} labels")
+    bad = np.setdiff1d(train.y, (0, 1))
+    if len(bad):
+        raise ValueError(f"labels must be 0 (dropout) or 1 (graduated), got {bad.tolist()}")
     means, stds = _standardize_params(X)
     Z = (X - means) / stds
 

@@ -13,6 +13,7 @@ import csv
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 from .terms import (
     DEFAULT_TERMS_PER_YEAR,
@@ -141,20 +142,20 @@ class Cohort:
         return self._by_id[student_id]
 
 
-def _check_reference(c: Cohort, t: Term) -> None:
+def check_reference(c: Cohort, t: Term) -> None:
     if t not in c.range:
         raise ReferenceTermError(f"reference term {t} outside cohort range {c.range.lo}..{c.range.hi}")
 
 
 def subset_exited_before(c: Cohort, t: Term) -> list[StudentStructure]:
     """Students who graduated or dropped out strictly before the reference term."""
-    _check_reference(c, t)
+    check_reference(c, t)
     return [s for s in c.students if s.exited and s.exit_term < t]
 
 
 def subset_exited_from(c: Cohort, t: Term) -> list[StudentStructure]:
     """Students active at the reference term whose exit falls inside the window."""
-    _check_reference(c, t)
+    check_reference(c, t)
     return [
         s
         for s in c.students
@@ -164,7 +165,7 @@ def subset_exited_from(c: Cohort, t: Term) -> list[StudentStructure]:
 
 def subset_enrolled(c: Cohort, t: Term) -> list[StudentStructure]:
     """Students still enrolled at the data horizon with entrance at or before t."""
-    _check_reference(c, t)
+    check_reference(c, t)
     return [s for s in c.students if not s.exited and s.entrance <= t]
 
 
@@ -212,6 +213,27 @@ class IngestResult:
 
 _STUDENT_COLUMNS = ("student_id", "entrance_term", "status", "exit_term")
 _COURSE_COLUMNS = ("student_id", "course_code", "term", "score", "attendance_pct", "result")
+
+
+def _read_csv(fh, name: str, required: tuple[str, ...]) -> tuple[list[str], Iterator[list[str]]]:
+    """The header and the data rows of a CSV file, blank lines skipped.
+
+    Every data row must have one cell per header column; the first that does
+    not raises, naming the file and its row (the header is row 1).
+    """
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise IngestError(f"{name}: missing columns {missing}")
+
+    def rows() -> Iterator[list[str]]:
+        for rownum, cells in enumerate((cells for cells in reader if cells), start=2):
+            if len(cells) != len(header):
+                raise IngestError(f"{name}: row {rownum}: {len(cells)} cells, the header has {len(header)}")
+            yield cells
+
+    return header, rows()
 
 
 def _parse_record_term(text: str, cfg: IngestConfig, row: int) -> Term:
@@ -276,13 +298,9 @@ def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfi
     """
     students_path, courses_path = Path(students_path), Path(courses_path)
     with students_path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in _STUDENT_COLUMNS if c not in header]
-        if missing:
-            raise IngestError(f"{students_path.name}: missing columns {missing}")
+        header, rows = _read_csv(fh, students_path.name, _STUDENT_COLUMNS)
         attr_names = [c for c in header if c not in _STUDENT_COLUMNS]
-        student_rows = list(reader)
+        student_rows = [dict(zip(header, cells)) for cells in rows]
 
     attr_codes, attr_values = _code_static_attrs(student_rows, attr_names, cfg.attr_codes)
     window = TermRange(cfg.range_start, cfg.range_end)
@@ -326,18 +344,15 @@ def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfi
     duplicates = 0
     seen_lines: set[tuple[str, ...]] = set()
     with courses_path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in _COURSE_COLUMNS if c not in header]
-        if missing:
-            raise IngestError(f"{courses_path.name}: missing columns {missing}")
-        for i, row in enumerate(reader):
+        header, rows = _read_csv(fh, courses_path.name, _COURSE_COLUMNS)
+        for i, cells in enumerate(rows):
             rownum = i + 2
-            key = tuple(row.get(c) or "" for c in header)
+            key = tuple(cells)
             if key in seen_lines:
                 duplicates += 1
                 continue
             seen_lines.add(key)
+            row = dict(zip(header, cells))
             sid = row["student_id"].strip()
             term = _parse_record_term(row["term"], cfg, rownum)
             score = _parse_float(row["score"], "score", rownum)

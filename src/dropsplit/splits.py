@@ -7,9 +7,12 @@ use, which is exactly where information from T onward can leak into a test
 row. Approach A is the deliberately unrealistic baseline: a seeded random
 partition of the pooled students that ignores time entirely.
 
-Datasets are emitted sorted by (student id, as-of term) so no classifier can
-depend on incidental row order, and every student excluded by a precondition
-is recorded with a reason code.
+Each rule in `RULES` picks rows of the cohort's `VectorTable` for a whole
+population at once; the populations are masks on the table's exit and
+entrance ordinals. A side is then one gather of the chosen rows, which come
+out sorted by (student id, as-of term) because the table is, so no
+classifier can depend on incidental row order. Every student excluded by a
+precondition is recorded with a reason code, in population order.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .features import FeatureSetSpec, FeatureVector, UndefinedFeatureVector, VectorCache
-from .records import Cohort, StudentStructure, subset_exited_before, subset_exited_from
+from .features import FeatureSetSpec, Pick, VectorCache, VectorTable
+from .records import Cohort, StudentStructure, check_reference
 from .rng import Xoshiro256StarStar
 from .terms import Term, to_ordinal
 
@@ -97,27 +100,21 @@ class LabeledDataset:
         return LabeledDataset(X=X, y=y, rows=rows, meta=meta)
 
 
-def _materialize(
-    vectors: list[FeatureVector],
+def _dataset(
+    cache: VectorCache,
+    idx,
+    as_of: int | None,
     approach: SplitApproach,
     reference_term: Term,
     role: str,
     exclusions: list[Exclusion],
-    cache: VectorCache,
     seed: int | None = None,
 ) -> LabeledDataset:
-    vectors = sorted(vectors, key=lambda v: (v.student_id, to_ordinal(v.as_of, cache.terms_per_year)))
-    n = len(vectors)
-    m = len(cache.spec.names)
-    X = np.empty((n, m), dtype=np.float64)
-    y = np.empty(n, dtype=np.int64)
-    rows = []
-    for i, v in enumerate(vectors):
-        if v.label is None:
-            raise ValueError(f"student {v.student_id} has no label; enrolled students cannot enter a split")
-        X[i] = v.values
-        y[i] = v.label
-        rows.append((v.student_id, v.as_of))
+    X, y, rows = cache.table.take(np.asarray(idx, dtype=np.int64), as_of)
+    unlabeled = np.flatnonzero(y < 0)
+    if len(unlabeled):
+        sid = rows[unlabeled[0]][0]
+        raise ValueError(f"student {sid} has no label; enrolled students cannot enter a split")
     meta = DatasetMeta(
         approach=approach,
         reference_term=reference_term,
@@ -129,30 +126,30 @@ def _materialize(
     return LabeledDataset(X=X, y=y, rows=tuple(rows), meta=meta)
 
 
-Rule = Callable[[VectorCache, StudentStructure, Term], tuple[FeatureVector, ...]]
+# A rule picks, for students at cohort positions si, the table rows of their
+# vectors at the reference ordinal o.
+Rule = Callable[[VectorTable, np.ndarray, int], Pick]
 
 
-def _final(cache: VectorCache, s: StudentStructure, t: Term) -> tuple[FeatureVector, ...]:
-    return (cache.at_end(s),)
+def _final(tab: VectorTable, si: np.ndarray, o: int) -> Pick:
+    return tab.at_end(si)
 
 
-def _last(cache: VectorCache, s: StudentStructure, t: Term) -> tuple[FeatureVector, ...]:
-    return (cache.at_last(s),)
+def _last(tab: VectorTable, si: np.ndarray, o: int) -> Pick:
+    return tab.at_last(si)
 
 
-def _reference(cache: VectorCache, s: StudentStructure, t: Term) -> tuple[FeatureVector, ...]:
-    return (cache.as_of(s, t),)
+def _reference(tab: VectorTable, si: np.ndarray, o: int) -> Pick:
+    return tab.as_of(si, o)
 
 
-def _expanded(cache: VectorCache, s: StudentStructure, t: Term) -> tuple[FeatureVector, ...]:
-    history = cache.history(s)
-    if not history:
-        raise UndefinedFeatureVector(s.student_id, "single_term_history")
-    return history
+def _expanded(tab: VectorTable, si: np.ndarray, o: int) -> Pick:
+    return tab.history(si)
 
 
-def _expanded_and_final(cache: VectorCache, s: StudentStructure, t: Term) -> tuple[FeatureVector, ...]:
-    return _expanded(cache, s, t) + (cache.at_end(s),)
+def _expanded_and_final(tab: VectorTable, si: np.ndarray, o: int) -> Pick:
+    pick = tab.history(si)  # the full-history row follows the history rows
+    return pick._replace(count=np.where(pick.count > 0, pick.count + 1, 0))
 
 
 class Rules(NamedTuple):
@@ -178,16 +175,24 @@ RULES: dict[SplitApproach, Rules] = {
 }
 
 
-def _collect(
-    rule: Rule, students: list[StudentStructure], t: Term, cache: VectorCache, role: str, exclusions: list[Exclusion]
-) -> list[FeatureVector]:
-    out: list[FeatureVector] = []
-    for s in students:
-        try:
-            out.extend(rule(cache, s, t))
-        except UndefinedFeatureVector as exc:
-            exclusions.append(Exclusion(s.student_id, role, exc.reason))
-    return out
+def _choose(
+    rule: Rule, si: np.ndarray, t: Term, cache: VectorCache, role: str, exclusions: list[Exclusion]
+) -> tuple[np.ndarray, int | None]:
+    """The rows a rule picks for students si, in row order, and the as-of
+    ordinal they are pinned at; students without a vector are appended to
+    exclusions in the order of si."""
+    tab = cache.table
+    pick = rule(tab, si, to_ordinal(t, tab.terms_per_year))
+    undefined = np.flatnonzero(pick.count == 0)
+    exclusions += [
+        Exclusion(tab.student_ids[i], role, reason)
+        for i, reason in zip(si[undefined].tolist(), pick.reason[undefined].tolist())
+    ]
+    order = np.argsort(si, kind="stable")  # cohort order is (student id, as-of) row order
+    start, count = pick.start[order], pick.count[order]
+    ends = np.cumsum(count)
+    idx = np.arange(ends[-1] if len(ends) else 0) + np.repeat(start - ends + count, count)
+    return idx, pick.as_of
 
 
 def apply_rule(
@@ -195,13 +200,18 @@ def apply_rule(
 ) -> LabeledDataset:
     """One side of a split: the approach's rule for role ("train" or "test")
     applied to each student, every undefined vector kept as an exclusion."""
+    si = np.array([cache.table.index[s.student_id] for s in students], dtype=np.int64)
+    return _side(approach, role, si, t, cache)
+
+
+def _side(approach: SplitApproach, role: str, si: np.ndarray, t: Term, cache: VectorCache) -> LabeledDataset:
     exclusions: list[Exclusion] = []
-    vectors = _collect(getattr(RULES[approach], role), students, t, cache, role, exclusions)
-    return _materialize(vectors, approach, t, role, exclusions, cache)
+    idx, as_of = _choose(getattr(RULES[approach], role), si, t, cache, role, exclusions)
+    return _dataset(cache, idx, as_of, approach, t, role, exclusions)
 
 
 def _pooled(
-    before: list[StudentStructure], onward: list[StudentStructure], t: Term, seed: int, cache: VectorCache
+    before: np.ndarray, onward: np.ndarray, t: Term, seed: int, cache: VectorCache
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Approach A: a seeded random partition of both populations' vectors.
 
@@ -211,17 +221,18 @@ def _pooled(
     """
     rules = RULES[SplitApproach.A]
     excl: list[Exclusion] = []
-    vecs_before = _collect(rules.train, before, t, cache, "pool", excl)
-    vecs_onward = _collect(rules.test, onward, t, cache, "pool", excl)
-    if not vecs_before:
+    rows_before, _ = _choose(rules.train, before, t, cache, "pool", excl)
+    rows_onward, _ = _choose(rules.test, onward, t, cache, "pool", excl)
+    if not len(rows_before):
         raise SplitError(f"no students exited before reference term {t}")
-    if not vecs_onward:
+    if not len(rows_onward):
         raise SplitError(f"no students active at {t} exited within the window")
-    pool = sorted(vecs_before + vecs_onward, key=lambda v: v.student_id)
+    # One row per student, so row order is student id order.
+    pool = sorted(rows_before.tolist() + rows_onward.tolist())
     Xoshiro256StarStar(seed).shuffle(pool)
-    n_train = len(vecs_before)
-    train = _materialize(pool[:n_train], SplitApproach.A, t, "train", excl, cache, seed)
-    test = _materialize(pool[n_train:], SplitApproach.A, t, "test", [], cache, seed)
+    n_train = len(rows_before)
+    train = _dataset(cache, sorted(pool[:n_train]), None, SplitApproach.A, t, "train", excl, seed)
+    test = _dataset(cache, sorted(pool[n_train:]), None, SplitApproach.A, t, "test", [], seed)
     return train, test
 
 
@@ -240,11 +251,15 @@ def build_split(
     t = request.reference_term
     if cache is None:
         cache = VectorCache(c, spec)
-    before, onward = subset_exited_before(c, t), subset_exited_from(c, t)
+    elif cache.cohort is not c:
+        raise ValueError("the vector cache was built for another cohort")
+    check_reference(c, t)
+    o = to_ordinal(t, c.terms_per_year)
+    before, onward = cache.table.exited_before(o), cache.table.exited_from(o)
     if request.approach is SplitApproach.A:
         return _pooled(before, onward, t, request.seed, cache)
-    train = apply_rule(request.approach, "train", before, t, cache)
-    test = apply_rule(request.approach, "test", onward, t, cache)
+    train = _side(request.approach, "train", before, t, cache)
+    test = _side(request.approach, "test", onward, t, cache)
     if not train.n:
         raise SplitError(f"train side empty: no student exited before {t} with a usable vector")
     if not test.n:

@@ -525,6 +525,14 @@ class TestDegenerateAndErrors:
         with pytest.raises(ValueError, match="columns"):
             predict(model, np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_labels_outside_binary_rejected(self, kind):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        with pytest.raises(ValueError, match=r"got \[2\]"):
+            fit(ClassifierSpec(kind=kind), dataset(X, [0, 2, 2, 0]))
+        with pytest.raises(ValueError, match=r"got \[-1, 3\]"):
+            fit(ClassifierSpec(kind=kind), dataset(X, [3, 1, -1, 0]))
+
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             fit(ClassifierSpec(kind="knn"), dataset(np.zeros((0, 2)), np.zeros(0)))

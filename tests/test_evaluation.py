@@ -100,8 +100,9 @@ class TestRunGrid:
 
     def test_fills_the_cache_it_is_given(self, medium_synth):
         cache = VectorCache(medium_synth)
+        assert "table" not in vars(cache)  # the table is built on first use
         run_grid(medium_synth, [SplitApproach.B1], FAST_SPECS, [Term(2012, 1)], cache=cache)
-        assert cache._vectors
+        assert "table" in vars(cache)
 
     def test_duplicate_labels_rejected(self, medium_synth):
         with pytest.raises(EvaluationError, match="duplicate"):

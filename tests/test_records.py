@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import csv
+import io
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dropsplit.records import (
     Cohort,
@@ -14,7 +19,7 @@ from dropsplit.records import (
     subset_exited_from,
     truncate_records,
 )
-from dropsplit.terms import Term, TermRange, iter_terms
+from dropsplit.terms import Term, TermParseError, TermRange, iter_terms, parse_term
 
 from conftest import course, make_student
 
@@ -145,6 +150,85 @@ class TestIngest:
         cfg = default_config(attr_codes={"sex": {"F": 0}})
         with pytest.raises(IngestError, match="sex"):
             ingest(sp, cp, cfg)
+
+
+def _is_term(text: str) -> bool:
+    try:
+        parse_term(text, 2)
+    except TermParseError:
+        return False
+    return True
+
+
+def _is_score(text: str) -> bool:
+    try:
+        return 0.0 <= float(text) <= 10.0
+    except ValueError:
+        return False
+
+
+_CELL = st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=8)
+# Per file, the columns garbled and values no ingest may accept there.
+_GARBLE = {
+    "students": {
+        "entrance_term": _CELL.filter(lambda v: not _is_term(v)),
+        "status": _CELL.filter(lambda v: v.strip().lower() not in ("graduated", "dropout", "enrolled")),
+    },
+    "courses": {
+        "term": _CELL.filter(lambda v: not _is_term(v)),
+        "score": _CELL.filter(lambda v: not _is_score(v)),
+        "result": _CELL.filter(lambda v: v.strip() not in ("0", "1")),
+    },
+}
+
+
+@st.composite
+def malformed_inputs(draw):
+    """The fixture files with one data row cut short, extended, or with one
+    garbled cell; returns both texts, the file changed and its row number."""
+    texts = {"students": STUDENTS_CSV, "courses": COURSES_CSV}
+    name = draw(st.sampled_from(sorted(texts)))
+    header, *rows = list(csv.reader(io.StringIO(texts[name])))
+    i = draw(st.integers(0, len(rows) - 1))
+    cells = rows[i]
+    mutation = draw(st.sampled_from(["cut", "extend", "garble"]))
+    if mutation == "cut":
+        cells = cells[: draw(st.integers(1, len(cells) - 1))]
+    elif mutation == "extend":
+        cells = cells + draw(st.lists(_CELL, min_size=1, max_size=3))
+    else:
+        column = draw(st.sampled_from(sorted(_GARBLE[name])))
+        cells = list(cells)
+        cells[header.index(column)] = draw(_GARBLE[name][column])
+    rows[i] = cells
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    texts[name] = out.getvalue()
+    return texts, name, i + 2  # the header is row 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_inputs())
+def test_malformed_row_is_ingest_error_naming_its_row(tmp_path_factory, case):
+    texts, name, rownum = case
+    sp, cp = write_inputs(tmp_path_factory.mktemp("fuzz"), texts["students"], texts["courses"])
+    with pytest.raises(IngestError, match=rf"row {rownum}\b"):
+        ingest(sp, cp, default_config())
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("students.csv", STUDENTS_CSV.replace("s2,2012.2,dropout,2013.1,22,M", "s2,2012.2,dropout"), "row 3: 3 cells"),
+        ("courses.csv", COURSES_CSV.replace("s2,MATH1,2013.1,5.5,70,1", "s2,MATH1,2013.1,5.5,70"), "row 7: 5 cells"),
+        ("courses.csv", COURSES_CSV.replace("s1,MATH1,2012.1,7.5,90,1", "s1,MATH1,2012.1,7.5,90,1,x"), "row 2: 7 cells"),
+    ],
+)
+def test_row_with_wrong_cell_count_names_file_and_row(tmp_path, name, text, message):
+    texts = {"students.csv": STUDENTS_CSV, "courses.csv": COURSES_CSV, name: text}
+    sp, cp = write_inputs(tmp_path, texts["students.csv"], texts["courses.csv"])
+    with pytest.raises(IngestError, match=re.escape(f"{name}: {message}")):
+        ingest(sp, cp, default_config())
 
 
 class TestStudentStructure:

@@ -4,13 +4,29 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dropsplit.features import VectorCache, feature_vector, vector_at_end, vector_at_last
-from dropsplit.records import subset_exited_before, subset_exited_from, truncate_records
+from dropsplit.features import (
+    CANONICAL_TIME_FEATURES,
+    FeatureSetSpec,
+    UndefinedFeatureVector,
+    VectorCache,
+    expand_history,
+    feature_vector,
+    vector_as_of,
+    vector_at_end,
+    vector_at_last,
+)
+from dropsplit.records import Cohort, CourseRecord, subset_exited_before, subset_exited_from, truncate_records
+from dropsplit.rng import Xoshiro256StarStar
 from dropsplit.splits import (
+    DatasetMeta,
+    Exclusion,
+    LabeledDataset,
     SplitApproach,
     SplitError,
     SplitRequest,
+    apply_rule,
     build_split,
     split_A,
     split_B1,
@@ -19,7 +35,9 @@ from dropsplit.splits import (
     split_B3T,
     split_B4T,
 )
-from dropsplit.terms import Term, term_distance
+from dropsplit.terms import Term, TermRange, from_ordinal, iter_terms, term_distance, to_ordinal
+
+from conftest import make_student
 
 T_MID = Term(2012, 1)
 
@@ -272,3 +290,244 @@ class TestCrossCutting:
         assert "frank" in test.student_ids
         row = [i for i, (sid, _) in enumerate(test.rows) if sid == "frank"][0]
         assert test.rows[row][1] == t
+
+
+class TestSharedCache:
+    def test_cache_of_another_cohort_is_refused(self, medium_synth, tiny_cohort):
+        with pytest.raises(ValueError, match="another cohort"):
+            build_split(medium_synth, SplitRequest(SplitApproach.B1, T_MID), cache=VectorCache(tiny_cohort))
+
+
+# --- the per-vector path the row-index path replaced, kept as the reference ---
+#
+# Each rule returns FeatureVectors from the public vector functions, one
+# student at a time; rows are sorted by (student id, as-of ordinal) and copied
+# one vector at a time.
+
+
+def _ref_final(s, t, spec, tpy):
+    return (vector_at_end(s, spec, tpy),)
+
+
+def _ref_last(s, t, spec, tpy):
+    return (vector_at_last(s, spec, tpy),)
+
+
+def _ref_reference(s, t, spec, tpy):
+    return (vector_as_of(s, t, spec, tpy),)
+
+
+def _ref_expanded(s, t, spec, tpy):
+    history = tuple(expand_history(s, s.entrance, s.last, spec, tpy))
+    if not history:
+        raise UndefinedFeatureVector(s.student_id, "single_term_history")
+    return history
+
+
+def _ref_expanded_and_final(s, t, spec, tpy):
+    return _ref_expanded(s, t, spec, tpy) + _ref_final(s, t, spec, tpy)
+
+
+REF_RULES = {
+    SplitApproach.A: (_ref_final, _ref_final),
+    SplitApproach.B1: (_ref_final, _ref_final),
+    SplitApproach.B2: (_ref_last, _ref_last),
+    SplitApproach.B2T: (_ref_last, _ref_reference),
+    SplitApproach.B3T: (_ref_expanded, _ref_reference),
+    SplitApproach.B4T: (_ref_expanded_and_final, _ref_reference),
+}
+
+
+def ref_collect(rule, students, t, spec, tpy, role, exclusions):
+    out = []
+    for s in students:
+        try:
+            out.extend(rule(s, t, spec, tpy))
+        except UndefinedFeatureVector as exc:
+            exclusions.append(Exclusion(s.student_id, role, exc.reason))
+    return out
+
+
+def ref_materialize(vectors, approach, t, role, exclusions, spec, tpy, seed=None):
+    vectors = sorted(vectors, key=lambda v: (v.student_id, to_ordinal(v.as_of, tpy)))
+    X = np.empty((len(vectors), len(spec.names)), dtype=np.float64)
+    y = np.empty(len(vectors), dtype=np.int64)
+    for i, v in enumerate(vectors):
+        X[i] = v.values
+        y[i] = v.label
+    meta = DatasetMeta(approach, t, role, spec.names, tuple(exclusions), seed)
+    return LabeledDataset(X=X, y=y, rows=tuple((v.student_id, v.as_of) for v in vectors), meta=meta)
+
+
+def ref_build_split(c, approach, t, seed, spec):
+    tpy = c.terms_per_year
+    before, onward = subset_exited_before(c, t), subset_exited_from(c, t)
+    train_rule, test_rule = REF_RULES[approach]
+    if approach is SplitApproach.A:
+        excl = []
+        vecs_before = ref_collect(train_rule, before, t, spec, tpy, "pool", excl)
+        vecs_onward = ref_collect(test_rule, onward, t, spec, tpy, "pool", excl)
+        if not vecs_before:
+            raise SplitError(f"no students exited before reference term {t}")
+        if not vecs_onward:
+            raise SplitError(f"no students active at {t} exited within the window")
+        pool = sorted(vecs_before + vecs_onward, key=lambda v: v.student_id)
+        Xoshiro256StarStar(seed).shuffle(pool)
+        n_train = len(vecs_before)
+        return (
+            ref_materialize(pool[:n_train], approach, t, "train", excl, spec, tpy, seed),
+            ref_materialize(pool[n_train:], approach, t, "test", [], spec, tpy, seed),
+        )
+    sides = []
+    for rule, role, students in ((train_rule, "train", before), (test_rule, "test", onward)):
+        excl = []
+        vectors = ref_collect(rule, students, t, spec, tpy, role, excl)
+        sides.append(ref_materialize(vectors, approach, t, role, excl, spec, tpy))
+    train, test = sides
+    if not train.n:
+        raise SplitError(f"train side empty: no student exited before {t} with a usable vector")
+    if not test.n:
+        raise SplitError(f"test side empty: no student active at {t} exited within the window with a usable vector")
+    return train, test
+
+
+def split_or_error(build, *args):
+    try:
+        return build(*args)
+    except SplitError as exc:
+        return str(exc)
+
+
+def same_dataset(a, b):
+    return (
+        a.X.shape == b.X.shape
+        and a.X.tobytes() == b.X.tobytes()
+        and a.y.dtype == b.y.dtype
+        and np.array_equal(a.y, b.y)
+        and a.rows == b.rows
+        and a.meta == b.meta
+    )
+
+
+FULL_SPEC = FeatureSetSpec(
+    static_names=("age", "code"), time_features=CANONICAL_TIME_FEATURES + ("elapsed_terms",)
+)
+WINDOW = TermRange(Term(2010, 1), Term(2013, 2))
+
+
+@st.composite
+def small_cohorts(draw):
+    """Up to seven students entering in a four-year window, with gap terms,
+    several courses per term, students without courses, activity and exits
+    past the window, exits long after the last course, and enrolled students."""
+    lo, hi = to_ordinal(WINDOW.lo), to_ordinal(WINDOW.hi)
+    students = []
+    for i in range(draw(st.integers(1, 7))):
+        entrance = draw(st.integers(lo, hi))
+        o, courses = entrance, []
+        for k in range(draw(st.integers(0, 5))):
+            o += draw(st.integers(0 if k == 0 else 1, 2))
+            for _ in range(draw(st.integers(1, 3))):
+                courses.append(
+                    CourseRecord(
+                        course_code=f"C{len(courses)}",
+                        term=from_ordinal(o),
+                        score=draw(st.floats(0, 10, allow_nan=False)),
+                        attendance_pct=draw(st.floats(0, 100, allow_nan=False)),
+                        result=draw(st.integers(0, 1)),
+                    )
+                )
+        status = draw(st.sampled_from(["graduated", "dropout", "enrolled"]))
+        exit_term = None if status == "enrolled" else from_ordinal(o + draw(st.integers(0, 3)))
+        attrs = (("age", float(draw(st.integers(17, 40)))), ("code", draw(st.floats(-1e3, 1e3))))
+        entrance_term = from_ordinal(entrance)
+        students.append(
+            make_student(
+                f"s{i}",
+                (entrance_term.year, entrance_term.index),
+                status,
+                exit_term and (exit_term.year, exit_term.index),
+                courses,
+                attrs,
+            )
+        )
+    return Cohort(students=tuple(students), range=WINDOW)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_cohorts(), st.sampled_from([None, FULL_SPEC]), st.integers(0, 2**32))
+def test_row_index_path_matches_per_vector_reference(cohort, spec, seed):
+    """Every approach at every reference term equals the per-vector path, bit
+    for bit: X bytes, labels, rows, and exclusions with reasons and order."""
+    resolved = spec or FeatureSetSpec.for_cohort(cohort)
+    cache = VectorCache(cohort, spec)
+    for t in iter_terms(WINDOW.lo, WINDOW.hi):
+        for approach in SplitApproach:
+            got = split_or_error(build_split, cohort, SplitRequest(approach, t, seed), spec, cache)
+            expected = split_or_error(ref_build_split, cohort, approach, t, seed, resolved)
+            if isinstance(expected, str):
+                assert got == expected
+            else:
+                assert not isinstance(got, str), got
+                assert all(same_dataset(a, b) for a, b in zip(got, expected))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_cohorts(), st.sampled_from([None, FULL_SPEC]))
+def test_reference_term_test_sides_survive_truncation(cohort, spec):
+    """A *T test side rebuilt from the records before T is the same dataset."""
+    cache = VectorCache(cohort, spec)
+    for t in iter_terms(WINDOW.lo, WINDOW.hi):
+        cut = truncate_records(cohort, t)
+        cut_cache = VectorCache(cut, spec)
+        for approach in (SplitApproach.B2T, SplitApproach.B3T, SplitApproach.B4T):
+            got = split_or_error(build_split, cohort, SplitRequest(approach, t), spec, cache)
+            rebuilt = split_or_error(build_split, cut, SplitRequest(approach, t), spec, cut_cache)
+            if isinstance(got, str):
+                assert got == rebuilt
+            else:
+                assert same_dataset(got[1], rebuilt[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_cohorts(), st.integers(0, 2**32))
+def test_rows_and_exclusions_account_for_each_population(cohort, seed):
+    """On each side every student of the population is a row or an exclusion, never both."""
+    cache = VectorCache(cohort)
+    for t in iter_terms(WINDOW.lo, WINDOW.hi):
+        before = {s.student_id for s in subset_exited_before(cohort, t)}
+        onward = {s.student_id for s in subset_exited_from(cohort, t)}
+        for approach in SplitApproach:
+            split = split_or_error(build_split, cohort, SplitRequest(approach, t, seed), None, cache)
+            if isinstance(split, str):
+                continue
+            sides = [(split[0], before), (split[1], onward)]
+            if approach is SplitApproach.A:  # pooled: both sides draw on both populations
+                sides = [(split, before | onward)]
+            for side, population in sides:
+                datasets = side if isinstance(side, tuple) else (side,)
+                in_rows = [ds.student_ids for ds in datasets]
+                excluded = [e.student_id for ds in datasets for e in ds.meta.exclusions]
+                assert len(excluded) == len(set(excluded))
+                assert not set(excluded) & set().union(*in_rows)
+                assert set(excluded).union(*in_rows) == population
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_cohorts(), st.sampled_from([a for a in SplitApproach if a is not SplitApproach.A]))
+def test_apply_rule_sorts_rows_and_keeps_population_order(cohort, approach):
+    """Rows come out in (student id, as-of) order whatever the population
+    order; exclusions follow the population order."""
+    cache = VectorCache(cohort)
+    t = Term(2012, 1)
+    exited = subset_exited_from(cohort, t) + subset_exited_before(cohort, t)
+    for role in ("train", "test"):
+        forward = apply_rule(approach, role, exited, t, cache)
+        backward = apply_rule(approach, role, exited[::-1], t, cache)
+        keys = [(sid, to_ordinal(as_of)) for sid, as_of in forward.rows]
+        assert keys == sorted(keys)
+        assert backward.rows == forward.rows and backward.X.tobytes() == forward.X.tobytes()
+        assert backward.meta.exclusions == forward.meta.exclusions[::-1]
+        assert [e.student_id for e in forward.meta.exclusions] == [
+            s.student_id for s in exited if s.student_id in {e.student_id for e in forward.meta.exclusions}
+        ]
