@@ -8,11 +8,12 @@ than zero-filled, and callers decide how to count the exclusion.
 
 The public vector functions build one vector from one student's running
 totals; they are the reference. `VectorCache` holds a whole cohort's vectors
-as one `VectorTable` of arrays, built on first use: every defined as-of vector
-as a matrix row in (student id, as-of term) order, each student's rows
-contiguous. Choosing vectors is then index arithmetic over a population and
-copying them is one gather, and both paths compute each aggregate from the same
-`TIME_FEATURES` formulas over sums added in the same order.
+as one `VectorTable` of arrays, built on first use from the cohort's
+`CourseTable` columns: every defined as-of vector as a matrix row in
+(student id, as-of term) order, each student's rows contiguous. Choosing
+vectors is then index arithmetic over a population and copying them is one
+gather, and both paths compute each aggregate from the same `TIME_FEATURES`
+formulas over sums added in the same order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .records import Cohort, EnrollmentStatus, StudentStructure
+from .records import Cohort, CourseTable, EnrollmentStatus, StudentStructure
 from .terms import DEFAULT_TERMS_PER_YEAR, Term, from_ordinal, iter_terms, next_term, to_ordinal
 
 CANONICAL_TIME_FEATURES = (
@@ -303,7 +304,7 @@ def _running_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -
         values[pos] = acc[:n]
 
 
-def _term_totals(students: tuple[StudentStructure, ...], tpy: int):
+def _term_totals(courses: CourseTable):
     """Totals through each course term of each student, as arrays.
 
     One entry per (student, distinct course term), in cohort and term order:
@@ -311,32 +312,28 @@ def _term_totals(students: tuple[StudentStructure, ...], tpy: int):
     next course term (one past the term for the final one), and a `_Window`,
     without elapsed terms, over the student's courses through that term.
     """
-    n_courses = np.fromiter((len(s.courses) for s in students), np.int64, len(students))
+    n_courses = courses.count
     ends = np.cumsum(n_courses)
     starts = ends - n_courses
-    courses = [c for s in students for c in s.courses]
-    n = len(courses)
-    index = np.fromiter((c.term.index for c in courses), np.int64, n)
-    if n and index.max() > tpy:
-        to_ordinal(courses[int(np.argmax(index > tpy))].term, tpy)  # raises, naming the term
-    ords = np.fromiter((c.term.year for c in courses), np.int64, n) * tpy + index - 1
+    ords = courses.term
+    n = len(ords)
     closes = np.ones(n, dtype=bool)  # at the last course of a term
     closes[:-1] = ords[1:] != ords[:-1]
     closes[ends[n_courses > 0] - 1] = True
     end = np.flatnonzero(closes)
     student = np.searchsorted(ends, end, side="right")
     term = ords[end]
-    groups = np.bincount(student, minlength=len(students))
+    groups = np.bincount(student, minlength=len(n_courses))
     rank = np.arange(len(end)) - (np.cumsum(groups) - groups)[student]  # the student's earlier course terms
     final = rank == groups[student] - 1
     following = np.append(term[1:], 0)
     following[final] = term[final] + 1
     first = starts[student]
     failed_before = np.zeros(n + 1, dtype=np.int64)  # entry p counts courses 0 .. p-1
-    np.cumsum(np.fromiter((c.result == 0 for c in courses), bool, n), out=failed_before[1:])
+    np.cumsum(courses.failed, out=failed_before[1:])
     sums = np.empty((n, 2))
-    sums[:, 0] = np.fromiter((c.attendance_pct for c in courses), np.float64, n)
-    sums[:, 1] = np.fromiter((c.score for c in courses), np.float64, n)
+    sums[:, 0] = courses.attendance
+    sums[:, 1] = courses.score
     _running_sums(sums, starts, n_courses)
     totals = _Window(
         terms=(rank + 1).astype(np.float64),
@@ -381,7 +378,7 @@ class VectorTable:
         tpy = cohort.terms_per_year
         students = cohort.students
         n_students = len(students)
-        student, term, following, totals = _term_totals(students, tpy)
+        student, term, following, totals = _term_totals(cohort.course_table)
         # A course term's totals are the window of every as-of term after it
         # through the student's next course term.
         covered = following - term

@@ -5,15 +5,28 @@ final enrollment status, optional exit term, static attributes) and one row per
 course taken. Ingestion normalizes mini-terms onto the main calendar, codes
 non-numeric attributes to integers, enforces the structural invariants, and
 reports every rejected row with a reason.
+
+A cohort has two views of its course records. `StudentStructure` and
+`CourseRecord` objects are the view the API and the tests use; `CourseTable`
+holds the same records as arrays, the view the feature table reads. Ingest
+reads each cell once, parses each distinct term text once, and builds both
+views in one pass. A cohort built from objects (generated, truncated, or put
+together by hand) derives its table from them on first use.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import gc
+import math
+from contextlib import contextmanager
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from .terms import (
     DEFAULT_TERMS_PER_YEAR,
@@ -39,7 +52,7 @@ class EnrollmentStatus(Enum):
     ENROLLED = "enrolled"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # one per course row: slots keep each small
 class CourseRecord:
     course_code: str
     term: Term
@@ -74,10 +87,13 @@ class StudentStructure:
 
     def __post_init__(self) -> None:
         sid = self.student_id
-        for c in self.courses:
-            if c.term < self.entrance:
-                raise ValueError(f"student {sid}: course at {c.term} before entrance {self.entrance}")
-        if any(self.courses[i].term > self.courses[i + 1].term for i in range(len(self.courses) - 1)):
+        # Terms order as (year, index); comparing those tuples keeps these
+        # checks cheap on long histories.
+        keys = [(c.term.year, c.term.index) for c in self.courses]
+        if keys and min(keys) < (self.entrance.year, self.entrance.index):
+            early = next(c.term for c in self.courses if c.term < self.entrance)
+            raise ValueError(f"student {sid}: course at {early} before entrance {self.entrance}")
+        if keys != sorted(keys):
             raise ValueError(f"student {sid}: courses not sorted by term")
         if self.status is EnrollmentStatus.ENROLLED:
             if self.exit_term is not None:
@@ -103,17 +119,54 @@ class StudentStructure:
         return self.status is not EnrollmentStatus.ENROLLED
 
 
+class CourseTable(NamedTuple):
+    """A cohort's course records as columns.
+
+    count has one entry per student, in cohort order. The other columns have
+    one entry per course: each student's courses are contiguous, in cohort
+    order, and in the order of the student's `courses`.
+    """
+
+    count: np.ndarray  # courses per student
+    term: np.ndarray  # term ordinal
+    failed: np.ndarray  # result == 0
+    attendance: np.ndarray
+    score: np.ndarray
+
+    @staticmethod
+    def of(students: tuple[StudentStructure, ...], terms_per_year: int) -> "CourseTable":
+        """The table of the students' course records, read from the objects."""
+        courses = [c for s in students for c in s.courses]
+        n = len(courses)
+        index = np.fromiter((c.term.index for c in courses), np.int64, n)
+        if n and index.max() > terms_per_year:
+            to_ordinal(courses[int(np.argmax(index > terms_per_year))].term, terms_per_year)  # raises, naming the term
+        return CourseTable(
+            count=np.fromiter((len(s.courses) for s in students), np.int64, len(students)),
+            term=np.fromiter((c.term.year for c in courses), np.int64, n) * terms_per_year + index - 1,
+            failed=np.fromiter((c.result == 0 for c in courses), bool, n),
+            attendance=np.fromiter((c.attendance_pct for c in courses), np.float64, n),
+            score=np.fromiter((c.score for c in courses), np.float64, n),
+        )
+
+
 @dataclass(frozen=True)
 class Cohort:
-    """All ingested students whose entrance falls inside the study window."""
+    """All ingested students whose entrance falls inside the study window.
+
+    `course_table` is the students' course records as columns. A caller that
+    built them already passes them as `table` (ingest does); otherwise they
+    are derived from the students on first use.
+    """
 
     students: tuple[StudentStructure, ...]
     range: TermRange
     terms_per_year: int = DEFAULT_TERMS_PER_YEAR
+    table: InitVar[CourseTable | None] = None
 
     _by_id: dict[str, StudentStructure] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, table: CourseTable | None) -> None:
         by_id: dict[str, StudentStructure] = {}
         names: tuple[str, ...] | None = None
         for s in self.students:
@@ -133,6 +186,12 @@ class Cohort:
         if ids != sorted(ids):
             raise ValueError("cohort students must be sorted by student id")
         object.__setattr__(self, "_by_id", by_id)
+        if table is not None:
+            object.__setattr__(self, "course_table", table)
+
+    @cached_property
+    def course_table(self) -> CourseTable:
+        return CourseTable.of(self.students, self.terms_per_year)
 
     @property
     def static_attr_names(self) -> tuple[str, ...]:
@@ -236,91 +295,137 @@ def _read_csv(fh, name: str, required: tuple[str, ...]) -> tuple[list[str], Iter
     return header, rows()
 
 
-def _parse_record_term(text: str, cfg: IngestConfig, row: int) -> Term:
-    """Parse a term cell, remapping configured mini-term tags onto main terms."""
-    text = text.strip()
-    head, dot, tail = text.partition(".")
-    if dot and tail in cfg.miniterm_map:
-        try:
-            year = int(head)
-        except ValueError:
-            raise IngestError(f"row {row}: malformed term {text!r}") from None
-        return Term(year, cfg.miniterm_map[tail])
-    try:
-        return parse_term(text, cfg.terms_per_year)
-    except TermParseError as exc:
-        raise IngestError(f"row {row}: {exc}") from None
+class _TermCells:
+    """Term cells as (term, ordinal) pairs, each distinct text parsed once.
+
+    Mini-term tags map onto main terms; a malformed cell raises `IngestError`
+    naming its row.
+    """
+
+    def __init__(self, cfg: IngestConfig) -> None:
+        self.cfg = cfg
+        self.parsed: dict[str, tuple[Term, int]] = {}
+
+    def __call__(self, text: str, row: int) -> tuple[Term, int]:
+        hit = self.parsed.get(text)
+        if hit is None:
+            tpy = self.cfg.terms_per_year
+            try:
+                term = parse_term(text.strip(), tpy, self.cfg.miniterm_map)
+            except TermParseError as exc:
+                raise IngestError(f"row {row}: {exc}") from None
+            hit = self.parsed[text] = (term, to_ordinal(term, tpy))
+        return hit
 
 
-def _parse_float(text: str, column: str, row: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise IngestError(f"row {row}: column {column!r} has non-numeric value {text!r}") from None
+def _column_index(header: list[str]) -> dict[str, int]:
+    """Column name -> position; a repeated name means its last column."""
+    return {name: j for j, name in enumerate(header)}
 
 
 def _code_static_attrs(
-    raw: list[dict[str, str]], names: list[str], provided: dict[str, dict[str, int]] | None
+    rows: list[list[str]],
+    column: dict[str, int],
+    names: list[str],
+    provided: dict[str, dict[str, int]] | None,
+    file: str,
 ) -> tuple[dict[str, dict[str, int]], dict[str, list[float]]]:
     """Turn raw attribute strings into floats, integer-coding non-numeric columns.
 
     Codes are assigned by sorted unique value so the same data always yields the
-    same coding; a provided dictionary must cover every observed value.
+    same coding; a provided dictionary must cover every observed value. A
+    numeric column must be finite: a nan or inf there raises, naming the row.
     """
     codes: dict[str, dict[str, int]] = {}
-    values: dict[str, list[float]] = {name: [] for name in names}
+    values: dict[str, list[float]] = {}
     for name in names:
-        column = [r[name].strip() for r in raw]
+        j = column[name]
+        text = [cells[j].strip() for cells in rows]
         try:
-            values[name] = [float(v) for v in column]
-            continue
+            numbers = [float(v) for v in text]
         except ValueError:
             pass
+        else:
+            if not all(map(math.isfinite, numbers)):
+                i = next(i for i, v in enumerate(numbers) if not math.isfinite(v))
+                raise IngestError(f"{file}: row {i + 2}: column {name!r} has non-finite value {text[i]!r}")
+            values[name] = numbers
+            continue
         if provided and name in provided:
             mapping = provided[name]
-            missing = sorted(set(column) - set(mapping))
+            missing = sorted(set(text) - set(mapping))
             if missing:
-                raise IngestError(f"attribute {name!r}: values {missing} absent from coding dictionary")
+                i = next(i for i, v in enumerate(text) if v not in mapping)
+                raise IngestError(
+                    f"{file}: row {i + 2}: attribute {name!r}: values {missing} absent from coding dictionary"
+                )
         else:
-            mapping = {v: i for i, v in enumerate(sorted(set(column)))}
+            mapping = {v: i for i, v in enumerate(sorted(set(text)))}
         codes[name] = mapping
-        values[name] = [float(mapping[v]) for v in column]
+        values[name] = [float(mapping[v]) for v in text]
     return codes, values
 
 
+_RESULTS = {"0": 0, "1": 1}
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Hold off the cyclic garbage collector while ingest builds its records.
+
+    Allocating containers starts a collection every few hundred objects, and
+    the older generations' passes walk every record built so far, yet records
+    form no reference cycles, so those passes free nothing. The collector
+    resumes, if it was on, when ingest returns or raises.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@_collector_paused()
 def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfig) -> IngestResult:
     """Read, validate, and normalize the two input CSVs into a Cohort.
 
     Schema violations abort with the offending row number. Course rows that
     reference unknown or out-of-range students, duplicate an earlier row byte
     for byte, or fall after a student's registered exit are collected into the
-    rejects list instead.
+    rejects list instead. Each student's courses are kept in (term, file row)
+    order, in the objects and in the cohort's `CourseTable` alike.
     """
     students_path, courses_path = Path(students_path), Path(courses_path)
     with students_path.open(newline="", encoding="utf-8") as fh:
         header, rows = _read_csv(fh, students_path.name, _STUDENT_COLUMNS)
-        attr_names = [c for c in header if c not in _STUDENT_COLUMNS]
-        student_rows = [dict(zip(header, cells)) for cells in rows]
-
-    attr_codes, attr_values = _code_static_attrs(student_rows, attr_names, cfg.attr_codes)
+        student_rows = list(rows)
+    column = _column_index(header)
+    attr_names = [c for c in header if c not in _STUDENT_COLUMNS]
+    attr_codes, attr_values = _code_static_attrs(student_rows, column, attr_names, cfg.attr_codes, students_path.name)
+    attr_columns = [attr_values[name] for name in attr_names]
     window = TermRange(cfg.range_start, cfg.range_end)
+    term_cell = _TermCells(cfg)
 
-    parsed: dict[str, dict] = {}
+    # sid -> (row number, (entrance, ordinal), status, (exit, ordinal) or None, attributes)
+    parsed: dict[str, tuple] = {}
     dropped = 0
-    for i, row in enumerate(student_rows):
+    for i, cells in enumerate(student_rows):
         rownum = i + 2  # header is row 1
-        sid = row["student_id"].strip()
+        sid = cells[column["student_id"]].strip()
         if not sid:
             raise IngestError(f"row {rownum}: empty student_id")
         if sid in parsed:
             raise IngestError(f"row {rownum}: duplicate student_id {sid!r}")
-        entrance = _parse_record_term(row["entrance_term"], cfg, rownum)
-        status_text = row["status"].strip().lower()
+        entrance = term_cell(cells[column["entrance_term"]], rownum)
+        status_text = cells[column["status"]].strip().lower()
         try:
             status = EnrollmentStatus(status_text)
         except ValueError:
             raise IngestError(f"row {rownum}: unknown status {status_text!r}") from None
-        exit_text = row["exit_term"].strip()
+        exit_text = cells[column["exit_term"]].strip()
         if status is EnrollmentStatus.ENROLLED:
             if exit_text:
                 raise IngestError(f"row {rownum}: enrolled student {sid} carries exit term {exit_text!r}")
@@ -328,77 +433,105 @@ def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfi
         else:
             if not exit_text:
                 raise IngestError(f"row {rownum}: student {sid} with status {status.value} lacks an exit term")
-            exit_term = _parse_record_term(exit_text, cfg, rownum)
-        if entrance not in window:
+            exit_term = term_cell(exit_text, rownum)
+        if entrance[0] not in window:
             dropped += 1
             continue
-        parsed[sid] = {
-            "entrance": entrance,
-            "status": status,
-            "exit": exit_term,
-            "attrs": tuple((name, attr_values[name][i]) for name in attr_names),
-            "courses": [],
-        }
+        attrs = tuple(zip(attr_names, (values[i] for values in attr_columns)))
+        parsed[sid] = (rownum, entrance, status, exit_term, attrs)
+
+    ids = sorted(parsed)  # cohort order
+    position = {sid: k for k, sid in enumerate(ids)}
+    entrance_of = [parsed[sid][1][1] for sid in ids]
+    exit_of = [math.inf if parsed[sid][3] is None else parsed[sid][3][1] for sid in ids]
 
     rejects: list[tuple[int, str, str]] = []
     duplicates = 0
     seen_lines: set[tuple[str, ...]] = set()
+    # One entry per kept course, in file order.
+    records: list[CourseRecord] = []
+    owner: list[int] = []
+    ordinal: list[int] = []
+    results: list[int] = []
+    attendances: list[float] = []
+    scores: list[float] = []
     with courses_path.open(newline="", encoding="utf-8") as fh:
         header, rows = _read_csv(fh, courses_path.name, _COURSE_COLUMNS)
-        for i, cells in enumerate(rows):
-            rownum = i + 2
+        column = _column_index(header)
+        c_sid, c_code, c_term = column["student_id"], column["course_code"], column["term"]
+        c_score, c_attendance, c_result = column["score"], column["attendance_pct"], column["result"]
+        for rownum, cells in enumerate(rows, start=2):
             key = tuple(cells)
             if key in seen_lines:
                 duplicates += 1
                 continue
             seen_lines.add(key)
-            row = dict(zip(header, cells))
-            sid = row["student_id"].strip()
-            term = _parse_record_term(row["term"], cfg, rownum)
-            score = _parse_float(row["score"], "score", rownum)
-            attendance = _parse_float(row["attendance_pct"], "attendance_pct", rownum)
-            result_text = row["result"].strip()
-            if result_text not in ("0", "1"):
-                raise IngestError(f"row {rownum}: result must be 0 or 1, got {result_text!r}")
-            if not 0.0 <= score <= 10.0:
-                raise IngestError(f"row {rownum}: score {score} outside [0, 10]")
-            if not 0.0 <= attendance <= 100.0:
-                raise IngestError(f"row {rownum}: attendance {attendance} outside [0, 100]")
-            entry = parsed.get(sid)
-            if entry is None:
+            sid = cells[c_sid].strip()
+            term, o = term_cell(cells[c_term], rownum)
+            try:
+                score = float(cells[c_score])
+            except ValueError:
+                raise IngestError(f"row {rownum}: column 'score' has non-numeric value {cells[c_score]!r}") from None
+            try:
+                attendance = float(cells[c_attendance])
+            except ValueError:
+                raise IngestError(
+                    f"row {rownum}: column 'attendance_pct' has non-numeric value {cells[c_attendance]!r}"
+                ) from None
+            result = _RESULTS.get(cells[c_result].strip())
+            if result is None:
+                raise IngestError(f"row {rownum}: result must be 0 or 1, got {cells[c_result].strip()!r}")
+            try:  # the record checks the score and attendance ranges
+                record = CourseRecord(cells[c_code].strip(), term, score, attendance, result)
+            except ValueError as exc:
+                raise IngestError(f"row {rownum}: {exc}") from None
+            k = position.get(sid)
+            if k is None:
                 rejects.append((rownum, sid, "unknown_student"))
                 continue
-            if term < entry["entrance"]:
+            if o < entrance_of[k]:
                 raise IngestError(f"row {rownum}: course term {term} before entrance of student {sid}")
-            if entry["exit"] is not None and term > entry["exit"]:
+            if o > exit_of[k]:
                 # Registered exit wins over trailing activity; keep the row out.
                 rejects.append((rownum, sid, "after_exit"))
                 continue
-            entry["courses"].append(
-                CourseRecord(
-                    course_code=row["course_code"].strip(),
-                    term=term,
-                    score=score,
-                    attendance_pct=attendance,
-                    result=int(result_text),
+            records.append(record)
+            owner.append(k)
+            ordinal.append(o)
+            results.append(result)
+            attendances.append(attendance)
+            scores.append(score)
+    del seen_lines
+
+    student, terms = np.array(owner, dtype=np.int64), np.array(ordinal, dtype=np.int64)
+    # Cohort order, then term order; lexsort is stable, so file order within a term.
+    order = np.lexsort((terms, student))
+    table = CourseTable(
+        count=np.bincount(student, minlength=len(ids)),
+        term=terms[order],
+        failed=(np.array(results, dtype=np.int64) == 0)[order],
+        attendance=np.array(attendances, dtype=np.float64)[order],
+        score=np.array(scores, dtype=np.float64)[order],
+    )
+    records = [records[r] for r in order.tolist()]
+    students = []
+    ends = np.cumsum(table.count).tolist()
+    for sid, start, end in zip(ids, [0] + ends[:-1], ends):
+        rownum, (entrance, _), status, exit_term, attrs = parsed[sid]
+        try:
+            students.append(
+                StudentStructure(
+                    student_id=sid,
+                    static_attrs=attrs,
+                    entrance=entrance,
+                    status=status,
+                    exit_term=None if exit_term is None else exit_term[0],
+                    courses=tuple(records[start:end]),
                 )
             )
-
-    students = []
-    for sid in sorted(parsed):
-        entry = parsed[sid]
-        courses = sorted(entry["courses"], key=lambda c: to_ordinal(c.term, cfg.terms_per_year))
-        students.append(
-            StudentStructure(
-                student_id=sid,
-                static_attrs=entry["attrs"],
-                entrance=entry["entrance"],
-                status=entry["status"],
-                exit_term=entry["exit"],
-                courses=tuple(courses),
-            )
-        )
-    cohort = Cohort(students=tuple(students), range=window, terms_per_year=cfg.terms_per_year)
+        except ValueError as exc:
+            raise IngestError(f"row {rownum}: {exc}") from None
+    cohort = Cohort(students=tuple(students), range=window, terms_per_year=cfg.terms_per_year, table=table)
     return IngestResult(
         cohort=cohort,
         rejected_courses=rejects,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .records import Cohort, CourseRecord, EnrollmentStatus, StudentStructure
+from .records import Cohort, CourseRecord, EnrollmentStatus, IngestError, StudentStructure, _column_index, _read_csv
 from .rng import Xoshiro256StarStar, derive_seed
 from .terms import (
     DEFAULT_TERMS_PER_YEAR,
@@ -22,6 +22,7 @@ from .terms import (
     format_term,
     iter_terms,
     next_term,
+    parse_term,
 )
 
 
@@ -386,16 +387,29 @@ def write_truth_csv(synth: SyntheticCohort, path: str | Path) -> None:
             fh.write(f"{sid},{row.status.value},{format_term(row.exit_term)}\n")
 
 
+_TRUTH_COLUMNS = ("student_id", "status", "exit_term")
+
+
 def read_truth_csv(path: str | Path, terms_per_year: int = DEFAULT_TERMS_PER_YEAR) -> dict[str, TruthRow]:
-    import csv
+    """The sealed outcomes written by :func:`write_truth_csv`.
 
-    from .terms import parse_term
-
+    A bad file raises `IngestError` naming the file, and the row where a cell
+    is bad.
+    """
+    path = Path(path)
     out: dict[str, TruthRow] = {}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out[row["student_id"]] = TruthRow(
-                status=EnrollmentStatus(row["status"]),
-                exit_term=parse_term(row["exit_term"], terms_per_year),
-            )
+    with path.open(newline="", encoding="utf-8") as fh:
+        header, rows = _read_csv(fh, path.name, _TRUTH_COLUMNS)
+        column = _column_index(header)
+        sid, status, exit_term = (column[name] for name in _TRUTH_COLUMNS)
+        for rownum, cells in enumerate(rows, start=2):
+            if cells[sid] in out:
+                raise IngestError(f"{path.name}: row {rownum}: duplicate student_id {cells[sid]!r}")
+            try:
+                out[cells[sid]] = TruthRow(
+                    status=EnrollmentStatus(cells[status]),
+                    exit_term=parse_term(cells[exit_term], terms_per_year),
+                )
+            except ValueError as exc:
+                raise IngestError(f"{path.name}: row {rownum}: {exc}") from None
     return out

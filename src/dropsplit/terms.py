@@ -3,17 +3,18 @@
 A term is an exact (year, index) pair ordered lexicographically; the textual
 form is ``YYYY.K`` (e.g. ``2012.2``). The number of terms per year is a
 calendar parameter rather than a constant, defaulting to two semesters.
+Ingestion may also map mini-term tags (``YYYY.S1``) onto main term indexes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Mapping
 
 DEFAULT_TERMS_PER_YEAR = 2
 
-_TERM_RE = re.compile(r"^(\d{4})\.(\d+)$")
+_TERM_RE = re.compile(r"([0-9]{4})\.(.*)")
 
 
 class TermParseError(ValueError):
@@ -85,10 +86,19 @@ def iter_terms(lo: Term, hi: Term, terms_per_year: int = DEFAULT_TERMS_PER_YEAR)
         yield from_ordinal(n, terms_per_year)
 
 
-def parse_term(text: str, terms_per_year: int = DEFAULT_TERMS_PER_YEAR) -> Term:
-    """Parse ``YYYY.K`` into a Term, validating K against the calendar."""
-    m = _TERM_RE.match(text.strip())
-    if m is None:
+def parse_term(
+    text: str, terms_per_year: int = DEFAULT_TERMS_PER_YEAR, miniterms: Mapping[str, int] | None = None
+) -> Term:
+    """Parse ``YYYY.K`` into a Term, validating K against the calendar.
+
+    The year is four ASCII digits and K is ASCII digits, unless K is a key of
+    miniterms: then it is a mini-term tag and the term takes the main index it
+    maps to.
+    """
+    m = _TERM_RE.fullmatch(text.strip())
+    if m is not None and miniterms and m.group(2) in miniterms:
+        return Term(int(m.group(1)), miniterms[m.group(2)])
+    if m is None or not (m.group(2).isascii() and m.group(2).isdigit()):
         raise TermParseError(f"malformed term {text!r}, expected YYYY.K")
     year, index = int(m.group(1)), int(m.group(2))
     if not 1 <= index <= terms_per_year:

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
-from dropsplit.records import EnrollmentStatus, IngestConfig, ingest
+from dropsplit.records import EnrollmentStatus, IngestConfig, IngestError, ingest
 from dropsplit.synthgen import (
     GeneratorConfig,
     RegimeChange,
@@ -160,6 +161,22 @@ class TestRoundTrip:
         synth = generate(small_config())
         write_truth_csv(synth, tmp_path / "truth.csv")
         assert read_truth_csv(tmp_path / "truth.csv") == synth.truth
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("student_id,status,exit_term\nS1,dropout,2013.1\nS2,foo,2013.1\n", "truth.csv: row 3: 'foo' is not a valid"),
+            ("student_id,status,exit_term\nS1,dropout,2013.x\n", "truth.csv: row 2: malformed term '2013.x'"),
+            ("student_id,status,exit_term\nS1,dropout,2013.3\n", "truth.csv: row 2: term index 3"),
+            ("student_id,status\nS1,dropout\n", "truth.csv: missing columns ['exit_term']"),
+            ("student_id,status,exit_term\nS1,dropout\n", "truth.csv: row 2: 2 cells, the header has 3"),
+            ("student_id,status,exit_term\nS1,dropout,2013.1\nS1,graduated,2015.2\n", "truth.csv: row 3: duplicate student_id 'S1'"),
+        ],
+    )
+    def test_bad_truth_csv_names_file_and_row(self, tmp_path, text, message):
+        (tmp_path / "truth.csv").write_text(text, encoding="utf-8")
+        with pytest.raises(IngestError, match=re.escape(message)):
+            read_truth_csv(tmp_path / "truth.csv")
 
 
 class TestValidate:

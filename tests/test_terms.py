@@ -80,6 +80,20 @@ def test_parse_rejects_malformed(text):
         parse_term(text)
 
 
+@pytest.mark.parametrize("text", ["\u0662\u0660\u0661\u0662.1", "2012.\u0661", "20_12.1", "+2012.1", "2012 .1", "12012.1"])
+def test_parse_takes_ascii_digits_only(text):
+    with pytest.raises(TermParseError, match="malformed"):
+        parse_term(text)
+
+
+def test_parse_miniterm_tags():
+    assert parse_term("2012.S1", 2, {"S1": 2}) == Term(2012, 2)
+    assert parse_term(" 2012.1 ", 2, {"1": 2}) == Term(2012, 2)  # a tag wins over an index
+    for text in ("20_12.S1", "+2012.S1", "\u0662\u0660\u0661\u0662.S1", "2012.S2", "2012.s1"):
+        with pytest.raises(TermParseError, match="malformed"):
+            parse_term(text, 2, {"S1": 2})
+
+
 @given(terms)
 def test_parse_format_roundtrip(t):
     assert parse_term(format_term(t)) == t
