@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import Xoshiro256StarStar, derive_seed
+from .rng import XoshiroLanes, derive_seed
 from .splits import LabeledDataset
 
 KINDS = ("decision_tree", "extra_trees", "knn", "gaussian_nb")
@@ -406,7 +406,7 @@ def fit(spec: ClassifierSpec, train: LabeledDataset) -> TrainedModel:
         state = _grow_decision_tree(Z, y, spec.max_depth, spec.min_samples_split)
     elif spec.kind == "extra_trees":
         k = _subsample_count(spec.feature_subsample, X.shape[1])
-        gens = [Xoshiro256StarStar(derive_seed(spec.seed, t)) for t in range(spec.n_trees)]
+        gens = XoshiroLanes([derive_seed(spec.seed, t) for t in range(spec.n_trees)]).streams()
         state = _grow_forest(Z, y, gens, k, spec.max_depth, spec.min_samples_split)
     elif spec.kind == "knn":
         state = (Z.copy(), y.copy())

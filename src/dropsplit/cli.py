@@ -40,6 +40,7 @@ from .evaluation import (
 )
 from .features import FeatureSetSpec, VectorCache
 from .records import Cohort, IngestError, ingest
+from .rng import check_seed
 from .splits import LabeledDataset, SplitApproach, SplitError, SplitRequest, build_split
 from .synthgen import (
     format_stats,
@@ -333,6 +334,13 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    try:
+        return check_seed(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dropsplit",
@@ -354,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--approach", required=True)
     p.add_argument("--t", required=True, help="reference term, YYYY.K")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_split)
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .classifiers import KINDS, ClassifierSpec
 from .records import IngestConfig
+from .rng import check_seed
 from .splits import SplitApproach
 from .synthgen import GeneratorConfig, RegimeChange
 from .terms import Term, parse_term
@@ -50,6 +51,14 @@ def _get_int(kv: dict[str, str], key: str, default: int | None = None) -> int:
         return int(kv[key])
     except ValueError:
         raise ConfigError(f"key {key!r}: expected integer, got {kv[key]!r}") from None
+
+
+def _get_seed(kv: dict[str, str], key: str, default: int | None = None) -> int:
+    seed = _get_int(kv, key, default)
+    try:
+        return check_seed(seed)
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from None
 
 
 def _get_float(kv: dict[str, str], key: str, default: float) -> float:
@@ -116,7 +125,7 @@ def generator_config_from(kv: dict[str, str]) -> GeneratorConfig:
         )
     defaults = GeneratorConfig()
     return GeneratorConfig(
-        seed=_get_int(kv, "seed", defaults.seed),
+        seed=_get_seed(kv, "seed", defaults.seed),
         terms_per_year=tpy,
         range_start=_get_term(kv, "range_start", tpy),
         range_end=_get_term(kv, "range_end", tpy),
@@ -155,6 +164,11 @@ _SPEC_FIELDS = {
 }
 
 
+# What a classifier parameter that does not parse should have been, where the
+# parameter takes more than numbers.
+_EXPECTED = {"max_depth": "integer or 'none'", "feature_subsample": "'sqrt', 'log2' or integer"}
+
+
 def classifier_specs_from(kv: dict[str, str]) -> list[ClassifierSpec]:
     """Build specs from `classifiers=` plus per-name `<name>.<param>=` keys."""
     names = [n.strip() for n in kv.get("classifiers", ",".join(KINDS)).split(",") if n.strip()]
@@ -168,12 +182,19 @@ def classifier_specs_from(kv: dict[str, str]) -> list[ClassifierSpec]:
             if param not in _SPEC_FIELDS:
                 raise ConfigError(f"unknown classifier parameter {key!r}")
             caster = _SPEC_FIELDS[param]
-            if param == "feature_subsample" and value not in ("sqrt", "log2"):
-                params[param] = int(value)
-            elif param == "max_depth" and value.lower() == "none":
-                params[param] = None
-            else:
-                params[param] = caster(value)
+            if param == "seed":
+                params[param] = _get_seed(kv, key)
+                continue
+            try:
+                if param == "feature_subsample" and value not in ("sqrt", "log2"):
+                    params[param] = int(value)
+                elif param == "max_depth" and value.lower() == "none":
+                    params[param] = None
+                else:
+                    params[param] = caster(value)
+            except ValueError:
+                expected = _EXPECTED.get(param, "integer" if caster is int else "number")
+                raise ConfigError(f"key {key!r}: expected {expected}, got {value!r}") from None
         if params.get("kind") not in KINDS:
             raise ConfigError(
                 f"classifier {name!r}: set {name}.kind to one of {KINDS} when the name is not a kind"
@@ -189,7 +210,7 @@ def classifier_specs_from(kv: dict[str, str]) -> list[ClassifierSpec]:
 
 def split_seed_from(kv: dict[str, str]) -> int:
     """The `split_seed=` integer (default 0) that seeds approach A's pooling."""
-    return _get_int(kv, "split_seed", 0)
+    return _get_seed(kv, "split_seed", 0)
 
 
 def approaches_from(text: str) -> list[SplitApproach]:

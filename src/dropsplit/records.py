@@ -371,12 +371,13 @@ _RESULTS = {"0": 0, "1": 1}
 
 @contextmanager
 def _collector_paused() -> Iterator[None]:
-    """Hold off the cyclic garbage collector while ingest builds its records.
+    """Hold off the cyclic garbage collector while a cohort's records are built.
 
     Allocating containers starts a collection every few hundred objects, and
     the older generations' passes walk every record built so far, yet records
     form no reference cycles, so those passes free nothing. The collector
-    resumes, if it was on, when ingest returns or raises.
+    resumes, if it was on, when the builder (`ingest`, `synthgen.generate`)
+    returns or raises.
     """
     if not gc.isenabled():
         yield
@@ -447,7 +448,7 @@ def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfi
 
     rejects: list[tuple[int, str, str]] = []
     duplicates = 0
-    seen_lines: set[tuple[str, ...]] = set()
+    seen_lines: set[str | tuple[str, ...]] = set()
     # One entry per kept course, in file order.
     records: list[CourseRecord] = []
     owner: list[int] = []
@@ -461,7 +462,12 @@ def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfi
         c_sid, c_code, c_term = column["student_id"], column["course_code"], column["term"]
         c_score, c_attendance, c_result = column["score"], column["attendance_pct"], column["result"]
         for rownum, cells in enumerate(rows, start=2):
-            key = tuple(cells)
+            # The joined line holds under a third of the memory of the tuple
+            # of its cells. It stands for the row only when no cell holds a
+            # NUL; other rows keep their tuple, which never equals a string.
+            key = "\x00".join(cells)
+            if key.count("\x00") != len(cells) - 1:
+                key = tuple(cells)
             if key in seen_lines:
                 duplicates += 1
                 continue

@@ -8,22 +8,43 @@ Stream definition: a 64-bit seed is expanded into the four xoshiro256** state
 words by four successive splitmix64 draws. Floats come from the top 53 bits of
 an output word; bounded integers use rejection sampling; shuffles are
 descending Fisher-Yates.
+
+`Xoshiro256StarStar` is the reference: one stream, stepped one word at a time.
+`stream` steps one stream in a generator with its state in locals.
+`XoshiroLanes` steps many streams together: its uint64 state holds the four
+words of every lane, and each step is a few numpy operations over all lanes
+at once (numpy's uint64 multiply wraps mod 2^64, as the masks here do),
+``_BLOCK`` steps per pass. Every lane yields the words of the scalar stream
+of its seed, and the draws derived from the words (`random`, `randbelow`,
+`normal`, `shuffle`, `sample_indices`) are written once, in `Draws`, so they
+are the same whichever way a stream is stepped.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
+from itertools import chain
+
+import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_SPLITMIX_MUL1 = 0xBF58476D1CE4E5B9
+_SPLITMIX_MUL2 = 0x94D049BB133111EB
+
+# Words drawn per lane in one numpy pass: each pass takes about a dozen numpy
+# operations per word position whatever the lane count, and its words are
+# held as Python ints until read.
+_BLOCK = 256
 
 
 def splitmix64(state: int) -> tuple[int, int]:
     """One splitmix64 step: returns (new_state, output)."""
     state = (state + _SPLITMIX_GAMMA) & _MASK
     z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _SPLITMIX_MUL1) & _MASK
+    z = ((z ^ (z >> 27)) * _SPLITMIX_MUL2) & _MASK
     return state, z ^ (z >> 31)
 
 
@@ -37,11 +58,82 @@ def derive_seed(master: int, *indices: int) -> int:
     return out
 
 
+def check_seed(seed: int) -> int:
+    """Return `seed` if it lies in [0, 2**64), else raise ValueError.
+
+    The streams take seeds mod 2**64, so a seed outside would silently draw
+    the stream of another seed.
+    """
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK
 
 
-class Xoshiro256StarStar:
+class Draws:
+    """The derived draws, over any source of 64-bit words named ``next_u64``."""
+
+    __slots__ = ()
+
+    def next_u64(self) -> int:
+        raise NotImplementedError
+
+    def random(self) -> float:
+        """Uniform float in [0, 1) from the top 53 bits."""
+        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+
+    def randbelow(self, n: int) -> int:
+        """Unbiased uniform integer in [0, n) via rejection sampling."""
+        if n <= 0:
+            raise ValueError(f"randbelow needs n >= 1, got {n}")
+        nbits = (n - 1).bit_length()
+        if not nbits:
+            return 0
+        shift = 64 - nbits
+        while True:
+            r = self.next_u64() >> shift
+            if r < n:
+                return r
+
+    def shuffle(self, items: list) -> None:
+        """In-place descending Fisher-Yates shuffle."""
+        next_u64 = self.next_u64
+        for i in range(len(items) - 1, 0, -1):
+            shift = 64 - i.bit_length()  # randbelow(i + 1), inlined
+            j = next_u64() >> shift
+            while j > i:
+                j = next_u64() >> shift
+            items[i], items[j] = items[j], items[i]
+
+    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
+        """Gaussian deviate via Box-Muller; draws two uniforms per call."""
+        u1 = 1.0 - self.random()  # (0, 1], keeps log finite
+        u2 = self.random()
+        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        return mean + std * z
+
+    def sample_indices(self, n: int, k: int) -> list[int]:
+        """k distinct indices from range(n), order given by the draw sequence.
+
+        A partial Fisher-Yates over range(n): pick i swaps positions i and
+        i + randbelow(n - i). Only swapped positions are stored, so a call
+        costs O(k), not O(n).
+        """
+        if not 0 <= k <= n:
+            raise ValueError(f"cannot sample {k} from {n}")
+        moved: dict[int, int] = {}
+        out = []
+        for i in range(k):
+            j = i + self.randbelow(n - i)
+            out.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return out
+
+
+class Xoshiro256StarStar(Draws):
     """xoshiro256** seeded via splitmix64 expansion of one 64-bit seed."""
 
     def __init__(self, seed: int) -> None:
@@ -64,41 +156,118 @@ class Xoshiro256StarStar:
         s[3] = _rotl(s[3], 45)
         return result
 
-    def random(self) -> float:
-        """Uniform float in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def randbelow(self, n: int) -> int:
-        """Unbiased uniform integer in [0, n) via rejection sampling."""
-        if n <= 0:
-            raise ValueError(f"randbelow needs n >= 1, got {n}")
-        nbits = (n - 1).bit_length()
-        while True:
-            r = self.next_u64() >> (64 - nbits) if nbits else 0
-            if r < n:
-                return r
+def xoshiro_words(s0: int, s1: int, s2: int, s3: int) -> Iterator[int]:
+    """The xoshiro256** output words from state (s0, s1, s2, s3), endlessly.
 
-    def shuffle(self, items: list) -> None:
-        """In-place descending Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            items[i], items[j] = items[j], items[i]
+    The same recurrence as `Xoshiro256StarStar.next_u64`, with the state in
+    locals and the rotations inlined, for a single stream that draws many words.
+    """
+    mask = _MASK
+    while True:
+        r = s1 * 5 & mask
+        yield ((r << 7 | r >> 57) & mask) * 9 & mask
+        t = s1 << 17 & mask
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = (s3 << 45 | s3 >> 19) & mask
 
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        """Gaussian deviate via Box-Muller; draws two uniforms per call."""
-        u1 = 1.0 - self.random()  # (0, 1], keeps log finite
-        u2 = self.random()
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        return mean + std * z
 
-    def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), order given by the draw sequence."""
-        if not 0 <= k <= n:
-            raise ValueError(f"cannot sample {k} from {n}")
-        pool = list(range(n))
-        out = []
-        for i in range(k):
-            j = i + self.randbelow(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-            out.append(pool[i])
-        return out
+class Stream(Draws):
+    """The derived draws over an iterator of 64-bit words."""
+
+    __slots__ = ("next_u64",)
+
+    def __init__(self, words: Iterator[int]) -> None:
+        self.next_u64 = words.__next__
+
+
+def stream(seed: int) -> Stream:
+    """The `Xoshiro256StarStar` stream of `seed`, stepped by `xoshiro_words`."""
+    return Stream(xoshiro_words(*Xoshiro256StarStar(seed)._s))
+
+
+def _splitmix64_lanes(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`splitmix64` over a uint64 array, one step per element."""
+    state = state + np.uint64(_SPLITMIX_GAMMA)
+    z = (state ^ (state >> np.uint64(30))) * np.uint64(_SPLITMIX_MUL1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_SPLITMIX_MUL2)
+    return state, z ^ (z >> np.uint64(31))
+
+
+class XoshiroLanes:
+    """Many xoshiro256** streams, one lane each, stepped together in numpy.
+
+    Lane i gives the words of ``Xoshiro256StarStar(seeds[i])``. The state is
+    a ``(4, lanes)`` uint64 array, one row per state word, so each operation
+    of a step runs over all lanes in contiguous memory. Each stream keeps its
+    own read position over the words drawn for it. Take the streams once,
+    from `streams` or `streams_apart`: both advance the one state.
+    """
+
+    def __init__(self, seeds: Sequence[int]) -> None:
+        state = np.array([check_seed(seed) for seed in seeds], dtype=np.uint64)
+        s = np.empty((4, len(state)), dtype=np.uint64)
+        for w in range(4):
+            state, s[w] = _splitmix64_lanes(state)
+        self._s = s
+
+    def __len__(self) -> int:
+        return self._s.shape[1]
+
+    def _draw(self) -> list[list[int]]:
+        """The next ``_BLOCK`` words of every lane, one list per lane."""
+        s0, s1, s2, s3 = self._s
+        out = np.empty((_BLOCK, len(self)), dtype=np.uint64)
+        t, r = np.empty_like(s0), np.empty_like(s0)
+        five, nine = np.uint64(5), np.uint64(9)
+        k7, k57, k17, k45, k19 = (np.uint64(k) for k in (7, 57, 17, 45, 19))
+        for row in out:
+            np.multiply(s1, five, out=r)
+            np.left_shift(r, k7, out=t)
+            r >>= k57
+            r |= t
+            np.multiply(r, nine, out=row)
+            np.left_shift(s1, k17, out=t)
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            np.left_shift(s3, k45, out=t)
+            s3 >>= k19
+            s3 |= t
+        return out.T.tolist()
+
+    def streams(self) -> list[Stream]:
+        """One stream per lane, in lockstep.
+
+        The first stream to run dry draws the next block for every lane; the
+        others keep those words until they read them. Suits streams that draw
+        at similar rates side by side.
+        """
+        pending: list[list[int]] = [[] for _ in range(len(self))]
+
+        def lane(i: int) -> Iterator[int]:
+            while True:
+                if not pending[i]:
+                    for words, block in zip(pending, self._draw()):
+                        words += block
+                words, pending[i] = pending[i], []
+                yield from words
+
+        return [Stream(lane(i)) for i in range(len(self))]
+
+    def streams_apart(self) -> list[Stream]:
+        """One stream per lane: one block from the lanes, then each alone.
+
+        A stream that reads past its block goes on with `xoshiro_words` from
+        its lane's state after the block, so one long stream costs the others
+        nothing. Suits streams read one after another.
+        """
+        blocks = self._draw()
+        states = self._s.T.tolist()
+        return [Stream(chain(block, xoshiro_words(*s))) for block, s in zip(blocks, states)]

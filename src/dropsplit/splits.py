@@ -25,7 +25,7 @@ import numpy as np
 
 from .features import FeatureSetSpec, Pick, VectorCache, VectorTable
 from .records import Cohort, StudentStructure, check_reference
-from .rng import Xoshiro256StarStar
+from .rng import stream
 from .terms import Term, to_ordinal
 
 
@@ -229,7 +229,7 @@ def _pooled(
         raise SplitError(f"no students active at {t} exited within the window")
     # One row per student, so row order is student id order.
     pool = sorted(rows_before.tolist() + rows_onward.tolist())
-    Xoshiro256StarStar(seed).shuffle(pool)
+    stream(seed).shuffle(pool)
     n_train = len(rows_before)
     train = _dataset(cache, sorted(pool[:n_train]), None, SplitApproach.A, t, "train", excl, seed)
     test = _dataset(cache, sorted(pool[n_train:]), None, SplitApproach.A, t, "test", [], seed)

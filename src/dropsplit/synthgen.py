@@ -13,8 +13,17 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .records import Cohort, CourseRecord, EnrollmentStatus, IngestError, StudentStructure, _column_index, _read_csv
-from .rng import Xoshiro256StarStar, derive_seed
+from .records import (
+    Cohort,
+    CourseRecord,
+    EnrollmentStatus,
+    IngestError,
+    StudentStructure,
+    _collector_paused,
+    _column_index,
+    _read_csv,
+)
+from .rng import Draws, XoshiroLanes, derive_seed
 from .terms import (
     DEFAULT_TERMS_PER_YEAR,
     Term,
@@ -145,7 +154,7 @@ def _hazard(
     return 1.0 / (1.0 + math.exp(-logit))
 
 
-def _simulate_student(cfg: GeneratorConfig, sid: str, entrance: Term, gen: Xoshiro256StarStar):
+def _simulate_student(cfg: GeneratorConfig, sid: str, entrance: Term, gen: Draws):
     ability = gen.normal(cfg.ability_mean, cfg.ability_std)
     admission = round(_clamp(5.0 + cfg.admission_ability_gain * ability + gen.normal(0.0, cfg.admission_noise_std), 0.0, 10.0), 2)
     static_attrs = (
@@ -208,21 +217,33 @@ def _simulate_student(cfg: GeneratorConfig, sid: str, entrance: Term, gen: Xoshi
     return static_attrs, courses, status, exit_term
 
 
+# Students whose streams are seeded and first drawn together, as numpy lanes.
+_LANES = 512
+
+
+@_collector_paused()
 def generate(cfg: GeneratorConfig) -> SyntheticCohort:
     """Generate one cohort; same config (and seed) always yields the same data.
 
-    Students whose simulated exit falls past the horizon are recorded as
-    enrolled with their courses truncated at the horizon; the simulated
-    outcome is returned separately as sealed truth.
+    Student i draws from the stream of ``derive_seed(cfg.seed, i)``. Students
+    whose simulated exit falls past the horizon are recorded as enrolled with
+    their courses truncated at the horizon; the simulated outcome is returned
+    separately as sealed truth.
     """
     horizon = cfg.range_end
+    entrances = [
+        entrance
+        for entrance in iter_terms(cfg.range_start, cfg.range_end, cfg.terms_per_year)
+        for _ in range(cfg.intake_per_term)
+    ]
     students: list[StudentStructure] = []
     truth: dict[str, TruthRow] = {}
-    index = 0
-    for entrance in iter_terms(cfg.range_start, cfg.range_end, cfg.terms_per_year):
-        for _ in range(cfg.intake_per_term):
+    for first in range(0, len(entrances), _LANES):
+        indices = range(first, min(first + _LANES, len(entrances)))
+        gens = XoshiroLanes([derive_seed(cfg.seed, index) for index in indices]).streams_apart()
+        for index, gen in zip(indices, gens):
             sid = f"S{index:06d}"
-            gen = Xoshiro256StarStar(derive_seed(cfg.seed, index))
+            entrance = entrances[index]
             static_attrs, courses, status, exit_term = _simulate_student(cfg, sid, entrance, gen)
             if exit_term <= horizon:
                 students.append(
@@ -248,7 +269,6 @@ def generate(cfg: GeneratorConfig) -> SyntheticCohort:
                     )
                 )
                 truth[sid] = TruthRow(status=status, exit_term=exit_term)
-            index += 1
     cohort = Cohort(
         students=tuple(students),
         range=TermRange(cfg.range_start, cfg.range_end),

@@ -117,6 +117,15 @@ class TestSplitCommand:
             main(["split", "--config", str(run_cfg), "--bogus", "x", "--t", "2011.1", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_2(self, run_cfg, tmp_path, capsys, seed):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["split", "--config", str(run_cfg), "--approach", "A", "--t", "2011.2", "--seed", seed, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument --seed: seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_approach_exits_1(self, run_cfg, tmp_path, capsys):
         code = main(["split", "--config", str(run_cfg), "--approach", "B9", "--t", "2011.1", "--out", str(tmp_path / "o")])
         assert code == 1
@@ -147,6 +156,19 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 1
         assert "error [config]: key 'split_seed'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("split_seed=3", "split_seed=-1", "key 'split_seed': seed must lie in [0, 2**64), got -1"),
+            ("decision_tree.max_depth=5", "decision_tree.min_samples_split=abc", "key 'decision_tree.min_samples_split': expected integer"),
+        ],
+    )
+    def test_bad_value_names_the_key(self, tmp_path, run_cfg, capsys, old, new, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(run_cfg.read_text().replace(old, new))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"error [config]: {message}" in capsys.readouterr().err
 
     def test_end_to_end_outputs(self, tmp_path, run_cfg):
         out = tmp_path / "eval_out"

@@ -2,7 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from dropsplit.config import ConfigError, ingest_config_from, load_kv, split_seed_from
+from dropsplit.config import (
+    ConfigError,
+    classifier_specs_from,
+    generator_config_from,
+    ingest_config_from,
+    load_kv,
+    split_seed_from,
+)
 
 RANGE = "range_start=2009.1\nrange_end=2012.2\n"
 
@@ -48,3 +55,51 @@ class TestSplitSeed:
     def test_value_and_default(self, tmp_path):
         assert split_seed_from(kv_from(tmp_path, "split_seed=42\n")) == 42
         assert split_seed_from({}) == 0
+
+    @pytest.mark.parametrize("value", ["-1", str(2**64)])
+    def test_outside_64_bits_names_the_key(self, tmp_path, value):
+        with pytest.raises(ConfigError, match=r"key 'split_seed': seed must lie in \[0, 2\*\*64\)"):
+            split_seed_from(kv_from(tmp_path, f"split_seed={value}\n"))
+
+    def test_64_bit_extremes_accepted(self, tmp_path):
+        assert split_seed_from(kv_from(tmp_path, "split_seed=0\n")) == 0
+        assert split_seed_from(kv_from(tmp_path, f"split_seed={2**64 - 1}\n")) == 2**64 - 1
+
+
+class TestGeneratorSeed:
+    @pytest.mark.parametrize("value", ["-1", str(2**64)])
+    def test_outside_64_bits_names_the_key(self, tmp_path, value):
+        with pytest.raises(ConfigError, match=r"key 'seed': seed must lie in \[0, 2\*\*64\)"):
+            generator_config_from(kv_from(tmp_path, RANGE + f"seed={value}\n"))
+
+    def test_64_bit_extremes_accepted(self, tmp_path):
+        assert generator_config_from(kv_from(tmp_path, RANGE + f"seed={2**64 - 1}\n")).seed == 2**64 - 1
+
+
+class TestClassifierParameters:
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("extra_trees.n_trees=abc", "key 'extra_trees.n_trees': expected integer, got 'abc'"),
+            ("extra_trees.feature_subsample=half", "key 'extra_trees.feature_subsample': expected 'sqrt', 'log2' or integer, got 'half'"),
+            ("extra_trees.max_depth=deep", "key 'extra_trees.max_depth': expected integer or 'none', got 'deep'"),
+            ("gaussian_nb.variance_floor=tiny", "key 'gaussian_nb.variance_floor': expected number, got 'tiny'"),
+            ("knn.seed=x", "key 'knn.seed': expected integer, got 'x'"),
+            ("extra_trees.seed=-1", "key 'extra_trees.seed': seed must lie in [0, 2**64), got -1"),
+            (f"extra_trees.seed={2**64}", f"key 'extra_trees.seed': seed must lie in [0, 2**64), got {2**64}"),
+        ],
+    )
+    def test_bad_value_names_the_key(self, tmp_path, line, message):
+        kv = kv_from(tmp_path, "classifiers=extra_trees,gaussian_nb,knn\n" + line + "\n")
+        with pytest.raises(ConfigError) as exc:
+            classifier_specs_from(kv)
+        assert str(exc.value) == message
+
+    def test_values_parsed(self, tmp_path):
+        kv = kv_from(
+            tmp_path,
+            f"classifiers=extra_trees\nextra_trees.n_trees=3\nextra_trees.max_depth=none\n"
+            f"extra_trees.feature_subsample=2\nextra_trees.seed={2**64 - 1}\n",
+        )
+        (spec,) = classifier_specs_from(kv)
+        assert (spec.n_trees, spec.max_depth, spec.feature_subsample, spec.seed) == (3, None, 2, 2**64 - 1)

@@ -135,6 +135,17 @@ class TestIngest:
         result = ingest(sp, cp, default_config())
         assert result.duplicate_rows == 1
 
+    def test_duplicate_test_is_exact_for_cells_holding_nul(self, tmp_path):
+        # These two rows join to the same NUL-separated line; only the first
+        # is a course of s1, the second names an unknown student. A row
+        # holding a NUL is still a duplicate of its own byte copy.
+        first = "s1,\x00X,2012.1,7.5,90,1\n"
+        courses = COURSES_CSV + first + "s1\x00,X,2012.1,7.5,90,1\n" + first
+        result = ingest(*write_inputs(tmp_path, courses=courses), default_config())
+        assert result.duplicate_rows == 1
+        assert result.rejected_courses == [(10, "s1\x00", "unknown_student")]
+        assert "\x00X" in [c.course_code for c in result.cohort.student("s1").courses]
+
     def test_retake_rows_are_kept(self, tmp_path):
         # Same course in a different term is a real retake, not a duplicate.
         result = ingest(*write_inputs(tmp_path), default_config())

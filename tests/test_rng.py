@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 from collections import Counter
+from unittest import mock
 
-from dropsplit.rng import Xoshiro256StarStar, derive_seed, splitmix64
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dropsplit import rng
+from dropsplit.rng import Xoshiro256StarStar, XoshiroLanes, check_seed, derive_seed, splitmix64, stream
 
 # Frozen first outputs for seed 0 and seed 42; any change to the stream
 # definition breaks every recorded manifest, so these must never move.
@@ -109,3 +114,126 @@ def test_splitmix64_step_is_pure():
     state1, out1 = splitmix64(0)
     state2, out2 = splitmix64(state1)
     assert (state1, out1) != (state2, out2)
+
+
+def test_check_seed_accepts_exactly_64_bit_seeds():
+    assert check_seed(0) == 0
+    assert check_seed(2**64 - 1) == 2**64 - 1
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            check_seed(bad)
+    with pytest.raises(ValueError, match="seed must lie"):
+        XoshiroLanes([1, -1])
+
+
+# --- lanes against the scalar reference ---------------------------------------
+#
+# The derived draws as the scalar class first defined them; the shared `Draws`
+# methods inline or restructure some of them, and must give the same values.
+
+
+def reference_randbelow(gen, n: int) -> int:
+    nbits = (n - 1).bit_length()
+    while True:
+        r = gen.next_u64() >> (64 - nbits) if nbits else 0
+        if r < n:
+            return r
+
+
+def reference_shuffle(gen, items: list) -> None:
+    for i in range(len(items) - 1, 0, -1):
+        j = reference_randbelow(gen, i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def reference_sample_indices(gen, n: int, k: int) -> list[int]:
+    pool = list(range(n))
+    out = []
+    for i in range(k):
+        j = i + reference_randbelow(gen, n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+        out.append(pool[i])
+    return out
+
+
+def by_reference(gen, op):
+    name, *args = op
+    if name == "words":
+        return [gen.next_u64() for _ in range(args[0])]
+    if name == "randbelow":
+        return reference_randbelow(gen, *args)
+    if name == "shuffle":
+        items = list(range(args[0]))
+        reference_shuffle(gen, items)
+        return items
+    if name == "sample_indices":
+        return reference_sample_indices(gen, *args)
+    return getattr(gen, name)(*args)
+
+
+def by_lane(gen, op):
+    name, *args = op
+    if name == "words":
+        return [gen.next_u64() for _ in range(args[0])]
+    if name == "shuffle":
+        items = list(range(args[0]))
+        gen.shuffle(items)
+        return items
+    return getattr(gen, name)(*args)
+
+
+@st.composite
+def draw_ops(draw):
+    kind = draw(st.sampled_from(["words", "random", "randbelow", "normal", "shuffle", "sample_indices"]))
+    if kind == "words":
+        return ("words", draw(st.integers(0, 600)))
+    if kind == "random":
+        return ("random",)
+    if kind == "randbelow":
+        return ("randbelow", draw(st.one_of(st.integers(1, 300), st.integers(1, 2**64))))
+    if kind == "normal":
+        return ("normal", draw(st.floats(-5, 5)), draw(st.floats(0, 3)))
+    if kind == "shuffle":
+        return ("shuffle", draw(st.integers(0, 400)))
+    n = draw(st.integers(0, 60))
+    return ("sample_indices", n, draw(st.integers(0, n)))
+
+
+SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seeds=st.lists(SEEDS, min_size=1, max_size=6),
+    schedule=st.lists(st.tuples(st.integers(0, 5), draw_ops()), max_size=40),
+    how=st.sampled_from(["streams", "streams_apart", "stream"]),
+    block=st.sampled_from([1, 3, 16, rng._BLOCK]),
+)
+def test_lanes_match_scalar_reference(seeds, schedule, how, block):
+    """Every lane gives the scalar stream of its seed, draw for draw.
+
+    Lanes read in an interleaved schedule, so they run dry, refill or go on
+    alone at different times; small blocks make that happen within a few draws.
+    """
+    with mock.patch.object(rng, "_BLOCK", block):
+        if how == "stream":
+            lanes = [stream(seed) for seed in seeds]
+        else:
+            lanes = getattr(XoshiroLanes(seeds), how)()
+        scalars = [Xoshiro256StarStar(seed) for seed in seeds]
+        for which, op in schedule:
+            i = which % len(seeds)
+            assert by_lane(lanes[i], op) == by_reference(scalars[i], op)
+        # The lanes end where their scalar streams end.
+        for lane, scalar in zip(lanes, scalars):
+            assert [lane.next_u64() for _ in range(3)] == [scalar.next_u64() for _ in range(3)]
+
+
+def test_lanes_cover_the_golden_streams():
+    lanes = XoshiroLanes([0, 42]).streams()
+    assert [lanes[0].next_u64() for _ in range(4)] == GOLDEN_SEED0
+    assert [lanes[1].next_u64() for _ in range(4)] == GOLDEN_SEED42
+    apart = XoshiroLanes([42, 0]).streams_apart()
+    assert [apart[1].next_u64() for _ in range(4)] == GOLDEN_SEED0
+    single = stream(42)
+    assert [single.next_u64() for _ in range(4)] == GOLDEN_SEED42

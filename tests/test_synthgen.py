@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import gc
 import math
 import re
 
 import pytest
 
+from dropsplit import rng, synthgen
 from dropsplit.records import EnrollmentStatus, IngestConfig, IngestError, ingest
+from dropsplit.rng import Xoshiro256StarStar, derive_seed
 from dropsplit.synthgen import (
     GeneratorConfig,
     RegimeChange,
@@ -17,7 +20,7 @@ from dropsplit.synthgen import (
     write_students_csv,
     write_truth_csv,
 )
-from dropsplit.terms import Term, term_distance
+from dropsplit.terms import Term, iter_terms, term_distance
 
 
 def small_config(**overrides) -> GeneratorConfig:
@@ -29,6 +32,14 @@ def small_config(**overrides) -> GeneratorConfig:
     )
     base.update(overrides)
     return GeneratorConfig(**base)
+
+
+class CountingStream(Xoshiro256StarStar):
+    words = 0
+
+    def next_u64(self) -> int:
+        self.words += 1
+        return super().next_u64()
 
 
 def active_terms(s) -> int:
@@ -59,6 +70,38 @@ class TestGenerate:
         b = generate(small_config())
         assert a.cohort == b.cohort
         assert a.truth == b.truth
+
+    def test_students_draw_their_scalar_streams(self, monkeypatch):
+        # Student i reads the scalar stream of derive_seed(seed, i). Long
+        # careers read past the first lane block, and the cohort spans more
+        # than one chunk of lanes.
+        cfg = small_config(seed=2**64 - 1, max_terms=14, courses_max=9, intake_per_term=3)
+        monkeypatch.setattr(synthgen, "_LANES", 7)
+        got = generate(cfg).cohort.students
+        entrances = [e for e in iter_terms(cfg.range_start, cfg.range_end, cfg.terms_per_year) for _ in range(3)]
+        assert len(got) == len(entrances) > 7
+        words = []
+        for index, (student, entrance) in enumerate(zip(got, entrances)):
+            gen = CountingStream(derive_seed(cfg.seed, index))
+            attrs, courses, _, _ = synthgen._simulate_student(cfg, student.student_id, entrance, gen)
+            assert student.static_attrs == attrs
+            assert student.courses == tuple(c for c in courses if c.term <= cfg.range_end)
+            words.append(gen.words)
+        assert max(words) > rng._BLOCK
+
+    def test_collector_paused_while_generating(self, monkeypatch):
+        states = []
+        real = synthgen._simulate_student
+
+        def spy(*args):
+            states.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(synthgen, "_simulate_student", spy)
+        assert gc.isenabled()
+        generate(small_config(intake_per_term=2))
+        assert states and not any(states)
+        assert gc.isenabled()
 
     def test_different_seeds_differ(self):
         assert generate(small_config(seed=1)).cohort != generate(small_config(seed=2)).cohort
