@@ -15,11 +15,13 @@ The hot paths are batched without changing any result. The decision tree
 presorts each feature once per fit and stable-partitions the sorted rows at
 each split. The trees of a forest grow in lockstep, one node of many trees
 per byte-bounded step, each tree still drawing from its own stream in its own
-depth-first order, so the forest is the one grown tree by tree. Trees predict
-by array descent, all rows one level per step. KNN builds squared distances
-one feature column at a time, summed in numpy's own pairwise order, finds the
-k-th distance by partition rather than a full sort, then fills ties at that
-distance in training-row order.
+depth-first order, so the forest is the one grown tree by tree. A forest node
+is a segment of its tree's row permutation, split in place; a step gathers
+its rows feature by feature and compares them only on the features each node
+chose. Trees predict by array descent, all rows one level per step. KNN
+builds squared distances one feature column at a time, summed in numpy's own
+pairwise order, finds the k-th distance by partition rather than a full sort,
+then fills ties at that distance in training-row order.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import XoshiroLanes, derive_seed
+from .rng import XoshiroLanes, check_seed, derive_seed
 from .splits import LabeledDataset
 
 KINDS = ("decision_tree", "extra_trees", "knn", "gaussian_nb")
@@ -68,6 +70,7 @@ class ClassifierSpec:
             raise ValueError("k must be >= 1")
         if self.kind == "gaussian_nb" and self.variance_floor <= 0:
             raise ValueError("variance_floor must be positive")
+        check_seed(self.seed)
         if not self.label:
             object.__setattr__(self, "label", self.kind)
 
@@ -191,8 +194,8 @@ def _subsample_count(feature_subsample, m: int) -> int:
     return min(m, int(feature_subsample))
 
 
-# Bytes of the gathered training rows that one lockstep forest step may score;
-# each step then holds a few temporaries of this size.
+# Bytes one lockstep forest step may hold: its gathered training rows and the
+# per-row temporaries of scoring and partitioning them.
 _FOREST_STEP_BYTES = 8 << 20
 
 
@@ -208,6 +211,13 @@ def _grow_forest(Z, y, gens, k_features, max_depth, min_samples_split) -> list[l
     and scores all their candidate thresholds together; the first lowest Gini
     cost in chosen order wins. Only a tree's own pops touch its stack, so the
     trees are node for node those grown one at a time.
+
+    Each tree holds one permutation of the row indices, and a node is a
+    segment of it: a split writes the node's left rows, then its right rows,
+    back into the node's segment. Row order within a node changes no minimum,
+    maximum or count. A step gathers its rows feature-major, from ``Z.T``, so
+    node minima and maxima reduce along contiguous memory, and compares each
+    node's rows only on the features the node chose.
     """
 
     def splittable(size: int, ones: int, depth: int) -> bool:
@@ -218,91 +228,126 @@ def _grow_forest(Z, y, gens, k_features, max_depth, min_samples_split) -> list[l
         )
 
     n, m, ones = len(y), Z.shape[1], int(y.sum())
+    ZT = np.ascontiguousarray(Z.T)
     positive = y == 1
-    row_budget = _FOREST_STEP_BYTES // Z[0].nbytes
+    # Per row, a step holds its m gathered values, a feature index, threshold
+    # and value per chosen feature, and about three row indices.
+    row_budget = _FOREST_STEP_BYTES // (ZT.itemsize * (m + 3 * k_features + 3))
+    # Tree t's rows are perm[t * n : (t + 1) * n]; a node owns one segment.
+    perm = np.tile(np.arange(n, dtype=np.int32), len(gens))
     trees = [[_Node(prob1=ones / n)] for _ in gens]
-    stacks = [[(0, np.arange(n), ones, 0)] if splittable(n, ones, 0) else [] for _ in gens]
+    stacks = [
+        [(0, t * n, (t + 1) * n, ones, 0)] if splittable(n, ones, 0) else []
+        for t in range(len(gens))
+    ]
+    # By the bit mask of a node's varying features: those features, their
+    # count, how many to draw, and the padding that fills the unused slots.
+    memo: dict[bytes, tuple[list[int], int, int, list[int]]] = {}
     while True:
         batch, taken = [], 0
         for t, stack in enumerate(stacks):
             if not stack:
                 continue
-            size = stack[-1][1].size
+            size = stack[-1][2] - stack[-1][1]
             if batch and taken + size > row_budget:
                 break
             batch.append((t, *stack.pop()))
             taken += size
         if not batch:
             return trees
-        sizes = np.array([node[2].size for node in batch])
-        starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
-        rows = np.concatenate([node[2] for node in batch])
-        sub = Z[rows]
-        mins = np.minimum.reduceat(sub, starts, axis=0)
-        maxs = np.maximum.reduceat(sub, starts, axis=0)
-        # Per node, the chosen features and their uniforms; unused slots stay
-        # feature 0 and are masked out of the scoring below.
-        feats = np.zeros((len(batch), k_features), dtype=np.intp)
-        draws = np.zeros((len(batch), k_features))
-        used = np.zeros((len(batch), k_features), dtype=bool)
-        for b, (varies, (t, *_)) in enumerate(zip((mins < maxs).tolist(), batch)):
-            candidates = [f for f, v in enumerate(varies) if v]
-            if not candidates:
-                continue
+        ts, _, begins, ends, ones_node, _ = zip(*batch)
+        begins, ones_node = np.array(begins), np.array(ones_node)
+        sizes = np.array(ends) - begins
+        starts = np.cumsum(sizes) - sizes
+        rows = perm[_segments(begins, sizes)]
+        sub = ZT.take(rows, axis=1)
+        mins = np.minimum.reduceat(sub, starts, axis=1)
+        maxs = np.maximum.reduceat(sub, starts, axis=1)
+        varies = mins < maxs
+        # Each node's bit mask of varying features, as bytes.
+        packed = np.packbits(varies, axis=0).T.copy()
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+        # Slot j of a node holds its j-th chosen feature and uniform; a node
+        # with fewer choices pads its slots with feature 0, masked out below.
+        feats, draws, counts = [], [], []
+        for b, (t, key) in enumerate(zip(ts, keys)):
+            entry = memo.get(key)
+            if entry is None:
+                candidates = np.flatnonzero(varies[:, b]).tolist()
+                k = min(k_features, len(candidates))
+                entry = memo[key] = (candidates, len(candidates), k, [0] * (k_features - k))
+            candidates, n_candidates, k, padding = entry
+            counts.append(k)
             gen = gens[t]
-            k = min(k_features, len(candidates))
-            feats[b, :k] = [candidates[p] for p in gen.sample_indices(len(candidates), k)]
-            draws[b, :k] = [gen.random() for _ in range(k)]
-            used[b, :k] = True
-        node_ix = np.arange(len(batch))[:, None]
-        lo, hi = mins[node_ix, feats], maxs[node_ix, feats]
-        thresholds = lo + draws * (hi - lo)
-        # One threshold per node and column (a node's chosen features are
-        # distinct); every column is compared, only the chosen ones are read.
-        column_thr = np.zeros((len(batch), m))
-        column_thr[np.nonzero(used)[0], feats[used]] = thresholds[used]
-        goes_left = sub <= np.repeat(column_thr, sizes, axis=0)
-        n_left_by_col = np.add.reduceat(goes_left, starts, axis=0, dtype=np.int64)
-        goes_left_pos = goes_left & positive[rows][:, None]
-        n1_left_by_col = np.add.reduceat(goes_left_pos, starts, axis=0, dtype=np.int64)
-        n_left, n1_left = n_left_by_col[node_ix, feats], n1_left_by_col[node_ix, feats]
-        n_node = sizes[:, None]
-        ones_node = np.array([node[3] for node in batch])[:, None]
+            feats += [candidates[p] for p in gen.sample_indices(n_candidates, k)]
+            random = gen.random
+            draws += [random() for _ in range(k)]
+            if padding:
+                feats += padding
+                draws += padding
+        node_ix = np.arange(len(batch))
+        slot_feat = np.array(feats, dtype=np.intp).reshape(-1, k_features).T
+        lo, hi = mins[slot_feat, node_ix], maxs[slot_feat, node_ix]
+        slot_thr = lo + np.array(draws).reshape(-1, k_features).T * (hi - lo)
+        used = np.arange(k_features)[:, None] < np.array(counts)
+        # Each slot compares its own feature's values with its threshold.
+        col = np.arange(taken)
+        at = np.repeat(slot_feat * taken, sizes, axis=1)
+        at += col
+        goes_left = sub.take(at) <= np.repeat(slot_thr, sizes, axis=1)
+        n_left = np.add.reduceat(goes_left, starts, axis=1, dtype=np.int64)
+        n1_left = np.add.reduceat(goes_left & positive[rows], starts, axis=1, dtype=np.int64)
         with np.errstate(divide="ignore", invalid="ignore"):
             cost = _gini_cost(
                 n_left.astype(np.float64),
                 n1_left.astype(np.float64),
-                (n_node - n_left).astype(np.float64),
+                (sizes - n_left).astype(np.float64),
                 (ones_node - n1_left).astype(np.float64),
             )
-        cost = np.where(used & (n_left > 0) & (n_left < n_node), cost, np.inf)
-        best = (np.arange(len(batch)), cost.argmin(axis=1))
+        cost = np.where(used & (n_left > 0) & (n_left < sizes), cost, np.inf)
+        best = cost.argmin(axis=0)
+        split = cost[best, node_ix] < np.inf
+        if not split.any():
+            continue
+        # Each split node's left rows, then its right rows, back into its
+        # segment; rows of other nodes stay where they are.
+        in_split = np.repeat(split, sizes)
+        left = goes_left.ravel().take(np.repeat(best * taken, sizes) + col)
+        right = in_split & ~left
+        left &= in_split
+        won = (best[split], node_ix[split])
+        n_lefts, n_rights = n_left[won], sizes[split] - n_left[won]
+        perm[_segments(begins[split], n_lefts)] = rows[left]
+        perm[_segments(begins[split] + n_lefts, n_rights)] = rows[right]
         winners = zip(
-            batch,
-            (cost[best] < np.inf).tolist(),
-            feats[best].tolist(),
-            thresholds[best].tolist(),
-            n_left[best].tolist(),
-            n1_left[best].tolist(),
-            starts.tolist(),
+            np.flatnonzero(split).tolist(),
+            slot_feat[won].tolist(),
+            slot_thr[won].tolist(),
+            n_lefts.tolist(),
+            n1_left[won].tolist(),
         )
-        for (t, nid, idx, ones, depth), split, f, thr, left_size, left_ones, start in winners:
-            if not split:
-                continue
+        for b, f, thr, left_size, left_ones in winners:
+            t, nid, begin, end, ones, depth = batch[b]
             nodes = trees[t]
             node = nodes[nid]
             node.feature, node.threshold = f, thr
             node.left, node.right = len(nodes), len(nodes) + 1
-            right_size, right_ones = idx.size - left_size, ones - left_ones
+            right_size, right_ones = end - begin - left_size, ones - left_ones
             nodes.append(_Node(prob1=left_ones / left_size))
             nodes.append(_Node(prob1=right_ones / right_size))
             # Children that will never split are final leaves and are not
             # pushed; pushing left then right pops the right child first.
-            mask = goes_left[start : start + idx.size, f]
+            middle = begin + left_size
             if splittable(left_size, left_ones, depth + 1):
-                stacks[t].append((node.left, idx[mask], left_ones, depth + 1))
+                stacks[t].append((node.left, begin, middle, left_ones, depth + 1))
             if splittable(right_size, right_ones, depth + 1):
-                stacks[t].append((node.right, idx[~mask], right_ones, depth + 1))
+                stacks[t].append((node.right, middle, end, right_ones, depth + 1))
+
+
+def _segments(begins: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The positions of segments [begin, begin + size), laid end to end."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1]) + np.repeat(begins - (ends - sizes), sizes)
 
 
 # --- nearest neighbours -----------------------------------------------------
@@ -390,9 +435,9 @@ def _standardize_params(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def fit(spec: ClassifierSpec, train: LabeledDataset) -> TrainedModel:
     """Fit a model; deterministic given the spec (including seed) and rows."""
-    X = np.asarray(train.X, dtype=np.float64)
+    X = _finite_matrix(train.X, "training set")
     y = np.asarray(train.y, dtype=np.int64)
-    if X.ndim != 2 or len(X) == 0:
+    if len(X) == 0:
         raise ValueError("training set must be a nonempty 2-D matrix")
     if len(X) != len(y):
         raise ValueError(f"{len(X)} rows but {len(y)} labels")
@@ -429,9 +474,23 @@ def fit(spec: ClassifierSpec, train: LabeledDataset) -> TrainedModel:
     )
 
 
-def _check_matrix(model: TrainedModel, X) -> np.ndarray:
+def _finite_matrix(X, what: str) -> np.ndarray:
+    """X as a float matrix with at least one column and only finite cells."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ValueError(
+            f"{what} must be a 2-D matrix with at least one column, got shape {X.shape}"
+        )
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        row = int(finite.argmin())
+        raise ValueError(f"{what} row {row} holds a non-finite value: {X[row].tolist()}")
+    return X
+
+
+def _check_matrix(model: TrainedModel, X) -> np.ndarray:
+    X = _finite_matrix(X, "query matrix")
+    if X.shape[1] != model.n_features:
         raise ValueError(
             f"expected matrix with {model.n_features} columns, got shape {X.shape}"
         )

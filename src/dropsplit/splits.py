@@ -25,7 +25,7 @@ import numpy as np
 
 from .features import FeatureSetSpec, Pick, VectorCache, VectorTable
 from .records import Cohort, StudentStructure, check_reference
-from .rng import stream
+from .rng import check_seed, stream
 from .terms import Term, to_ordinal
 
 
@@ -47,6 +47,9 @@ class SplitRequest:
     approach: SplitApproach
     reference_term: Term
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .records import (
     _column_index,
     _read_csv,
 )
-from .rng import Draws, XoshiroLanes, derive_seed
+from .rng import Draws, XoshiroLanes, check_seed, derive_seed
 from .terms import (
     DEFAULT_TERMS_PER_YEAR,
     Term,
@@ -89,6 +89,7 @@ class GeneratorConfig:
     degree_count: int = 8
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         if self.intake_per_term < 1:
             raise ValueError("intake_per_term must be >= 1")
         if self.degree_length_terms < 1:

@@ -445,6 +445,17 @@ class TestExtraTreesLockstep:
             state = fit(spec, dataset(X, y)).state
         assert state == reference_forest(spec, X, y)
 
+    @pytest.mark.parametrize("block", [1, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(case=forest_case())
+    def test_lanes_running_dry_mid_node_do_not_change_forest(self, block, case):
+        spec, X, y = case
+        # Blocks of 1 and 3 words run lanes dry inside a node's draws.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("dropsplit.rng._BLOCK", block)
+            state = fit(spec, dataset(X, y)).state
+        assert state == reference_forest(spec, X, y)
+
 
 class TestDecisionTreePresort:
     """Presorted growth equals, node for node, a fresh stable sort per node."""
@@ -536,6 +547,28 @@ class TestDegenerateAndErrors:
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             fit(ClassifierSpec(kind="knn"), dataset(np.zeros((0, 2)), np.zeros(0)))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matrix_without_columns_rejected(self, kind):
+        with pytest.raises(ValueError, match=r"at least one column, got shape \(3, 0\)"):
+            fit(ClassifierSpec(kind=kind), dataset(np.zeros((3, 0)), [0, 1, 0]))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_names_its_row(self, kind, bad):
+        X, y = blobs(40)
+        X[[7, 12], 1] = bad
+        with pytest.raises(ValueError, match=r"training set row 7 holds a non-finite value"):
+            fit(ClassifierSpec(kind=kind), dataset(X, y))
+        model = fit(ClassifierSpec(kind=kind), dataset(X[13:], y[13:]))
+        with pytest.raises(ValueError, match=r"query matrix row 7 holds a non-finite value"):
+            predict_proba(model, X)
+
+    def test_out_of_range_seed_rejected(self):
+        assert ClassifierSpec(kind="extra_trees", seed=2**64 - 1).seed == 2**64 - 1
+        for bad in (-5, 2**64):
+            with pytest.raises(ValueError, match="seed must lie"):
+                ClassifierSpec(kind="extra_trees", seed=bad)
 
 
 class TestSeparableBlobs:

@@ -298,6 +298,13 @@ class TestSharedCache:
             build_split(medium_synth, SplitRequest(SplitApproach.B1, T_MID), cache=VectorCache(tiny_cohort))
 
 
+def test_split_request_rejects_seed_outside_64_bits():
+    assert SplitRequest(SplitApproach.A, T_MID, seed=2**64 - 1).seed == 2**64 - 1
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must lie"):
+            SplitRequest(SplitApproach.A, T_MID, seed=bad)
+
+
 # --- the per-vector path the row-index path replaced, kept as the reference ---
 #
 # Each rule returns FeatureVectors from the public vector functions, one

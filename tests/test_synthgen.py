@@ -174,6 +174,12 @@ class TestGenerate:
         with pytest.raises(ValueError):
             GeneratorConfig(courses_min=5, courses_max=3)
 
+    def test_seed_outside_64_bits_rejected(self):
+        assert GeneratorConfig(seed=2**64 - 1).seed == 2**64 - 1
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed must lie"):
+                GeneratorConfig(seed=bad)
+
 
 class TestRoundTrip:
     def test_csvs_reingest_to_identical_cohort(self, tmp_path):
