@@ -9,9 +9,10 @@ reports every rejected row with a reason.
 A cohort has two views of its course records. `StudentStructure` and
 `CourseRecord` objects are the view the API and the tests use; `CourseTable`
 holds the same records as arrays, the view the feature table reads. Ingest
-reads each cell once, parses each distinct term text once, and builds both
-views in one pass. A cohort built from objects (generated, truncated, or put
-together by hand) derives its table from them on first use.
+reads each cell once, parses each distinct term, number and course code text
+once (records that repeat one share its object), and builds both views in one
+pass. `synthgen.generate` builds both views too. A cohort built from objects
+(truncated, or put together by hand) derives its table from them on first use.
 """
 
 from __future__ import annotations
@@ -369,6 +370,18 @@ def _code_static_attrs(
 _RESULTS = {"0": 0, "1": 1}
 
 
+class _Memo(dict):
+    """``memo[key]`` is ``make(key)``, made once per distinct key."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 @contextmanager
 def _collector_paused() -> Iterator[None]:
     """Hold off the cyclic garbage collector while a cohort's records are built.
@@ -448,6 +461,10 @@ def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfi
 
     rejects: list[tuple[int, str, str]] = []
     duplicates = 0
+    # Each distinct score, attendance or course code text is parsed once, and
+    # the records that hold it share one object: a course file repeats a few
+    # thousand numbers and codes across all its rows.
+    numbers, codes = _Memo(float), _Memo(str.strip)
     seen_lines: set[str | tuple[str, ...]] = set()
     # One entry per kept course, in file order.
     records: list[CourseRecord] = []
@@ -475,11 +492,11 @@ def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfi
             sid = cells[c_sid].strip()
             term, o = term_cell(cells[c_term], rownum)
             try:
-                score = float(cells[c_score])
+                score = numbers[cells[c_score]]
             except ValueError:
                 raise IngestError(f"row {rownum}: column 'score' has non-numeric value {cells[c_score]!r}") from None
             try:
-                attendance = float(cells[c_attendance])
+                attendance = numbers[cells[c_attendance]]
             except ValueError:
                 raise IngestError(
                     f"row {rownum}: column 'attendance_pct' has non-numeric value {cells[c_attendance]!r}"
@@ -488,7 +505,7 @@ def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfi
             if result is None:
                 raise IngestError(f"row {rownum}: result must be 0 or 1, got {cells[c_result].strip()!r}")
             try:  # the record checks the score and attendance ranges
-                record = CourseRecord(cells[c_code].strip(), term, score, attendance, result)
+                record = CourseRecord(codes[cells[c_code]], term, score, attendance, result)
             except ValueError as exc:
                 raise IngestError(f"row {rownum}: {exc}") from None
             k = position.get(sid)

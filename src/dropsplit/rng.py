@@ -15,16 +15,18 @@ descending Fisher-Yates.
 words of every lane, and each step is a few numpy operations over all lanes
 at once (numpy's uint64 multiply wraps mod 2^64, as the masks here do),
 ``_BLOCK`` steps per pass. Every lane yields the words of the scalar stream
-of its seed, and the draws derived from the words (`random`, `randbelow`,
-`normal`, `shuffle`, `sample_indices`) are written once, in `Draws`, so they
-are the same whichever way a stream is stepped.
+of its seed. The draws derived from the words (`random`, `randbelow`,
+`normal`, `shuffle`, `sample_indices`) are written once for one stream at a
+time, in `Draws`, so they are the same whichever way a stream is stepped.
+`LaneDraws` makes `random`, `randbelow` and `normal` for many lanes in one
+call, as arrays, each lane reading its own words from its own position; it
+keeps the operations of `Draws` value for value.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from itertools import chain
 
 import numpy as np
 
@@ -34,8 +36,7 @@ _SPLITMIX_MUL1 = 0xBF58476D1CE4E5B9
 _SPLITMIX_MUL2 = 0x94D049BB133111EB
 
 # Words drawn per lane in one numpy pass: each pass takes nine numpy
-# operations per word position whatever the lane count, and its words are
-# held as Python ints until read.
+# operations per word position whatever the lane count.
 _BLOCK = 256
 
 # 2**-53: scales the top 53 bits of a word into [0, 1).
@@ -213,9 +214,7 @@ class XoshiroLanes:
 
     Lane i gives the words of ``Xoshiro256StarStar(seeds[i])``. The state is
     a ``(4, lanes)`` uint64 array, one row per state word, so each operation
-    of a step runs over all lanes in contiguous memory. Each stream keeps its
-    own read position over the words drawn for it. Take the streams once,
-    from `streams` or `streams_apart`: both advance the one state.
+    of a step runs over all lanes in contiguous memory.
     """
 
     def __init__(self, seeds: Sequence[int]) -> None:
@@ -228,8 +227,8 @@ class XoshiroLanes:
     def __len__(self) -> int:
         return self._s.shape[1]
 
-    def _draw(self) -> list[list[int]]:
-        """The next ``_BLOCK`` words of every lane, one list per lane."""
+    def _draw(self) -> np.ndarray:
+        """The next ``_BLOCK`` words of every lane: a ``(lanes, _BLOCK)`` uint64 array."""
         s = self._s
         s0, s1, s2, s3 = s
         low, high = s[:2], s[2:]
@@ -250,13 +249,12 @@ class XoshiroLanes:
             np.right_shift(s3, k19, out=s3)
             s3 |= t
         out *= np.uint64(5)
-        # rotl(out, 7), its temporaries freed before tolist builds the ints.
-        np.bitwise_or(out << np.uint64(7), out >> np.uint64(57), out=out)
+        np.bitwise_or(out << np.uint64(7), out >> np.uint64(57), out=out)  # rotl(out, 7)
         out *= np.uint64(9)
-        return out.T.tolist()
+        return out.T
 
     def streams(self) -> list[Stream]:
-        """One stream per lane, in lockstep.
+        """One stream per lane, in lockstep; take them once per `XoshiroLanes`.
 
         The first stream to run dry draws the next block for every lane; the
         others keep those words until they read them. Suits streams that draw
@@ -273,20 +271,88 @@ class XoshiroLanes:
         def lane(i: int) -> Iterator[int]:
             while True:
                 if not pending[i]:
-                    for words, block in zip(pending, self._draw()):
+                    for words, block in zip(pending, self._draw().tolist()):
                         words += block
                 words, pending[i] = pending[i], []
                 yield from words
 
         return [Stream(lane(i)) for i in range(len(self))]
 
-    def streams_apart(self) -> list[Stream]:
-        """One stream per lane: one block from the lanes, then each alone.
 
-        A stream that reads past its block goes on with `xoshiro_words` from
-        its lane's state after the block, so one long stream costs the others
-        nothing. Suits streams read one after another.
+class LaneDraws:
+    """`random`, `randbelow` and `normal` for many streams in one call, as arrays.
+
+    Lane i reads the words of ``Xoshiro256StarStar(seeds[i])``. Each call
+    draws once for each lane of an index array (no lane twice), and each lane
+    reads on from its own position, so the values a lane gets are those the
+    `Draws` method of the same name gives its stream, call for call. The
+    arithmetic is that of `Draws`, operation for operation: the correctly
+    rounded IEEE operations, square root among them, give the same double on
+    an array as on a Python float, but numpy's SIMD ``log`` and ``cos`` may
+    differ in the last ulp, so `math.log` and `math.cos` are mapped over the
+    values.
+
+    The words wait in one ``(lanes, width)`` uint64 array. When a call would
+    read past its end for any of its lanes, the next `XoshiroLanes` block is
+    drawn for every lane, and the columns every lane has read are dropped.
+    Lanes that will draw no more should be let go with `keep`, so that the
+    lanes left read at similar rates and the array stays about a block wide.
+    """
+
+    def __init__(self, seeds: Sequence[int]) -> None:
+        self._lanes = XoshiroLanes(seeds)
+        self._words = np.empty((len(self._lanes), 0), dtype=np.uint64)
+        self._pos = np.zeros(len(self._lanes), dtype=np.intp)
+
+    def __len__(self) -> int:
+        return len(self._pos)
+
+    def keep(self, lanes: np.ndarray) -> None:
+        """Keep only `lanes`, renumbered 0, 1, ... in the order given."""
+        self._lanes._s = self._lanes._s[:, lanes]
+        self._words = self._words[lanes]
+        self._pos = self._pos[lanes]
+
+    def _take(self, lanes: np.ndarray, n: int) -> np.ndarray:
+        """The next n words of each of `lanes`, one row per lane."""
+        pos = self._pos[lanes]
+        while len(pos) and pos.max() + n > self._words.shape[1]:
+            read = self._pos.min()
+            self._words = np.concatenate([self._words[:, read:], self._lanes._draw()], axis=1)
+            self._pos -= read
+            pos = self._pos[lanes]
+        self._pos[lanes] = pos + n
+        return self._words[lanes[:, None], pos[:, None] + np.arange(n)]
+
+    def random(self, lanes: np.ndarray) -> np.ndarray:
+        """`Draws.random` for each of `lanes`."""
+        return (self._take(lanes, 1)[:, 0] >> np.uint64(11)).astype(np.float64) * _UNIT
+
+    def randbelow(self, lanes: np.ndarray, n: int) -> np.ndarray:
+        """`Draws.randbelow(n)` for each of `lanes`, as int64; n is at most 2**63.
+
+        A word is drawn again only for the lanes whose last word was rejected.
         """
-        blocks = self._draw()
-        states = self._s.T.tolist()
-        return [Stream(chain(block, xoshiro_words(*s))) for block, s in zip(blocks, states)]
+        if not 1 <= n <= 1 << 63:
+            raise ValueError(f"randbelow needs 1 <= n <= 2**63, got {n}")
+        out = np.zeros(len(lanes), dtype=np.int64)
+        nbits = (n - 1).bit_length()
+        if not nbits:
+            return out
+        shift, top = np.uint64(64 - nbits), np.uint64(n - 1)
+        rows = np.arange(len(lanes))
+        while len(rows):
+            r = self._take(lanes[rows], 1)[:, 0] >> shift
+            ok = r <= top
+            out[rows[ok]] = r[ok]
+            rows = rows[~ok]
+        return out
+
+    def normal(self, lanes: np.ndarray, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+        """`Draws.normal(mean, std)` for each of `lanes`."""
+        u = (self._take(lanes, 2) >> np.uint64(11)).astype(np.float64) * _UNIT
+        u1 = 1.0 - u[:, 0]
+        u2 = u[:, 1]
+        log = np.fromiter(map(math.log, u1.tolist()), np.float64, len(u1))
+        cos = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()), np.float64, len(u2))
+        return mean + std * (np.sqrt(-2.0 * log) * cos)

@@ -5,33 +5,50 @@ and a discrete-time logistic dropout hazard evaluated after every term, so
 weaker histories both look worse and end sooner. Students still active at the
 data horizon are emitted as enrolled, and their simulated continuation goes to
 a sealed ground-truth table that the split and evaluation paths never read.
+
+Student i draws from its own xoshiro256** stream, seeded with
+``derive_seed(seed, i)``. `generate` simulates the students of a lane chunk
+together, one `rng.LaneDraws` lane each, one career term and one course slot
+at a time, and each student makes its draws in the order a one-student
+simulation makes them. The arithmetic runs on float64 arrays in the same
+order of operations as on Python floats, which gives the same doubles; the
+steps where numpy could differ stay Python's, value by value: `math.log`,
+`math.cos` and `math.exp`, ``round(v, 2)``, and clamps that give +0.0 for
+-0.0. A cohort is thus byte for byte that of the one-student simulation,
+which the tests keep as the reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from .records import (
     Cohort,
     CourseRecord,
+    CourseTable,
     EnrollmentStatus,
     IngestError,
     StudentStructure,
     _collector_paused,
+    _Memo,
     _column_index,
     _read_csv,
 )
-from .rng import Draws, XoshiroLanes, check_seed, derive_seed
+from .rng import LaneDraws, check_seed, derive_seed
 from .terms import (
     DEFAULT_TERMS_PER_YEAR,
     Term,
     TermRange,
     format_term,
+    from_ordinal,
     iter_terms,
-    next_term,
     parse_term,
+    to_ordinal,
 )
 
 
@@ -90,6 +107,14 @@ class GeneratorConfig:
 
     def __post_init__(self) -> None:
         check_seed(self.seed)
+        settings = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        if self.regime_change is not None:
+            settings.append(("regime_change.hazard_shift", self.regime_change.hazard_shift))
+        for name, value in settings:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.degree_count < 1:
+            raise ValueError(f"degree_count must be >= 1, got {self.degree_count}")
         if self.intake_per_term < 1:
             raise ValueError("intake_per_term must be >= 1")
         if self.degree_length_terms < 1:
@@ -121,105 +146,148 @@ class SyntheticCohort:
     config: GeneratorConfig
 
 
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return min(hi, max(lo, x))
+def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``min(hi, max(lo, v))`` of every value v, as Python computes it.
+
+    `max` keeps ``lo`` unless v is greater, so -0.0 clamps to +0.0 at a bound
+    of 0.0 (where ``np.maximum`` gives -0.0), and so would a nan.
+    """
+    x = np.where(x > lo, x, lo)
+    return np.where(x < hi, x, hi)
+
+
+def _round2(x: np.ndarray) -> np.ndarray:
+    """Python's ``round(v, 2)`` of every value; ``np.round`` can differ in the last ulp."""
+    return np.fromiter(map(round, x.tolist(), repeat(2)), np.float64, len(x))
+
+
+def _exp(x: float) -> float:
+    """`math.exp`, or inf where it overflows: a hazard logit below about -709 gives 0.0."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _hazard(
     cfg: GeneratorConfig,
-    ability: float,
-    fail_frac: float,
-    behind_terms: float,
+    ability: np.ndarray,
+    fail_frac: np.ndarray,
+    behind_terms: np.ndarray,
     k: int,
-    current: Term,
-) -> float:
-    """Per-term dropout probability after completing enrolled term k.
+    changed: np.ndarray,
+) -> np.ndarray:
+    """Per-term dropout probability of each student after enrolled term k.
 
-    behind_terms measures how many terms of passes the student is short of the
+    behind_terms measures how many terms of passes a student is short of the
     graduation schedule; its weight makes struggling students increasingly
-    likely to leave mid-degree instead of only in the first year.
+    likely to leave mid-degree instead of only in the first year. changed
+    marks the students whose current term is under the regime change.
     """
     if cfg.hazard_baseline <= 0.0:
-        return 0.0
+        return np.zeros(len(ability))
     if cfg.hazard_baseline >= 1.0:
-        return 1.0
-    logit = math.log(cfg.hazard_baseline / (1.0 - cfg.hazard_baseline))
-    logit += cfg.hazard_ability_weight * (-ability)
-    logit += cfg.hazard_fail_weight * fail_frac
-    logit += cfg.hazard_behind_weight * behind_terms
+        return np.ones(len(ability))
+    logit = math.log(cfg.hazard_baseline / (1.0 - cfg.hazard_baseline)) + cfg.hazard_ability_weight * -ability
+    logit = logit + cfg.hazard_fail_weight * fail_frac
+    logit = logit + cfg.hazard_behind_weight * behind_terms
     if k <= cfg.early_terms:
-        logit += cfg.hazard_early_multiplier
-    rc = cfg.regime_change
-    if rc is not None and current >= rc.term:
-        logit += rc.hazard_shift
-    return 1.0 / (1.0 + math.exp(-logit))
+        logit = logit + cfg.hazard_early_multiplier
+    if cfg.regime_change is not None:
+        logit = np.where(changed, logit + cfg.regime_change.hazard_shift, logit)
+    return 1.0 / (1.0 + np.fromiter(map(_exp, (-logit).tolist()), np.float64, len(logit)))
 
 
-def _simulate_student(cfg: GeneratorConfig, sid: str, entrance: Term, gen: Draws):
-    ability = gen.normal(cfg.ability_mean, cfg.ability_std)
-    admission = round(_clamp(5.0 + cfg.admission_ability_gain * ability + gen.normal(0.0, cfg.admission_noise_std), 0.0, 10.0), 2)
-    static_attrs = (
-        ("entrance_age", float(17 + gen.randbelow(8))),
-        ("sex_code", float(gen.randbelow(2))),
-        ("degree_code", float(gen.randbelow(cfg.degree_count))),
-        ("admission_score", admission),
+# Students simulated together, one numpy lane each.
+_LANES = 512
+# Course codes are C000 to C119.
+_COURSE_CODES = tuple(f"C{i:03d}" for i in range(120))
+
+
+def _simulate_chunk(cfg: GeneratorConfig, seeds: list[int], entrance: np.ndarray) -> tuple:
+    """Simulate the careers of the students with these stream seeds and entrance ordinals.
+
+    All students step together, one career term and one course slot at a
+    time; a student who exits leaves the lanes. Each student makes the draws
+    of the one-student simulation, in its order: the ability and admission
+    normals; entrance age, sex and degree; each term, the collapse uniform
+    and the course count; each course, its code, then the score and
+    attendance normals.
+
+    Returns ``(static, dropout, exit_term, courses)``: per student, the
+    (age, sex, degree, admission) attributes, whether it left as a dropout
+    (else it graduated) and its exit term ordinal; and per course, in the
+    order simulated, the columns (student, term ordinal, index into
+    `_COURSE_CODES`, score, attendance, passed).
+    """
+    n = len(seeds)
+    draws = LaneDraws(seeds)
+    lanes = np.arange(n)
+    ability = draws.normal(lanes, cfg.ability_mean, cfg.ability_std)
+    admission = 5.0 + cfg.admission_ability_gain * ability + draws.normal(lanes, 0.0, cfg.admission_noise_std)
+    static = list(
+        zip(
+            (17 + draws.randbelow(lanes, 8)).astype(np.float64).tolist(),
+            draws.randbelow(lanes, 2).astype(np.float64).tolist(),
+            draws.randbelow(lanes, cfg.degree_count).astype(np.float64).tolist(),
+            _round2(_clamp(admission, 0.0, 10.0)).tolist(),
+        )
     )
-    courses: list[CourseRecord] = []
-    current = entrance
-    status: EnrollmentStatus | None = None
-    exit_term: Term | None = None
-    passed_total = 0
-    prev_fail_frac = 0.0
+    dropout = np.zeros(n, dtype=bool)
+    exit_term = np.zeros(n, dtype=np.int64)
+    changed_from = math.inf
+    if cfg.regime_change is not None:  # the first ordinal whose term is at or after the change
+        rc, tpy = cfg.regime_change.term, cfg.terms_per_year
+        changed_from = rc.year * tpy + min(rc.index, tpy + 1) - 1
+    span = cfg.courses_max - cfg.courses_min + 1
     pace = cfg.passes_required / cfg.degree_length_terms
+    # The active students: chunk position, and the state their careers carry.
+    who, current = lanes, entrance
+    passed_total = np.zeros(n, dtype=np.int64)
+    prev_fail_frac = np.zeros(n)
+    parts: list[tuple[np.ndarray, ...]] = []
     for k in range(1, cfg.max_terms + 1):
         # Dropout is decided at the start of the term from the record so far;
         # the final term of a dropout is then lived in collapse. Falling behind
         # schedule depresses performance on its own, so exits are preceded by a
         # visible decline rather than arriving out of nowhere.
-        behind_terms = max(0.0, (pace * (k - 1) - passed_total) / pace)
-        p = _hazard(cfg, ability, prev_fail_frac, behind_terms, k, current)
-        collapsing = gen.random() < p
-        span = cfg.courses_max - cfg.courses_min + 1
-        n_courses = cfg.courses_min + gen.randbelow(span)
-        fails = 0
-        for _ in range(n_courses):
-            code = f"C{gen.randbelow(120):03d}"
-            score = (
-                cfg.score_base
-                + cfg.score_ability_gain * ability
-                - cfg.score_behind_drop * behind_terms
-                + gen.normal(0.0, cfg.score_noise_std)
-            )
-            att = (
-                cfg.attendance_base
-                + cfg.attendance_ability_gain * ability
-                - cfg.attendance_behind_drop * behind_terms
-                + gen.normal(0.0, cfg.attendance_noise_std)
-            )
-            if collapsing:
-                score *= cfg.collapse_score_factor
-                att *= cfg.collapse_attendance_factor
-            score = round(_clamp(score, 0.0, 10.0), 2)
-            att = round(_clamp(att, 0.0, 100.0), 2)
-            result = 1 if score >= cfg.pass_score else 0
-            fails += 1 - result
-            courses.append(CourseRecord(course_code=code, term=current, score=score, attendance_pct=att, result=result))
-        if collapsing:
-            status, exit_term = EnrollmentStatus.DROPOUT, current
-            break
-        passed_total += n_courses - fails
+        lanes = np.arange(len(who))
+        behind_terms = _clamp((pace * (k - 1) - passed_total) / pace, 0.0, math.inf)
+        p = _hazard(cfg, ability, prev_fail_frac, behind_terms, k, current >= changed_from)
+        collapsing = draws.random(lanes) < p
+        n_courses = cfg.courses_min + draws.randbelow(lanes, span)
+        slots = []
+        for slot in range(cfg.courses_max):
+            taking = np.flatnonzero(n_courses > slot)
+            if not len(taking):
+                break
+            code = draws.randbelow(taking, len(_COURSE_CODES))
+            score_noise = draws.normal(taking, 0.0, cfg.score_noise_std)
+            attendance_noise = draws.normal(taking, 0.0, cfg.attendance_noise_std)
+            slots.append((taking, code, score_noise, attendance_noise))
+        taking, code, score_noise, attendance_noise = map(np.concatenate, zip(*slots))
+        a, behind, collapse = ability[taking], behind_terms[taking], collapsing[taking]
+        score = cfg.score_base + cfg.score_ability_gain * a - cfg.score_behind_drop * behind + score_noise
+        att = cfg.attendance_base + cfg.attendance_ability_gain * a - cfg.attendance_behind_drop * behind + attendance_noise
+        score = _round2(_clamp(np.where(collapse, score * cfg.collapse_score_factor, score), 0.0, 10.0))
+        att = _round2(_clamp(np.where(collapse, att * cfg.collapse_attendance_factor, att), 0.0, 100.0))
+        passed = score >= cfg.pass_score
+        parts.append((who[taking], current[taking], code, score, att, passed))
+        fails = np.bincount(taking[~passed], minlength=len(who))
+        passed_total = passed_total + (n_courses - fails)
         prev_fail_frac = fails / n_courses
-        done = k >= cfg.degree_length_terms and passed_total >= cfg.passes_required
-        if done or k >= cfg.max_terms:
-            status, exit_term = EnrollmentStatus.GRADUATED, current
+        done = collapsing | (k >= cfg.max_terms)
+        if k >= cfg.degree_length_terms:
+            done |= passed_total >= cfg.passes_required
+        dropout[who[collapsing]] = True
+        exit_term[who[done]] = current[done]
+        stay = np.flatnonzero(~done)
+        if not len(stay):
             break
-        current = next_term(current, cfg.terms_per_year)
-    assert status is not None and exit_term is not None
-    return static_attrs, courses, status, exit_term
-
-
-# Students whose streams are seeded and first drawn together, as numpy lanes.
-_LANES = 512
+        draws.keep(stay)
+        who, ability, passed_total, prev_fail_frac = who[stay], ability[stay], passed_total[stay], prev_fail_frac[stay]
+        current = current[stay] + 1
+    return static, dropout, exit_term, tuple(map(np.concatenate, zip(*parts)))
 
 
 @_collector_paused()
@@ -229,51 +297,75 @@ def generate(cfg: GeneratorConfig) -> SyntheticCohort:
     Student i draws from the stream of ``derive_seed(cfg.seed, i)``. Students
     whose simulated exit falls past the horizon are recorded as enrolled with
     their courses truncated at the horizon; the simulated outcome is returned
-    separately as sealed truth.
+    separately as sealed truth. The cohort's `CourseTable` is built from the
+    simulated columns, as ingest builds it from the file's.
     """
-    horizon = cfg.range_end
+    window = TermRange(cfg.range_start, cfg.range_end)
+    tpy = cfg.terms_per_year
+    horizon = to_ordinal(cfg.range_end, tpy)
     entrances = [
         entrance
         for entrance in iter_terms(cfg.range_start, cfg.range_end, cfg.terms_per_year)
         for _ in range(cfg.intake_per_term)
     ]
+    first_term = to_ordinal(cfg.range_start, tpy)
+    terms = {o: from_ordinal(o, tpy) for o in range(first_term, horizon + cfg.max_terms)}
     students: list[StudentStructure] = []
     truth: dict[str, TruthRow] = {}
+    columns: list[tuple[np.ndarray, ...]] = []
     for first in range(0, len(entrances), _LANES):
         indices = range(first, min(first + _LANES, len(entrances)))
-        gens = XoshiroLanes([derive_seed(cfg.seed, index) for index in indices]).streams_apart()
-        for index, gen in zip(indices, gens):
+        entrance = np.array([to_ordinal(entrances[i], tpy) for i in indices], dtype=np.int64)
+        static, dropout, exit_ordinal, courses = _simulate_chunk(cfg, [derive_seed(cfg.seed, i) for i in indices], entrance)
+        # The recorded courses, student by student, each student's in the
+        # order simulated.
+        student, term, code, score, att, passed = courses
+        recorded = np.flatnonzero(term <= horizon)
+        order = recorded[np.argsort(student[recorded], kind="stable")]
+        term, code, score, att, passed = term[order], code[order], score[order], att[order], passed[order]
+        count = np.bincount(student[order], minlength=len(indices))
+        columns.append((count, term, ~passed, att, score))
+        records = list(
+            map(
+                CourseRecord,
+                map(_COURSE_CODES.__getitem__, code.tolist()),
+                map(terms.__getitem__, term.tolist()),
+                score.tolist(),
+                att.tolist(),
+                passed.astype(np.int64).tolist(),
+            )
+        )
+        ends = np.cumsum(count).tolist()
+        exits = zip(dropout.tolist(), exit_ordinal.tolist())
+        for index, (age, sex, degree, admission), (dropped, exit_at), start, end in zip(
+            indices, static, exits, [0, *ends], ends
+        ):
             sid = f"S{index:06d}"
-            entrance = entrances[index]
-            static_attrs, courses, status, exit_term = _simulate_student(cfg, sid, entrance, gen)
-            if exit_term <= horizon:
-                students.append(
-                    StudentStructure(
-                        student_id=sid,
-                        static_attrs=static_attrs,
-                        entrance=entrance,
-                        status=status,
-                        exit_term=exit_term,
-                        courses=tuple(courses),
-                    )
-                )
-            else:
-                recorded = tuple(c for c in courses if c.term <= horizon)
-                students.append(
-                    StudentStructure(
-                        student_id=sid,
-                        static_attrs=static_attrs,
-                        entrance=entrance,
-                        status=EnrollmentStatus.ENROLLED,
-                        exit_term=None,
-                        courses=recorded,
-                    )
-                )
+            status = EnrollmentStatus.DROPOUT if dropped else EnrollmentStatus.GRADUATED
+            exit_term = terms[exit_at]
+            if exit_at > horizon:
                 truth[sid] = TruthRow(status=status, exit_term=exit_term)
+                status, exit_term = EnrollmentStatus.ENROLLED, None
+            students.append(
+                StudentStructure(
+                    student_id=sid,
+                    static_attrs=(
+                        ("entrance_age", age),
+                        ("sex_code", sex),
+                        ("degree_code", degree),
+                        ("admission_score", admission),
+                    ),
+                    entrance=entrances[index],
+                    status=status,
+                    exit_term=exit_term,
+                    courses=tuple(records[start:end]),
+                )
+            )
     cohort = Cohort(
         students=tuple(students),
-        range=TermRange(cfg.range_start, cfg.range_end),
+        range=window,
         terms_per_year=cfg.terms_per_year,
+        table=CourseTable(*map(np.concatenate, zip(*columns))),
     )
     return SyntheticCohort(cohort=cohort, truth=truth, config=cfg)
 
@@ -378,24 +470,21 @@ def write_students_csv(c: Cohort, path: str | Path) -> None:
 
 
 def write_courses_csv(c: Cohort, path: str | Path) -> None:
+    """One row per course record; each distinct term and number is formatted once."""
     path = Path(path)
+    term_text, number = _Memo(format_term), _Memo(_fmt)
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write("student_id,course_code,term,score,attendance_pct,result\n")
         for s in c.students:
-            for rec in s.courses:
-                fh.write(
-                    ",".join(
-                        [
-                            s.student_id,
-                            rec.course_code,
-                            format_term(rec.term),
-                            _fmt(rec.score),
-                            _fmt(rec.attendance_pct),
-                            str(rec.result),
-                        ]
-                    )
-                    + "\n"
+            sid = s.student_id
+            fh.write(
+                "".join(
+                    [
+                        f"{sid},{rec.course_code},{term_text[rec.term]},{number[rec.score]},{number[rec.attendance_pct]},{rec.result}\n"
+                        for rec in s.courses
+                    ]
                 )
+            )
 
 
 def write_truth_csv(synth: SyntheticCohort, path: str | Path) -> None:

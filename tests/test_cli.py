@@ -79,6 +79,22 @@ class TestGenerate:
         main(["generate", "--config", str(gen_cfg), "--out", str(out2)])
         assert digest_dir(out1) == digest_dir(out2)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("degree_count=0", "error: degree_count must be >= 1, got 0"),
+            ("score_base=nan", "error: score_base must be finite, got nan"),
+            ("attendance_noise_std=inf", "error: attendance_noise_std must be finite, got inf"),
+        ],
+    )
+    def test_bad_setting_exits_1_naming_it(self, tmp_path, line, message, capsys):
+        cfg = tmp_path / "bad_gen.cfg"
+        cfg.write_text(GEN_CFG + line + "\n", encoding="utf-8")
+        out = tmp_path / "gen_out"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
+
 
 class TestSplitCommand:
     def test_matches_module_level_oracle(self, tmp_path, run_cfg):

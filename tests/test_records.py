@@ -86,6 +86,14 @@ class TestIngest:
         second = ingest(sp, cp, default_config())
         assert first.cohort == second.cohort
 
+    def test_repeated_cells_share_one_object(self, tmp_path):
+        sp, cp = write_inputs(tmp_path, courses=COURSES_CSV + "s3,PHYS1,2013.2,8.0,90,1\n")
+        cohort = ingest(sp, cp, default_config()).cohort
+        s1, s2, s3 = (cohort.student(sid).courses for sid in ("s1", "s2", "s3"))
+        assert s1[0].course_code is s2[0].course_code is s3[0].course_code == "MATH1"
+        assert s3[1].score is s1[2].score == 8.0
+        assert s3[1].attendance_pct is s1[0].attendance_pct == 90.0
+
     def test_miniterm_mapping(self, tmp_path):
         courses = COURSES_CSV + "s1,SUMMER,2012.S1,8.0,100,1\n"
         sp, cp = write_inputs(tmp_path, courses=courses)
