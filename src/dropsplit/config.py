@@ -98,12 +98,22 @@ def ingest_config_from(kv: dict[str, str]) -> IngestConfig:
 
 
 def _read_attr_codes(path: str) -> dict[str, dict[str, int]]:
+    """Read an attribute,value,code CSV. A missing column or a code that is
+    not an integer raises, naming the file and the row (the header is row 1)."""
     import csv
 
     out: dict[str, dict[str, int]] = {}
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.setdefault(row["attribute"], {})[row["value"]] = int(row["code"])
+        reader = csv.DictReader(fh)
+        for column in ("attribute", "value", "code"):
+            if column not in (reader.fieldnames or ()):
+                raise ConfigError(f"{path}: row 1: missing column {column!r}")
+        for rownum, row in enumerate(reader, start=2):
+            try:
+                code = int(row["code"])
+            except (TypeError, ValueError):  # TypeError: the row has no code cell
+                raise ConfigError(f"{path}: row {rownum}: column 'code' has non-integer value {row['code']!r}") from None
+            out.setdefault(row["attribute"], {})[row["value"]] = code
     return out
 
 
@@ -115,7 +125,34 @@ def write_attr_codes(codes: dict[str, dict[str, int]], path: str | Path) -> None
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# The GeneratorConfig fields a generator config file may set, besides seed,
+# terms_per_year, the range and the regime change.
+_GENERATOR_INTS = ("intake_per_term", "degree_length_terms", "courses_min", "courses_max", "early_terms", "degree_count")
+_GENERATOR_FLOATS = (
+    "ability_mean",
+    "ability_std",
+    "score_base",
+    "score_ability_gain",
+    "score_noise_std",
+    "attendance_base",
+    "attendance_ability_gain",
+    "attendance_noise_std",
+    "pass_score",
+    "hazard_baseline",
+    "hazard_ability_weight",
+    "hazard_fail_weight",
+    "hazard_early_multiplier",
+)
+_GENERATOR_KEYS = {"seed", "terms_per_year", "range_start", "range_end", "regime_change_term", "regime_change_shift"}
+_GENERATOR_KEYS.update(_GENERATOR_INTS + _GENERATOR_FLOATS)
+
+
 def generator_config_from(kv: dict[str, str]) -> GeneratorConfig:
+    unknown = [key for key in kv if key not in _GENERATOR_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown generator config key {unknown[0]!r}")
+    if "regime_change_shift" in kv and not kv.get("regime_change_term"):
+        raise ConfigError("key 'regime_change_shift' needs a regime_change_term")
     tpy = _get_int(kv, "terms_per_year", 2)
     regime = None
     if kv.get("regime_change_term"):
@@ -129,26 +166,9 @@ def generator_config_from(kv: dict[str, str]) -> GeneratorConfig:
         terms_per_year=tpy,
         range_start=_get_term(kv, "range_start", tpy),
         range_end=_get_term(kv, "range_end", tpy),
-        intake_per_term=_get_int(kv, "intake_per_term", defaults.intake_per_term),
-        degree_length_terms=_get_int(kv, "degree_length_terms", defaults.degree_length_terms),
-        courses_min=_get_int(kv, "courses_min", defaults.courses_min),
-        courses_max=_get_int(kv, "courses_max", defaults.courses_max),
-        ability_mean=_get_float(kv, "ability_mean", defaults.ability_mean),
-        ability_std=_get_float(kv, "ability_std", defaults.ability_std),
-        score_base=_get_float(kv, "score_base", defaults.score_base),
-        score_ability_gain=_get_float(kv, "score_ability_gain", defaults.score_ability_gain),
-        score_noise_std=_get_float(kv, "score_noise_std", defaults.score_noise_std),
-        attendance_base=_get_float(kv, "attendance_base", defaults.attendance_base),
-        attendance_ability_gain=_get_float(kv, "attendance_ability_gain", defaults.attendance_ability_gain),
-        attendance_noise_std=_get_float(kv, "attendance_noise_std", defaults.attendance_noise_std),
-        pass_score=_get_float(kv, "pass_score", defaults.pass_score),
-        hazard_baseline=_get_float(kv, "hazard_baseline", defaults.hazard_baseline),
-        hazard_ability_weight=_get_float(kv, "hazard_ability_weight", defaults.hazard_ability_weight),
-        hazard_fail_weight=_get_float(kv, "hazard_fail_weight", defaults.hazard_fail_weight),
-        hazard_early_multiplier=_get_float(kv, "hazard_early_multiplier", defaults.hazard_early_multiplier),
-        early_terms=_get_int(kv, "early_terms", defaults.early_terms),
         regime_change=regime,
-        degree_count=_get_int(kv, "degree_count", defaults.degree_count),
+        **{name: _get_int(kv, name, getattr(defaults, name)) for name in _GENERATOR_INTS},
+        **{name: _get_float(kv, name, getattr(defaults, name)) for name in _GENERATOR_FLOATS},
     )
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import ClassifierSpec, accuracy, confusion, fit, predict
-from .features import FeatureSetSpec, UndefinedFeatureVector, VectorCache
+from .features import FeatureSetSpec, VectorCache
 from .records import Cohort, subset_enrolled, subset_exited_before, subset_exited_from
 from .splits import (
     RULES,
@@ -293,16 +293,15 @@ def predict_enrolled(
         raise EvaluationError("no exited students with computable training vectors")
     result.train_rows, result.train_exclusions = train.rows, train.meta.exclusions
     model = fit(winning_spec, train)
-    rows = []
-    for s in enrolled:
-        try:
-            rows.append(cache.as_of(s, horizon))
-        except UndefinedFeatureVector as exc:
-            result.exclusions.append((s.student_id, exc.reason))
-    if rows:
-        X = np.array([v.values for v in rows], dtype=np.float64)
+    tab = cache.table
+    si = np.array([tab.index[s.student_id] for s in enrolled], dtype=np.int64)
+    pick = tab.as_of(si, to_ordinal(horizon, tab.terms_per_year))
+    defined = pick.count > 0
+    result.exclusions = [(s.student_id, r) for s, r, ok in zip(enrolled, pick.reason.tolist(), defined) if not ok]
+    if defined.any():
+        X, _, rows = tab.take(pick.start[defined], pick.as_of)
         labels = predict(model, X)
-        result.predictions = [(v.student_id, int(lb)) for v, lb in zip(rows, labels)]
+        result.predictions = [(sid, int(lb)) for (sid, _), lb in zip(rows, labels)]
     return result
 
 

@@ -6,28 +6,25 @@ of each term. The canonical layout is the student's static attributes followed
 by five history aggregates; vectors over an empty history are undefined rather
 than zero-filled, and callers decide how to count the exclusion.
 
-The public vector functions build one vector from one student's running
-totals; they are the reference. `VectorCache` holds a whole cohort's vectors
-as one `VectorTable` of arrays, built on first use from the cohort's
-`CourseTable` columns: every defined as-of vector as a matrix row in
-(student id, as-of term) order, each student's rows contiguous. Choosing
-vectors is then index arithmetic over a population and copying them is one
-gather, and both paths compute each aggregate from the same `TIME_FEATURES`
-formulas over sums added in the same order.
+`VectorTable` is the one place vectors are computed: a cohort's vectors as
+arrays, built from the cohort's `CourseTable` columns, with every defined
+as-of vector as a matrix row in (student id, as-of term) order and each
+student's rows contiguous. Choosing vectors is then index arithmetic over a
+population and copying them is one gather. `VectorCache` holds a cohort's
+table, built on first use; the public vector functions answer for one student
+from a one-student table with the same picks.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .records import Cohort, CourseTable, EnrollmentStatus, StudentStructure
-from .terms import DEFAULT_TERMS_PER_YEAR, Term, from_ordinal, iter_terms, next_term, to_ordinal
+from .terms import DEFAULT_TERMS_PER_YEAR, Term, TermRange, from_ordinal, next_term, to_ordinal
 
 CANONICAL_TIME_FEATURES = (
     "completed_terms",
@@ -52,15 +49,15 @@ class UndefinedFeatureVector(Exception):
 
 
 class _Window(NamedTuple):
-    """The records before an as-of term, as floats: scalars for one vector,
-    arrays with one entry per vector for a table."""
+    """The records before each as-of term, as float arrays with one entry per
+    vector."""
 
-    terms: float  # distinct course terms
-    taken: float
-    failed: float
-    attendance: float  # sums added left to right from 0.0
-    score: float
-    elapsed: float  # as-of ordinal minus entrance ordinal
+    terms: np.ndarray  # distinct course terms
+    taken: np.ndarray
+    failed: np.ndarray
+    attendance: np.ndarray  # sums added left to right from 0.0
+    score: np.ndarray
+    elapsed: np.ndarray  # as-of ordinal minus entrance ordinal
 
 
 TIME_FEATURES = {
@@ -111,168 +108,6 @@ def student_label(s: StudentStructure) -> int | None:
     if s.status is EnrollmentStatus.GRADUATED:
         return 1
     return None
-
-
-def _spec_for(s: StudentStructure, spec: FeatureSetSpec | None) -> FeatureSetSpec:
-    if spec is not None:
-        return spec
-    return FeatureSetSpec(static_names=tuple(name for name, _ in s.static_attrs))
-
-
-@dataclass(frozen=True)
-class _Ledger:
-    """Running totals over one student's courses, one entry per distinct term.
-
-    Entry j covers the courses of the first j course terms, added left to
-    right, so a mean over the window before a term is bit-equal to
-    ``sum(window) / len(window)``.
-    """
-
-    student: StudentStructure
-    terms_per_year: int
-    entrance: int  # ordinal of the entrance term
-    terms: tuple[int, ...]  # distinct course-term ordinals, ascending
-    taken: tuple[int, ...]  # the four totals have len(terms) + 1 entries
-    failed: tuple[int, ...]
-    attendance: tuple[float, ...]
-    score: tuple[float, ...]
-
-    @staticmethod
-    def of(s: StudentStructure, terms_per_year: int) -> "_Ledger":
-        ords = [to_ordinal(c.term, terms_per_year) for c in s.courses]
-        n = len(ords)
-        ends = [0] + [k for k in range(1, n + 1) if k == n or ords[k] != ords[k - 1]]
-
-        def totals(items, start) -> tuple:
-            sums = list(accumulate(items, initial=start))
-            return tuple(sums[k] for k in ends)
-
-        return _Ledger(
-            student=s,
-            terms_per_year=terms_per_year,
-            entrance=to_ordinal(s.entrance, terms_per_year),
-            terms=tuple(ords[k - 1] for k in ends[1:]),
-            taken=tuple(ends),
-            failed=totals((c.result == 0 for c in s.courses), 0),
-            attendance=totals((c.attendance_pct for c in s.courses), 0.0),
-            score=totals((c.score for c in s.courses), 0.0),
-        )
-
-
-def _vector(led: _Ledger, as_of: Term, spec: FeatureSetSpec, empty_reason: str) -> FeatureVector:
-    """The vector over the records strictly before as_of; raises if there are none."""
-    s = led.student
-    o = to_ordinal(as_of, led.terms_per_year)
-    j = bisect_left(led.terms, o)
-    if j == 0:
-        raise UndefinedFeatureVector(s.student_id, empty_reason)
-    static = dict(s.static_attrs)
-    window = _Window(
-        terms=float(j),
-        taken=float(led.taken[j]),
-        failed=float(led.failed[j]),
-        attendance=led.attendance[j],
-        score=led.score[j],
-        elapsed=float(o - led.entrance),
-    )
-    values = [static[name] for name in spec.static_names]
-    values += [TIME_FEATURES[name](window) for name in spec.time_features]
-    return FeatureVector(
-        student_id=s.student_id,
-        as_of=as_of,
-        values=tuple(values),
-        label=student_label(s),
-    )
-
-
-def feature_vector(
-    s: StudentStructure,
-    t: Term,
-    spec: FeatureSetSpec | None = None,
-    terms_per_year: int = DEFAULT_TERMS_PER_YEAR,
-) -> FeatureVector:
-    """Vector as of the start of term t, over records in [entrance .. t).
-
-    t must lie strictly after the entrance term (an entrance-term vector would
-    have no history) and at most one term past the last recorded activity.
-    """
-    end = next_term(s.last, terms_per_year)
-    if t <= s.entrance or t > end:
-        raise FeatureWindowError(
-            f"student {s.student_id}: as-of term {t} outside ({s.entrance} .. {end}]"
-        )
-    return _vector(_Ledger.of(s, terms_per_year), t, _spec_for(s, spec), "empty_window")
-
-
-def vector_as_of(
-    s: StudentStructure,
-    t: Term,
-    spec: FeatureSetSpec | None = None,
-    terms_per_year: int = DEFAULT_TERMS_PER_YEAR,
-) -> FeatureVector:
-    """Reference-term vector: everything recorded before t, however old.
-
-    Unlike :func:`feature_vector` this accepts t past the student's final
-    activity, where the vector simply covers the full history. Used for test
-    rows pinned to a prediction term.
-    """
-    if t <= s.entrance:
-        raise UndefinedFeatureVector(s.student_id, "starts_at_reference_term")
-    return _vector(_Ledger.of(s, terms_per_year), t, _spec_for(s, spec), "no_records_before_reference")
-
-
-def vector_at_last(
-    s: StudentStructure,
-    spec: FeatureSetSpec | None = None,
-    terms_per_year: int = DEFAULT_TERMS_PER_YEAR,
-) -> FeatureVector:
-    """Vector at the start of the student's final active term.
-
-    Undefined for single-term students (their final term is the entrance term,
-    and entrance-term vectors are out of scope); signalled, not raised as a
-    crash, so callers can count the exclusion.
-    """
-    if s.last <= s.entrance:
-        raise UndefinedFeatureVector(s.student_id, "single_term_history")
-    return feature_vector(s, s.last, spec, terms_per_year)
-
-
-def vector_at_end(
-    s: StudentStructure,
-    spec: FeatureSetSpec | None = None,
-    terms_per_year: int = DEFAULT_TERMS_PER_YEAR,
-) -> FeatureVector:
-    """Vector one term past the final activity, i.e. over the complete history."""
-    end = next_term(s.last, terms_per_year)
-    return _vector(_Ledger.of(s, terms_per_year), end, _spec_for(s, spec), "no_course_records")
-
-
-def expand_history(
-    s: StudentStructure,
-    lo: Term,
-    hi: Term,
-    spec: FeatureSetSpec | None = None,
-    terms_per_year: int = DEFAULT_TERMS_PER_YEAR,
-) -> list[FeatureVector]:
-    """One vector per term in [lo .. hi], sharing the student's label.
-
-    lo is clamped up to the term after entrance (entrance-term vectors are out
-    of scope); terms whose window is still empty are skipped. An empty clamped
-    range yields an empty list.
-    """
-    end = next_term(s.last, terms_per_year)
-    if hi > end:
-        raise FeatureWindowError(f"student {s.student_id}: range end {hi} past {end}")
-    lo = max(lo, next_term(s.entrance, terms_per_year))
-    led = _Ledger.of(s, terms_per_year)
-    resolved = _spec_for(s, spec)
-    out = []
-    for t in iter_terms(lo, hi, terms_per_year):
-        try:
-            out.append(_vector(led, t, resolved, "empty_window"))
-        except UndefinedFeatureVector:
-            continue
-    return out
 
 
 class Pick(NamedTuple):
@@ -442,12 +277,12 @@ class VectorTable:
     # public functions where a vector is undefined.
 
     def at_end(self, si: np.ndarray) -> Pick:
-        """Full-history vectors, as `vector_at_end`."""
+        """Full-history vectors (`vector_at_end`)."""
         n = self.count[si]
         return Pick(self.first[si] + n - 1, np.minimum(n, 1), np.full(len(si), "no_course_records"))
 
     def at_last(self, si: np.ndarray) -> Pick:
-        """Vectors at the start of the final active term, as `vector_at_last`."""
+        """Vectors at the start of the final active term (`vector_at_last`)."""
         n = self.count[si]
         reason = np.where(self.last[si] <= self.entrance[si], "single_term_history", "empty_window")
         return Pick(self.first[si] + n - 2, (n >= 2).astype(np.int64), reason)
@@ -458,7 +293,7 @@ class VectorTable:
         return Pick(self.first[si], np.maximum(n - 1, 0), np.full(len(si), "single_term_history"))
 
     def as_of(self, si: np.ndarray, o: int) -> Pick:
-        """Vectors over everything before o, as `vector_as_of`."""
+        """Vectors over everything before o (`vector_as_of`)."""
         n = self.count[si]
         i = np.minimum(n - 2 + (o - self.last[si]), n - 1)  # past the end: the full history
         reason = np.where(o <= self.entrance[si], "starts_at_reference_term", "no_records_before_reference")
@@ -485,45 +320,133 @@ class VectorCache:
     """A cohort's vectors for repeated split construction.
 
     The `VectorTable` is built once, on first use, so replaying a split
-    rebuilds byte-identical datasets without recomputing histories. The
-    accessors return `FeatureVector`s built from its rows, equal to what the
-    public functions return, and raise the same `UndefinedFeatureVector`.
+    rebuilds byte-identical datasets without recomputing histories.
     """
 
     def __init__(self, cohort: Cohort, spec: FeatureSetSpec | None = None) -> None:
         self.cohort = cohort
         self.spec = spec if spec is not None else FeatureSetSpec.for_cohort(cohort)
-        self.terms_per_year = cohort.terms_per_year
 
     @cached_property
     def table(self) -> VectorTable:
         return VectorTable.of(self.cohort, self.spec)
 
-    def _vectors(self, pick: Pick) -> tuple[FeatureVector, ...]:
-        start, count = int(pick.start[0]), int(pick.count[0])
-        X, labels, rows = self.table.take(np.arange(start, start + count), pick.as_of)
-        return tuple(
-            FeatureVector(sid, as_of, tuple(values), None if label < 0 else label)
-            for (sid, as_of), values, label in zip(rows, X.tolist(), labels.tolist())
+
+# The public vector functions answer for one student from the student's own
+# one-student table, with the picks a split uses.
+
+
+def _student_table(s: StudentStructure, spec: FeatureSetSpec | None, terms_per_year: int) -> VectorTable:
+    cohort = Cohort((s,), TermRange(s.entrance, next_term(s.last, terms_per_year)), terms_per_year)
+    return VectorTable.of(cohort, spec or FeatureSetSpec.for_cohort(cohort))
+
+
+def _feature_vectors(tab: VectorTable, idx: np.ndarray, as_of: int | None = None) -> list[FeatureVector]:
+    X, labels, rows = tab.take(idx, as_of)
+    return [
+        FeatureVector(sid, t, tuple(values), None if label < 0 else label)
+        for (sid, t), values, label in zip(rows, X.tolist(), labels.tolist())
+    ]
+
+
+def _one(
+    s: StudentStructure,
+    spec: FeatureSetSpec | None,
+    terms_per_year: int,
+    choose: Callable[[VectorTable, np.ndarray], Pick],
+    reason: str | None = None,
+) -> FeatureVector:
+    """The vector choose picks from the student's table. Where there is none,
+    raises with the pick's reason, or with reason when given."""
+    tab = _student_table(s, spec, terms_per_year)
+    pick = choose(tab, np.zeros(1, dtype=np.int64))
+    if not pick.count[0]:
+        raise UndefinedFeatureVector(s.student_id, reason or str(pick.reason[0]))
+    return _feature_vectors(tab, pick.start, pick.as_of)[0]
+
+
+def feature_vector(
+    s: StudentStructure,
+    t: Term,
+    spec: FeatureSetSpec | None = None,
+    terms_per_year: int = DEFAULT_TERMS_PER_YEAR,
+) -> FeatureVector:
+    """Vector as of the start of term t, over records in [entrance .. t).
+
+    t must lie strictly after the entrance term (an entrance-term vector would
+    have no history) and at most one term past the last recorded activity.
+    """
+    end = next_term(s.last, terms_per_year)
+    if t <= s.entrance or t > end:
+        raise FeatureWindowError(
+            f"student {s.student_id}: as-of term {t} outside ({s.entrance} .. {end}]"
         )
+    o = to_ordinal(t, terms_per_year)
+    return _one(s, spec, terms_per_year, lambda tab, si: tab.as_of(si, o), "empty_window")
 
-    def _one(self, s: StudentStructure, pick: Pick) -> FeatureVector:
-        if not pick.count[0]:
-            raise UndefinedFeatureVector(s.student_id, str(pick.reason[0]))
-        return self._vectors(pick)[0]
 
-    def _position(self, s: StudentStructure) -> np.ndarray:
-        return np.array([self.table.index[s.student_id]])
+def vector_as_of(
+    s: StudentStructure,
+    t: Term,
+    spec: FeatureSetSpec | None = None,
+    terms_per_year: int = DEFAULT_TERMS_PER_YEAR,
+) -> FeatureVector:
+    """Reference-term vector: everything recorded before t, however old.
 
-    def at_end(self, s: StudentStructure) -> FeatureVector:
-        return self._one(s, self.table.at_end(self._position(s)))
+    Unlike :func:`feature_vector` this accepts t past the student's final
+    activity, where the vector simply covers the full history. Used for test
+    rows pinned to a prediction term.
+    """
+    if t <= s.entrance:
+        raise UndefinedFeatureVector(s.student_id, "starts_at_reference_term")
+    o = to_ordinal(t, terms_per_year)
+    return _one(s, spec, terms_per_year, lambda tab, si: tab.as_of(si, o))
 
-    def at_last(self, s: StudentStructure) -> FeatureVector:
-        return self._one(s, self.table.at_last(self._position(s)))
 
-    def history(self, s: StudentStructure) -> tuple[FeatureVector, ...]:
-        """Vectors for every term from just after entrance through the final one."""
-        return self._vectors(self.table.history(self._position(s)))
+def vector_at_last(
+    s: StudentStructure,
+    spec: FeatureSetSpec | None = None,
+    terms_per_year: int = DEFAULT_TERMS_PER_YEAR,
+) -> FeatureVector:
+    """Vector at the start of the student's final active term.
 
-    def as_of(self, s: StudentStructure, t: Term) -> FeatureVector:
-        return self._one(s, self.table.as_of(self._position(s), to_ordinal(t, self.terms_per_year)))
+    Undefined for single-term students (their final term is the entrance term,
+    and entrance-term vectors are out of scope); signalled, not raised as a
+    crash, so callers can count the exclusion.
+    """
+    return _one(s, spec, terms_per_year, VectorTable.at_last)
+
+
+def vector_at_end(
+    s: StudentStructure,
+    spec: FeatureSetSpec | None = None,
+    terms_per_year: int = DEFAULT_TERMS_PER_YEAR,
+) -> FeatureVector:
+    """Vector one term past the final activity, i.e. over the complete history."""
+    return _one(s, spec, terms_per_year, VectorTable.at_end)
+
+
+def expand_history(
+    s: StudentStructure,
+    lo: Term,
+    hi: Term,
+    spec: FeatureSetSpec | None = None,
+    terms_per_year: int = DEFAULT_TERMS_PER_YEAR,
+) -> list[FeatureVector]:
+    """One vector per term in [lo .. hi], sharing the student's label.
+
+    lo is clamped up to the term after entrance (entrance-term vectors are out
+    of scope); terms whose window is still empty are skipped. An empty clamped
+    range yields an empty list.
+    """
+    end = next_term(s.last, terms_per_year)
+    if hi > end:
+        raise FeatureWindowError(f"student {s.student_id}: range end {hi} past {end}")
+    tab = _student_table(s, spec, terms_per_year)
+    # The rows run as of consecutive terms from just after the first course
+    # term, which is at or after entrance, so the clamp holds by itself.
+    n = int(tab.count[0])
+    first_as_of = int(tab.last[0]) + 2 - n
+    lo_row = max(to_ordinal(lo, terms_per_year) - first_as_of, 0)
+    hi_row = min(to_ordinal(hi, terms_per_year) - first_as_of + 1, n)
+    return _feature_vectors(tab, np.arange(lo_row, hi_row))

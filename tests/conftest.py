@@ -4,7 +4,7 @@ import pytest
 
 from dropsplit.records import Cohort, CourseRecord, EnrollmentStatus, StudentStructure
 from dropsplit.synthgen import GeneratorConfig, generate
-from dropsplit.terms import Term, TermRange
+from dropsplit.terms import DEFAULT_TERMS_PER_YEAR, Term, TermRange, term_distance
 
 ATTRS = (("entrance_age", 18.0), ("sex_code", 1.0), ("degree_code", 2.0))
 
@@ -29,6 +29,24 @@ def make_student(
         exit_term=Term(*exit_term) if exit_term else None,
         courses=tuple(sorted(courses, key=lambda c: (c.term.year, c.term.index))),
     )
+
+
+def naive_values(s, t, spec, terms_per_year=DEFAULT_TERMS_PER_YEAR):
+    """Reference vector values as of t: filter the window, then apply sum and
+    len; None when the window is empty. Independent of `VectorTable`."""
+    window = [c for c in s.courses if c.term < t]
+    if not window:
+        return None
+    aggregates = {
+        "completed_terms": float(len({c.term for c in window})),
+        "courses_taken": float(len(window)),
+        "courses_failed": float(sum(1 for c in window if c.result == 0)),
+        "mean_attendance": sum(c.attendance_pct for c in window) / len(window),
+        "mean_score": sum(c.score for c in window) / len(window),
+        "elapsed_terms": float(term_distance(s.entrance, t, terms_per_year)),
+    }
+    static = dict(s.static_attrs)
+    return tuple(static[n] for n in spec.static_names) + tuple(aggregates[n] for n in spec.time_features)
 
 
 @pytest.fixture

@@ -85,6 +85,8 @@ class TestGenerate:
             ("degree_count=0", "error: degree_count must be >= 1, got 0"),
             ("score_base=nan", "error: score_base must be finite, got nan"),
             ("attendance_noise_std=inf", "error: attendance_noise_std must be finite, got inf"),
+            ("intake_per_trem=5", "error [config]: unknown generator config key 'intake_per_trem'"),
+            ("max_terms=14", "error [config]: unknown generator config key 'max_terms'"),
         ],
     )
     def test_bad_setting_exits_1_naming_it(self, tmp_path, line, message, capsys):

@@ -10,6 +10,7 @@ from dropsplit.config import (
     load_kv,
     split_seed_from,
 )
+from dropsplit.terms import Term
 
 RANGE = "range_start=2009.1\nrange_end=2012.2\n"
 
@@ -74,6 +75,48 @@ class TestGeneratorSeed:
 
     def test_64_bit_extremes_accepted(self, tmp_path):
         assert generator_config_from(kv_from(tmp_path, RANGE + f"seed={2**64 - 1}\n")).seed == 2**64 - 1
+
+
+class TestGeneratorKeys:
+    @pytest.mark.parametrize("key", ["intake_per_trem", "max_terms", "score_behind_drop", "students"])
+    def test_unread_key_names_it(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=f"^unknown generator config key '{key}'$"):
+            generator_config_from(kv_from(tmp_path, RANGE + f"{key}=5\n"))
+
+    def test_regime_shift_without_term_is_refused(self, tmp_path):
+        with pytest.raises(ConfigError, match="^key 'regime_change_shift' needs a regime_change_term$"):
+            generator_config_from(kv_from(tmp_path, RANGE + "regime_change_shift=0.5\n"))
+
+    def test_every_readable_key_is_read(self, tmp_path):
+        kv = kv_from(
+            tmp_path,
+            RANGE + "seed=3\nterms_per_year=2\nintake_per_term=7\ndegree_count=2\nscore_base=5.5\n"
+            "regime_change_term=2010.2\nregime_change_shift=0.5\n",
+        )
+        cfg = generator_config_from(kv)
+        assert (cfg.seed, cfg.intake_per_term, cfg.degree_count, cfg.score_base) == (3, 7, 2, 5.5)
+        assert (cfg.regime_change.term, cfg.regime_change.hazard_shift) == (Term(2010, 2), 0.5)
+
+
+class TestAttrCodes:
+    def write(self, tmp_path, text):
+        path = tmp_path / "codes.csv"
+        path.write_text(text, encoding="utf-8")
+        return ingest_config_from({"range_start": "2009.1", "range_end": "2012.2", "attr_codes": str(path)}), path
+
+    def test_codes_are_read(self, tmp_path):
+        cfg, _ = self.write(tmp_path, "attribute,value,code\nsex,F,0\nsex,M,1\n")
+        assert cfg.attr_codes == {"sex": {"F": 0, "M": 1}}
+
+    def test_missing_column_names_file_and_row(self, tmp_path):
+        with pytest.raises(ConfigError) as exc:
+            self.write(tmp_path, "attribute,value\nsex,F\n")
+        assert str(exc.value) == f"{tmp_path / 'codes.csv'}: row 1: missing column 'code'"
+
+    def test_non_integer_code_names_file_and_row(self, tmp_path):
+        with pytest.raises(ConfigError) as exc:
+            self.write(tmp_path, "attribute,value,code\nsex,F,0\nsex,M,x\n")
+        assert str(exc.value) == f"{tmp_path / 'codes.csv'}: row 3: column 'code' has non-integer value 'x'"
 
 
 class TestClassifierParameters:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from dropsplit import evaluation
@@ -15,10 +16,12 @@ from dropsplit.evaluation import (
     run_grid,
     score_points,
 )
-from dropsplit.features import VectorCache
-from dropsplit.records import subset_enrolled, subset_exited_before, subset_exited_from
-from dropsplit.splits import SplitApproach, SplitRequest, build_split
-from dropsplit.terms import Term, iter_terms
+from dropsplit.features import CANONICAL_TIME_FEATURES, FeatureSetSpec, VectorCache
+from dropsplit.records import Cohort, subset_enrolled, subset_exited_before, subset_exited_from
+from dropsplit.splits import SplitApproach, SplitRequest, apply_rule, build_split
+from dropsplit.terms import Term, TermRange, iter_terms
+
+from conftest import course, make_student, naive_values
 
 FAST_SPECS = [
     ClassifierSpec(kind="decision_tree", max_depth=6, label="decision_tree"),
@@ -298,6 +301,67 @@ class TestPredictEnrolled:
         a = predict_enrolled(medium_synth, spec, SplitApproach.B4T)
         b = predict_enrolled(medium_synth, spec, SplitApproach.B4T)
         assert a.predictions == b.predictions
+
+    def test_matches_naive_vectors_at_the_horizon(self, medium_synth, monkeypatch):
+        """The enrolled students' matrix is the naive reference vectors at the
+        horizon, elapsed terms included, in cohort order, and the predictions
+        are the model's on it; exclusions are the enrolled students without
+        such a vector, in cohort order, with their reasons."""
+        features = FeatureSetSpec(medium_synth.static_attr_names, CANONICAL_TIME_FEATURES + ("elapsed_terms",))
+        clf = ClassifierSpec(kind="gaussian_nb")
+        matrices = []
+        monkeypatch.setattr(evaluation, "predict", lambda model, X: matrices.append(X) or predict(model, X))
+        result = predict_enrolled(medium_synth, clf, SplitApproach.B4T, feature_spec=features)
+        horizon = medium_synth.range.hi
+        rows, exclusions = [], []
+        for s in subset_enrolled(medium_synth, horizon):
+            values = naive_values(s, horizon, features)
+            if s.entrance >= horizon:
+                exclusions.append((s.student_id, "starts_at_reference_term"))
+            elif values is None:
+                exclusions.append((s.student_id, "no_records_before_reference"))
+            else:
+                rows.append((s.student_id, values))
+        assert rows and exclusions
+        X = np.array([values for _, values in rows], dtype=np.float64)
+        (got,) = matrices
+        assert got.shape == X.shape and got.tobytes() == X.tobytes()
+        exited = subset_exited_before(medium_synth, horizon) + subset_exited_from(medium_synth, horizon)
+        train = apply_rule(SplitApproach.B4T, "train", exited, horizon, VectorCache(medium_synth, features))
+        labels = predict(fit(clf, train), X)
+        assert result.predictions == [(sid, int(label)) for (sid, _), label in zip(rows, labels)]
+        assert result.exclusions == exclusions
+
+    def test_stage_order_and_elapsed_terms_on_a_small_cohort(self, monkeypatch):
+        # "a" exits at the horizon and "b" long before it; both have one term
+        # of history, so B4T cannot train on either. "f" stopped attending
+        # four terms before the horizon, so its elapsed terms are the
+        # horizon's, not its last row's.
+        students = [
+            make_student("a", (2014, 2), "dropout", (2014, 2), [course(2014, 2, 3.0, 50.0, 0)]),
+            make_student("b", (2012, 1), "dropout", (2012, 1), [course(2012, 1, 2.0, 40.0, 0)]),
+            make_student("c", (2012, 1), "graduated", (2013, 2), [course(2012, 1, 8.0, 90.0, 1), course(2013, 1, 7.0, 80.0, 1)]),
+            make_student("d", (2012, 1), "dropout", (2013, 1), [course(2012, 1, 3.0, 60.0, 0), course(2012, 2, 2.0, 50.0, 0)]),
+            make_student("e", (2013, 1), "enrolled", None, [course(2013, 1, 6.0, 80.0, 1), course(2014, 1, 7.0, 85.0, 1)]),
+            make_student("f", (2012, 2), "enrolled", None, [course(2012, 2, 5.0, 70.0, 1)]),
+            make_student("g", (2014, 2), "enrolled", None, []),
+            make_student("h", (2013, 2), "enrolled", None, []),
+        ]
+        cohort = Cohort(tuple(students), TermRange(Term(2012, 1), Term(2014, 2)))
+        features = FeatureSetSpec.for_cohort(cohort, CANONICAL_TIME_FEATURES + ("elapsed_terms",))
+        matrices = []
+        monkeypatch.setattr(evaluation, "predict", lambda model, X: matrices.append(X) or predict(model, X))
+        result = predict_enrolled(cohort, ClassifierSpec(kind="gaussian_nb"), SplitApproach.B4T, features)
+        assert [(e.student_id, e.reason) for e in result.train_exclusions] == [
+            ("b", "single_term_history"),
+            ("a", "single_term_history"),
+        ]
+        assert [sid for sid, _ in result.predictions] == ["e", "f"]
+        assert result.exclusions == [("g", "starts_at_reference_term"), ("h", "no_records_before_reference")]
+        (X,) = matrices
+        expected = [naive_values(cohort.student(sid), Term(2014, 2), features) for sid in "ef"]
+        assert X.tolist() == [list(values) for values in expected]
+        assert X[1, -1] == 4.0
 
 
 class TestRenderReport:

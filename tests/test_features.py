@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,9 +18,9 @@ from dropsplit.features import (
     vector_at_last,
 )
 from dropsplit.records import Cohort, CourseRecord, EnrollmentStatus, StudentStructure
-from dropsplit.terms import Term, TermRange, iter_terms, next_term, prev_term, term_distance
+from dropsplit.terms import Term, TermRange, iter_terms, next_term, prev_term, term_distance, to_ordinal
 
-from conftest import ATTRS, course, make_student
+from conftest import ATTRS, course, make_student, naive_values
 
 STATIC = (18.0, 1.0, 2.0)
 
@@ -223,29 +224,28 @@ def test_windows_nest(student):
     assert series == sorted(series)
 
 
-def naive_values(s, t, spec):
-    """Reference vector values: filter the window, then apply sum and len."""
-    window = [c for c in s.courses if c.term < t]
-    if not window:
-        return None
-    aggregates = {
-        "completed_terms": float(len({c.term for c in window})),
-        "courses_taken": float(len(window)),
-        "courses_failed": float(sum(1 for c in window if c.result == 0)),
-        "mean_attendance": sum(c.attendance_pct for c in window) / len(window),
-        "mean_score": sum(c.score for c in window) / len(window),
-        "elapsed_terms": float(term_distance(s.entrance, t)),
-    }
-    static = dict(s.static_attrs)
-    return tuple(static[n] for n in spec.static_names) + tuple(aggregates[n] for n in spec.time_features)
-
-
 def outcome(build, *args):
     """A vector's values, or the reason it is undefined."""
     try:
         return build(*args).values
     except UndefinedFeatureVector as exc:
         return exc.reason
+
+
+def fields(v):
+    return (v.student_id, v.as_of, v.values, v.label)
+
+
+def table_vectors(tab, pick):
+    """The fields of each row a table pick chose for its first student."""
+    start, count = int(pick.start[0]), int(pick.count[0])
+    X, y, rows = tab.take(np.arange(start, start + count), pick.as_of)
+    return [(sid, t, tuple(v), None if lb < 0 else lb) for (sid, t), v, lb in zip(rows, X.tolist(), y.tolist())]
+
+
+def table_outcome(tab, pick):
+    """The values of the one vector a table pick chose, or the reason it is undefined."""
+    return table_vectors(tab, pick)[0][2] if pick.count[0] else str(pick.reason[0])
 
 
 FULL_SPEC = FeatureSetSpec(
@@ -257,7 +257,8 @@ FULL_SPEC = FeatureSetSpec(
 @settings(max_examples=60, deadline=None)
 @given(random_students(), st.integers(0, 2))
 def test_vectors_match_naive_reference(drawn, gap):
-    """Every entry point, and the cache, equals the naive window computation.
+    """Every entry point, and the cohort table's picks, equal the naive window
+    computation.
 
     The entrance moves back by `gap` terms so some windows after entrance are
     empty. As-of terms run from entrance through two terms past the end.
@@ -275,12 +276,13 @@ def test_vectors_match_naive_reference(drawn, gap):
     )
     end = next_term(s.last)
     cohort = Cohort(students=(s,), range=TermRange(entrance, end))
-    cache = VectorCache(cohort, FULL_SPEC)
+    tab = VectorCache(cohort, FULL_SPEC).table
+    only = np.zeros(1, dtype=np.int64)
     for t in iter_terms(entrance, next_term(next_term(end))):
         expected = naive_values(s, t, FULL_SPEC)
         as_of = "starts_at_reference_term" if t <= entrance else expected or "no_records_before_reference"
         assert outcome(vector_as_of, s, t, FULL_SPEC) == as_of
-        assert outcome(cache.as_of, s, t) == as_of
+        assert table_outcome(tab, tab.as_of(only, to_ordinal(t))) == as_of
         if entrance < t <= end:
             assert outcome(feature_vector, s, t, FULL_SPEC) == (expected or "empty_window")
         else:
@@ -288,13 +290,13 @@ def test_vectors_match_naive_reference(drawn, gap):
                 feature_vector(s, t, FULL_SPEC)
     at_end = naive_values(s, end, FULL_SPEC) or "no_course_records"
     assert outcome(vector_at_end, s, FULL_SPEC) == at_end
-    assert outcome(cache.at_end, s) == at_end
+    assert table_outcome(tab, tab.at_end(only)) == at_end
     at_last = "single_term_history" if s.last <= entrance else naive_values(s, s.last, FULL_SPEC) or "empty_window"
     assert outcome(vector_at_last, s, FULL_SPEC) == at_last
-    assert outcome(cache.at_last, s) == at_last
+    assert table_outcome(tab, tab.at_last(only)) == at_last
     history = [v for t in iter_terms(next_term(entrance), s.last) if (v := naive_values(s, t, FULL_SPEC))]
     assert [v.values for v in expand_history(s, entrance, s.last, FULL_SPEC)] == history
-    assert [v.values for v in cache.history(s)] == history
+    assert [values for _, _, values, _ in table_vectors(tab, tab.history(only))] == history
 
 
 class TestSpecAndCache:
@@ -309,22 +311,24 @@ class TestSpecAndCache:
 
     def test_cache_matches_direct_computation(self, tiny_cohort):
         cache = VectorCache(tiny_cohort)
-        spec = cache.spec
-        for s in tiny_cohort.students:
+        tab, spec = cache.table, cache.spec
+        for k, s in enumerate(tiny_cohort.students):
+            si = np.array([k])
             if s.last > s.entrance:
-                assert cache.at_last(s) == vector_at_last(s, spec)
+                assert table_vectors(tab, tab.at_last(si)) == [fields(vector_at_last(s, spec))]
             if not s.inactive:
-                assert cache.at_end(s) == vector_at_end(s, spec)
-                assert cache.history(s) == tuple(
-                    expand_history(s, next_term(s.entrance), s.last, spec)
-                )
+                assert table_vectors(tab, tab.at_end(si)) == [fields(vector_at_end(s, spec))]
+                assert table_vectors(tab, tab.history(si)) == [
+                    fields(v) for v in expand_history(s, next_term(s.entrance), s.last, spec)
+                ]
 
     def test_cache_replays_undefined_outcomes(self, tiny_cohort):
         cache = VectorCache(tiny_cohort)
-        gina = tiny_cohort.student("gina")
+        gina = np.array([cache.table.index["gina"]])
         for _ in range(2):
-            with pytest.raises(UndefinedFeatureVector):
-                cache.at_end(gina)
+            pick = cache.table.at_end(gina)
+            assert table_vectors(cache.table, pick) == []
+            assert pick.reason[0] == "no_course_records"
 
     def test_for_cohort_uses_cohort_attr_names(self, tiny_cohort):
         spec = FeatureSetSpec.for_cohort(tiny_cohort)

@@ -9,13 +9,10 @@ from hypothesis import given, settings, strategies as st
 from dropsplit.features import (
     CANONICAL_TIME_FEATURES,
     FeatureSetSpec,
+    FeatureVector,
     UndefinedFeatureVector,
     VectorCache,
-    expand_history,
-    feature_vector,
-    vector_as_of,
-    vector_at_end,
-    vector_at_last,
+    student_label,
 )
 from dropsplit.records import Cohort, CourseRecord, subset_exited_before, subset_exited_from, truncate_records
 from dropsplit.rng import Xoshiro256StarStar
@@ -35,9 +32,9 @@ from dropsplit.splits import (
     split_B3T,
     split_B4T,
 )
-from dropsplit.terms import Term, TermRange, from_ordinal, iter_terms, term_distance, to_ordinal
+from dropsplit.terms import Term, TermRange, from_ordinal, iter_terms, next_term, term_distance, to_ordinal
 
-from conftest import make_student
+from conftest import make_student, naive_values
 
 T_MID = Term(2012, 1)
 
@@ -71,14 +68,14 @@ class TestSplitA:
         assert a[0].student_ids != b[0].student_ids
 
     def test_rows_use_full_history_vectors(self, medium_synth):
-        cache = VectorCache(medium_synth)
+        spec = FeatureSetSpec.for_cohort(medium_synth)
         train, test = split_A(medium_synth, T_MID, seed=5)
         by_id = {s.student_id: s for s in medium_synth.students}
         for ds in (train, test):
             for i, (sid, as_of) in enumerate(ds.rows):
-                expected = cache.at_end(by_id[sid])
-                assert as_of == expected.as_of
-                assert tuple(ds.X[i]) == expected.values
+                end = next_term(by_id[sid].last)
+                assert as_of == end
+                assert tuple(ds.X[i]) == naive_values(by_id[sid], end, spec)
 
     def test_train_membership_frequency_is_uniform(self, tiny_cohort):
         # 5 exited students at 2014.1, train side picks 3, so every student
@@ -135,13 +132,13 @@ class TestSplitB2:
             assert reasons == {"single_term_history"}
 
     def test_rows_match_per_student_recomputation(self, medium_synth):
+        spec = FeatureSetSpec.for_cohort(medium_synth)
         train, test = split_B2(medium_synth, T_MID)
         by_id = {s.student_id: s for s in medium_synth.students}
         for ds in (train, test):
             for i, (sid, as_of) in enumerate(ds.rows):
-                expected = vector_at_last(by_id[sid])
-                assert as_of == expected.as_of
-                assert tuple(ds.X[i]) == expected.values
+                assert as_of == by_id[sid].last
+                assert tuple(ds.X[i]) == naive_values(by_id[sid], as_of, spec)
 
     def test_test_rows_can_use_post_reference_records(self, medium_synth):
         # The documented leak: a student still active at T contributes a test
@@ -220,11 +217,11 @@ class TestSplitB4T:
         b4t_train, _ = split_B4T(medium_synth, T_MID)
         extra = set(b4t_train.rows) - set(b3t_train.rows)
         by_id = {s.student_id: s for s in medium_synth.students}
+        spec = FeatureSetSpec.for_cohort(medium_synth)
         values = {row: tuple(b4t_train.X[i]) for i, row in enumerate(b4t_train.rows)}
         for sid, as_of in extra:
-            expected = vector_at_end(by_id[sid])
-            assert as_of == expected.as_of
-            assert values[(sid, as_of)] == expected.values
+            assert as_of == next_term(by_id[sid].last)
+            assert values[(sid, as_of)] == naive_values(by_id[sid], as_of, spec)
 
     def test_test_identical_to_b2t(self, medium_synth):
         _, b2t_test = split_B2T(medium_synth, T_MID)
@@ -249,15 +246,16 @@ class TestCrossCutting:
         assert train.student_ids <= before
         assert test.student_ids <= onward
         by_id = {s.student_id: s for s in medium_synth.students}
+        spec = FeatureSetSpec.for_cohort(medium_synth)
         # as-of rule per approach, recomputed independently per row
         for i, (sid, as_of) in enumerate(train.rows):
             s = by_id[sid]
             if approach is SplitApproach.B1:
-                assert tuple(train.X[i]) == vector_at_end(s).values
+                assert tuple(train.X[i]) == naive_values(s, next_term(s.last), spec)
             elif approach in (SplitApproach.B2, SplitApproach.B2T):
-                assert tuple(train.X[i]) == vector_at_last(s).values
+                assert tuple(train.X[i]) == naive_values(s, s.last, spec)
             else:
-                assert tuple(train.X[i]) == feature_vector(s, as_of).values
+                assert tuple(train.X[i]) == naive_values(s, as_of, spec)
 
     @pytest.mark.parametrize("approach", list(SplitApproach))
     def test_rows_sorted_by_student_then_term(self, medium_synth, approach):
@@ -307,25 +305,41 @@ def test_split_request_rejects_seed_outside_64_bits():
 
 # --- the per-vector path the row-index path replaced, kept as the reference ---
 #
-# Each rule returns FeatureVectors from the public vector functions, one
-# student at a time; rows are sorted by (student id, as-of ordinal) and copied
-# one vector at a time.
+# Each rule returns FeatureVectors from the naive filter-then-sum reference,
+# one student at a time, with the reason codes of the public vector functions;
+# rows are sorted by (student id, as-of ordinal) and copied one vector at a
+# time.
+
+
+def _ref_vector(s, t, spec, tpy, reason):
+    values = naive_values(s, t, spec, tpy)
+    if values is None:
+        raise UndefinedFeatureVector(s.student_id, reason)
+    return FeatureVector(s.student_id, t, values, student_label(s))
 
 
 def _ref_final(s, t, spec, tpy):
-    return (vector_at_end(s, spec, tpy),)
+    return (_ref_vector(s, next_term(s.last, tpy), spec, tpy, "no_course_records"),)
 
 
 def _ref_last(s, t, spec, tpy):
-    return (vector_at_last(s, spec, tpy),)
+    if s.last <= s.entrance:
+        raise UndefinedFeatureVector(s.student_id, "single_term_history")
+    return (_ref_vector(s, s.last, spec, tpy, "empty_window"),)
 
 
 def _ref_reference(s, t, spec, tpy):
-    return (vector_as_of(s, t, spec, tpy),)
+    if t <= s.entrance:
+        raise UndefinedFeatureVector(s.student_id, "starts_at_reference_term")
+    return (_ref_vector(s, t, spec, tpy, "no_records_before_reference"),)
 
 
 def _ref_expanded(s, t, spec, tpy):
-    history = tuple(expand_history(s, s.entrance, s.last, spec, tpy))
+    history = tuple(
+        FeatureVector(s.student_id, u, values, student_label(s))
+        for u in iter_terms(next_term(s.entrance, tpy), s.last, tpy)
+        if (values := naive_values(s, u, spec, tpy)) is not None
+    )
     if not history:
         raise UndefinedFeatureVector(s.student_id, "single_term_history")
     return history
