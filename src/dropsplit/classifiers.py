@@ -15,13 +15,16 @@ The hot paths are batched without changing any result. The decision tree
 presorts each feature once per fit and stable-partitions the sorted rows at
 each split. The trees of a forest grow in lockstep, one node of many trees
 per byte-bounded step, each tree still drawing from its own stream in its own
-depth-first order, so the forest is the one grown tree by tree. A forest node
-is a segment of its tree's row permutation, split in place; a step gathers
-its rows feature by feature and compares them only on the features each node
-chose. Trees predict by array descent, all rows one level per step. KNN
-builds squared distances one feature column at a time, summed in numpy's own
-pairwise order, finds the k-th distance by partition rather than a full sort,
-then fills ties at that distance in training-row order.
+depth-first order, so the forest is the one grown tree by tree; `fit_each`
+grows the forests of several training sets in one such pass, one lane per
+tree of every forest. A forest node is a segment of its tree's row
+permutation, split in place; a step gathers its rows feature by feature,
+makes its lanes' draws as arrays, and compares the rows only on the features
+each node chose. Fitted trees are flat node arrays, and they predict by array
+descent, all rows one level per step. KNN builds squared distances one
+feature column at a time, summed in numpy's own pairwise order, finds the
+k-th distance by partition rather than a full sort, then fills ties at that
+distance in training-row order.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import XoshiroLanes, check_seed, derive_seed
+from .rng import LaneDraws, check_seed, derive_seed
 from .splits import LabeledDataset
 
 KINDS = ("decision_tree", "extra_trees", "knn", "gaussian_nb")
@@ -89,13 +92,22 @@ class TrainedModel:
 _LEAF = -1
 
 
-@dataclass
-class _Node:
-    feature: int = _LEAF
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    prob1: float = 0.0
+@dataclass(eq=False)
+class _Trees:
+    """Fitted trees, their nodes laid end to end as arrays.
+
+    Node i is a leaf when ``feature[i]`` is -1; otherwise rows whose value of
+    ``feature[i]`` is at most ``threshold[i]`` go to node ``left[i]``, the
+    others to node ``left[i] + 1``. ``prob1[i]`` is the class-1 share of its
+    training rows. Tree t's nodes follow its root, node ``roots[t]``, in the
+    order its splits made them.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    prob1: np.ndarray
+    roots: np.ndarray
 
 
 def _gini_cost(n_left, n1_left, n_right, n1_right):
@@ -108,7 +120,7 @@ def _gini_cost(n_left, n1_left, n_right, n1_right):
     return (n_left * gini_l + n_right * gini_r) / n
 
 
-def _grow_decision_tree(Z, y, max_depth, min_samples_split) -> list[_Node]:
+def _grow_decision_tree(Z, y, max_depth, min_samples_split) -> _Trees:
     """CART growth over presorted rows; rows with value <= threshold go left.
 
     Each feature is stable-argsorted once per fit. A node holds its rows as an
@@ -120,15 +132,14 @@ def _grow_decision_tree(Z, y, max_depth, min_samples_split) -> list[_Node]:
     numbered left then right and grown depth first, right child first.
     """
     ZT = np.ascontiguousarray(Z.T)
-    nodes = [_Node()]
+    nodes = [[_LEAF, 0.0, _LEAF, 0.0]]  # feature, threshold, left child, prob1
     stack = [(0, np.argsort(ZT, axis=1, kind="stable"), 0)]
     goes_left = np.empty(len(y), dtype=bool)
     while stack:
         nid, order, depth = stack.pop()
-        node = nodes[nid]
         size = order.shape[1]
         ones = int(y[order[0]].sum())
-        node.prob1 = ones / size
+        nodes[nid][3] = ones / size
         if ones == 0 or ones == size:
             continue
         if size < min_samples_split or (max_depth is not None and depth >= max_depth):
@@ -149,39 +160,28 @@ def _grow_decision_tree(Z, y, max_depth, min_samples_split) -> list[_Node]:
         left_size = int(np.count_nonzero(mask[0]))
         if left_size == 0 or left_size == size:
             continue
-        node.feature, node.threshold = f, thr
-        node.left, node.right = len(nodes), len(nodes) + 1
-        nodes.append(_Node())
-        nodes.append(_Node())
-        stack.append((node.left, order[mask].reshape(-1, left_size), depth + 1))
-        stack.append((node.right, order[~mask].reshape(-1, size - left_size), depth + 1))
-    return nodes
+        nodes[nid][:3] = f, thr, len(nodes)
+        stack.append((len(nodes), order[mask].reshape(-1, left_size), depth + 1))
+        stack.append((len(nodes) + 1, order[~mask].reshape(-1, size - left_size), depth + 1))
+        nodes += [[_LEAF, 0.0, _LEAF, 0.0], [_LEAF, 0.0, _LEAF, 0.0]]
+    return _Trees(*map(np.array, zip(*nodes)), roots=np.zeros(1, dtype=np.int64))
 
 
-def _prob1_by_tree(trees: list[list[_Node]], Z: np.ndarray) -> np.ndarray:
+def _prob1_by_tree(trees: _Trees, Z: np.ndarray) -> np.ndarray:
     """Every tree's class-1 score for every row, shape (trees, rows).
 
-    The trees' nodes are laid end to end as arrays, and all (tree, row) pairs
-    descend together, one level per step, left when value <= threshold.
+    All (tree, row) pairs descend together, one level per step, left when
+    value <= threshold.
     """
-    sizes = [len(tree) for tree in trees]
-    roots = np.cumsum([0] + sizes[:-1])
-    base = np.repeat(roots, sizes)
-    nodes = [node for tree in trees for node in tree]
-    feature = np.array([node.feature for node in nodes], dtype=np.intp)
-    threshold = np.array([node.threshold for node in nodes], dtype=np.float64)
-    left = np.array([node.left for node in nodes], dtype=np.intp) + base
-    right = np.array([node.right for node in nodes], dtype=np.intp) + base
-    prob1 = np.array([node.prob1 for node in nodes], dtype=np.float64)
-    at = np.repeat(roots, len(Z))
-    row = np.tile(np.arange(len(Z)), len(trees))
+    feature, threshold, left = trees.feature, trees.threshold, trees.left
+    at = np.repeat(trees.roots, len(Z))
+    row = np.tile(np.arange(len(Z)), len(trees.roots))
     live = np.flatnonzero(feature[at] != _LEAF)
     while live.size:
         node = at[live]
-        goes_left = Z[row[live], feature[node]] <= threshold[node]
-        at[live] = np.where(goes_left, left[node], right[node])
+        at[live] = left[node] + (Z[row[live], feature[node]] > threshold[node])
         live = live[feature[at[live]] != _LEAF]
-    return prob1[at].reshape(len(trees), len(Z))
+    return trees.prob1[at].reshape(len(trees.roots), len(Z))
 
 
 def _subsample_count(feature_subsample, m: int) -> int:
@@ -199,102 +199,98 @@ def _subsample_count(feature_subsample, m: int) -> int:
 _FOREST_STEP_BYTES = 8 << 20
 
 
-def _grow_forest(Z, y, gens, k_features, max_depth, min_samples_split) -> list[list[_Node]]:
-    """Extra-trees growth, the trees of the forest in lockstep.
+def _grow_forests(spec: ClassifierSpec, sets: list[tuple[np.ndarray, np.ndarray]]) -> list[_Trees]:
+    """Extra-trees growth of one forest per (standardized rows, labels) set,
+    all trees in lockstep.
 
-    Each tree keeps its own depth-first stack and its own generator, and draws
-    from it in the order a tree grown alone would: ``sample_indices`` over the
-    node's non-constant features, then one ``random()`` per chosen feature,
-    each giving the threshold ``min + u * (max - min)``. Each step pops the
-    next splittable node of one tree after another, at most one per tree and
-    until their rows would pass ``_FOREST_STEP_BYTES``, gathers those rows once
-    and scores all their candidate thresholds together; the first lowest Gini
-    cost in chosen order wins. Only a tree's own pops touch its stack, so the
-    trees are node for node those grown one at a time.
+    Lane l grows tree ``t = l % spec.n_trees`` of forest ``l // spec.n_trees``
+    from the stream of ``derive_seed(spec.seed, t)``, with its own depth-first
+    stack, and draws in the order a tree grown alone would: ``sample_indices``
+    over the node's non-constant features, then one ``random()`` per chosen
+    feature, each giving the threshold ``min + u * (max - min)``. Each step
+    pops the next splittable node of one lane after another, at most one per
+    lane and until their rows would pass ``_FOREST_STEP_BYTES``, gathers those
+    rows once, makes all their draws as lane arrays and scores all their
+    candidate thresholds together; the first lowest Gini cost in chosen order
+    wins. Only a lane's own pops touch its stack, so the trees are node for
+    node those grown one at a time.
 
-    Each tree holds one permutation of the row indices, and a node is a
-    segment of it: a split writes the node's left rows, then its right rows,
-    back into the node's segment. Row order within a node changes no minimum,
-    maximum or count. A step gathers its rows feature-major, from ``Z.T``, so
-    node minima and maxima reduce along contiguous memory, and compares each
-    node's rows only on the features the node chose.
+    Each lane holds one permutation of its set's rows, and a node is a segment
+    of it: a split writes the node's left rows, then its right rows, back into
+    the node's segment. Row order within a node changes no minimum, maximum or
+    count. A step gathers its rows feature-major, so node minima and maxima
+    reduce along contiguous memory, and compares each node's rows only on the
+    features the node chose.
     """
 
-    def splittable(size: int, ones: int, depth: int) -> bool:
-        return (
-            0 < ones < size
-            and size >= min_samples_split
-            and (max_depth is None or depth < max_depth)
-        )
+    def splittable(size, ones, depth):
+        ok = (0 < ones) & (ones < size) & (size >= spec.min_samples_split)
+        return ok if spec.max_depth is None else ok & (depth < spec.max_depth)
 
-    n, m, ones = len(y), Z.shape[1], int(y.sum())
-    ZT = np.ascontiguousarray(Z.T)
+    n_rows = np.array([len(y) for _, y in sets])
+    ZT = np.empty((sets[0][0].shape[1], n_rows.sum()))  # rows of every set, feature-major
+    np.concatenate([Z.T for Z, _ in sets], axis=1, out=ZT)
+    y = np.concatenate([y for _, y in sets])
     positive = y == 1
+    n_trees, n_lanes = spec.n_trees, len(sets) * spec.n_trees
+    k_features = _subsample_count(spec.feature_subsample, len(ZT))
     # Per row, a step holds its m gathered values, a feature index, threshold
     # and value per chosen feature, and about three row indices.
-    row_budget = _FOREST_STEP_BYTES // (ZT.itemsize * (m + 3 * k_features + 3))
-    # Tree t's rows are perm[t * n : (t + 1) * n]; a node owns one segment.
-    perm = np.tile(np.arange(n, dtype=np.int32), len(gens))
-    trees = [[_Node(prob1=ones / n)] for _ in gens]
-    stacks = [
-        [(0, t * n, (t + 1) * n, ones, 0)] if splittable(n, ones, 0) else []
-        for t in range(len(gens))
-    ]
-    # By the bit mask of a node's varying features: those features, their
-    # count, how many to draw, and the padding that fills the unused slots.
-    memo: dict[bytes, tuple[list[int], int, int, list[int]]] = {}
+    row_budget = _FOREST_STEP_BYTES // (ZT.itemsize * (len(ZT) + 3 * k_features + 3))
+    set_first = np.cumsum(n_rows) - n_rows
+    lane_rows = np.repeat(n_rows, n_trees)
+    lane_ones = np.repeat(np.add.reduceat(y, set_first), n_trees)
+    # Lane l's rows, as columns of ZT, are perm[begin[l] : begin[l] + lane_rows[l]].
+    begin = np.cumsum(lane_rows) - lane_rows
+    perm = np.empty(lane_rows.sum(), dtype=np.int32)
+    for f, (first, n) in enumerate(zip(set_first.tolist(), n_rows.tolist())):
+        at = begin[f * n_trees]
+        perm[at : at + n * n_trees].reshape(n_trees, n)[:] = np.arange(first, first + n)
+    draws = LaneDraws([derive_seed(spec.seed, t) for t in range(n_trees)] * len(sets))
+    # Lane l's stack is stack[:, l, :top[l]], one column per entry: the node's
+    # number in its tree, its segment's begin and size, its class-1 rows and
+    # its depth. Roots are node 0.
+    stack = np.zeros((5, n_lanes, 8), dtype=np.int64)
+    stack[1:, :, 0] = [begin, lane_rows, lane_ones, 0 * begin]
+    top = splittable(lane_rows, lane_ones, 0).astype(np.intp)
+    made = np.ones(n_lanes, dtype=np.int64)  # nodes of each lane's tree
+    split_log, child_log = [], []  # per step: (lane, node, feature, threshold, left child), (lane, node, prob1)
     while True:
-        batch, taken = [], 0
-        for t, stack in enumerate(stacks):
-            if not stack:
-                continue
-            size = stack[-1][2] - stack[-1][1]
-            if batch and taken + size > row_budget:
-                break
-            batch.append((t, *stack.pop()))
-            taken += size
-        if not batch:
-            return trees
-        ts, _, begins, ends, ones_node, _ = zip(*batch)
-        begins, ones_node = np.array(begins), np.array(ones_node)
-        sizes = np.array(ends) - begins
-        starts = np.cumsum(sizes) - sizes
+        draws.release(top == 0)
+        live = top.nonzero()[0]
+        if not live.size:
+            break
+        popped = stack[:, live, top[live] - 1]
+        fits = int(popped[2].cumsum().searchsorted(row_budget, side="right"))
+        lanes = live[: max(fits, 1)]
+        popped = popped[:, : len(lanes)]
+        nid, begins, sizes, ones_node, depth = popped
+        top[lanes] -= 1
+        starts = sizes.cumsum() - sizes
+        taken = int(starts[-1] + sizes[-1])
         rows = perm[_segments(begins, sizes)]
         sub = ZT.take(rows, axis=1)
         mins = np.minimum.reduceat(sub, starts, axis=1)
         maxs = np.maximum.reduceat(sub, starts, axis=1)
         varies = mins < maxs
-        # Each node's bit mask of varying features, as bytes.
-        packed = np.packbits(varies, axis=0).T.copy()
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
-        # Slot j of a node holds its j-th chosen feature and uniform; a node
-        # with fewer choices pads its slots with feature 0, masked out below.
-        feats, draws, counts = [], [], []
-        for b, (t, key) in enumerate(zip(ts, keys)):
-            entry = memo.get(key)
-            if entry is None:
-                candidates = np.flatnonzero(varies[:, b]).tolist()
-                k = min(k_features, len(candidates))
-                entry = memo[key] = (candidates, len(candidates), k, [0] * (k_features - k))
-            candidates, n_candidates, k, padding = entry
-            counts.append(k)
-            gen = gens[t]
-            feats += [candidates[p] for p in gen.sample_indices(n_candidates, k)]
-            random = gen.random
-            draws += [random() for _ in range(k)]
-            if padding:
-                feats += padding
-                draws += padding
-        node_ix = np.arange(len(batch))
-        slot_feat = np.array(feats, dtype=np.intp).reshape(-1, k_features).T
+        n_varies = varies.sum(axis=0)
+        counts = np.minimum(n_varies, k_features)
+        # Slot j of a node holds its j-th chosen feature and uniform, drawn
+        # from its varying features in ascending order; a node with fewer
+        # choices fills its other slots with values masked out below.
+        pool = (~varies.T).argsort(axis=1, kind="stable")
+        slot_feat, slot_u = (a.T for a in draws.sample(lanes, pool, n_varies, counts))
+        if not len(slot_feat):  # no node has a feature that varies
+            continue
+        node_ix = np.arange(len(lanes))
         lo, hi = mins[slot_feat, node_ix], maxs[slot_feat, node_ix]
-        slot_thr = lo + np.array(draws).reshape(-1, k_features).T * (hi - lo)
-        used = np.arange(k_features)[:, None] < np.array(counts)
+        slot_thr = lo + slot_u * (hi - lo)
+        used = np.arange(len(slot_feat))[:, None] < counts
         # Each slot compares its own feature's values with its threshold.
         col = np.arange(taken)
-        at = np.repeat(slot_feat * taken, sizes, axis=1)
+        at = (slot_feat * taken).repeat(sizes, axis=1)
         at += col
-        goes_left = sub.take(at) <= np.repeat(slot_thr, sizes, axis=1)
+        goes_left = sub.take(at) <= slot_thr.repeat(sizes, axis=1)
         n_left = np.add.reduceat(goes_left, starts, axis=1, dtype=np.int64)
         n1_left = np.add.reduceat(goes_left & positive[rows], starts, axis=1, dtype=np.int64)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -306,48 +302,66 @@ def _grow_forest(Z, y, gens, k_features, max_depth, min_samples_split) -> list[l
             )
         cost = np.where(used & (n_left > 0) & (n_left < sizes), cost, np.inf)
         best = cost.argmin(axis=0)
-        split = cost[best, node_ix] < np.inf
-        if not split.any():
+        splits = cost[best, node_ix] < np.inf
+        if not splits.any():
             continue
         # Each split node's left rows, then its right rows, back into its
         # segment; rows of other nodes stay where they are.
-        in_split = np.repeat(split, sizes)
-        left = goes_left.ravel().take(np.repeat(best * taken, sizes) + col)
+        split = splits.nonzero()[0]
+        in_split = splits.repeat(sizes)
+        left = goes_left.ravel().take((best * taken).repeat(sizes) + col)
         right = in_split & ~left
         left &= in_split
-        won = (best[split], node_ix[split])
-        n_lefts, n_rights = n_left[won], sizes[split] - n_left[won]
+        won = (best[split], split)
+        n_lefts, left_ones = n_left[won], n1_left[won]
         perm[_segments(begins[split], n_lefts)] = rows[left]
-        perm[_segments(begins[split] + n_lefts, n_rights)] = rows[right]
-        winners = zip(
-            np.flatnonzero(split).tolist(),
-            slot_feat[won].tolist(),
-            slot_thr[won].tolist(),
-            n_lefts.tolist(),
-            n1_left[won].tolist(),
-        )
-        for b, f, thr, left_size, left_ones in winners:
-            t, nid, begin, end, ones, depth = batch[b]
-            nodes = trees[t]
-            node = nodes[nid]
-            node.feature, node.threshold = f, thr
-            node.left, node.right = len(nodes), len(nodes) + 1
-            right_size, right_ones = end - begin - left_size, ones - left_ones
-            nodes.append(_Node(prob1=left_ones / left_size))
-            nodes.append(_Node(prob1=right_ones / right_size))
-            # Children that will never split are final leaves and are not
-            # pushed; pushing left then right pops the right child first.
-            middle = begin + left_size
-            if splittable(left_size, left_ones, depth + 1):
-                stacks[t].append((node.left, begin, middle, left_ones, depth + 1))
-            if splittable(right_size, right_ones, depth + 1):
-                stacks[t].append((node.right, middle, end, right_ones, depth + 1))
+        perm[_segments(begins[split] + n_lefts, sizes[split] - n_lefts)] = rows[right]
+        # The children's stack entries, left then right, from their parent's:
+        # the left child takes the first n_left rows and their class-1 rows,
+        # the right child the rest.
+        split_lanes = lanes[split]
+        entries = popped[:, split].repeat(2, axis=1)
+        child, _, child_size, child_ones, child_depth = entries
+        child[:] = (made[split_lanes, None] + (0, 1)).ravel()
+        made[split_lanes] += 2
+        entries[2:4, 0::2] = n_lefts, left_ones
+        entries[1:4, 1::2] += n_lefts, -n_lefts, -left_ones
+        child_depth += 1
+        child_lanes = split_lanes.repeat(2)
+        split_log.append((split_lanes, nid[split], slot_feat[won], slot_thr[won], child[0::2]))
+        child_log.append((child_lanes, child, child_ones / child_size))
+        # Children that will never split are final leaves and are not
+        # pushed; pushing left then right pops the right child first.
+        push = splittable(child_size, child_ones, child_depth)
+        slot = top[child_lanes]
+        slot[1::2] += push[0::2]
+        if slot.max() >= stack.shape[2]:
+            stack = np.concatenate([stack, np.zeros_like(stack)], axis=2)
+        stack[:, child_lanes[push], slot[push]] = entries[:, push]
+        np.add.at(top, child_lanes, push)
+    # Each lane's nodes in their order in its tree, the lanes one after
+    # another; a left child's number counts from its forest's first node.
+    start = made.cumsum() - made
+    feature, left = np.full((2, made.sum()), _LEAF)
+    threshold, prob1 = np.zeros((2, made.sum()))
+    prob1[start] = lane_ones / lane_rows
+    if split_log:
+        lane, node, prob = map(np.concatenate, zip(*child_log))
+        prob1[start[lane] + node] = prob
+        lane, node, feat, thr, child = map(np.concatenate, zip(*split_log))
+        at = start[lane] + node
+        forest_start = start[lane - lane % n_trees]
+        feature[at], threshold[at], left[at] = feat, thr, at - node - forest_start + child
+    forests = []
+    for lo, hi, roots in zip(start[::n_trees], (start + made)[n_trees - 1 :: n_trees], start.reshape(-1, n_trees)):
+        forests.append(_Trees(feature[lo:hi], threshold[lo:hi], left[lo:hi], prob1[lo:hi], roots - lo))
+    return forests
 
 
 def _segments(begins: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The positions of segments [begin, begin + size), laid end to end."""
-    ends = np.cumsum(sizes)
-    return np.arange(ends[-1]) + np.repeat(begins - (ends - sizes), sizes)
+    ends = sizes.cumsum()
+    return np.arange(ends[-1]) + (begins - (ends - sizes)).repeat(sizes)
 
 
 # --- nearest neighbours -----------------------------------------------------
@@ -435,43 +449,51 @@ def _standardize_params(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def fit(spec: ClassifierSpec, train: LabeledDataset) -> TrainedModel:
     """Fit a model; deterministic given the spec (including seed) and rows."""
-    X = _finite_matrix(train.X, "training set")
-    y = np.asarray(train.y, dtype=np.int64)
-    if len(X) == 0:
-        raise ValueError("training set must be a nonempty 2-D matrix")
-    if len(X) != len(y):
-        raise ValueError(f"{len(X)} rows but {len(y)} labels")
-    bad = np.setdiff1d(train.y, (0, 1))
-    if len(bad):
-        raise ValueError(f"labels must be 0 (dropout) or 1 (graduated), got {bad.tolist()}")
-    means, stds = _standardize_params(X)
-    Z = (X - means) / stds
+    return fit_each(spec, [train])[0]
 
-    if spec.kind == "decision_tree":
-        state = _grow_decision_tree(Z, y, spec.max_depth, spec.min_samples_split)
-    elif spec.kind == "extra_trees":
-        k = _subsample_count(spec.feature_subsample, X.shape[1])
-        gens = XoshiroLanes([derive_seed(spec.seed, t) for t in range(spec.n_trees)]).streams()
-        state = _grow_forest(Z, y, gens, k, spec.max_depth, spec.min_samples_split)
-    elif spec.kind == "knn":
-        state = (Z.copy(), y.copy())
-    else:  # gaussian_nb
-        classes = np.unique(y)
-        priors = {}
-        params = {}
-        for cls in classes:
-            rows = Z[y == cls]
-            priors[int(cls)] = math.log(len(rows) / len(y))
-            var = rows.var(axis=0)
-            params[int(cls)] = (rows.mean(axis=0), np.maximum(var, spec.variance_floor))
-        state = (priors, params)
-    return TrainedModel(
-        spec=spec,
-        n_features=X.shape[1],
-        feature_means=means,
-        feature_stds=stds,
-        state=state,
-    )
+
+def fit_each(spec: ClassifierSpec, trains: list[LabeledDataset]) -> list[TrainedModel]:
+    """One model per training set, each the model `fit` gives on that set alone.
+
+    Extra-trees forests grow together, one lockstep lane per tree of every
+    set, so their sets must have one column count.
+    """
+    models, forest_sets = [], []
+    for train in trains:
+        X = _finite_matrix(train.X, "training set")
+        y = np.asarray(train.y, dtype=np.int64)
+        if len(X) == 0:
+            raise ValueError("training set must be a nonempty 2-D matrix")
+        if len(X) != len(y):
+            raise ValueError(f"{len(X)} rows but {len(y)} labels")
+        bad = np.setdiff1d(train.y, (0, 1))
+        if len(bad):
+            raise ValueError(f"labels must be 0 (dropout) or 1 (graduated), got {bad.tolist()}")
+        means, stds = _standardize_params(X)
+        Z = X - means
+        Z /= stds
+
+        state = None
+        if spec.kind == "decision_tree":
+            state = _grow_decision_tree(Z, y, spec.max_depth, spec.min_samples_split)
+        elif spec.kind == "extra_trees":
+            forest_sets.append((Z, y))
+        elif spec.kind == "knn":
+            state = (Z.copy(), y.copy())
+        else:  # gaussian_nb
+            classes = np.unique(y)
+            priors = {}
+            params = {}
+            for cls in classes:
+                rows = Z[y == cls]
+                priors[int(cls)] = math.log(len(rows) / len(y))
+                var = rows.var(axis=0)
+                params[int(cls)] = (rows.mean(axis=0), np.maximum(var, spec.variance_floor))
+            state = (priors, params)
+        models.append(TrainedModel(spec=spec, n_features=X.shape[1], feature_means=means, feature_stds=stds, state=state))
+    for model, forest in zip(models, _grow_forests(spec, forest_sets) if forest_sets else []):
+        model.state = forest
+    return models
 
 
 def _finite_matrix(X, what: str) -> np.ndarray:
@@ -500,15 +522,14 @@ def _check_matrix(model: TrainedModel, X) -> np.ndarray:
 def predict_proba(model: TrainedModel, X) -> np.ndarray:
     """Class-1 score per row, in [0, 1]."""
     X = _check_matrix(model, X)
-    Z = (X - model.feature_means) / model.feature_stds
+    Z = X - model.feature_means
+    Z /= model.feature_stds
     spec = model.spec
-    if spec.kind == "decision_tree":
-        return _prob1_by_tree([model.state], Z)[0]
-    if spec.kind == "extra_trees":
+    if spec.kind in ("decision_tree", "extra_trees"):
         total = np.zeros(len(Z), dtype=np.float64)
         for tree_prob in _prob1_by_tree(model.state, Z):
             total += tree_prob
-        return total / len(model.state)
+        return total / len(model.state.roots)
     if spec.kind == "knn":
         Ztrain, ytrain = model.state
         k = min(spec.k, len(ytrain))

@@ -98,22 +98,30 @@ def ingest_config_from(kv: dict[str, str]) -> IngestConfig:
 
 
 def _read_attr_codes(path: str) -> dict[str, dict[str, int]]:
-    """Read an attribute,value,code CSV. A missing column or a code that is
-    not an integer raises, naming the file and the row (the header is row 1)."""
+    """Read an attribute,value,code CSV. A missing column, an extra cell, a
+    code that is not an integer or a repeated (attribute, value) pair raises,
+    naming the file and the row (the header is row 1)."""
     import csv
 
     out: dict[str, dict[str, int]] = {}
+    first_row: dict[tuple[str, str], int] = {}
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for column in ("attribute", "value", "code"):
             if column not in (reader.fieldnames or ()):
                 raise ConfigError(f"{path}: row 1: missing column {column!r}")
         for rownum, row in enumerate(reader, start=2):
+            if None in row:  # DictReader files cells past the header under None
+                raise ConfigError(f"{path}: row {rownum}: more cells than the header's {len(reader.fieldnames)}")
             try:
                 code = int(row["code"])
             except (TypeError, ValueError):  # TypeError: the row has no code cell
                 raise ConfigError(f"{path}: row {rownum}: column 'code' has non-integer value {row['code']!r}") from None
-            out.setdefault(row["attribute"], {})[row["value"]] = code
+            pair = (row["attribute"], row["value"])
+            if pair in first_row:
+                raise ConfigError(f"{path}: row {rownum}: attribute {pair[0]!r} value {pair[1]!r} already coded on row {first_row[pair]}")
+            first_row[pair] = rownum
+            out.setdefault(pair[0], {})[pair[1]] = code
     return out
 
 

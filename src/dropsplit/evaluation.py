@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, accuracy, confusion, fit, predict
+from .classifiers import ClassifierSpec, accuracy, confusion, fit, fit_each, predict
 from .features import FeatureSetSpec, VectorCache
 from .records import Cohort, subset_enrolled, subset_exited_before, subset_exited_from
 from .splits import (
@@ -96,7 +96,9 @@ def run_grid(
     with the final stage too), and cells are visited in a fixed order so
     results do not depend on scheduling. Within one reference term a
     classifier is fitted once per distinct training set (B2 and B2T train on
-    the same rows) and that model scores each test set that needs it.
+    the same rows) and that model scores each test set that needs it. Other
+    kinds are scored as each split is built, but extra-trees cells wait for the
+    term's splits, so that one `fit_each` call grows all its forests together.
     """
     if not specs:
         raise EvaluationError("no classifier specs given")
@@ -115,35 +117,52 @@ def run_grid(
         terms_per_year=cohort.terms_per_year,
     )
     for t in t_values:
-        models: dict = {}  # reused within one term only, so memory stays bounded
-        grid.enrolled[t] = len(subset_enrolled(cohort, t))
-        for approach in approaches:
-            a = approach.value
-            try:
-                train, test = build_split(
-                    cohort, SplitRequest(approach, t, split_seed), cache=cache
-                )
-            except SplitError as exc:
-                grid.sizes[(a, t)] = SetSizes(0, 0, 0, 0)
-                for label in labels:
-                    grid.skips[(a, label, t)] = str(exc)
-                continue
-            grid.sizes[(a, t)] = SetSizes(
-                train_students=len(train.student_ids),
-                train_rows=train.n,
-                test_students=len(test.student_ids),
-                test_rows=test.n,
-            )
-            grid.exclusion_counts[(a, t)] = len(train.meta.exclusions) + len(test.meta.exclusions)
-            digest = _digest(train)
-            for spec in specs:
-                model = models.get((spec, digest))
-                if model is None:
-                    model = models[(spec, digest)] = fit(spec, train)
-                y_pred = predict(model, test.X)
-                grid.accuracy[(a, spec.label, t)] = accuracy(test.y, y_pred)
-                grid.confusions[(a, spec.label, t)] = confusion(test.y, y_pred)
+        _run_term(grid, cohort, approaches, specs, t, split_seed, cache)
     return grid
+
+
+def _run_term(grid, cohort, approaches, specs, t, split_seed, cache) -> None:
+    """Fill term t's cells; its models and splits go with the call."""
+    models: dict = {}
+    forests = [spec for spec in specs if spec.kind == "extra_trees"]
+    held = []  # (approach, training-set digest, train, test), for the forests
+    grid.enrolled[t] = len(subset_enrolled(cohort, t))
+    for approach in approaches:
+        a = approach.value
+        try:
+            train, test = build_split(cohort, SplitRequest(approach, t, split_seed), cache=cache)
+        except SplitError as exc:
+            grid.sizes[(a, t)] = SetSizes(0, 0, 0, 0)
+            for spec in specs:
+                grid.skips[(a, spec.label, t)] = str(exc)
+            continue
+        grid.sizes[(a, t)] = SetSizes(
+            train_students=len(train.student_ids),
+            train_rows=train.n,
+            test_students=len(test.student_ids),
+            test_rows=test.n,
+        )
+        grid.exclusion_counts[(a, t)] = len(train.meta.exclusions) + len(test.meta.exclusions)
+        digest = _digest(train)
+        for spec in specs:
+            if spec.kind == "extra_trees":
+                continue
+            if (spec, digest) not in models:
+                models[(spec, digest)] = fit(spec, train)
+            _score(grid, (a, spec.label, t), models[(spec, digest)], test)
+        if forests:
+            held.append((a, digest, train, test))
+    trains = {digest: train for _, digest, train, _ in held}
+    for spec in forests:
+        fitted = dict(zip(trains, fit_each(spec, list(trains.values()))))
+        for a, digest, _, test in held:
+            _score(grid, (a, spec.label, t), fitted[digest], test)
+
+
+def _score(grid: EvaluationGrid, cell: tuple, model, test: LabeledDataset) -> None:
+    y_pred = predict(model, test.X)
+    grid.accuracy[cell] = accuracy(test.y, y_pred)
+    grid.confusions[cell] = confusion(test.y, y_pred)
 
 
 def _digest(ds: LabeledDataset) -> tuple:

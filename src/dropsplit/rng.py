@@ -18,9 +18,10 @@ at once (numpy's uint64 multiply wraps mod 2^64, as the masks here do),
 of its seed. The draws derived from the words (`random`, `randbelow`,
 `normal`, `shuffle`, `sample_indices`) are written once for one stream at a
 time, in `Draws`, so they are the same whichever way a stream is stepped.
-`LaneDraws` makes `random`, `randbelow` and `normal` for many lanes in one
-call, as arrays, each lane reading its own words from its own position; it
-keeps the operations of `Draws` value for value.
+`LaneDraws` makes `random`, `randbelow`, `sample_indices` (as `sample`) and
+`normal` for many lanes in one call, as arrays, each lane reading its own
+words from its own position and with its own bounds; it keeps the operations
+of `Draws` value for value.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ _BLOCK = 256
 
 # 2**-53: scales the top 53 bits of a word into [0, 1).
 _UNIT = 1.0 / (1 << 53)
+
+# 2**j for j < 64: a value's bit length is the count of these at or below it.
+_POWERS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+# By bit length b >= 1, the shift 64 - b that keeps a word's top b bits.
+_SHIFTS = (64 - np.arange(65)).astype(np.uint64) % np.uint64(64)
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -253,37 +259,12 @@ class XoshiroLanes:
         out *= np.uint64(9)
         return out.T
 
-    def streams(self) -> list[Stream]:
-        """One stream per lane, in lockstep; take them once per `XoshiroLanes`.
-
-        The first stream to run dry draws the next block for every lane; the
-        others keep those words until they read them. Suits streams that draw
-        at similar rates side by side. A pass costs about the same for one
-        lane as for thirty, so this beats refilling only the dry lane even
-        though unread words are drawn. Over the 11 forest fits of one README
-        grid (30 trees each, on a 2-core host), lockstep took 110 passes and
-        0.19 s to draw 844,800 words, of which 524,595 were read, and the
-        fits took 2.9 s; one lane at a time took 2,213 passes and 5.3 s, and
-        the fits 8.3 s.
-        """
-        pending: list[list[int]] = [[] for _ in range(len(self))]
-
-        def lane(i: int) -> Iterator[int]:
-            while True:
-                if not pending[i]:
-                    for words, block in zip(pending, self._draw().tolist()):
-                        words += block
-                words, pending[i] = pending[i], []
-                yield from words
-
-        return [Stream(lane(i)) for i in range(len(self))]
-
 
 class LaneDraws:
-    """`random`, `randbelow` and `normal` for many streams in one call, as arrays.
+    """The derived draws for many streams in one call, as arrays.
 
     Lane i reads the words of ``Xoshiro256StarStar(seeds[i])``. Each call
-    draws once for each lane of an index array (no lane twice), and each lane
+    draws for each lane of an index array (no lane twice), and each lane
     reads on from its own position, so the values a lane gets are those the
     `Draws` method of the same name gives its stream, call for call. The
     arithmetic is that of `Draws`, operation for operation: the correctly
@@ -294,15 +275,17 @@ class LaneDraws:
 
     The words wait in one ``(lanes, width)`` uint64 array. When a call would
     read past its end for any of its lanes, the next `XoshiroLanes` block is
-    drawn for every lane, and the columns every lane has read are dropped.
-    Lanes that will draw no more should be let go with `keep`, so that the
-    lanes left read at similar rates and the array stays about a block wide.
+    drawn for every lane, and the columns every live lane has read are
+    dropped. Lanes that will draw no more should be let go, with `keep` or
+    `release`, so that the lanes left read at similar rates and the array
+    stays about a block wide.
     """
 
     def __init__(self, seeds: Sequence[int]) -> None:
         self._lanes = XoshiroLanes(seeds)
         self._words = np.empty((len(self._lanes), 0), dtype=np.uint64)
         self._pos = np.zeros(len(self._lanes), dtype=np.intp)
+        self._live = np.ones(len(self._lanes), dtype=bool)
 
     def __len__(self) -> int:
         return len(self._pos)
@@ -312,41 +295,107 @@ class LaneDraws:
         self._lanes._s = self._lanes._s[:, lanes]
         self._words = self._words[lanes]
         self._pos = self._pos[lanes]
+        self._live = self._live[lanes]
 
-    def _take(self, lanes: np.ndarray, n: int) -> np.ndarray:
-        """The next n words of each of `lanes`, one row per lane."""
+    def release(self, lanes: np.ndarray) -> None:
+        """Let `lanes` (an index or boolean array) go without renumbering: they
+        must draw no more."""
+        self._live[lanes] = False
+
+    def _window(self, lanes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next n words of each of `lanes`, one row per lane, and the lanes'
+        positions; the words are not read."""
         pos = self._pos[lanes]
         while len(pos) and pos.max() + n > self._words.shape[1]:
-            read = self._pos.min()
+            read = self._pos.min(where=self._live, initial=self._words.shape[1])
             self._words = np.concatenate([self._words[:, read:], self._lanes._draw()], axis=1)
             self._pos -= read
             pos = self._pos[lanes]
+        width = self._words.shape[1]
+        return self._words.take((lanes * width + pos)[:, None] + np.arange(n)), pos
+
+    def _take(self, lanes: np.ndarray, n: int) -> np.ndarray:
+        """The next n words of each of `lanes`, one row per lane."""
+        words, pos = self._window(lanes, n)
         self._pos[lanes] = pos + n
-        return self._words[lanes[:, None], pos[:, None] + np.arange(n)]
+        return words
 
     def random(self, lanes: np.ndarray) -> np.ndarray:
         """`Draws.random` for each of `lanes`."""
         return (self._take(lanes, 1)[:, 0] >> np.uint64(11)).astype(np.float64) * _UNIT
 
-    def randbelow(self, lanes: np.ndarray, n: int) -> np.ndarray:
-        """`Draws.randbelow(n)` for each of `lanes`, as int64; n is at most 2**63.
+    def randbelow(self, lanes: np.ndarray, n) -> np.ndarray:
+        """`Draws.randbelow(n)` for each of `lanes`, as int64.
 
-        A word is drawn again only for the lanes whose last word was rejected.
+        `n` is one bound for every lane or an array of one bound per lane, each
+        in [1, 2**63]. A word is drawn again only for the lanes whose last word
+        was rejected; a bound of 1 reads no word.
         """
-        if not 1 <= n <= 1 << 63:
+        bound = np.asarray(n)
+        if bound.size and not (1 <= bound.min() and bound.max() <= 1 << 63):
             raise ValueError(f"randbelow needs 1 <= n <= 2**63, got {n}")
+        top = np.broadcast_to(bound, lanes.shape).astype(np.uint64) - np.uint64(1)
+        shift = _SHIFTS[_POWERS.searchsorted(top, side="right")]
         out = np.zeros(len(lanes), dtype=np.int64)
-        nbits = (n - 1).bit_length()
-        if not nbits:
-            return out
-        shift, top = np.uint64(64 - nbits), np.uint64(n - 1)
-        rows = np.arange(len(lanes))
+        rows = top.nonzero()[0]
         while len(rows):
-            r = self._take(lanes[rows], 1)[:, 0] >> shift
-            ok = r <= top
+            r = self._take(lanes[rows], 1)[:, 0] >> shift[rows]
+            ok = r <= top[rows]
             out[rows[ok]] = r[ok]
             rows = rows[~ok]
         return out
+
+    def sample(self, lanes: np.ndarray, pool: np.ndarray, n: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each lane i, ``k[i]`` entries of ``pool[i, :n[i]]`` at the positions
+        `Draws.sample_indices(n[i], k[i])` draws, then ``k[i]`` `Draws.random`
+        values: an extra-trees split's features and cut points.
+
+        A partial Fisher-Yates permutes the rows of the C-contiguous integer
+        array `pool` in place. Returns the picks and the uniforms as
+        ``(lanes, max k)`` arrays; row i's entries past ``k[i]`` are not draws.
+        Each pick takes the first word its bound accepts after the previous
+        pick's word, all found at once in a window of the lane's next words; a
+        window too short for some lane is widened and the draws made again.
+        """
+        d = int(k.max(initial=0))
+        picks = np.arange(d)
+        top = np.where(picks < k[:, None], n[:, None] - 1 - picks, 0).astype(np.uint64)
+        nbits = _POWERS.searchsorted(top, side="right")
+        shift = _SHIFTS[nbits][:, :, None]
+        idle = (nbits == 0)[:, :, None]  # picks that read no word
+        rows = np.arange(len(lanes))
+        width = 4 * d + 8
+        while True:
+            words, pos = self._window(lanes, width + d)
+            values = words[:, None, :width] >> shift
+            # By column: the first column at or after it whose word the pick
+            # accepts, else width (two spare columns let the next pick look on);
+            # an idle pick answers c - 1, so the next pick starts at c.
+            columns = np.arange(width + 2)
+            first = np.empty((len(lanes), d, width + 2), dtype=np.intp)
+            first[:, :, width:] = width
+            accepted = np.where(values <= top[:, :, None], columns[:width], width)
+            np.minimum.accumulate(accepted[:, :, ::-1], axis=2, out=first[:, :, width - 1 :: -1])
+            first = np.where(idle, columns - 1, first)
+            at = np.empty((len(lanes), d), dtype=np.intp)
+            cursor = np.zeros(len(lanes), dtype=np.intp)
+            for j in range(d):
+                at[:, j] = first[rows, j, cursor]
+                cursor = at[:, j] + 1
+            if cursor.max(initial=0) <= width:
+                break
+            width *= 2
+        self._pos[lanes] = pos + cursor + k
+        drawn = np.where(idle[:, :, 0], 0, values[rows[:, None], picks, at]).astype(np.intp)
+        # Flat positions in pool of each lane's swaps.
+        swap = (rows * pool.shape[1])[:, None] + picks + drawn
+        flat = pool.reshape(-1)
+        for j in range(d):
+            picked = flat.take(swap[:, j])
+            flat.put(swap[:, j], pool[:, j])
+            pool[:, j] = picked
+        uniforms = words[rows[:, None], cursor[:, None] + picks] >> np.uint64(11)
+        return pool[:, :d], uniforms.astype(np.float64) * _UNIT
 
     def normal(self, lanes: np.ndarray, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """`Draws.normal(mean, std)` for each of `lanes`."""

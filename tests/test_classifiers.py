@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,16 +10,16 @@ from hypothesis import given, settings, strategies as st
 from dropsplit import classifiers
 from dropsplit.classifiers import (
     ClassifierSpec,
-    _Node,
     _gini_cost,
     _subsample_count,
     accuracy,
     confusion,
     fit,
+    fit_each,
     predict,
     predict_proba,
 )
-from dropsplit.rng import Xoshiro256StarStar, derive_seed
+from dropsplit.rng import LaneDraws, Xoshiro256StarStar, derive_seed
 from dropsplit.splits import LabeledDataset
 
 ALL_KINDS = ["decision_tree", "extra_trees", "knn", "gaussian_nb"]
@@ -239,9 +240,18 @@ class TestGaussianNB:
         assert np.array_equal(out, y)
 
 
+@dataclass
+class RefNode:
+    feature: int = -1
+    threshold: float = 0.0
+    left: int = -1
+    right: int = -1
+    prob1: float = 0.0
+
+
 def reference_grow_tree(X, y, max_depth, min_samples_split, choose_split):
     """Tree growth one node at a time; rows with value <= threshold go left."""
-    nodes = [_Node()]
+    nodes = [RefNode()]
     stack = [(0, np.arange(len(y)), 0)]
     while stack:
         nid, idx, depth = stack.pop()
@@ -263,8 +273,8 @@ def reference_grow_tree(X, y, max_depth, min_samples_split, choose_split):
             continue
         node.feature, node.threshold = f, thr
         node.left, node.right = len(nodes), len(nodes) + 1
-        nodes.append(_Node())
-        nodes.append(_Node())
+        nodes.append(RefNode())
+        nodes.append(RefNode())
         stack.append((node.left, left_idx, depth + 1))
         stack.append((node.right, right_idx, depth + 1))
     return nodes
@@ -298,33 +308,53 @@ def reference_exact_split(X, y, idx):
     return best
 
 
-def reference_tree_prob1(nodes, X):
-    """Class-1 score per row by walking each node's rows down the tree."""
+def tree_arrays(trees):
+    """Reference trees (lists of `RefNode`) laid end to end, as the lists of a
+    fitted `_Trees`: child ids shift by their tree's root offset, and a right
+    child, which always follows its left sibling, is implied."""
+    roots = np.cumsum([0] + [len(tree) for tree in trees[:-1]]).tolist()
+    nodes = [(root, node) for root, tree in zip(roots, trees) for node in tree]
+    assert all(node.right == node.left + 1 for _, node in nodes if node.left >= 0)
+    return {
+        "feature": [node.feature for _, node in nodes],
+        "threshold": [node.threshold for _, node in nodes],
+        "left": [node.left + root if node.left >= 0 else -1 for root, node in nodes],
+        "prob1": [node.prob1 for _, node in nodes],
+        "roots": roots,
+    }
+
+
+def assert_same_trees(state, trees):
+    """A fitted `_Trees` equals the reference trees, node for node and bit for bit."""
+    for name, want in tree_arrays(trees).items():
+        assert getattr(state, name).tolist() == want, name
+
+
+def reference_tree_prob1(trees, root, X):
+    """Class-1 score per row by walking each node's rows down the tree at `root`."""
     out = np.empty(len(X), dtype=np.float64)
-    stack = [(0, np.arange(len(X)))]
+    stack = [(root, np.arange(len(X)))]
     while stack:
         nid, rows = stack.pop()
         if rows.size == 0:
             continue
-        node = nodes[nid]
-        if node.feature == -1:
-            out[rows] = node.prob1
+        if trees.feature[nid] == -1:
+            out[rows] = trees.prob1[nid]
             continue
-        mask = X[rows, node.feature] <= node.threshold
-        stack.append((node.left, rows[mask]))
-        stack.append((node.right, rows[~mask]))
+        mask = X[rows, trees.feature[nid]] <= trees.threshold[nid]
+        stack.append((trees.left[nid], rows[mask]))
+        stack.append((trees.left[nid] + 1, rows[~mask]))
     return out
 
 
 def reference_proba(model, X):
     """Tree and forest scores by the per-node walk, summed in tree order."""
     Z = (np.asarray(X, dtype=float) - model.feature_means) / model.feature_stds
-    if model.spec.kind == "decision_tree":
-        return reference_tree_prob1(model.state, Z)
+    trees = model.state
     total = np.zeros(len(Z), dtype=np.float64)
-    for nodes in model.state:
-        total += reference_tree_prob1(nodes, Z)
-    return total / len(model.state)
+    for root in trees.roots.tolist():
+        total += reference_tree_prob1(trees, root, Z)
+    return total if model.spec.kind == "decision_tree" else total / len(trees.roots)
 
 
 def standardized(X):
@@ -379,9 +409,9 @@ def reference_forest(spec, X, y):
 
 
 @st.composite
-def tied_matrix(draw):
+def tied_matrix(draw, m=None):
     n = draw(st.integers(1, 30))
-    m = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5)) if m is None else m
     # Few distinct values give duplicated rows and ties; a column may be constant.
     columns = []
     for _ in range(m):
@@ -406,18 +436,34 @@ def tree_case(draw):
     return spec, X, y
 
 
+def forest_spec():
+    return st.builds(
+        ClassifierSpec,
+        kind=st.just("extra_trees"),
+        max_depth=st.sampled_from([None, 1, 3]),
+        min_samples_split=st.integers(2, 6),
+        n_trees=st.integers(1, 5),
+        feature_subsample=st.sampled_from(["sqrt", "log2", 1, 2, 7, None]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+
+
 @st.composite
 def forest_case(draw):
     X, y = draw(tied_matrix())
-    spec = ClassifierSpec(
-        kind="extra_trees",
-        max_depth=draw(st.sampled_from([None, 1, 3])),
-        min_samples_split=draw(st.integers(2, 6)),
-        n_trees=draw(st.integers(1, 5)),
-        feature_subsample=draw(st.sampled_from(["sqrt", "log2", 1, 2, 7, None])),
-        seed=draw(st.integers(0, 2**64 - 1)),
-    )
-    return spec, X, y
+    return draw(forest_spec()), X, y
+
+
+@st.composite
+def forest_batch(draw):
+    """A forest spec and one to four training sets of one column count: mixed
+    sizes, a 1-row set now and then, single-label sets now and then."""
+    m = draw(st.integers(1, 5))
+    sets = [
+        draw(st.just((np.ones((1, m)), np.array([draw(st.integers(0, 1))]))) | tied_matrix(m))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return draw(forest_spec()), sets
 
 
 class TestExtraTreesLockstep:
@@ -427,13 +473,12 @@ class TestExtraTreesLockstep:
     @given(case=forest_case())
     def test_matches_per_tree_growth(self, case):
         spec, X, y = case
-        assert fit(spec, dataset(X, y)).state == reference_forest(spec, X, y)
+        assert_same_trees(fit(spec, dataset(X, y)).state, reference_forest(spec, X, y))
 
     def test_matches_on_continuous_blobs(self):
         X, y = blobs(300, separation=1.5, std=1.5, seed=3)
         spec = ClassifierSpec(kind="extra_trees", n_trees=8, seed=5, max_depth=12)
-        assert fit(spec, dataset(X, y)).state == reference_forest(spec, X, y)
-
+        assert_same_trees(fit(spec, dataset(X, y)).state, reference_forest(spec, X, y))
 
     @settings(max_examples=60, deadline=None)
     @given(case=forest_case())
@@ -443,7 +488,7 @@ class TestExtraTreesLockstep:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(classifiers, "_FOREST_STEP_BYTES", 1)
             state = fit(spec, dataset(X, y)).state
-        assert state == reference_forest(spec, X, y)
+        assert_same_trees(state, reference_forest(spec, X, y))
 
     @pytest.mark.parametrize("block", [1, 3])
     @settings(max_examples=60, deadline=None)
@@ -454,7 +499,72 @@ class TestExtraTreesLockstep:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("dropsplit.rng._BLOCK", block)
             state = fit(spec, dataset(X, y)).state
-        assert state == reference_forest(spec, X, y)
+        assert_same_trees(state, reference_forest(spec, X, y))
+
+
+class TestFitEach:
+    """Forests grown together in one lockstep pass equal forests grown alone."""
+
+    @staticmethod
+    def check(spec, sets):
+        models = fit_each(spec, [dataset(X, y) for X, y in sets])
+        assert len(models) == len(sets)
+        for model, (X, y) in zip(models, sets):
+            alone = fit(spec, dataset(X, y))
+            assert np.array_equal(model.feature_means, alone.feature_means)
+            assert np.array_equal(model.feature_stds, alone.feature_stds)
+            assert_same_trees(model.state, reference_forest(spec, X, y))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=forest_batch())
+    def test_matches_fitting_each_alone(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize(
+        "target, value",
+        [("dropsplit.classifiers._FOREST_STEP_BYTES", 1), ("dropsplit.rng._BLOCK", 1), ("dropsplit.rng._BLOCK", 3)],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(case=forest_batch())
+    def test_step_bound_and_blocks_do_not_change_forests(self, target, value, case):
+        # One node per step, or lanes running dry inside a node's draws.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(target, value)
+            self.check(*case)
+
+    def test_other_kinds_fit_each_set_alone(self):
+        sets = [blobs(60, seed=1), blobs(45, seed=2)]
+        for kind in ("decision_tree", "knn", "gaussian_nb"):
+            spec = ClassifierSpec(kind=kind)
+            Xq, _ = blobs(30, seed=3)
+            for model, (X, y) in zip(fit_each(spec, [dataset(X, y) for X, y in sets]), sets):
+                assert np.array_equal(predict_proba(model, Xq), predict_proba(fit(spec, dataset(X, y)), Xq))
+        assert fit_each(ClassifierSpec(kind="extra_trees"), []) == []
+
+    def test_forests_grown_together_need_one_column_count(self):
+        sets = [dataset(*blobs(20)), dataset(np.zeros((4, 3)), [0, 1, 0, 1])]
+        with pytest.raises(ValueError, match="dimensions"):
+            fit_each(ClassifierSpec(kind="extra_trees"), sets)
+
+    def test_finished_lanes_do_not_pin_the_words(self, monkeypatch):
+        # The 2-row set's tree is done after one split; while the 300-row
+        # set's tree grows on, the words array stays a few blocks wide.
+        widths = []
+
+        class Recording(LaneDraws):
+            def _window(self, lanes, n):
+                out = super()._window(lanes, n)
+                widths.append(self._words.shape[1])
+                return out
+
+        monkeypatch.setattr(classifiers, "LaneDraws", Recording)
+        monkeypatch.setattr("dropsplit.rng._BLOCK", 16)
+        small = dataset([[0.0, 0.0], [1.0, 1.0]], [0, 1])
+        X, y = blobs(300, separation=1.0, std=1.5, seed=8)
+        spec = ClassifierSpec(kind="extra_trees", n_trees=1, seed=3)
+        fit_each(spec, [small, dataset(X, y)])
+        assert len(widths) > 50
+        assert max(widths) <= 6 * 16
 
 
 class TestDecisionTreePresort:
@@ -467,13 +577,13 @@ class TestDecisionTreePresort:
         expected = reference_grow_tree(
             standardized(X), y, spec.max_depth, spec.min_samples_split, reference_exact_split
         )
-        assert fit(spec, dataset(X, y)).state == expected
+        assert_same_trees(fit(spec, dataset(X, y)).state, [expected])
 
     def test_matches_on_continuous_blobs(self):
         X, y = blobs(300, separation=1.5, std=1.5, seed=3)
         spec = ClassifierSpec(kind="decision_tree", max_depth=12)
         expected = reference_grow_tree(standardized(X), y, 12, 2, reference_exact_split)
-        assert fit(spec, dataset(X, y)).state == expected
+        assert_same_trees(fit(spec, dataset(X, y)).state, [expected])
 
     def test_midpoint_rounding_onto_a_value_leaves_a_leaf(self):
         # The midpoint of the two smallest subnormals rounds up to the larger
@@ -481,8 +591,8 @@ class TestDecisionTreePresort:
         Z = np.array([[5e-324], [1e-323]])
         y = np.array([0, 1])
         got = classifiers._grow_decision_tree(Z, y, None, 2)
-        assert got == reference_grow_tree(Z, y, None, 2, reference_exact_split)
-        assert got == [_Node(prob1=0.5)]
+        assert_same_trees(got, [reference_grow_tree(Z, y, None, 2, reference_exact_split)])
+        assert_same_trees(got, [[RefNode(prob1=0.5)]])
 
 
 @st.composite

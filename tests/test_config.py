@@ -118,6 +118,16 @@ class TestAttrCodes:
             self.write(tmp_path, "attribute,value,code\nsex,F,0\nsex,M,x\n")
         assert str(exc.value) == f"{tmp_path / 'codes.csv'}: row 3: column 'code' has non-integer value 'x'"
 
+    def test_extra_cell_names_file_and_row(self, tmp_path):
+        with pytest.raises(ConfigError) as exc:
+            self.write(tmp_path, "attribute,value,code\nsex,M,1\nsex,F,0,extra\n")
+        assert str(exc.value) == f"{tmp_path / 'codes.csv'}: row 3: more cells than the header's 3"
+
+    def test_repeated_pair_names_file_and_both_rows(self, tmp_path):
+        with pytest.raises(ConfigError) as exc:
+            self.write(tmp_path, "attribute,value,code\nsex,F,0\nsex,M,1\nsex,F,1\n")
+        assert str(exc.value) == f"{tmp_path / 'codes.csv'}: row 4: attribute 'sex' value 'F' already coded on row 2"
+
 
 class TestClassifierParameters:
     @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dropsplit import evaluation
-from dropsplit.classifiers import ClassifierSpec, accuracy, fit, predict
+from dropsplit.classifiers import ClassifierSpec, accuracy, confusion, fit, fit_each, predict
 from dropsplit.evaluation import (
     EvaluationError,
     EvaluationGrid,
@@ -18,7 +18,7 @@ from dropsplit.evaluation import (
 )
 from dropsplit.features import CANONICAL_TIME_FEATURES, FeatureSetSpec, VectorCache
 from dropsplit.records import Cohort, subset_enrolled, subset_exited_before, subset_exited_from
-from dropsplit.splits import SplitApproach, SplitRequest, apply_rule, build_split
+from dropsplit.splits import SplitApproach, SplitError, SplitRequest, apply_rule, build_split
 from dropsplit.terms import Term, TermRange, iter_terms
 
 from conftest import course, make_student, naive_values
@@ -100,6 +100,46 @@ class TestRunGrid:
         grid = run_grid(medium_synth, [SplitApproach.B2, SplitApproach.B2T], FAST_SPECS, terms)
         assert len(fits) == len(set(fits)) == len(FAST_SPECS) * len(terms)
         assert len(grid.accuracy) == 2 * len(FAST_SPECS) * len(terms)
+
+    def test_forest_cells_equal_cells_fitted_alone(self, medium_synth, monkeypatch):
+        # At 2010.2 only A and B1 can be built; the others raise SplitError.
+        # Both forest specs wait for the term's splits and grow all its
+        # distinct training sets together; the tree is fitted split by split.
+        specs = [
+            ClassifierSpec(kind="extra_trees", n_trees=4, max_depth=4, seed=1, label="forest_a"),
+            ClassifierSpec(kind="decision_tree", max_depth=4, label="tree"),
+            ClassifierSpec(kind="extra_trees", n_trees=3, feature_subsample=2, seed=9, label="forest_b"),
+        ]
+        approaches = [SplitApproach.A, SplitApproach.B1, SplitApproach.B2, SplitApproach.B2T, SplitApproach.B3T]
+        terms = [Term(2010, 2), Term(2012, 1)]
+        batches = []
+
+        def counting_fit_each(spec, trains):
+            batches.append((spec.label, len(trains)))
+            return fit_each(spec, trains)
+
+        monkeypatch.setattr(evaluation, "fit_each", counting_fit_each)
+        grid = run_grid(medium_synth, approaches, specs, terms, split_seed=3)
+        skipped = 0
+        for t in terms:
+            for approach in approaches:
+                a = approach.value
+                try:
+                    train, test = build_split(medium_synth, SplitRequest(approach, t, seed=3))
+                except SplitError as exc:
+                    skipped += 1
+                    for spec in specs:
+                        assert grid.cell(a, spec.label, t) is None
+                        assert grid.skip_reason(a, spec.label, t) == str(exc)
+                    continue
+                for spec in specs:
+                    y_pred = predict(fit(spec, train), test.X)
+                    assert grid.cell(a, spec.label, t) == accuracy(test.y, y_pred)
+                    assert np.array_equal(grid.confusions[(a, spec.label, t)], confusion(test.y, y_pred))
+        assert skipped == 3
+        # Per term, one batch per forest spec: A and B1 at 2010.2; at 2012.1 B2
+        # and B2T share their training set.
+        assert batches == [("forest_a", 2), ("forest_b", 2), ("forest_a", 4), ("forest_b", 4)]
 
     def test_fills_the_cache_it_is_given(self, medium_synth):
         cache = VectorCache(medium_synth)

@@ -168,11 +168,13 @@ def by_reference(gen, op):
         reference_shuffle(gen, items)
         return items
     if name == "sample_indices":
-        return reference_sample_indices(gen, *args)
+        # k indices, then one uniform each: the draws of an extra-trees split.
+        picks = reference_sample_indices(gen, *args)
+        return picks, [gen.random() for _ in picks]
     return getattr(gen, name)(*args)
 
 
-def by_lane(gen, op):
+def by_stream(gen, op):
     name, *args = op
     if name == "words":
         return [gen.next_u64() for _ in range(args[0])]
@@ -180,7 +182,40 @@ def by_lane(gen, op):
         items = list(range(args[0]))
         gen.shuffle(items)
         return items
+    if name == "sample_indices":
+        picks = gen.sample_indices(*args)
+        return picks, [gen.random() for _ in picks]
     return getattr(gen, name)(*args)
+
+
+class OneLane:
+    """Lane i of a `LaneDraws`, drawn one call at a time."""
+
+    def __init__(self, draws, i):
+        self.draws, self.lane = draws, np.array([i])
+
+    def next_u64(self):
+        return int(self.draws._take(self.lane, 1)[0, 0])
+
+
+def by_lane(lane, op):
+    draws, i = lane.draws, lane.lane
+    name, *args = op
+    if name == "words":
+        return draws._take(i, args[0])[0].tolist()
+    if name == "randbelow" and args[0] > 2**63:
+        return reference_randbelow(lane, *args)  # past LaneDraws.randbelow's range
+    if name == "shuffle":
+        items = list(range(args[0]))
+        for j in range(len(items) - 1, 0, -1):
+            r = int(draws.randbelow(i, j + 1)[0])
+            items[j], items[r] = items[r], items[j]
+        return items
+    if name == "sample_indices":
+        n, k = args
+        picks, u = draws.sample(i, np.arange(max(n, 1))[None, :].copy(), np.array([n]), np.array([k]))
+        return picks[0, :k].tolist(), u[0, :k].tolist()
+    return getattr(draws, name)(i, *args)[0]
 
 
 @st.composite
@@ -207,7 +242,7 @@ SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
 @given(
     seeds=st.lists(SEEDS, min_size=1, max_size=6),
     schedule=st.lists(st.tuples(st.integers(0, 5), draw_ops()), max_size=40),
-    how=st.sampled_from(["streams", "stream"]),
+    how=st.sampled_from(["lanes", "stream"]),
     block=st.sampled_from([1, 3, 16, rng._BLOCK]),
 )
 def test_lanes_match_scalar_reference(seeds, schedule, how, block):
@@ -218,22 +253,23 @@ def test_lanes_match_scalar_reference(seeds, schedule, how, block):
     """
     with mock.patch.object(rng, "_BLOCK", block):
         if how == "stream":
-            lanes = [stream(seed) for seed in seeds]
+            lanes, draw = [stream(seed) for seed in seeds], by_stream
         else:
-            lanes = XoshiroLanes(seeds).streams()
+            draws = LaneDraws(seeds)
+            lanes, draw = [OneLane(draws, i) for i in range(len(seeds))], by_lane
         scalars = [Xoshiro256StarStar(seed) for seed in seeds]
         for which, op in schedule:
             i = which % len(seeds)
-            assert by_lane(lanes[i], op) == by_reference(scalars[i], op)
+            assert draw(lanes[i], op) == by_reference(scalars[i], op)
         # The lanes end where their scalar streams end.
         for lane, scalar in zip(lanes, scalars):
             assert [lane.next_u64() for _ in range(3)] == [scalar.next_u64() for _ in range(3)]
 
 
 def test_lanes_cover_the_golden_streams():
-    lanes = XoshiroLanes([0, 42]).streams()
-    assert [lanes[0].next_u64() for _ in range(4)] == GOLDEN_SEED0
-    assert [lanes[1].next_u64() for _ in range(4)] == GOLDEN_SEED42
+    draws = LaneDraws([0, 42])
+    assert draws._take(np.array([0]), 4)[0].tolist() == GOLDEN_SEED0
+    assert draws._take(np.array([1]), 4)[0].tolist() == GOLDEN_SEED42
     draws = LaneDraws([42, 0])
     words = [draws._take(np.array([1, 0]), 2) for _ in range(2)]
     assert np.hstack(words).tolist() == [GOLDEN_SEED0, GOLDEN_SEED42]
@@ -241,12 +277,24 @@ def test_lanes_cover_the_golden_streams():
     assert [single.next_u64() for _ in range(4)] == GOLDEN_SEED42
 
 
+BOUNDS = st.one_of(st.integers(1, 300), st.sampled_from([1, 2, 9, 120, 2**62 + 1, 2**63]))
+
+
 @st.composite
 def lane_calls(draw):
-    """One `LaneDraws` call: its method, its arguments, and the lanes it draws for."""
-    kind = draw(st.sampled_from(["random", "randbelow", "normal"]))
+    """One `LaneDraws` call: its method, its arguments, and the lanes it draws for.
+
+    ``randbelow_each`` and ``sample`` take one bound, or one (n, k), per lane
+    of the six; a call uses those of the lanes it draws for.
+    """
+    kind = draw(st.sampled_from(["random", "randbelow", "randbelow_each", "sample", "normal"]))
     if kind == "randbelow":
-        args = (draw(st.one_of(st.integers(1, 300), st.sampled_from([1, 2, 120, 2**62 + 1, 2**63]))),)
+        args = (draw(BOUNDS),)
+    elif kind == "randbelow_each":
+        args = (draw(st.lists(BOUNDS, min_size=6, max_size=6)),)
+    elif kind == "sample":
+        ns = draw(st.lists(st.integers(0, 12), min_size=6, max_size=6))
+        args = (ns, [draw(st.integers(0, n)) for n in ns])
     elif kind == "normal":
         # A standard normal shows every bit of z; a large mean or std 0 hides the last ones.
         args = draw(st.one_of(st.just((0.0, 1.0)), st.tuples(st.floats(-5, 5), st.floats(0, 3))))
@@ -255,10 +303,38 @@ def lane_calls(draw):
     return kind, args, draw(st.permutations(range(6)).flatmap(lambda p: st.integers(0, 6).map(lambda k: p[:k])))
 
 
+def lane_call(draws, kind, args, lanes):
+    """Make one generated call on `draws`, as a list of per-lane values."""
+    at = np.array(lanes, dtype=np.intp)
+    if kind == "randbelow_each":
+        return draws.randbelow(at, np.array([args[0][i] for i in lanes], dtype=np.uint64)).tolist()
+    if kind == "sample":
+        n = np.array([args[0][i] for i in lanes], dtype=np.int64)
+        k = np.array([args[1][i] for i in lanes], dtype=np.int64)
+        picks, u = draws.sample(at, np.tile(np.arange(13), (len(lanes), 1)), n, k)
+        return [(p[:c], v[:c]) for p, v, c in zip(picks.tolist(), u.tolist(), k.tolist())]
+    return getattr(draws, kind)(at, *args).tolist()
+
+
+def lane_reference(gen, kind, args, i):
+    if kind == "randbelow_each":
+        return reference_randbelow(gen, args[0][i])
+    if kind == "sample":
+        return by_reference(gen, ("sample_indices", args[0][i], args[1][i]))
+    return by_reference(gen, (kind, *args))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seeds=st.lists(SEEDS, min_size=6, max_size=6),
-    calls=st.lists(st.one_of(lane_calls(), st.lists(st.integers(0, 5), unique=True).map(lambda keep: ("keep", keep))), max_size=30),
+    calls=st.lists(
+        st.one_of(
+            lane_calls(),
+            st.lists(st.integers(0, 5), unique=True).map(lambda keep: ("keep", keep)),
+            st.lists(st.integers(0, 5), unique=True).map(lambda gone: ("release", gone)),
+        ),
+        max_size=30,
+    ),
     block=st.sampled_from([1, 3, 16, rng._BLOCK]),
 )
 def test_lane_draws_match_scalar_reference(seeds, calls, block):
@@ -266,26 +342,66 @@ def test_lane_draws_match_scalar_reference(seeds, calls, block):
 
     Calls name lanes in any order and leave some out, so lanes read at
     different rates and a refill keeps words that some lanes have not read;
-    `keep` drops and renumbers lanes between calls.
+    `keep` drops and renumbers lanes between calls, and `release` lets lanes
+    go, which then draw no more.
     """
     with mock.patch.object(rng, "_BLOCK", block):
         draws = LaneDraws(seeds)
         scalars = [Xoshiro256StarStar(seed) for seed in seeds]
+        released: set[int] = set()
         for kind, args, *lanes in calls:
             if kind == "keep":
                 kept = [i for i in args if i < len(scalars)]
                 draws.keep(np.array(kept, dtype=np.intp))
                 scalars = [scalars[i] for i in kept]
+                released = {j for j, i in enumerate(kept) if i in released}
                 continue
-            lanes = [i for i in lanes[0] if i < len(scalars)]
-            got = getattr(draws, kind)(np.array(lanes, dtype=np.intp), *args)
-            want = [by_reference(scalars[i], (kind, *args)) for i in lanes]
-            assert len(got) == len(want)
-            assert [repr(v) for v in got.tolist()] == [repr(v) for v in want]
-        # Every lane ends where its scalar stream ends.
+            if kind == "release":
+                gone = [i for i in args if i < len(scalars)]
+                draws.release(np.array(gone, dtype=np.intp))
+                released.update(gone)
+                continue
+            lanes = [i for i in lanes[0] if i < len(scalars) and i not in released]
+            got = lane_call(draws, kind, args, lanes)
+            want = [lane_reference(scalars[i], kind, args, i) for i in lanes]
+            assert [repr(v) for v in got] == [repr(v) for v in want]
+        # Every lane still drawing ends where its scalar stream ends.
         assert len(draws) == len(scalars)
-        if scalars:
-            assert draws._take(np.arange(len(scalars)), 3).tolist() == [[s.next_u64() for _ in range(3)] for s in scalars]
+        live = [i for i in range(len(scalars)) if i not in released]
+        assert draws._take(np.array(live, dtype=np.intp), 3).tolist() == [[scalars[i].next_u64() for _ in range(3)] for i in live]
+
+
+@pytest.mark.parametrize("block", [1, 3, rng._BLOCK])
+def test_lane_randbelow_with_a_bound_per_lane(block):
+    # n = 1 draws no word; 9 rejects 7 words in 16, and 2**62 + 1 almost 1 in 2.
+    bounds = [1, 9, 2, 1, 9, 300, 2**63, 2**62 + 1, 9, 1]
+    seeds = [derive_seed(3, i) for i in range(len(bounds))]
+    with mock.patch.object(rng, "_BLOCK", block):
+        draws = LaneDraws(seeds)
+        scalars = [Xoshiro256StarStar(seed) for seed in seeds]
+        lanes = np.arange(len(seeds))
+        for _ in range(40):
+            got = draws.randbelow(lanes, np.array(bounds, dtype=np.uint64)).tolist()
+            assert got == [gen.randbelow(n) for gen, n in zip(scalars, bounds)]
+        assert draws._take(lanes, 1)[:, 0].tolist() == [gen.next_u64() for gen in scalars]
+
+
+@pytest.mark.parametrize("block", [1, 3, rng._BLOCK])
+def test_lane_fisher_yates_matches_sample_indices(block):
+    # Each lane picks k of n from its own row of the pool, then draws k uniforms;
+    # n = k, k = 0 and n = 1 include picks and lanes that read no word.
+    cases = [(9, 3), (9, 9), (2, 2), (1, 1), (5, 0), (0, 0), (12, 7), (3, 1)]
+    seeds = [derive_seed(11, i) for i in range(len(cases))]
+    with mock.patch.object(rng, "_BLOCK", block):
+        draws = LaneDraws(seeds)
+        scalars = [Xoshiro256StarStar(seed) for seed in seeds]
+        n, k = (np.array(c, dtype=np.int64) for c in zip(*cases))
+        for _ in range(20):
+            pool = np.tile(np.arange(100, 112), (len(cases), 1))
+            picks, u = draws.sample(np.arange(len(cases)), pool, n, k)
+            for row, (gen, (ni, ki)) in enumerate(zip(scalars, cases)):
+                assert picks[row, :ki].tolist() == [100 + p for p in gen.sample_indices(ni, ki)]
+                assert u[row, :ki].tolist() == [gen.random() for _ in range(ki)]
 
 
 def test_lane_randbelow_rejects_n_outside_its_range():
