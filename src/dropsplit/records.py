@@ -8,10 +8,12 @@ reports every rejected row with a reason.
 
 A cohort has two views of its course records. `StudentStructure` and
 `CourseRecord` objects are the view the API and the tests use; `CourseTable`
-holds the same records as arrays, the view the feature table reads. Ingest
-reads each cell once, parses each distinct term, number and course code text
-once (records that repeat one share its object), and builds both views in one
-pass. `synthgen.generate` builds both views too. A cohort built from objects
+holds the same records as arrays, the view the feature table, the splits and
+the final stage read. Ingest reads each cell once, parses each distinct term,
+number and course code text once, and builds only the columns: an ingested
+student makes its `courses` from them the first time they are read, and keeps
+them. Records made so share one object per distinct code, term and number.
+`synthgen.generate` builds both views eagerly. A cohort built from objects
 (truncated, or put together by hand) derives its table from them on first use.
 """
 
@@ -21,7 +23,7 @@ import csv
 import gc
 import math
 from contextlib import contextmanager
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -34,6 +36,7 @@ from .terms import (
     Term,
     TermParseError,
     TermRange,
+    from_ordinal,
     parse_term,
     to_ordinal,
 )
@@ -77,6 +80,10 @@ class StudentStructure:
     Courses are sorted by term. ``last`` is the latest term with any course
     record, falling back to the entrance term for students with no records
     (those carry no computable time-based features and are flagged inactive).
+
+    An ingested student makes its ``courses`` from the cohort's course
+    columns on first read (`_CoursesOnFirstRead`). It compares, prints,
+    hashes, copies and pickles as one built with the same records.
     """
 
     student_id: str
@@ -96,6 +103,14 @@ class StudentStructure:
             raise ValueError(f"student {sid}: course at {early} before entrance {self.entrance}")
         if keys != sorted(keys):
             raise ValueError(f"student {sid}: courses not sorted by term")
+        self._check_exit()
+        if self.exited and self.last > self.exit_term:
+            raise ValueError(f"student {sid}: course records after exit term {self.exit_term}")
+
+    def _check_exit(self) -> None:
+        """The checks that read no course: status against exit term, and exit
+        before entrance."""
+        sid = self.student_id
         if self.status is EnrollmentStatus.ENROLLED:
             if self.exit_term is not None:
                 raise ValueError(f"student {sid}: enrolled students cannot carry an exit term")
@@ -104,8 +119,23 @@ class StudentStructure:
                 raise ValueError(f"student {sid}: status {self.status.value} requires an exit term")
             if self.exit_term < self.entrance:
                 raise ValueError(f"student {sid}: exit {self.exit_term} before entrance {self.entrance}")
-            if self.last > self.exit_term:
-                raise ValueError(f"student {sid}: course records after exit term {self.exit_term}")
+
+    @classmethod
+    def _on_demand(cls, columns: _CourseColumns, start: int, end: int, **attrs) -> StudentStructure:
+        """A student whose `courses` are rows [start, end) of `columns`, made
+        into records on first read.
+
+        The caller vouches for the course checks of `__post_init__` (sorted by
+        term, none before entrance or after exit); the others run here.
+        """
+        s = cls.__new__(cls)
+        s.__dict__.update(attrs, _columns=(columns, start, end))
+        s._check_exit()
+        return s
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles carry the records, not the cohort's columns.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def last(self) -> Term:
@@ -118,6 +148,29 @@ class StudentStructure:
     @property
     def exited(self) -> bool:
         return self.status is not EnrollmentStatus.ENROLLED
+
+
+class _CoursesOnFirstRead:
+    """`StudentStructure.courses` of an ingested student, made from its span
+    of the cohort's columns on first read and then kept in the instance.
+
+    A non-data descriptor: a student holding its `courses` (built through
+    `__init__`, or ingested and read once) answers from its own `__dict__`.
+    """
+
+    def __get__(self, s: StudentStructure | None, owner: type | None = None):
+        if s is None:
+            return self
+        try:
+            columns, start, end = s.__dict__.pop("_columns")
+        except KeyError:
+            raise AttributeError(f"{type(s).__name__!r} object has no attribute 'courses'") from None
+        courses = s.__dict__["courses"] = columns.records(start, end)
+        return courses
+
+
+# Set after the class is made, so the dataclass sees no default for `courses`.
+StudentStructure.courses = _CoursesOnFirstRead()
 
 
 class CourseTable(NamedTuple):
@@ -148,6 +201,39 @@ class CourseTable(NamedTuple):
             failed=np.fromiter((c.result == 0 for c in courses), bool, n),
             attendance=np.fromiter((c.attendance_pct for c in courses), np.float64, n),
             score=np.fromiter((c.score for c in courses), np.float64, n),
+        )
+
+
+class _CourseColumns:
+    """An ingested cohort's course records as columns: its `CourseTable`, plus
+    each course's code as an index into the distinct codes.
+
+    `records(start, end)` makes rows [start, end) into `CourseRecord`s. Records
+    made from one source share one object per distinct code, term ordinal and
+    number: numbers are keyed by their bits, so -0.0 and 0.0 stay apart.
+    """
+
+    def __init__(self, table: CourseTable, code: np.ndarray, codes: list[str], terms_per_year: int) -> None:
+        self.table, self.code, self.codes = table, code, codes
+        self.terms = _Memo(lambda o: from_ordinal(o, terms_per_year))
+        self.numbers: dict[int, float] = {}
+
+    def records(self, start: int, end: int) -> tuple[CourseRecord, ...]:
+        table, codes, terms, numbers = self.table, self.codes, self.terms, self.numbers
+
+        def shared(column: np.ndarray) -> list[float]:
+            part = column[start:end]
+            return [numbers.setdefault(b, v) for b, v in zip(part.view(np.int64).tolist(), part.tolist())]
+
+        return tuple(
+            map(
+                CourseRecord,
+                [codes[k] for k in self.code[start:end].tolist()],
+                [terms[o] for o in table.term[start:end].tolist()],
+                shared(table.score),
+                shared(table.attendance),
+                (~table.failed[start:end]).view(np.uint8).tolist(),
+            )
         )
 
 
@@ -343,7 +429,7 @@ def _code_static_attrs(
         j = column[name]
         text = [cells[j].strip() for cells in rows]
         try:
-            numbers = [float(v) for v in text]
+            numbers = [_number(v) for v in text]
         except ValueError:
             pass
         else:
@@ -370,6 +456,14 @@ def _code_static_attrs(
 _RESULTS = {"0": 0, "1": 1}
 
 
+def _number(text: str) -> float:
+    """`float(text)`, but only for ASCII text without `_`: `1_0` and non-ASCII
+    digits raise `ValueError`, while `nan`, `inf`, exponents and blanks stay."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
+
+
 class _Memo(dict):
     """``memo[key]`` is ``make(key)``, made once per distinct key."""
 
@@ -384,13 +478,13 @@ class _Memo(dict):
 
 @contextmanager
 def _collector_paused() -> Iterator[None]:
-    """Hold off the cyclic garbage collector while a cohort's records are built.
+    """Hold off the cyclic garbage collector while a cohort is built.
 
     Allocating containers starts a collection every few hundred objects, and
-    the older generations' passes walk every record built so far, yet records
-    form no reference cycles, so those passes free nothing. The collector
-    resumes, if it was on, when the builder (`ingest`, `synthgen.generate`)
-    returns or raises.
+    the older generations' passes walk every object built so far, yet records
+    and students form no reference cycles, so those passes free nothing. The
+    collector resumes, if it was on, when the builder (`ingest`,
+    `synthgen.generate`) returns or raises.
     """
     if not gc.isenabled():
         yield
@@ -410,7 +504,8 @@ def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfi
     reference unknown or out-of-range students, duplicate an earlier row byte
     for byte, or fall after a student's registered exit are collected into the
     rejects list instead. Each student's courses are kept in (term, file row)
-    order, in the objects and in the cohort's `CourseTable` alike.
+    order in the cohort's `CourseTable`, and made into records in that order
+    when first read.
     """
     students_path, courses_path = Path(students_path), Path(courses_path)
     with students_path.open(newline="", encoding="utf-8") as fh:
@@ -461,14 +556,15 @@ def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfi
 
     rejects: list[tuple[int, str, str]] = []
     duplicates = 0
-    # Each distinct score, attendance or course code text is parsed once, and
-    # the records that hold it share one object: a course file repeats a few
-    # thousand numbers and codes across all its rows.
-    numbers, codes = _Memo(float), _Memo(str.strip)
+    # Each distinct score, attendance or course code text is parsed once: a
+    # course file repeats a few thousand numbers and codes across all its rows.
+    # A code is kept as its index among the distinct stripped codes.
+    numbers, code_index = _Memo(_number), {}
+    code_ids = _Memo(lambda text: code_index.setdefault(text.strip(), len(code_index)))
     seen_lines: set[str | tuple[str, ...]] = set()
     # One entry per kept course, in file order.
-    records: list[CourseRecord] = []
     owner: list[int] = []
+    code: list[int] = []
     ordinal: list[int] = []
     results: list[int] = []
     attendances: list[float] = []
@@ -504,10 +600,10 @@ def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfi
             result = _RESULTS.get(cells[c_result].strip())
             if result is None:
                 raise IngestError(f"row {rownum}: result must be 0 or 1, got {cells[c_result].strip()!r}")
-            try:  # the record checks the score and attendance ranges
-                record = CourseRecord(codes[cells[c_code]], term, score, attendance, result)
-            except ValueError as exc:
-                raise IngestError(f"row {rownum}: {exc}") from None
+            if not 0.0 <= score <= 10.0:
+                raise IngestError(f"row {rownum}: score {score} outside [0, 10]")
+            if not 0.0 <= attendance <= 100.0:
+                raise IngestError(f"row {rownum}: attendance {attendance} outside [0, 100]")
             k = position.get(sid)
             if k is None:
                 rejects.append((rownum, sid, "unknown_student"))
@@ -518,8 +614,8 @@ def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfi
                 # Registered exit wins over trailing activity; keep the row out.
                 rejects.append((rownum, sid, "after_exit"))
                 continue
-            records.append(record)
             owner.append(k)
+            code.append(code_ids[cells[c_code]])
             ordinal.append(o)
             results.append(result)
             attendances.append(attendance)
@@ -536,20 +632,22 @@ def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfi
         attendance=np.array(attendances, dtype=np.float64)[order],
         score=np.array(scores, dtype=np.float64)[order],
     )
-    records = [records[r] for r in order.tolist()]
+    columns = _CourseColumns(table, np.array(code, dtype=np.int64)[order], list(code_index), cfg.terms_per_year)
     students = []
     ends = np.cumsum(table.count).tolist()
     for sid, start, end in zip(ids, [0] + ends[:-1], ends):
         rownum, (entrance, _), status, exit_term, attrs = parsed[sid]
         try:
             students.append(
-                StudentStructure(
+                StudentStructure._on_demand(
+                    columns,
+                    start,
+                    end,
                     student_id=sid,
                     static_attrs=attrs,
                     entrance=entrance,
                     status=status,
                     exit_term=None if exit_term is None else exit_term[0],
-                    courses=tuple(records[start:end]),
                 )
             )
         except ValueError as exc:

@@ -389,9 +389,16 @@ def validate(c: Cohort) -> CohortStats:
     status_counts = {status.value: 0 for status in EnrollmentStatus}
     per_year: dict[int, list[int]] = {}
     terms_by_status: dict[str, list[int]] = {status.value: [] for status in EnrollmentStatus}
-    records_counts: list[int] = []
-    n_courses = 0
-    for s in c.students:
+    # Records and distinct active terms per student, read from the course
+    # table: a student's courses are contiguous and sorted by term, so each
+    # change of student or term starts a new active term.
+    table = c.course_table
+    records_counts = table.count.tolist()
+    student = np.repeat(np.arange(len(c.students)), table.count)
+    starts = np.ones(len(student), dtype=bool)
+    starts[1:] = (student[1:] != student[:-1]) | (table.term[1:] != table.term[:-1])
+    active = np.bincount(student[starts], minlength=len(c.students)).tolist()
+    for s, active_terms in zip(c.students, active):
         status_counts[s.status.value] += 1
         row = per_year.setdefault(s.entrance.year, [0, 0, 0, 0])
         row[0] += 1
@@ -401,10 +408,7 @@ def validate(c: Cohort) -> CohortStats:
             row[2] += 1
         else:
             row[3] += 1
-        active_terms = len({rec.term for rec in s.courses})
         terms_by_status[s.status.value].append(active_terms)
-        records_counts.append(len(s.courses))
-        n_courses += len(s.courses)
     cohorts = []
     for year in sorted(per_year):
         entered, drop, grad, enrolled = per_year[year]
@@ -424,7 +428,7 @@ def validate(c: Cohort) -> CohortStats:
         histogram.append((label, sum(1 for v in records_counts if lo <= v <= hi)))
     return CohortStats(
         n_students=len(c.students),
-        n_courses=n_courses,
+        n_courses=sum(records_counts),
         status_counts=status_counts,
         entrance_cohorts=cohorts,
         terms_by_status=summary,

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from dropsplit.records import Cohort, CourseRecord, EnrollmentStatus, StudentStructure
-from dropsplit.synthgen import GeneratorConfig, generate
+from dropsplit.records import Cohort, CourseRecord, EnrollmentStatus, IngestConfig, StudentStructure, ingest
+from dropsplit.synthgen import GeneratorConfig, generate, write_courses_csv, write_students_csv
 from dropsplit.terms import DEFAULT_TERMS_PER_YEAR, Term, TermRange, term_distance
 
 ATTRS = (("entrance_age", 18.0), ("sex_code", 1.0), ("degree_code", 2.0))
@@ -116,3 +116,28 @@ def tiny_cohort(alice) -> Cohort:
 def medium_synth() -> Cohort:
     cfg = GeneratorConfig(seed=2024, range_start=Term(2009, 1), range_end=Term(2015, 2), intake_per_term=12)
     return generate(cfg).cohort
+
+
+def ingest_written(cohort: Cohort, directory) -> Cohort:
+    """The cohort written to CSV files in `directory` and ingested back."""
+    sp, cp = directory / "students.csv", directory / "courses.csv"
+    write_students_csv(cohort, sp)
+    write_courses_csv(cohort, cp)
+    cfg = IngestConfig(range_start=cohort.range.lo, range_end=cohort.range.hi, terms_per_year=cohort.terms_per_year)
+    return ingest(sp, cp, cfg).cohort
+
+
+def eager_rebuild(cohort: Cohort) -> Cohort:
+    """The same cohort with every student built through the constructor."""
+    students = tuple(
+        StudentStructure(
+            student_id=s.student_id,
+            static_attrs=s.static_attrs,
+            entrance=s.entrance,
+            status=s.status,
+            exit_term=s.exit_term,
+            courses=tuple(s.courses),
+        )
+        for s in cohort.students
+    )
+    return Cohort(students=students, range=cohort.range, terms_per_year=cohort.terms_per_year)

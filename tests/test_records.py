@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import copy
 import csv
+import dataclasses
 import gc
 import io
+import math
+import pickle
 import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dropsplit import records
+from dropsplit.classifiers import ClassifierSpec
+from dropsplit.evaluation import predict_enrolled, run_grid
 from dropsplit.records import (
     _COURSE_COLUMNS,
     _STUDENT_COLUMNS,
@@ -28,9 +35,10 @@ from dropsplit.records import (
     subset_exited_from,
     truncate_records,
 )
+from dropsplit.splits import SplitApproach, SplitRequest, build_split
 from dropsplit.terms import Term, TermParseError, TermRange, iter_terms, parse_term, to_ordinal
 
-from conftest import course, make_student
+from conftest import course, eager_rebuild, ingest_written, make_student
 
 STUDENTS_CSV = """student_id,entrance_term,status,exit_term,age,sex
 s1,2012.1,graduated,2013.2,18,F
@@ -191,7 +199,7 @@ def _is_term(text: str) -> bool:
 
 def _is_score(text: str) -> bool:
     try:
-        return 0.0 <= float(text) <= 10.0
+        return 0.0 <= _reference_number(text) <= 10.0
     except ValueError:
         return False
 
@@ -413,9 +421,16 @@ def _reference_record_term(text: str, cfg: IngestConfig, row: int) -> Term:
         raise IngestError(f"row {row}: {exc}") from None
 
 
+def _reference_number(text: str) -> float:
+    """A number cell is ASCII, holds no underscore, and otherwise reads as `float` reads it."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return float(text)
+
+
 def _reference_float(text: str, column: str, row: int) -> float:
     try:
-        return float(text)
+        return _reference_number(text)
     except ValueError:
         raise IngestError(f"row {row}: column {column!r} has non-numeric value {text!r}") from None
 
@@ -426,7 +441,7 @@ def _reference_code_static_attrs(raw, names, provided):
     for name in names:
         column = [r[name].strip() for r in raw]
         try:
-            values[name] = [float(v) for v in column]
+            values[name] = [_reference_number(v) for v in column]
             continue
         except ValueError:
             pass
@@ -724,6 +739,38 @@ class TestAttributeValues:
         assert dict(result.cohort.student("s3").static_attrs)["sex"] == 2.0
 
 
+class TestNumberCells:
+    """A number cell is ASCII and holds no underscore; otherwise it reads as
+    `float` reads it."""
+
+    @pytest.mark.parametrize(
+        "row, column, text",
+        [
+            ("s1,MATH1,2012.1,1_0,90,1", "score", "1_0"),
+            ("s1,MATH1,2012.1,7.5,9_0,1", "attendance_pct", "9_0"),
+            ("s1,MATH1,2012.1, \u0667.5 ,90,1", "score", " \u0667.5 "),
+            ("s1,MATH1,2012.1,7.5,\uff19\uff10,1", "attendance_pct", "\uff19\uff10"),
+        ],
+    )
+    def test_course_number_outside_the_grammar_is_error(self, tmp_path, row, column, text):
+        sp, cp = write_inputs(tmp_path, courses=COURSES_CSV + row + "\n")
+        message = f"row 9: column {column!r} has non-numeric value {text!r}"
+        with pytest.raises(IngestError, match=re.escape(message)):
+            ingest(sp, cp, default_config())
+
+    @pytest.mark.parametrize("text, value", [(" 5e0 ", 5.0), ("1E1", 10.0), (" .5", 0.5), ("+7", 7.0)])
+    def test_course_number_reads_as_float_reads_it(self, tmp_path, text, value):
+        sp, cp = write_inputs(tmp_path, courses=COURSES_CSV + f"s3,LATE,2013.2,{text},90,1\n")
+        assert ingest(sp, cp, default_config()).cohort.student("s3").courses[-1].score == value
+
+    @pytest.mark.parametrize("value", ["2_0", "\u0662\u0660"])
+    def test_attribute_outside_the_grammar_is_coded_like_words(self, tmp_path, value):
+        students = STUDENTS_CSV.replace("s2,2012.2,dropout,2013.1,22,M", f"s2,2012.2,dropout,2013.1,{value},M")
+        result = ingest(*write_inputs(tmp_path, students=students), default_config())
+        assert result.attr_codes["age"] == {"18": 0, "19": 1, value: 2}
+        assert dict(result.cohort.student("s2").static_attrs)["age"] == 2.0
+
+
 def test_ingest_leaves_the_collector_as_it_found_it(tmp_path):
     sp, cp = write_inputs(tmp_path)
     assert gc.isenabled()
@@ -769,3 +816,77 @@ def test_unsorted_course_before_entrance_names_the_first():
             exit_term=None,
             courses=(course(2013, 1, 5.0, 50.0, 1), course(2012, 1, 5.0, 50.0, 1), course(2011, 1, 5.0, 50.0, 1)),
         )
+
+
+# --- records made on first read ------------------------------------------------
+
+
+class TestCoursesOnFirstRead:
+    """An ingested student makes its `CourseRecord`s from the cohort's columns
+    the first time `courses` is read; it must be indistinguishable from a
+    student built with its records."""
+
+    @pytest.mark.parametrize(
+        "how",
+        [None, copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)), dataclasses.replace],
+        ids=["read", "copy", "deepcopy", "pickle", "replace"],
+    )
+    def test_ingested_students_equal_their_eager_rebuild(self, medium_synth, tmp_path, how):
+        eager = eager_rebuild(ingest_written(medium_synth, tmp_path)).students
+        got = ingest_written(medium_synth, tmp_path).students
+        assert not any("courses" in vars(s) for s in got)
+        if how is not None:
+            got = [how(s) for s in got]
+            # A copy holds its records, not the cohort's columns.
+            assert [vars(s) for s in got] == [vars(s) for s in eager]
+        for s, want in zip(got, eager):
+            assert s == want and repr(s) == repr(want) and hash(s) == hash(want)
+        assert [vars(s) for s in got] == [vars(s) for s in eager]
+        assert [dataclasses.astuple(s) for s in got] == [dataclasses.astuple(s) for s in medium_synth.students]
+
+    def test_cohort_copies_equal_the_eager_cohort(self, medium_synth, tmp_path):
+        eager = eager_rebuild(ingest_written(medium_synth, tmp_path))
+        for how in (copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
+            cohort = how(ingest_written(medium_synth, tmp_path))
+            assert cohort == eager and repr(cohort) == repr(eager)
+
+    def test_public_surface_is_unchanged(self):
+        names = [f.name for f in dataclasses.fields(StudentStructure)]
+        assert names == ["student_id", "static_attrs", "entrance", "status", "exit_term", "courses"]
+        assert CourseTable._fields == ("count", "term", "failed", "attendance", "score")
+        with pytest.raises(TypeError):
+            StudentStructure("x", (), Term(2012, 1), EnrollmentStatus.ENROLLED, None)  # courses has no default
+
+    def test_signed_zeros_keep_their_sign(self, tmp_path):
+        courses = COURSES_CSV + "s3,Z1,2013.2,-0,-0.0,1\ns3,Z2,2013.2,0,0,1\n"
+        z1, z2 = ingest(*write_inputs(tmp_path, courses=courses), default_config()).cohort.student("s3").courses[1:]
+        assert math.copysign(1.0, z1.score) == math.copysign(1.0, z1.attendance_pct) == -1.0
+        assert math.copysign(1.0, z2.score) == math.copysign(1.0, z2.attendance_pct) == 1.0
+
+    def test_hot_paths_make_no_records(self, medium_synth, tmp_path, monkeypatch):
+        made: list[tuple[int, int]] = []
+        make = records._CourseColumns.records
+
+        def spy(columns, start, end):
+            made.append((start, end))
+            return make(columns, start, end)
+
+        monkeypatch.setattr(records._CourseColumns, "records", spy)
+        cohort = ingest_written(medium_synth, tmp_path)
+        terms = [Term(2012, 1), Term(2013, 2)]
+        for approach in SplitApproach:
+            for t in terms:
+                build_split(cohort, SplitRequest(approach, t, seed=3))
+        specs = [
+            ClassifierSpec(kind="decision_tree", max_depth=4),
+            ClassifierSpec(kind="extra_trees", n_trees=3, max_depth=4, seed=1),
+            ClassifierSpec(kind="knn", k=3),
+            ClassifierSpec(kind="gaussian_nb"),
+        ]
+        run_grid(cohort, list(SplitApproach), specs, terms, split_seed=3)
+        for spec in specs:
+            predict_enrolled(cohort, spec, SplitApproach.B4T)
+        assert made == []
+        assert not any("courses" in vars(s) for s in cohort.students)
+        cohort.students[0].courses  # the spy sees a read
+        assert made == [(0, int(cohort.course_table.count[0]))]

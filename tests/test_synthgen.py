@@ -25,6 +25,8 @@ from dropsplit.synthgen import (
 )
 from dropsplit.terms import Term, iter_terms, next_term, term_distance
 
+from conftest import eager_rebuild, ingest_written
+
 
 def small_config(**overrides) -> GeneratorConfig:
     base = dict(
@@ -450,3 +452,19 @@ class TestValidate:
         assert text.startswith("students=")
         assert "records_per_student_histogram" in text
         assert format_stats(validate(cohort)) == text
+
+    def test_ingested_cohort_reads_as_its_eager_rebuild(self, tmp_path):
+        cohort = ingest_written(generate(small_config()).cohort, tmp_path)
+        text = format_stats(validate(cohort))
+        assert not any("courses" in vars(s) for s in cohort.students)  # counted from the course table
+        assert text == format_stats(validate(eager_rebuild(cohort)))
+
+    def test_active_terms_count_distinct_terms(self, tiny_cohort):
+        for cohort in (tiny_cohort, generate(small_config()).cohort):
+            per_status: dict[str, list[int]] = {}
+            for s in cohort.students:
+                per_status.setdefault(s.status.value, []).append(len({rec.term for rec in s.courses}))
+            stats = validate(cohort)
+            for status, values in per_status.items():
+                assert stats.terms_by_status[status] == (sum(values) / len(values), min(values), max(values))
+            assert stats.n_courses == sum(len(s.courses) for s in cohort.students)
