@@ -10,15 +10,14 @@ period means breaking ties.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .classifiers import ClassifierSpec, accuracy, confusion, fit, fit_each, predict
-from .features import FeatureSetSpec, VectorCache
-from .records import Cohort, subset_enrolled, subset_exited_before, subset_exited_from
+from .features import FeatureSetSpec, VectorCache, checked_cache
+from .records import Cohort
 from .splits import (
     RULES,
     Exclusion,
@@ -94,11 +93,11 @@ def run_grid(
 
     One vector cache is shared across the whole walk (pass `cache` to share it
     with the final stage too), and cells are visited in a fixed order so
-    results do not depend on scheduling. Within one reference term a
-    classifier is fitted once per distinct training set (B2 and B2T train on
-    the same rows) and that model scores each test set that needs it. Other
-    kinds are scored as each split is built, but extra-trees cells wait for the
-    term's splits, so that one `fit_each` call grows all its forests together.
+    results do not depend on scheduling. A reference term's splits are built
+    first; then each classifier is fitted once per distinct training set, as
+    `RULES` gives them (B2 and B2T train on the same rows), all of the term's
+    sets in one `fit_each` call, and each model scores every test set that
+    needs it.
     """
     if not specs:
         raise EvaluationError("no classifier specs given")
@@ -108,8 +107,7 @@ def run_grid(
     for t in t_values:
         if t not in cohort.range:
             raise EvaluationError(f"reference term {t} outside cohort range")
-    if cache is None:
-        cache = VectorCache(cohort, feature_spec)
+    cache = checked_cache(cohort, feature_spec, cache)
     grid = EvaluationGrid(
         approaches=tuple(approaches),
         classifiers=tuple(labels),
@@ -123,10 +121,9 @@ def run_grid(
 
 def _run_term(grid, cohort, approaches, specs, t, split_seed, cache) -> None:
     """Fill term t's cells; its models and splits go with the call."""
-    models: dict = {}
-    forests = [spec for spec in specs if spec.kind == "extra_trees"]
-    held = []  # (approach, training-set digest, train, test), for the forests
-    grid.enrolled[t] = len(subset_enrolled(cohort, t))
+    grid.enrolled[t] = len(cache.table.enrolled(to_ordinal(t, cohort.terms_per_year)))
+    trains = {}  # one per distinct training set: A's own, else its train rule's
+    held = []  # (approach, training-set key, test)
     for approach in approaches:
         a = approach.value
         try:
@@ -143,33 +140,19 @@ def _run_term(grid, cohort, approaches, specs, t, split_seed, cache) -> None:
             test_rows=test.n,
         )
         grid.exclusion_counts[(a, t)] = len(train.meta.exclusions) + len(test.meta.exclusions)
-        digest = _digest(train)
-        for spec in specs:
-            if spec.kind == "extra_trees":
-                continue
-            if (spec, digest) not in models:
-                models[(spec, digest)] = fit(spec, train)
-            _score(grid, (a, spec.label, t), models[(spec, digest)], test)
-        if forests:
-            held.append((a, digest, train, test))
-    trains = {digest: train for _, digest, train, _ in held}
-    for spec in forests:
+        key = approach if approach is SplitApproach.A else RULES[approach].train
+        trains.setdefault(key, train)
+        held.append((a, key, test))
+    for spec in specs:
         fitted = dict(zip(trains, fit_each(spec, list(trains.values()))))
-        for a, digest, _, test in held:
-            _score(grid, (a, spec.label, t), fitted[digest], test)
+        for a, key, test in held:
+            _score(grid, (a, spec.label, t), fitted[key], test)
 
 
 def _score(grid: EvaluationGrid, cell: tuple, model, test: LabeledDataset) -> None:
     y_pred = predict(model, test.X)
     grid.accuracy[cell] = accuracy(test.y, y_pred)
     grid.confusions[cell] = confusion(test.y, y_pred)
-
-
-def _digest(ds: LabeledDataset) -> tuple:
-    """Shape and SHA-256 of a dataset's feature and label bytes: what a fit reads."""
-    h = hashlib.sha256(np.ascontiguousarray(ds.X))
-    h.update(np.ascontiguousarray(ds.y))
-    return ds.X.shape, h.digest()
 
 
 @dataclass
@@ -294,29 +277,29 @@ def predict_enrolled(
     """Refit on every exited student and predict each enrolled student's outcome.
 
     The training rows follow the approach's train rule, so every exited student
-    is either a training row or a training exclusion. Enrolled students without
+    is either a training row or a training exclusion (those exited before the
+    horizon first, then those exited at it). Enrolled students without
     a computable vector at the horizon are listed as exclusions, so predictions
     plus exclusions always account for the whole enrolled population. With no
     enrolled student nothing is fitted and both sides are empty.
     """
-    if cache is None:
-        cache = VectorCache(cohort, feature_spec)
+    cache = checked_cache(cohort, feature_spec, cache)
+    tab = cache.table
     horizon = cohort.range.hi
+    o = to_ordinal(horizon, tab.terms_per_year)
     result = EnrolledPredictions(approach.value, winning_spec.label, horizon, [], [], (), ())
-    enrolled = subset_enrolled(cohort, horizon)
-    if not enrolled:
+    enrolled = tab.enrolled(o)
+    if not len(enrolled):
         return result
-    exited = subset_exited_before(cohort, horizon) + subset_exited_from(cohort, horizon)
+    exited = np.concatenate([tab.exited_before(o), tab.exited_from(o)])
     train = apply_rule(approach, "train", exited, horizon, cache)
     if not train.n:
         raise EvaluationError("no exited students with computable training vectors")
     result.train_rows, result.train_exclusions = train.rows, train.meta.exclusions
     model = fit(winning_spec, train)
-    tab = cache.table
-    si = np.array([tab.index[s.student_id] for s in enrolled], dtype=np.int64)
-    pick = tab.as_of(si, to_ordinal(horizon, tab.terms_per_year))
+    pick = tab.as_of(enrolled, o)
     defined = pick.count > 0
-    result.exclusions = [(s.student_id, r) for s, r, ok in zip(enrolled, pick.reason.tolist(), defined) if not ok]
+    result.exclusions = [(tab.student_ids[i], r) for i, r, ok in zip(enrolled.tolist(), pick.reason.tolist(), defined) if not ok]
     if defined.any():
         X, _, rows = tab.take(pick.start[defined], pick.as_of)
         labels = predict(model, X)

@@ -273,6 +273,10 @@ class VectorTable:
         """Students active at o who exited within the window (as `subset_exited_from`)."""
         return np.flatnonzero((o <= self.exit) & (self.exit <= self.horizon) & (self.entrance <= o))
 
+    def enrolled(self, o: int) -> np.ndarray:
+        """Students still enrolled who entered at or before o (as `subset_enrolled`)."""
+        return np.flatnonzero((self.exit == np.iinfo(self.exit.dtype).max) & (self.entrance <= o))
+
     # Choices for students si (cohort positions), with the reason codes of the
     # public functions where a vector is undefined.
 
@@ -330,6 +334,18 @@ class VectorCache:
     @cached_property
     def table(self) -> VectorTable:
         return VectorTable.of(self.cohort, self.spec)
+
+
+def checked_cache(cohort: Cohort, spec: FeatureSetSpec | None, cache: VectorCache | None) -> VectorCache:
+    """cache, refused unless it holds cohort's vectors under spec (when given),
+    or a new cache of them."""
+    if cache is None:
+        return VectorCache(cohort, spec)
+    if cache.cohort is not cohort:
+        raise ValueError("the vector cache was built for another cohort")
+    if spec is not None and spec != cache.spec:
+        raise ValueError(f"the vector cache was built for features {cache.spec.names}, not {spec.names}")
+    return cache
 
 
 # The public vector functions answer for one student from the student's own

@@ -23,8 +23,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .features import FeatureSetSpec, Pick, VectorCache, VectorTable
-from .records import Cohort, StudentStructure, check_reference
+from .features import FeatureSetSpec, Pick, VectorCache, VectorTable, checked_cache
+from .records import Cohort, check_reference
 from .rng import check_seed, stream
 from .terms import Term, to_ordinal
 
@@ -198,16 +198,9 @@ def _choose(
     return idx, pick.as_of
 
 
-def apply_rule(
-    approach: SplitApproach, role: str, students: list[StudentStructure], t: Term, cache: VectorCache
-) -> LabeledDataset:
-    """One side of a split: the approach's rule for role ("train" or "test")
-    applied to each student, every undefined vector kept as an exclusion."""
-    si = np.array([cache.table.index[s.student_id] for s in students], dtype=np.int64)
-    return _side(approach, role, si, t, cache)
-
-
-def _side(approach: SplitApproach, role: str, si: np.ndarray, t: Term, cache: VectorCache) -> LabeledDataset:
+def apply_rule(approach: SplitApproach, role: str, si: np.ndarray, t: Term, cache: VectorCache) -> LabeledDataset:
+    """One side of a split: the approach's rule for role ("train" or "test") applied
+    to the students at cohort positions si, every undefined vector an exclusion."""
     exclusions: list[Exclusion] = []
     idx, as_of = _choose(getattr(RULES[approach], role), si, t, cache, role, exclusions)
     return _dataset(cache, idx, as_of, approach, t, role, exclusions)
@@ -249,20 +242,18 @@ def build_split(
 
     Train rows come from students who exited before T, test rows from students
     active at T who exited by the end of the window; RULES says which vectors
-    each side uses.
+    each side uses. A cache of another cohort, or of features other than spec
+    when spec is given, is refused with a ValueError.
     """
     t = request.reference_term
-    if cache is None:
-        cache = VectorCache(c, spec)
-    elif cache.cohort is not c:
-        raise ValueError("the vector cache was built for another cohort")
+    cache = checked_cache(c, spec, cache)
     check_reference(c, t)
     o = to_ordinal(t, c.terms_per_year)
     before, onward = cache.table.exited_before(o), cache.table.exited_from(o)
     if request.approach is SplitApproach.A:
         return _pooled(before, onward, t, request.seed, cache)
-    train = _side(request.approach, "train", before, t, cache)
-    test = _side(request.approach, "test", onward, t, cache)
+    train = apply_rule(request.approach, "train", before, t, cache)
+    test = apply_rule(request.approach, "test", onward, t, cache)
     if not train.n:
         raise SplitError(f"train side empty: no student exited before {t} with a usable vector")
     if not test.n:

@@ -17,7 +17,7 @@ from dropsplit.evaluation import (
     score_points,
 )
 from dropsplit.features import CANONICAL_TIME_FEATURES, FeatureSetSpec, VectorCache
-from dropsplit.records import Cohort, subset_enrolled, subset_exited_before, subset_exited_from
+from dropsplit.records import Cohort, subset_enrolled, subset_exited_before, subset_exited_from, truncate_records
 from dropsplit.splits import SplitApproach, SplitError, SplitRequest, apply_rule, build_split
 from dropsplit.terms import Term, TermRange, iter_terms
 
@@ -91,11 +91,11 @@ class TestRunGrid:
         # B2 and B2T train on the same rows, so each spec is fitted once per term.
         fits = []
 
-        def counting_fit(spec, train):
-            fits.append((spec.label, train.X.tobytes(), train.y.tobytes()))
-            return fit(spec, train)
+        def counting_fit_each(spec, trains):
+            fits.extend((spec.label, train.X.tobytes(), train.y.tobytes()) for train in trains)
+            return fit_each(spec, trains)
 
-        monkeypatch.setattr(evaluation, "fit", counting_fit)
+        monkeypatch.setattr(evaluation, "fit_each", counting_fit_each)
         terms = [Term(2011, 2), Term(2012, 1)]
         grid = run_grid(medium_synth, [SplitApproach.B2, SplitApproach.B2T], FAST_SPECS, terms)
         assert len(fits) == len(set(fits)) == len(FAST_SPECS) * len(terms)
@@ -103,8 +103,8 @@ class TestRunGrid:
 
     def test_forest_cells_equal_cells_fitted_alone(self, medium_synth, monkeypatch):
         # At 2010.2 only A and B1 can be built; the others raise SplitError.
-        # Both forest specs wait for the term's splits and grow all its
-        # distinct training sets together; the tree is fitted split by split.
+        # Every spec, of every kind, waits for the term's splits and is fitted
+        # on all its distinct training sets in one batch.
         specs = [
             ClassifierSpec(kind="extra_trees", n_trees=4, max_depth=4, seed=1, label="forest_a"),
             ClassifierSpec(kind="decision_tree", max_depth=4, label="tree"),
@@ -137,9 +137,9 @@ class TestRunGrid:
                     assert grid.cell(a, spec.label, t) == accuracy(test.y, y_pred)
                     assert np.array_equal(grid.confusions[(a, spec.label, t)], confusion(test.y, y_pred))
         assert skipped == 3
-        # Per term, one batch per forest spec: A and B1 at 2010.2; at 2012.1 B2
-        # and B2T share their training set.
-        assert batches == [("forest_a", 2), ("forest_b", 2), ("forest_a", 4), ("forest_b", 4)]
+        # Per term, one batch per spec: A and B1 at 2010.2; at 2012.1 B2 and
+        # B2T share their training set.
+        assert batches == [(spec.label, n) for n in (2, 4) for spec in specs]
 
     def test_fills_the_cache_it_is_given(self, medium_synth):
         cache = VectorCache(medium_synth)
@@ -155,6 +155,41 @@ class TestRunGrid:
                 [ClassifierSpec(kind="knn"), ClassifierSpec(kind="knn")],
                 [Term(2011, 1), Term(2011, 2)],
             )
+
+
+class TestCacheChecks:
+    """run_grid and predict_enrolled read only the cache's table, so they refuse
+    a cache of another cohort, or of features other than the ones asked for."""
+
+    COURSES_ONLY = FeatureSetSpec(static_names=(), time_features=("courses_taken",))
+
+    def test_grid_refuses_a_foreign_cache_before_its_first_term(self, medium_synth):
+        foreign = VectorCache(truncate_records(medium_synth, Term(2014, 1)))
+        for terms in ([], [Term(2012, 1)]):
+            with pytest.raises(ValueError, match="another cohort"):
+                run_grid(medium_synth, [SplitApproach.B1], FAST_SPECS, terms, cache=foreign)
+        assert "table" not in vars(foreign)
+
+    def test_final_stage_refuses_a_foreign_cache(self, medium_synth):
+        foreign = VectorCache(truncate_records(medium_synth, Term(2014, 1)))
+        with pytest.raises(ValueError, match="another cohort"):
+            predict_enrolled(medium_synth, ClassifierSpec(kind="gaussian_nb"), SplitApproach.B4T, cache=foreign)
+
+    def test_a_cache_of_other_features_is_refused(self, medium_synth):
+        cache = VectorCache(medium_synth)
+        with pytest.raises(ValueError, match="features"):
+            run_grid(medium_synth, [SplitApproach.B1], FAST_SPECS, [Term(2012, 1)], feature_spec=self.COURSES_ONLY, cache=cache)
+        with pytest.raises(ValueError, match="features"):
+            predict_enrolled(medium_synth, ClassifierSpec(kind="gaussian_nb"), feature_spec=self.COURSES_ONLY, cache=cache)
+
+    def test_a_cache_of_the_same_features_is_used(self, medium_synth):
+        cache = VectorCache(medium_synth)
+        same = FeatureSetSpec.for_cohort(medium_synth)
+        spec = ClassifierSpec(kind="gaussian_nb")
+        grid = run_grid(medium_synth, [SplitApproach.B1], [spec], [Term(2012, 1)], feature_spec=same, cache=cache)
+        assert grid.accuracy == run_grid(medium_synth, [SplitApproach.B1], [spec], [Term(2012, 1)]).accuracy
+        result = predict_enrolled(medium_synth, spec, feature_spec=same, cache=cache)
+        assert result == predict_enrolled(medium_synth, spec)
 
 
 def make_grid(t_count, cells):
@@ -335,6 +370,8 @@ class TestPredictEnrolled:
         assert not trained & set(excluded)
         assert len(excluded) == len(set(excluded))
         assert trained | set(excluded) == {s.student_id for s in exited}
+        # Exclusions follow the population: exited before the horizon, then at it.
+        assert excluded == [s.student_id for s in exited if s.student_id not in trained]
 
     def test_deterministic(self, medium_synth):
         spec = ClassifierSpec(kind="extra_trees", n_trees=5, seed=3)
@@ -366,8 +403,10 @@ class TestPredictEnrolled:
         X = np.array([values for _, values in rows], dtype=np.float64)
         (got,) = matrices
         assert got.shape == X.shape and got.tobytes() == X.tobytes()
+        cache = VectorCache(medium_synth, features)
         exited = subset_exited_before(medium_synth, horizon) + subset_exited_from(medium_synth, horizon)
-        train = apply_rule(SplitApproach.B4T, "train", exited, horizon, VectorCache(medium_synth, features))
+        si = np.array([cache.table.index[s.student_id] for s in exited], dtype=np.int64)
+        train = apply_rule(SplitApproach.B4T, "train", si, horizon, cache)
         labels = predict(fit(clf, train), X)
         assert result.predictions == [(sid, int(label)) for (sid, _), label in zip(rows, labels)]
         assert result.exclusions == exclusions

@@ -14,7 +14,14 @@ from dropsplit.features import (
     VectorCache,
     student_label,
 )
-from dropsplit.records import Cohort, CourseRecord, subset_exited_before, subset_exited_from, truncate_records
+from dropsplit.records import (
+    Cohort,
+    CourseRecord,
+    subset_enrolled,
+    subset_exited_before,
+    subset_exited_from,
+    truncate_records,
+)
 from dropsplit.rng import Xoshiro256StarStar
 from dropsplit.splits import (
     DatasetMeta,
@@ -295,6 +302,18 @@ class TestSharedCache:
         with pytest.raises(ValueError, match="another cohort"):
             build_split(medium_synth, SplitRequest(SplitApproach.B1, T_MID), cache=VectorCache(tiny_cohort))
 
+    def test_cache_of_other_features_is_refused(self, medium_synth):
+        courses_only = FeatureSetSpec(static_names=(), time_features=("courses_taken",))
+        with pytest.raises(ValueError, match="features"):
+            build_split(medium_synth, SplitRequest(SplitApproach.B1, T_MID), spec=courses_only, cache=VectorCache(medium_synth))
+
+    def test_cache_of_the_same_features_is_used(self, medium_synth):
+        cache = VectorCache(medium_synth)
+        spec = FeatureSetSpec.for_cohort(medium_synth)
+        train, test = build_split(medium_synth, SplitRequest(SplitApproach.B1, T_MID), spec=spec, cache=cache)
+        assert "table" in vars(cache)
+        assert train.X.shape[1] == test.X.shape[1] == len(spec.names)
+
 
 def test_split_request_rejects_seed_outside_64_bits():
     assert SplitRequest(SplitApproach.A, T_MID, seed=2**64 - 1).seed == 2**64 - 1
@@ -542,9 +561,10 @@ def test_apply_rule_sorts_rows_and_keeps_population_order(cohort, approach):
     cache = VectorCache(cohort)
     t = Term(2012, 1)
     exited = subset_exited_from(cohort, t) + subset_exited_before(cohort, t)
+    si = np.array([cache.table.index[s.student_id] for s in exited], dtype=np.int64)
     for role in ("train", "test"):
-        forward = apply_rule(approach, role, exited, t, cache)
-        backward = apply_rule(approach, role, exited[::-1], t, cache)
+        forward = apply_rule(approach, role, si, t, cache)
+        backward = apply_rule(approach, role, si[::-1], t, cache)
         keys = [(sid, to_ordinal(as_of)) for sid, as_of in forward.rows]
         assert keys == sorted(keys)
         assert backward.rows == forward.rows and backward.X.tobytes() == forward.X.tobytes()
@@ -552,3 +572,20 @@ def test_apply_rule_sorts_rows_and_keeps_population_order(cohort, approach):
         assert [e.student_id for e in forward.meta.exclusions] == [
             s.student_id for s in exited if s.student_id in {e.student_id for e in forward.meta.exclusions}
         ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_cohorts())
+def test_table_populations_equal_the_subset_oracle(cohort):
+    """At every term of the range the table's populations are, in order, the
+    cohort positions of the `subset_*` students: enrolled students and
+    students entering after the term included."""
+    tab = VectorCache(cohort).table
+    for t in iter_terms(WINDOW.lo, WINDOW.hi):
+        o = to_ordinal(t)
+        for got, subset in (
+            (tab.exited_before(o), subset_exited_before),
+            (tab.exited_from(o), subset_exited_from),
+            (tab.enrolled(o), subset_enrolled),
+        ):
+            assert got.tolist() == [tab.index[s.student_id] for s in subset(cohort, t)]
