@@ -23,18 +23,7 @@ from .records import (
     subset_exited_before,
     subset_exited_from,
 )
-from .splits import (
-    LabeledDataset,
-    SplitApproach,
-    SplitRequest,
-    build_split,
-    split_A,
-    split_B1,
-    split_B2,
-    split_B2T,
-    split_B3T,
-    split_B4T,
-)
+from .splits import LabeledDataset, SplitApproach, SplitRequest, build_split
 from .evaluation import predict_enrolled, render_report, run_grid, score_points
 from .synthgen import GeneratorConfig, generate
 from .terms import Term, TermRange, format_term, next_term, parse_term, prev_term, term_distance

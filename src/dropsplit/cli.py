@@ -30,6 +30,7 @@ from .evaluation import (
     EnrolledPredictions,
     EvaluationError,
     EvaluationGrid,
+    POINT_MODES,
     chart_svg,
     points_csv,
     predict_enrolled,
@@ -197,7 +198,14 @@ def _cmd_split(args) -> int:
     return 0
 
 
+def _check_points_mode(mode: str, name: str) -> str:
+    if mode not in POINT_MODES:
+        raise ConfigError(f"{name}: expected one of {','.join(POINT_MODES)}, got {mode!r}")
+    return mode
+
+
 def _resolve_grid_args(cfg: RunConfig, args):
+    """Every setting evaluate reads, checked before its output directory exists."""
     kv = cfg.raw
     approaches = approaches_from(args.approaches or kv.get("approaches", "A,B1,B2,B2T,B3T,B4T"))
     for key, flag in (("t_start", args.t_start), ("t_end", args.t_end)):
@@ -207,33 +215,37 @@ def _resolve_grid_args(cfg: RunConfig, args):
     t_end = parse_term(args.t_end or kv["t_end"], cfg.terms_per_year)
     specs = classifier_specs_from(kv)
     seed = split_seed_from(kv)
-    return approaches, t_start, t_end, specs, seed
+    mode = _check_points_mode(kv.get("points_mode", "pairs"), "key 'points_mode'")
+    try:
+        final = approaches_from(kv.get("final_approach", "B4T"))
+    except ConfigError as exc:
+        raise ConfigError(f"key 'final_approach': {exc}") from None
+    if len(final) != 1:
+        raise ConfigError(f"key 'final_approach': expected one approach, got {kv['final_approach']!r}")
+    try:
+        confusion_terms = [parse_term(tok, cfg.terms_per_year) for tok in kv.get("confusion_terms", "").split(",") if tok.strip()]
+    except TermParseError as exc:
+        raise ConfigError(f"key 'confusion_terms': {exc}") from None
+    return approaches, t_start, t_end, specs, seed, mode, final[0], confusion_terms
 
 
 def _cmd_evaluate(args) -> int:
     config_path = Path(args.config)
     cfg = RunConfig.load(config_path)
-    approaches, t_start, t_end, specs, seed = _resolve_grid_args(cfg, args)
+    approaches, t_start, t_end, specs, seed, mode, final_approach, confusion_terms = _resolve_grid_args(cfg, args)
     out_dir, entries = _start_out_dir(args.out, "evaluate", config_path)
     cohort, extras = _load_cohort(cfg)
     feature_spec = _feature_spec(cfg, cohort)
     t_values = list(iter_terms(t_start, t_end, cfg.terms_per_year))
     cache = VectorCache(cohort, feature_spec)
     grid = run_grid(cohort, approaches, specs, t_values, split_seed=seed, cache=cache)
-    mode = cfg.raw.get("points_mode", "pairs")
     tables = {}
     for approach in approaches:
         try:
             tables[approach.value] = score_points(grid, approach, mode=mode)
         except EvaluationError:
             continue
-    confusion_terms = [
-        parse_term(tok, cfg.terms_per_year)
-        for tok in cfg.raw.get("confusion_terms", "").split(",")
-        if tok.strip()
-    ]
     render_report(grid, tables, out_dir, confusion_terms=confusion_terms)
-    final_approach = SplitApproach(cfg.raw.get("final_approach", "B4T"))
     predictions_written = False
     table = tables.get(final_approach.value)
     if table is not None and final_approach in approaches:
@@ -305,6 +317,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _check_points_mode(args.points_mode, "--points-mode")
     grid_dir = Path(args.grid_dir)
     accuracy_files = sorted(grid_dir.glob("accuracy_*.csv"))
     if not accuracy_files:

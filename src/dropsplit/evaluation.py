@@ -165,6 +165,10 @@ class PointTable:
     tiebreak_used: bool
 
 
+# The ways `score_points` can award consecutive-top points.
+POINT_MODES = ("pairs", "streaks")
+
+
 def _award_points(
     grid: EvaluationGrid, approach: str, classifiers: tuple[str, ...], mode: str
 ) -> dict[str, int]:
@@ -174,6 +178,8 @@ def _award_points(
     both; in "pairs" mode a streak of L consecutive tops earns L-1 points, in
     "streaks" mode each maximal streak of length >= 2 earns one.
     """
+    if mode not in POINT_MODES:
+        raise ValueError(f"unknown points mode {mode!r}, expected one of {','.join(POINT_MODES)}")
     usable = [
         t
         for t in grid.t_values
@@ -195,7 +201,7 @@ def _award_points(
                 continue
             for c in tops[i] & tops[i + 1]:
                 points[c] += 1
-    elif mode == "streaks":
+    else:
         for c in classifiers:
             run = 1 if tops and c in tops[0] else 0
             for i, adj in enumerate(adjacent):
@@ -207,8 +213,6 @@ def _award_points(
                     run = 1 if c in tops[i + 1] else 0
             if run >= 2:
                 points[c] += 1
-    else:
-        raise ValueError(f"unknown points mode {mode!r}")
     return points
 
 

@@ -9,19 +9,18 @@ words by four successive splitmix64 draws. Floats come from the top 53 bits of
 an output word; bounded integers use rejection sampling; shuffles are
 descending Fisher-Yates.
 
-`Xoshiro256StarStar` is the reference: one stream, stepped one word at a time.
-`stream` steps one stream in a generator with its state in locals.
-`XoshiroLanes` steps many streams together: its uint64 state holds the four
-words of every lane, and each step is a few numpy operations over all lanes
-at once (numpy's uint64 multiply wraps mod 2^64, as the masks here do),
-``_BLOCK`` steps per pass. Every lane yields the words of the scalar stream
-of its seed. The draws derived from the words (`random`, `randbelow`,
-`normal`, `shuffle`, `sample_indices`) are written once for one stream at a
-time, in `Draws`, so they are the same whichever way a stream is stepped.
-`LaneDraws` makes `random`, `randbelow`, `sample_indices` (as `sample`) and
-`normal` for many lanes in one call, as arrays, each lane reading its own
-words from its own position and with its own bounds; it keeps the operations
-of `Draws` value for value.
+`xoshiro_words` is the one scalar recurrence: it steps one stream in a
+generator with its state in locals. `Xoshiro256StarStar` seeds it and writes
+the draws derived from its words (`random`, `randbelow`, `normal`, `shuffle`,
+`sample_indices`) once; it is the reference. `LaneDraws` steps many streams
+together: its uint64 state holds the four words of every lane, and each step
+is a few numpy operations over all lanes at once (numpy's uint64 multiply
+wraps mod 2^64, as the masks here do), ``_BLOCK`` steps per pass. Every lane
+yields the words of the scalar stream of its seed. It makes `random`,
+`randbelow`, `sample_indices` (as `sample`) and `normal` for many lanes in one
+call, as arrays, each lane reading its own words from its own position and
+with its own bounds; it keeps the operations of `Xoshiro256StarStar` value for
+value.
 """
 
 from __future__ import annotations
@@ -79,17 +78,35 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK
+def xoshiro_words(s0: int, s1: int, s2: int, s3: int) -> Iterator[int]:
+    """The xoshiro256** output words from state (s0, s1, s2, s3), endlessly."""
+    mask = _MASK
+    while True:
+        r = s1 * 5 & mask
+        yield ((r << 7 | r >> 57) & mask) * 9 & mask
+        t = s1 << 17 & mask
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = (s3 << 45 | s3 >> 19) & mask
 
 
-class Draws:
-    """The derived draws, over any source of 64-bit words named ``next_u64``."""
+class Xoshiro256StarStar:
+    """One xoshiro256** stream, seeded via splitmix64 expansion of one 64-bit
+    seed, and the draws derived from its words."""
 
-    __slots__ = ()
+    def __init__(self, seed: int) -> None:
+        state = seed & _MASK
+        s = []
+        for _ in range(4):
+            state, out = splitmix64(state)
+            s.append(out)
+        self._words = xoshiro_words(*s)
 
     def next_u64(self) -> int:
-        raise NotImplementedError
+        return next(self._words)
 
     def random(self) -> float:
         """Uniform float in [0, 1) from the top 53 bits."""
@@ -150,63 +167,6 @@ class Draws:
         return out
 
 
-class Xoshiro256StarStar(Draws):
-    """xoshiro256** seeded via splitmix64 expansion of one 64-bit seed."""
-
-    def __init__(self, seed: int) -> None:
-        state = seed & _MASK
-        s = []
-        for _ in range(4):
-            state, out = splitmix64(state)
-            s.append(out)
-        self._s = s
-
-    def next_u64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & _MASK, 7) * 9) & _MASK
-        t = (s[1] << 17) & _MASK
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
-
-
-def xoshiro_words(s0: int, s1: int, s2: int, s3: int) -> Iterator[int]:
-    """The xoshiro256** output words from state (s0, s1, s2, s3), endlessly.
-
-    The same recurrence as `Xoshiro256StarStar.next_u64`, with the state in
-    locals and the rotations inlined, for a single stream that draws many words.
-    """
-    mask = _MASK
-    while True:
-        r = s1 * 5 & mask
-        yield ((r << 7 | r >> 57) & mask) * 9 & mask
-        t = s1 << 17 & mask
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = (s3 << 45 | s3 >> 19) & mask
-
-
-class Stream(Draws):
-    """The derived draws over an iterator of 64-bit words."""
-
-    __slots__ = ("next_u64",)
-
-    def __init__(self, words: Iterator[int]) -> None:
-        self.next_u64 = words.__next__
-
-
-def stream(seed: int) -> Stream:
-    """The `Xoshiro256StarStar` stream of `seed`, stepped by `xoshiro_words`."""
-    return Stream(xoshiro_words(*Xoshiro256StarStar(seed)._s))
-
-
 def _splitmix64_lanes(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`splitmix64` over a uint64 array, one step per element."""
     state = state + np.uint64(_SPLITMIX_GAMMA)
@@ -215,12 +175,27 @@ def _splitmix64_lanes(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return state, z ^ (z >> np.uint64(31))
 
 
-class XoshiroLanes:
-    """Many xoshiro256** streams, one lane each, stepped together in numpy.
+class LaneDraws:
+    """Many xoshiro256** streams, one lane each, stepped together in numpy, and
+    the derived draws for many of them in one call, as arrays.
 
-    Lane i gives the words of ``Xoshiro256StarStar(seeds[i])``. The state is
+    Lane i reads the words of ``Xoshiro256StarStar(seeds[i])``. The state is
     a ``(4, lanes)`` uint64 array, one row per state word, so each operation
-    of a step runs over all lanes in contiguous memory.
+    of a step runs over all lanes in contiguous memory. Each call draws for
+    each lane of an index array (no lane twice), and each lane reads on from
+    its own position, so the values a lane gets are those the
+    `Xoshiro256StarStar` method of the same name gives its stream, call for
+    call. The arithmetic is that of `Xoshiro256StarStar`, operation for
+    operation: the correctly rounded IEEE operations, square root among them,
+    give the same double on an array as on a Python float, but numpy's SIMD
+    ``log`` and ``cos`` may differ in the last ulp, so `math.log` and
+    `math.cos` are mapped over the values.
+
+    The words wait in one ``(lanes, width)`` uint64 array. When a call would
+    read past its end for any of its lanes, the next block is drawn for every
+    lane, and the columns every live lane has read are dropped. Lanes that
+    will draw no more should be let go, with `keep` or `release`, so that the
+    lanes left read at similar rates and the array stays about a block wide.
     """
 
     def __init__(self, seeds: Sequence[int]) -> None:
@@ -229,9 +204,12 @@ class XoshiroLanes:
         for w in range(4):
             state, s[w] = _splitmix64_lanes(state)
         self._s = s
+        self._words = np.empty((len(state), 0), dtype=np.uint64)
+        self._pos = np.zeros(len(state), dtype=np.intp)
+        self._live = np.ones(len(state), dtype=bool)
 
     def __len__(self) -> int:
-        return self._s.shape[1]
+        return len(self._pos)
 
     def _draw(self) -> np.ndarray:
         """The next ``_BLOCK`` words of every lane: a ``(lanes, _BLOCK)`` uint64 array."""
@@ -259,40 +237,9 @@ class XoshiroLanes:
         out *= np.uint64(9)
         return out.T
 
-
-class LaneDraws:
-    """The derived draws for many streams in one call, as arrays.
-
-    Lane i reads the words of ``Xoshiro256StarStar(seeds[i])``. Each call
-    draws for each lane of an index array (no lane twice), and each lane
-    reads on from its own position, so the values a lane gets are those the
-    `Draws` method of the same name gives its stream, call for call. The
-    arithmetic is that of `Draws`, operation for operation: the correctly
-    rounded IEEE operations, square root among them, give the same double on
-    an array as on a Python float, but numpy's SIMD ``log`` and ``cos`` may
-    differ in the last ulp, so `math.log` and `math.cos` are mapped over the
-    values.
-
-    The words wait in one ``(lanes, width)`` uint64 array. When a call would
-    read past its end for any of its lanes, the next `XoshiroLanes` block is
-    drawn for every lane, and the columns every live lane has read are
-    dropped. Lanes that will draw no more should be let go, with `keep` or
-    `release`, so that the lanes left read at similar rates and the array
-    stays about a block wide.
-    """
-
-    def __init__(self, seeds: Sequence[int]) -> None:
-        self._lanes = XoshiroLanes(seeds)
-        self._words = np.empty((len(self._lanes), 0), dtype=np.uint64)
-        self._pos = np.zeros(len(self._lanes), dtype=np.intp)
-        self._live = np.ones(len(self._lanes), dtype=bool)
-
-    def __len__(self) -> int:
-        return len(self._pos)
-
     def keep(self, lanes: np.ndarray) -> None:
         """Keep only `lanes`, renumbered 0, 1, ... in the order given."""
-        self._lanes._s = self._lanes._s[:, lanes]
+        self._s = self._s[:, lanes]
         self._words = self._words[lanes]
         self._pos = self._pos[lanes]
         self._live = self._live[lanes]
@@ -308,7 +255,7 @@ class LaneDraws:
         pos = self._pos[lanes]
         while len(pos) and pos.max() + n > self._words.shape[1]:
             read = self._pos.min(where=self._live, initial=self._words.shape[1])
-            self._words = np.concatenate([self._words[:, read:], self._lanes._draw()], axis=1)
+            self._words = np.concatenate([self._words[:, read:], self._draw()], axis=1)
             self._pos -= read
             pos = self._pos[lanes]
         width = self._words.shape[1]
@@ -321,11 +268,11 @@ class LaneDraws:
         return words
 
     def random(self, lanes: np.ndarray) -> np.ndarray:
-        """`Draws.random` for each of `lanes`."""
+        """`Xoshiro256StarStar.random` for each of `lanes`."""
         return (self._take(lanes, 1)[:, 0] >> np.uint64(11)).astype(np.float64) * _UNIT
 
     def randbelow(self, lanes: np.ndarray, n) -> np.ndarray:
-        """`Draws.randbelow(n)` for each of `lanes`, as int64.
+        """`Xoshiro256StarStar.randbelow(n)` for each of `lanes`, as int64.
 
         `n` is one bound for every lane or an array of one bound per lane, each
         in [1, 2**63]. A word is drawn again only for the lanes whose last word
@@ -347,8 +294,9 @@ class LaneDraws:
 
     def sample(self, lanes: np.ndarray, pool: np.ndarray, n: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For each lane i, ``k[i]`` entries of ``pool[i, :n[i]]`` at the positions
-        `Draws.sample_indices(n[i], k[i])` draws, then ``k[i]`` `Draws.random`
-        values: an extra-trees split's features and cut points.
+        `Xoshiro256StarStar.sample_indices(n[i], k[i])` draws, then ``k[i]``
+        `Xoshiro256StarStar.random` values: an extra-trees split's features
+        and cut points.
 
         A partial Fisher-Yates permutes the rows of the C-contiguous integer
         array `pool` in place. Returns the picks and the uniforms as
@@ -398,7 +346,7 @@ class LaneDraws:
         return pool[:, :d], uniforms.astype(np.float64) * _UNIT
 
     def normal(self, lanes: np.ndarray, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        """`Draws.normal(mean, std)` for each of `lanes`."""
+        """`Xoshiro256StarStar.normal(mean, std)` for each of `lanes`."""
         u = (self._take(lanes, 2) >> np.uint64(11)).astype(np.float64) * _UNIT
         u1 = 1.0 - u[:, 0]
         u2 = u[:, 1]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .features import FeatureSetSpec, Pick, VectorCache, VectorTable, checked_cache
 from .records import Cohort, check_reference
-from .rng import check_seed, stream
+from .rng import Xoshiro256StarStar, check_seed
 from .terms import Term, to_ordinal
 
 
@@ -61,12 +61,9 @@ class Exclusion:
 
 @dataclass(frozen=True)
 class DatasetMeta:
-    approach: SplitApproach
-    reference_term: Term
     role: str
     feature_names: tuple[str, ...]
     exclusions: tuple[Exclusion, ...]
-    seed: int | None = None
 
 
 @dataclass
@@ -93,40 +90,16 @@ class LabeledDataset:
         y = np.asarray(y, dtype=np.int64)
         rows = tuple((f"r{i}", Term(1, 1)) for i in range(len(y)))
         names = feature_names or tuple(f"f{j}" for j in range(X.shape[1]))
-        meta = DatasetMeta(
-            approach=SplitApproach.A,
-            reference_term=Term(1, 1),
-            role=role,
-            feature_names=names,
-            exclusions=(),
-        )
-        return LabeledDataset(X=X, y=y, rows=rows, meta=meta)
+        return LabeledDataset(X=X, y=y, rows=rows, meta=DatasetMeta(role, names, ()))
 
 
-def _dataset(
-    cache: VectorCache,
-    idx,
-    as_of: int | None,
-    approach: SplitApproach,
-    reference_term: Term,
-    role: str,
-    exclusions: list[Exclusion],
-    seed: int | None = None,
-) -> LabeledDataset:
+def _dataset(cache: VectorCache, idx, as_of: int | None, role: str, exclusions: list[Exclusion]) -> LabeledDataset:
     X, y, rows = cache.table.take(np.asarray(idx, dtype=np.int64), as_of)
     unlabeled = np.flatnonzero(y < 0)
     if len(unlabeled):
         sid = rows[unlabeled[0]][0]
         raise ValueError(f"student {sid} has no label; enrolled students cannot enter a split")
-    meta = DatasetMeta(
-        approach=approach,
-        reference_term=reference_term,
-        role=role,
-        feature_names=cache.spec.names,
-        exclusions=tuple(exclusions),
-        seed=seed,
-    )
-    return LabeledDataset(X=X, y=y, rows=tuple(rows), meta=meta)
+    return LabeledDataset(X=X, y=y, rows=tuple(rows), meta=DatasetMeta(role, cache.spec.names, tuple(exclusions)))
 
 
 # A rule picks, for students at cohort positions si, the table rows of their
@@ -203,7 +176,7 @@ def apply_rule(approach: SplitApproach, role: str, si: np.ndarray, t: Term, cach
     to the students at cohort positions si, every undefined vector an exclusion."""
     exclusions: list[Exclusion] = []
     idx, as_of = _choose(getattr(RULES[approach], role), si, t, cache, role, exclusions)
-    return _dataset(cache, idx, as_of, approach, t, role, exclusions)
+    return _dataset(cache, idx, as_of, role, exclusions)
 
 
 def _pooled(
@@ -225,10 +198,10 @@ def _pooled(
         raise SplitError(f"no students active at {t} exited within the window")
     # One row per student, so row order is student id order.
     pool = sorted(rows_before.tolist() + rows_onward.tolist())
-    stream(seed).shuffle(pool)
+    Xoshiro256StarStar(seed).shuffle(pool)
     n_train = len(rows_before)
-    train = _dataset(cache, sorted(pool[:n_train]), None, SplitApproach.A, t, "train", excl, seed)
-    test = _dataset(cache, sorted(pool[n_train:]), None, SplitApproach.A, t, "test", [], seed)
+    train = _dataset(cache, sorted(pool[:n_train]), None, "train", excl)
+    test = _dataset(cache, sorted(pool[n_train:]), None, "test", [])
     return train, test
 
 
@@ -260,32 +233,3 @@ def build_split(
         raise SplitError(f"test side empty: no student active at {t} exited within the window with a usable vector")
     return train, test
 
-
-def split_A(c, t, seed, spec=None, cache=None):
-    """Seeded random partition of the pooled exited students, final vectors."""
-    return build_split(c, SplitRequest(SplitApproach.A, t, seed), spec, cache)
-
-
-def split_B1(c, t, spec=None, cache=None):
-    """Temporal membership, full-history vectors on both sides."""
-    return build_split(c, SplitRequest(SplitApproach.B1, t), spec, cache)
-
-
-def split_B2(c, t, spec=None, cache=None):
-    """Temporal membership, vectors cut just before each student's final term."""
-    return build_split(c, SplitRequest(SplitApproach.B2, t), spec, cache)
-
-
-def split_B2T(c, t, spec=None, cache=None):
-    """Final-term vectors for training; test vectors pinned at the reference term."""
-    return build_split(c, SplitRequest(SplitApproach.B2T, t), spec, cache)
-
-
-def split_B3T(c, t, spec=None, cache=None):
-    """Training expanded to one vector per enrolled term; reference-term test."""
-    return build_split(c, SplitRequest(SplitApproach.B3T, t), spec, cache)
-
-
-def split_B4T(c, t, spec=None, cache=None):
-    """Expanded training rows plus each student's full-history vector."""
-    return build_split(c, SplitRequest(SplitApproach.B4T, t), spec, cache)

@@ -33,13 +33,7 @@ from dropsplit.records import (
     subset_exited_from,
     truncate_records,
 )
-from dropsplit.splits import (
-    SplitApproach,
-    split_B2,
-    split_B2T,
-    split_B3T,
-    split_B4T,
-)
+from dropsplit.splits import SplitApproach, SplitRequest, build_split
 from dropsplit.synthgen import GeneratorConfig, RegimeChange, generate
 from dropsplit.terms import Term, iter_terms, term_distance
 
@@ -108,21 +102,21 @@ def test_criterion_2_no_leakage_and_b2_leak(default_cohort):
     for t in (Term(2013, 1), Term(2014, 2), Term(2016, 1), Term(2017, 2)):
         cut = truncate_records(default_cohort, t)
         cut_cache = VectorCache(cut)
-        for build in (split_B2T, split_B3T, split_B4T):
-            _, test = build(default_cohort, t, cache=cache)
-            _, cut_test = build(cut, t, cache=cut_cache)
+        for approach in (SplitApproach.B2T, SplitApproach.B3T, SplitApproach.B4T):
+            _, test = build_split(default_cohort, SplitRequest(approach, t), cache=cache)
+            _, cut_test = build_split(cut, SplitRequest(approach, t), cache=cut_cache)
             assert test.rows == cut_test.rows
             assert np.array_equal(test.X, cut_test.X)
         # sample student rows from the shared truncated test set
-        _, test = split_B2T(default_cohort, t, cache=cache)
+        _, test = build_split(default_cohort, SplitRequest(SplitApproach.B2T, t), cache=cache)
         take = rng.sample(range(test.n), min(25, test.n))
         pairs_checked += len(take)
     assert pairs_checked >= 100
 
     # Converse: B2 test rows must change under the same truncation.
     t = Term(2014, 2)
-    _, b2_test = split_B2(default_cohort, t, cache=cache)
-    _, b2_cut_test = split_B2(truncate_records(default_cohort, t), t)
+    _, b2_test = build_split(default_cohort, SplitRequest(SplitApproach.B2, t), cache=cache)
+    _, b2_cut_test = build_split(truncate_records(default_cohort, t), SplitRequest(SplitApproach.B2, t))
     by_id = {s.student_id: s for s in default_cohort.students}
     original = {sid: tuple(b2_test.X[i]) for i, (sid, _) in enumerate(b2_test.rows)}
     truncated = {sid: tuple(b2_cut_test.X[i]) for i, (sid, _) in enumerate(b2_cut_test.rows)}

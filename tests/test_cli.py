@@ -188,6 +188,23 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert f"error [config]: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("split_seed=3", "split_seed=3\npoints_mode=bogus", "points_mode"),
+            ("final_approach=B2T", "final_approach=B9", "final_approach"),
+            ("final_approach=B2T", "final_approach=B1,B2T", "final_approach"),
+            ("confusion_terms=2012.1", "confusion_terms=2012.1,2012.x", "confusion_terms"),
+        ],
+    )
+    def test_bad_report_setting_exits_before_the_grid(self, tmp_path, run_cfg, capsys, old, new, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(run_cfg.read_text().replace(old, new))
+        out = tmp_path / "o"
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"error [config]: key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_end_to_end_outputs(self, tmp_path, run_cfg):
         out = tmp_path / "eval_out"
         assert main(["evaluate", "--config", str(run_cfg), "--out", str(out)]) == 0
@@ -276,6 +293,14 @@ class TestReportCommand:
         assert code == 0
         assert (report_out / "points_B1.csv").read_text() == (eval_out / "points_B1.csv").read_text()
         assert (report_out / "chart_B2T.svg").exists()
+
+    def test_bad_points_mode_exits_before_writing(self, tmp_path, capsys):
+        (tmp_path / "accuracy_B1.csv").write_text("classifier,2012.1,2012.2,mean\ngaussian_nb,0.5,0.6,0.55\nmean,0.5,0.6,0.55\n")
+        out = tmp_path / "r"
+        assert main(["report", "--grid-dir", str(tmp_path), "--points-mode", "bogus", "--out", str(out)]) == 1
+        assert "error [config]: --points-mode" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["report", "--grid-dir", str(tmp_path), "--points-mode", "streaks", "--out", str(out)]) == 0
 
     def test_empty_dir_is_error(self, tmp_path, capsys):
         code = main(["report", "--grid-dir", str(tmp_path), "--out", str(tmp_path / "r")])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dropsplit import rng
-from dropsplit.rng import LaneDraws, Xoshiro256StarStar, XoshiroLanes, check_seed, derive_seed, splitmix64, stream
+from dropsplit.rng import LaneDraws, Xoshiro256StarStar, check_seed, derive_seed, splitmix64, xoshiro_words
 
 # Frozen first outputs for seed 0 and seed 42; any change to the stream
 # definition breaks every recorded manifest, so these must never move.
@@ -36,9 +36,7 @@ def test_splitmix64_published_vectors():
 
 def test_scrambler_matches_hand_computation():
     # From state (1, 2, 3, 4): output = rotl64(2*5, 7) * 9 = 1280 * 9.
-    gen = Xoshiro256StarStar(0)
-    gen._s = [1, 2, 3, 4]
-    assert gen.next_u64() == 11520
+    assert next(xoshiro_words(1, 2, 3, 4)) == 11520
 
 
 def test_stream_frozen_seed0():
@@ -87,6 +85,13 @@ def test_shuffle_is_permutation():
     assert shuffled != items  # 1/20! chance of false alarm
 
 
+def test_shuffle_frozen_seed42():
+    # Approach A's partition is this shuffle; a change here moves every A split.
+    items = list(range(10))
+    Xoshiro256StarStar(42).shuffle(items)
+    assert items == [0, 3, 9, 2, 4, 7, 8, 5, 6, 1]
+
+
 def test_normal_moments():
     gen = Xoshiro256StarStar(13)
     values = [gen.normal() for _ in range(5000)]
@@ -124,13 +129,14 @@ def test_check_seed_accepts_exactly_64_bit_seeds():
         with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
             check_seed(bad)
     with pytest.raises(ValueError, match="seed must lie"):
-        XoshiroLanes([1, -1])
+        LaneDraws([1, -1])
 
 
 # --- lanes against the scalar reference ---------------------------------------
 #
-# The derived draws as the scalar class first defined them; the shared `Draws`
-# methods inline or restructure some of them, and must give the same values.
+# The derived draws as the scalar class first defined them; the
+# `Xoshiro256StarStar` methods inline or restructure some of them, and must
+# give the same values.
 
 
 def reference_randbelow(gen, n: int) -> int:
@@ -253,7 +259,7 @@ def test_lanes_match_scalar_reference(seeds, schedule, how, block):
     """
     with mock.patch.object(rng, "_BLOCK", block):
         if how == "stream":
-            lanes, draw = [stream(seed) for seed in seeds], by_stream
+            lanes, draw = [Xoshiro256StarStar(seed) for seed in seeds], by_stream
         else:
             draws = LaneDraws(seeds)
             lanes, draw = [OneLane(draws, i) for i in range(len(seeds))], by_lane
@@ -273,7 +279,7 @@ def test_lanes_cover_the_golden_streams():
     draws = LaneDraws([42, 0])
     words = [draws._take(np.array([1, 0]), 2) for _ in range(2)]
     assert np.hstack(words).tolist() == [GOLDEN_SEED0, GOLDEN_SEED42]
-    single = stream(42)
+    single = Xoshiro256StarStar(42)
     assert [single.next_u64() for _ in range(4)] == GOLDEN_SEED42
 
 
@@ -338,7 +344,7 @@ def lane_reference(gen, kind, args, i):
     block=st.sampled_from([1, 3, 16, rng._BLOCK]),
 )
 def test_lane_draws_match_scalar_reference(seeds, calls, block):
-    """Each lane of a call gets the `Draws` value of its stream, call for call.
+    """Each lane of a call gets the `Xoshiro256StarStar` value of its stream, call for call.
 
     Calls name lanes in any order and leave some out, so lanes read at
     different rates and a refill keeps words that some lanes have not read;
@@ -420,5 +426,5 @@ def test_lane_normals_match_scalar_bit_for_bit():
     draws = LaneDraws(seeds)
     lanes = np.arange(len(seeds))
     got = np.stack([draws.normal(lanes) for _ in range(3)], axis=1).tolist()
-    want = [[gen.normal() for _ in range(3)] for gen in map(stream, seeds)]
+    want = [[gen.normal() for _ in range(3)] for gen in map(Xoshiro256StarStar, seeds)]
     assert [list(map(repr, row)) for row in got] == [list(map(repr, row)) for row in want]

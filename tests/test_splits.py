@@ -32,12 +32,6 @@ from dropsplit.splits import (
     SplitRequest,
     apply_rule,
     build_split,
-    split_A,
-    split_B1,
-    split_B2,
-    split_B2T,
-    split_B3T,
-    split_B4T,
 )
 from dropsplit.terms import Term, TermRange, from_ordinal, iter_terms, next_term, term_distance, to_ordinal
 
@@ -53,7 +47,7 @@ def included_train_students(cohort, t):
 
 class TestSplitA:
     def test_sizes_match_source_populations(self, medium_synth):
-        train, test = split_A(medium_synth, T_MID, seed=1)
+        train, test = build_split(medium_synth, SplitRequest(SplitApproach.A, T_MID, seed=1))
         before = subset_exited_before(medium_synth, T_MID)
         onward = subset_exited_from(medium_synth, T_MID)
         assert train.n == len(before)
@@ -63,20 +57,20 @@ class TestSplitA:
         assert train.student_ids | test.student_ids == pool
 
     def test_same_seed_same_partition(self, medium_synth):
-        first = split_A(medium_synth, T_MID, seed=99)
-        second = split_A(medium_synth, T_MID, seed=99)
+        first = build_split(medium_synth, SplitRequest(SplitApproach.A, T_MID, seed=99))
+        second = build_split(medium_synth, SplitRequest(SplitApproach.A, T_MID, seed=99))
         assert first[0].rows == second[0].rows
         assert np.array_equal(first[0].X, second[0].X)
         assert first[1].rows == second[1].rows
 
     def test_different_seed_different_partition(self, medium_synth):
-        a = split_A(medium_synth, T_MID, seed=1)
-        b = split_A(medium_synth, T_MID, seed=2)
+        a = build_split(medium_synth, SplitRequest(SplitApproach.A, T_MID, seed=1))
+        b = build_split(medium_synth, SplitRequest(SplitApproach.A, T_MID, seed=2))
         assert a[0].student_ids != b[0].student_ids
 
     def test_rows_use_full_history_vectors(self, medium_synth):
         spec = FeatureSetSpec.for_cohort(medium_synth)
-        train, test = split_A(medium_synth, T_MID, seed=5)
+        train, test = build_split(medium_synth, SplitRequest(SplitApproach.A, T_MID, seed=5))
         by_id = {s.student_id: s for s in medium_synth.students}
         for ds in (train, test):
             for i, (sid, as_of) in enumerate(ds.rows):
@@ -91,9 +85,9 @@ class TestSplitA:
         counts: Counter[str] = Counter()
         n_seeds = 1000
         for seed in range(n_seeds):
-            train, _ = split_A(tiny_cohort, t, seed=seed)
+            train, _ = build_split(tiny_cohort, SplitRequest(SplitApproach.A, t, seed=seed))
             counts.update(train.student_ids)
-        reference, _ = split_A(tiny_cohort, t, seed=0)
+        reference, _ = build_split(tiny_cohort, SplitRequest(SplitApproach.A, t, seed=0))
         pool = len(subset_exited_before(tiny_cohort, t)) + len(subset_exited_from(tiny_cohort, t))
         assert pool == 5
         expected = reference.n / pool
@@ -103,33 +97,33 @@ class TestSplitA:
 
     def test_empty_side_raises(self, medium_synth):
         with pytest.raises(SplitError, match="exited before"):
-            split_A(medium_synth, medium_synth.range.lo, seed=0)
+            build_split(medium_synth, SplitRequest(SplitApproach.A, medium_synth.range.lo, seed=0))
 
 
 class TestSplitB1:
     def test_membership_is_temporal(self, medium_synth):
-        train, test = split_B1(medium_synth, T_MID)
+        train, test = build_split(medium_synth, SplitRequest(SplitApproach.B1, T_MID))
         before = {s.student_id for s in subset_exited_before(medium_synth, T_MID)}
         onward = {s.student_id for s in subset_exited_from(medium_synth, T_MID)}
         assert train.student_ids == before
         assert test.student_ids == onward
 
     def test_pool_equals_split_a_pool(self, medium_synth):
-        a_train, a_test = split_A(medium_synth, T_MID, seed=3)
-        b_train, b_test = split_B1(medium_synth, T_MID)
+        a_train, a_test = build_split(medium_synth, SplitRequest(SplitApproach.A, T_MID, seed=3))
+        b_train, b_test = build_split(medium_synth, SplitRequest(SplitApproach.B1, T_MID))
         assert a_train.student_ids | a_test.student_ids == b_train.student_ids | b_test.student_ids
 
     def test_counts_match_subset_oracle(self, medium_synth):
         for t in [Term(2011, 1), T_MID, Term(2013, 2)]:
-            train, test = split_B1(medium_synth, t)
+            train, test = build_split(medium_synth, SplitRequest(SplitApproach.B1, t))
             assert train.n == len(subset_exited_before(medium_synth, t))
             assert test.n == len(subset_exited_from(medium_synth, t))
 
 
 class TestSplitB2:
     def test_excludes_single_term_students_both_sides(self, medium_synth):
-        b1_train, b1_test = split_B1(medium_synth, T_MID)
-        b2_train, b2_test = split_B2(medium_synth, T_MID)
+        b1_train, b1_test = build_split(medium_synth, SplitRequest(SplitApproach.B1, T_MID))
+        b2_train, b2_test = build_split(medium_synth, SplitRequest(SplitApproach.B2, T_MID))
         single_before = [s for s in subset_exited_before(medium_synth, T_MID) if s.last == s.entrance]
         single_onward = [s for s in subset_exited_from(medium_synth, T_MID) if s.last == s.entrance]
         assert b2_train.n == b1_train.n - len(single_before)
@@ -140,7 +134,7 @@ class TestSplitB2:
 
     def test_rows_match_per_student_recomputation(self, medium_synth):
         spec = FeatureSetSpec.for_cohort(medium_synth)
-        train, test = split_B2(medium_synth, T_MID)
+        train, test = build_split(medium_synth, SplitRequest(SplitApproach.B2, T_MID))
         by_id = {s.student_id: s for s in medium_synth.students}
         for ds in (train, test):
             for i, (sid, as_of) in enumerate(ds.rows):
@@ -150,24 +144,24 @@ class TestSplitB2:
     def test_test_rows_can_use_post_reference_records(self, medium_synth):
         # The documented leak: a student still active at T contributes a test
         # row whose window extends past T.
-        _, test = split_B2(medium_synth, T_MID)
+        _, test = build_split(medium_synth, SplitRequest(SplitApproach.B2, T_MID))
         by_id = {s.student_id: s for s in medium_synth.students}
         assert any(by_id[sid].last > T_MID for sid, _ in test.rows)
 
 
 class TestSplitB2T:
     def test_test_rows_pinned_at_reference(self, medium_synth):
-        _, test = split_B2T(medium_synth, T_MID)
+        _, test = build_split(medium_synth, SplitRequest(SplitApproach.B2T, T_MID))
         assert all(as_of == T_MID for _, as_of in test.rows)
 
     def test_train_identical_to_b2_train(self, medium_synth):
-        b2_train, _ = split_B2(medium_synth, T_MID)
-        b2t_train, _ = split_B2T(medium_synth, T_MID)
+        b2_train, _ = build_split(medium_synth, SplitRequest(SplitApproach.B2, T_MID))
+        b2t_train, _ = build_split(medium_synth, SplitRequest(SplitApproach.B2T, T_MID))
         assert b2_train.rows == b2t_train.rows
         assert np.array_equal(b2_train.X, b2t_train.X)
 
     def test_exclusion_reasons(self, medium_synth):
-        _, test = split_B2T(medium_synth, T_MID)
+        _, test = build_split(medium_synth, SplitRequest(SplitApproach.B2T, T_MID))
         onward = subset_exited_from(medium_synth, T_MID)
         excluded = {e.student_id for e in test.meta.exclusions}
         assert test.n + len(excluded) == len(onward)
@@ -176,30 +170,30 @@ class TestSplitB2T:
 
     def test_test_count_does_not_exceed_b2(self, medium_synth):
         for t in [Term(2011, 2), T_MID, Term(2013, 1)]:
-            _, b2_test = split_B2(medium_synth, t)
-            _, b2t_test = split_B2T(medium_synth, t)
+            _, b2_test = build_split(medium_synth, SplitRequest(SplitApproach.B2, t))
+            _, b2t_test = build_split(medium_synth, SplitRequest(SplitApproach.B2T, t))
             assert b2t_test.n <= b2_test.n
 
     def test_rows_survive_truncation(self, medium_synth):
         # The no-leakage property: rebuild from a cohort truncated at T.
-        original_train, original_test = split_B2T(medium_synth, T_MID)
+        original_train, original_test = build_split(medium_synth, SplitRequest(SplitApproach.B2T, T_MID))
         cut = truncate_records(medium_synth, T_MID)
-        _, cut_test = split_B2T(cut, T_MID)
+        _, cut_test = build_split(cut, SplitRequest(SplitApproach.B2T, T_MID))
         assert original_test.rows == cut_test.rows
         assert np.array_equal(original_test.X, cut_test.X)
 
 
 class TestSplitB3T:
     def test_row_count_closed_form(self, medium_synth):
-        train, _ = split_B3T(medium_synth, T_MID)
+        train, _ = build_split(medium_synth, SplitRequest(SplitApproach.B3T, T_MID))
         expected = sum(
             term_distance(s.entrance, s.last) for s in included_train_students(medium_synth, T_MID)
         )
         assert train.n == expected
 
     def test_b2_train_rows_are_a_subset(self, medium_synth):
-        b2_train, _ = split_B2(medium_synth, T_MID)
-        b3t_train, _ = split_B3T(medium_synth, T_MID)
+        b2_train, _ = build_split(medium_synth, SplitRequest(SplitApproach.B2, T_MID))
+        b3t_train, _ = build_split(medium_synth, SplitRequest(SplitApproach.B3T, T_MID))
         b3t_rows = set(b3t_train.rows)
         b3t_values = {row: tuple(b3t_train.X[i]) for i, row in enumerate(b3t_train.rows)}
         for i, row in enumerate(b2_train.rows):
@@ -207,21 +201,21 @@ class TestSplitB3T:
             assert tuple(b2_train.X[i]) == b3t_values[row]
 
     def test_test_identical_to_b2t(self, medium_synth):
-        _, b2t_test = split_B2T(medium_synth, T_MID)
-        _, b3t_test = split_B3T(medium_synth, T_MID)
+        _, b2t_test = build_split(medium_synth, SplitRequest(SplitApproach.B2T, T_MID))
+        _, b3t_test = build_split(medium_synth, SplitRequest(SplitApproach.B3T, T_MID))
         assert b2t_test.rows == b3t_test.rows
         assert np.array_equal(b2t_test.X, b3t_test.X)
 
 
 class TestSplitB4T:
     def test_adds_one_row_per_included_student(self, medium_synth):
-        b3t_train, _ = split_B3T(medium_synth, T_MID)
-        b4t_train, _ = split_B4T(medium_synth, T_MID)
+        b3t_train, _ = build_split(medium_synth, SplitRequest(SplitApproach.B3T, T_MID))
+        b4t_train, _ = build_split(medium_synth, SplitRequest(SplitApproach.B4T, T_MID))
         assert b4t_train.n == b3t_train.n + len(included_train_students(medium_synth, T_MID))
 
     def test_added_rows_are_full_history_vectors(self, medium_synth):
-        b3t_train, _ = split_B3T(medium_synth, T_MID)
-        b4t_train, _ = split_B4T(medium_synth, T_MID)
+        b3t_train, _ = build_split(medium_synth, SplitRequest(SplitApproach.B3T, T_MID))
+        b4t_train, _ = build_split(medium_synth, SplitRequest(SplitApproach.B4T, T_MID))
         extra = set(b4t_train.rows) - set(b3t_train.rows)
         by_id = {s.student_id: s for s in medium_synth.students}
         spec = FeatureSetSpec.for_cohort(medium_synth)
@@ -231,8 +225,8 @@ class TestSplitB4T:
             assert values[(sid, as_of)] == naive_values(by_id[sid], as_of, spec)
 
     def test_test_identical_to_b2t(self, medium_synth):
-        _, b2t_test = split_B2T(medium_synth, T_MID)
-        _, b4t_test = split_B4T(medium_synth, T_MID)
+        _, b2t_test = build_split(medium_synth, SplitRequest(SplitApproach.B2T, T_MID))
+        _, b4t_test = build_split(medium_synth, SplitRequest(SplitApproach.B4T, T_MID))
         assert b2t_test.rows == b4t_test.rows
         assert np.array_equal(b2t_test.X, b4t_test.X)
 
@@ -291,7 +285,7 @@ class TestCrossCutting:
         # frank stopped attending in 2014.1 but exits at 2015.1: at T=2014.2 he
         # is still a legitimate test case, carried with his pre-T history.
         t = Term(2014, 2)
-        _, test = split_B2T(tiny_cohort, t)
+        _, test = build_split(tiny_cohort, SplitRequest(SplitApproach.B2T, t))
         assert "frank" in test.student_ids
         row = [i for i, (sid, _) in enumerate(test.rows) if sid == "frank"][0]
         assert test.rows[row][1] == t
@@ -388,14 +382,14 @@ def ref_collect(rule, students, t, spec, tpy, role, exclusions):
     return out
 
 
-def ref_materialize(vectors, approach, t, role, exclusions, spec, tpy, seed=None):
+def ref_materialize(vectors, role, exclusions, spec, tpy):
     vectors = sorted(vectors, key=lambda v: (v.student_id, to_ordinal(v.as_of, tpy)))
     X = np.empty((len(vectors), len(spec.names)), dtype=np.float64)
     y = np.empty(len(vectors), dtype=np.int64)
     for i, v in enumerate(vectors):
         X[i] = v.values
         y[i] = v.label
-    meta = DatasetMeta(approach, t, role, spec.names, tuple(exclusions), seed)
+    meta = DatasetMeta(role, spec.names, tuple(exclusions))
     return LabeledDataset(X=X, y=y, rows=tuple((v.student_id, v.as_of) for v in vectors), meta=meta)
 
 
@@ -415,14 +409,14 @@ def ref_build_split(c, approach, t, seed, spec):
         Xoshiro256StarStar(seed).shuffle(pool)
         n_train = len(vecs_before)
         return (
-            ref_materialize(pool[:n_train], approach, t, "train", excl, spec, tpy, seed),
-            ref_materialize(pool[n_train:], approach, t, "test", [], spec, tpy, seed),
+            ref_materialize(pool[:n_train], "train", excl, spec, tpy),
+            ref_materialize(pool[n_train:], "test", [], spec, tpy),
         )
     sides = []
     for rule, role, students in ((train_rule, "train", before), (test_rule, "test", onward)):
         excl = []
         vectors = ref_collect(rule, students, t, spec, tpy, role, excl)
-        sides.append(ref_materialize(vectors, approach, t, role, excl, spec, tpy))
+        sides.append(ref_materialize(vectors, role, excl, spec, tpy))
     train, test = sides
     if not train.n:
         raise SplitError(f"train side empty: no student exited before {t} with a usable vector")

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dropsplit import rng, synthgen
 from dropsplit.records import CourseRecord, CourseTable, EnrollmentStatus, IngestConfig, IngestError, ingest
-from dropsplit.rng import Draws, Xoshiro256StarStar, derive_seed
+from dropsplit.rng import Xoshiro256StarStar, derive_seed
 from dropsplit.synthgen import (
     GeneratorConfig,
     RegimeChange,
@@ -70,7 +70,7 @@ def reference_hazard(cfg, ability, fail_frac, behind_terms, k, current) -> float
         return 0.0
 
 
-def simulate_student(cfg: GeneratorConfig, entrance: Term, gen: Draws):
+def simulate_student(cfg: GeneratorConfig, entrance: Term, gen: Xoshiro256StarStar):
     """One student's career: (static attributes, all courses, status, exit term)."""
     ability = gen.normal(cfg.ability_mean, cfg.ability_std)
     admission = round(
