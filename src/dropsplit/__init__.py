@@ -3,26 +3,8 @@
 __version__ = "0.1.0"
 
 from .classifiers import ClassifierSpec, TrainedModel, accuracy, confusion, fit, predict
-from .features import (
-    FeatureSetSpec,
-    FeatureVector,
-    UndefinedFeatureVector,
-    expand_history,
-    feature_vector,
-    vector_at_end,
-    vector_at_last,
-)
-from .records import (
-    Cohort,
-    CourseRecord,
-    EnrollmentStatus,
-    IngestConfig,
-    StudentStructure,
-    ingest,
-    subset_enrolled,
-    subset_exited_before,
-    subset_exited_from,
-)
+from .features import FeatureSetSpec
+from .records import Cohort, CourseRecord, EnrollmentStatus, IngestConfig, StudentStructure, ingest
 from .splits import LabeledDataset, SplitApproach, SplitRequest, build_split
 from .evaluation import predict_enrolled, render_report, run_grid, score_points
 from .synthgen import GeneratorConfig, generate

@@ -52,7 +52,7 @@ from .synthgen import (
     write_students_csv,
     write_truth_csv,
 )
-from .terms import TermParseError, format_term, iter_terms, parse_term
+from .terms import Term, TermParseError, format_term, iter_terms, parse_term
 
 _ORACLE_ENV = "DROPSPLIT_TEST_MODE"
 
@@ -207,25 +207,33 @@ def _check_points_mode(mode: str, name: str) -> str:
 def _resolve_grid_args(cfg: RunConfig, args):
     """Every setting evaluate reads, checked before its output directory exists."""
     kv = cfg.raw
-    approaches = approaches_from(args.approaches or kv.get("approaches", "A,B1,B2,B2T,B3T,B4T"))
+
+    def setting(key: str, parse, default: str | None = None):
+        """key's value from its flag when given, else from the config, parsed;
+        a bad value's error names the flag or the key."""
+        flag = getattr(args, key, None)
+        name, text = (f"--{key.replace('_', '-')}", flag) if flag else (f"key {key!r}", kv.get(key, default))
+        try:
+            return parse(text)
+        except (ConfigError, TermParseError) as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+
+    def term(text: str) -> Term:
+        return parse_term(text, cfg.terms_per_year)
+
+    approaches = setting("approaches", approaches_from, "A,B1,B2,B2T,B3T,B4T")
     for key, flag in (("t_start", args.t_start), ("t_end", args.t_end)):
-        if flag is None and key not in kv:
+        if not flag and key not in kv:
             raise ConfigError(f"{key} must come from the config or the matching flag")
-    t_start = parse_term(args.t_start or kv["t_start"], cfg.terms_per_year)
-    t_end = parse_term(args.t_end or kv["t_end"], cfg.terms_per_year)
+    t_start = setting("t_start", term)
+    t_end = setting("t_end", term)
     specs = classifier_specs_from(kv)
     seed = split_seed_from(kv)
     mode = _check_points_mode(kv.get("points_mode", "pairs"), "key 'points_mode'")
-    try:
-        final = approaches_from(kv.get("final_approach", "B4T"))
-    except ConfigError as exc:
-        raise ConfigError(f"key 'final_approach': {exc}") from None
+    final = setting("final_approach", approaches_from, "B4T")
     if len(final) != 1:
         raise ConfigError(f"key 'final_approach': expected one approach, got {kv['final_approach']!r}")
-    try:
-        confusion_terms = [parse_term(tok, cfg.terms_per_year) for tok in kv.get("confusion_terms", "").split(",") if tok.strip()]
-    except TermParseError as exc:
-        raise ConfigError(f"key 'confusion_terms': {exc}") from None
+    confusion_terms = setting("confusion_terms", lambda text: [term(tok) for tok in text.split(",") if tok.strip()], "")
     return approaches, t_start, t_end, specs, seed, mode, final[0], confusion_terms
 
 

@@ -11,20 +11,19 @@ arrays, built from the cohort's `CourseTable` columns, with every defined
 as-of vector as a matrix row in (student id, as-of term) order and each
 student's rows contiguous. Choosing vectors is then index arithmetic over a
 population and copying them is one gather. `VectorCache` holds a cohort's
-table, built on first use; the public vector functions answer for one student
-from a one-student table with the same picks.
+table, built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .records import Cohort, CourseTable, EnrollmentStatus, StudentStructure
-from .terms import DEFAULT_TERMS_PER_YEAR, Term, TermRange, from_ordinal, next_term, to_ordinal
+from .terms import Term, from_ordinal, to_ordinal
 
 CANONICAL_TIME_FEATURES = (
     "completed_terms",
@@ -33,19 +32,6 @@ CANONICAL_TIME_FEATURES = (
     "mean_attendance",
     "mean_score",
 )
-
-
-class FeatureWindowError(ValueError):
-    """Requested as-of term lies outside the student's valid domain."""
-
-
-class UndefinedFeatureVector(Exception):
-    """The vector is not computable; callers exclude the student and log why."""
-
-    def __init__(self, student_id: str, reason: str) -> None:
-        super().__init__(f"student {student_id}: {reason}")
-        self.student_id = student_id
-        self.reason = reason
 
 
 class _Window(NamedTuple):
@@ -91,14 +77,6 @@ class FeatureSetSpec:
     @staticmethod
     def for_cohort(cohort: Cohort, time_features: tuple[str, ...] = CANONICAL_TIME_FEATURES) -> "FeatureSetSpec":
         return FeatureSetSpec(static_names=cohort.static_attr_names, time_features=time_features)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    student_id: str
-    as_of: Term
-    values: tuple[float, ...]
-    label: int | None
 
 
 def student_label(s: StudentStructure) -> int | None:
@@ -266,27 +244,27 @@ class VectorTable:
     # Populations at a reference ordinal o, in cohort order.
 
     def exited_before(self, o: int) -> np.ndarray:
-        """Students who exited strictly before o (as `subset_exited_before`)."""
+        """Students who exited strictly before o."""
         return np.flatnonzero(self.exit < o)
 
     def exited_from(self, o: int) -> np.ndarray:
-        """Students active at o who exited within the window (as `subset_exited_from`)."""
+        """Students active at o who exited within the window."""
         return np.flatnonzero((o <= self.exit) & (self.exit <= self.horizon) & (self.entrance <= o))
 
     def enrolled(self, o: int) -> np.ndarray:
-        """Students still enrolled who entered at or before o (as `subset_enrolled`)."""
+        """Students still enrolled who entered at or before o."""
         return np.flatnonzero((self.exit == np.iinfo(self.exit.dtype).max) & (self.entrance <= o))
 
-    # Choices for students si (cohort positions), with the reason codes of the
-    # public functions where a vector is undefined.
+    # Choices for students si (cohort positions), with a reason code where a
+    # vector is undefined; a split records it as the student's exclusion.
 
     def at_end(self, si: np.ndarray) -> Pick:
-        """Full-history vectors (`vector_at_end`)."""
+        """Full-history vectors, as of one term past the final activity."""
         n = self.count[si]
         return Pick(self.first[si] + n - 1, np.minimum(n, 1), np.full(len(si), "no_course_records"))
 
     def at_last(self, si: np.ndarray) -> Pick:
-        """Vectors at the start of the final active term (`vector_at_last`)."""
+        """Vectors at the start of the final active term."""
         n = self.count[si]
         reason = np.where(self.last[si] <= self.entrance[si], "single_term_history", "empty_window")
         return Pick(self.first[si] + n - 2, (n >= 2).astype(np.int64), reason)
@@ -297,7 +275,7 @@ class VectorTable:
         return Pick(self.first[si], np.maximum(n - 1, 0), np.full(len(si), "single_term_history"))
 
     def as_of(self, si: np.ndarray, o: int) -> Pick:
-        """Vectors over everything before o (`vector_as_of`)."""
+        """Vectors over everything before o, however old."""
         n = self.count[si]
         i = np.minimum(n - 2 + (o - self.last[si]), n - 1)  # past the end: the full history
         reason = np.where(o <= self.entrance[si], "starts_at_reference_term", "no_records_before_reference")
@@ -346,123 +324,3 @@ def checked_cache(cohort: Cohort, spec: FeatureSetSpec | None, cache: VectorCach
     if spec is not None and spec != cache.spec:
         raise ValueError(f"the vector cache was built for features {cache.spec.names}, not {spec.names}")
     return cache
-
-
-# The public vector functions answer for one student from the student's own
-# one-student table, with the picks a split uses.
-
-
-def _student_table(s: StudentStructure, spec: FeatureSetSpec | None, terms_per_year: int) -> VectorTable:
-    cohort = Cohort((s,), TermRange(s.entrance, next_term(s.last, terms_per_year)), terms_per_year)
-    return VectorTable.of(cohort, spec or FeatureSetSpec.for_cohort(cohort))
-
-
-def _feature_vectors(tab: VectorTable, idx: np.ndarray, as_of: int | None = None) -> list[FeatureVector]:
-    X, labels, rows = tab.take(idx, as_of)
-    return [
-        FeatureVector(sid, t, tuple(values), None if label < 0 else label)
-        for (sid, t), values, label in zip(rows, X.tolist(), labels.tolist())
-    ]
-
-
-def _one(
-    s: StudentStructure,
-    spec: FeatureSetSpec | None,
-    terms_per_year: int,
-    choose: Callable[[VectorTable, np.ndarray], Pick],
-    reason: str | None = None,
-) -> FeatureVector:
-    """The vector choose picks from the student's table. Where there is none,
-    raises with the pick's reason, or with reason when given."""
-    tab = _student_table(s, spec, terms_per_year)
-    pick = choose(tab, np.zeros(1, dtype=np.int64))
-    if not pick.count[0]:
-        raise UndefinedFeatureVector(s.student_id, reason or str(pick.reason[0]))
-    return _feature_vectors(tab, pick.start, pick.as_of)[0]
-
-
-def feature_vector(
-    s: StudentStructure,
-    t: Term,
-    spec: FeatureSetSpec | None = None,
-    terms_per_year: int = DEFAULT_TERMS_PER_YEAR,
-) -> FeatureVector:
-    """Vector as of the start of term t, over records in [entrance .. t).
-
-    t must lie strictly after the entrance term (an entrance-term vector would
-    have no history) and at most one term past the last recorded activity.
-    """
-    end = next_term(s.last, terms_per_year)
-    if t <= s.entrance or t > end:
-        raise FeatureWindowError(
-            f"student {s.student_id}: as-of term {t} outside ({s.entrance} .. {end}]"
-        )
-    o = to_ordinal(t, terms_per_year)
-    return _one(s, spec, terms_per_year, lambda tab, si: tab.as_of(si, o), "empty_window")
-
-
-def vector_as_of(
-    s: StudentStructure,
-    t: Term,
-    spec: FeatureSetSpec | None = None,
-    terms_per_year: int = DEFAULT_TERMS_PER_YEAR,
-) -> FeatureVector:
-    """Reference-term vector: everything recorded before t, however old.
-
-    Unlike :func:`feature_vector` this accepts t past the student's final
-    activity, where the vector simply covers the full history. Used for test
-    rows pinned to a prediction term.
-    """
-    if t <= s.entrance:
-        raise UndefinedFeatureVector(s.student_id, "starts_at_reference_term")
-    o = to_ordinal(t, terms_per_year)
-    return _one(s, spec, terms_per_year, lambda tab, si: tab.as_of(si, o))
-
-
-def vector_at_last(
-    s: StudentStructure,
-    spec: FeatureSetSpec | None = None,
-    terms_per_year: int = DEFAULT_TERMS_PER_YEAR,
-) -> FeatureVector:
-    """Vector at the start of the student's final active term.
-
-    Undefined for single-term students (their final term is the entrance term,
-    and entrance-term vectors are out of scope); signalled, not raised as a
-    crash, so callers can count the exclusion.
-    """
-    return _one(s, spec, terms_per_year, VectorTable.at_last)
-
-
-def vector_at_end(
-    s: StudentStructure,
-    spec: FeatureSetSpec | None = None,
-    terms_per_year: int = DEFAULT_TERMS_PER_YEAR,
-) -> FeatureVector:
-    """Vector one term past the final activity, i.e. over the complete history."""
-    return _one(s, spec, terms_per_year, VectorTable.at_end)
-
-
-def expand_history(
-    s: StudentStructure,
-    lo: Term,
-    hi: Term,
-    spec: FeatureSetSpec | None = None,
-    terms_per_year: int = DEFAULT_TERMS_PER_YEAR,
-) -> list[FeatureVector]:
-    """One vector per term in [lo .. hi], sharing the student's label.
-
-    lo is clamped up to the term after entrance (entrance-term vectors are out
-    of scope); terms whose window is still empty are skipped. An empty clamped
-    range yields an empty list.
-    """
-    end = next_term(s.last, terms_per_year)
-    if hi > end:
-        raise FeatureWindowError(f"student {s.student_id}: range end {hi} past {end}")
-    tab = _student_table(s, spec, terms_per_year)
-    # The rows run as of consecutive terms from just after the first course
-    # term, which is at or after entrance, so the clamp holds by itself.
-    n = int(tab.count[0])
-    first_as_of = int(tab.last[0]) + 2 - n
-    lo_row = max(to_ordinal(lo, terms_per_year) - first_as_of, 0)
-    hi_row = min(to_ordinal(hi, terms_per_year) - first_as_of + 1, n)
-    return _feature_vectors(tab, np.arange(lo_row, hi_row))

@@ -293,28 +293,6 @@ def check_reference(c: Cohort, t: Term) -> None:
         raise ReferenceTermError(f"reference term {t} outside cohort range {c.range.lo}..{c.range.hi}")
 
 
-def subset_exited_before(c: Cohort, t: Term) -> list[StudentStructure]:
-    """Students who graduated or dropped out strictly before the reference term."""
-    check_reference(c, t)
-    return [s for s in c.students if s.exited and s.exit_term < t]
-
-
-def subset_exited_from(c: Cohort, t: Term) -> list[StudentStructure]:
-    """Students active at the reference term whose exit falls inside the window."""
-    check_reference(c, t)
-    return [
-        s
-        for s in c.students
-        if s.exited and t <= s.exit_term <= c.range.hi and s.entrance <= t
-    ]
-
-
-def subset_enrolled(c: Cohort, t: Term) -> list[StudentStructure]:
-    """Students still enrolled at the data horizon with entrance at or before t."""
-    check_reference(c, t)
-    return [s for s in c.students if not s.exited and s.entrance <= t]
-
-
 def truncate_records(c: Cohort, t: Term) -> Cohort:
     """Copy of the cohort keeping only course records strictly before t.
 

@@ -98,7 +98,7 @@ class Xoshiro256StarStar:
     seed, and the draws derived from its words."""
 
     def __init__(self, seed: int) -> None:
-        state = seed & _MASK
+        state = check_seed(seed)
         s = []
         for _ in range(4):
             state, out = splitmix64(state)

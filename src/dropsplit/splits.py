@@ -83,15 +83,6 @@ class LabeledDataset:
     def student_ids(self) -> set[str]:
         return {sid for sid, _ in self.rows}
 
-    @staticmethod
-    def from_arrays(X, y, feature_names: tuple[str, ...] = (), role: str = "train") -> "LabeledDataset":
-        """Wrap plain arrays, for harness code and tests that bypass splitting."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        rows = tuple((f"r{i}", Term(1, 1)) for i in range(len(y)))
-        names = feature_names or tuple(f"f{j}" for j in range(X.shape[1]))
-        return LabeledDataset(X=X, y=y, rows=rows, meta=DatasetMeta(role, names, ()))
-
 
 def _dataset(cache: VectorCache, idx, as_of: int | None, role: str, exclusions: list[Exclusion]) -> LabeledDataset:
     X, y, rows = cache.table.take(np.asarray(idx, dtype=np.int64), as_of)

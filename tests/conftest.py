@@ -1,8 +1,20 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
 import pytest
 
-from dropsplit.records import Cohort, CourseRecord, EnrollmentStatus, IngestConfig, StudentStructure, ingest
+from dropsplit.records import (
+    Cohort,
+    CourseRecord,
+    EnrollmentStatus,
+    IngestConfig,
+    StudentStructure,
+    check_reference,
+    ingest,
+)
+from dropsplit.splits import DatasetMeta, LabeledDataset
 from dropsplit.synthgen import GeneratorConfig, generate, write_courses_csv, write_students_csv
 from dropsplit.terms import DEFAULT_TERMS_PER_YEAR, Term, TermRange, term_distance
 
@@ -47,6 +59,57 @@ def naive_values(s, t, spec, terms_per_year=DEFAULT_TERMS_PER_YEAR):
     }
     static = dict(s.static_attrs)
     return tuple(static[n] for n in spec.static_names) + tuple(aggregates[n] for n in spec.time_features)
+
+
+@dataclass(frozen=True)
+class FeatureVector:
+    """One reference vector: values as of a term, with the student's label."""
+
+    student_id: str
+    as_of: Term
+    values: tuple[float, ...]
+    label: int | None
+
+
+class UndefinedFeatureVector(Exception):
+    """A reference vector that cannot be computed, with the exclusion reason."""
+
+    def __init__(self, student_id: str, reason: str) -> None:
+        super().__init__(f"student {student_id}: {reason}")
+        self.student_id = student_id
+        self.reason = reason
+
+
+# The population oracle: the reference-term populations as per-object
+# filters, in cohort order. Independent of `VectorTable`.
+
+
+def subset_exited_before(c: Cohort, t: Term) -> list[StudentStructure]:
+    """Students who graduated or dropped out strictly before the reference term."""
+    check_reference(c, t)
+    return [s for s in c.students if s.exited and s.exit_term < t]
+
+
+def subset_exited_from(c: Cohort, t: Term) -> list[StudentStructure]:
+    """Students active at the reference term whose exit falls inside the window."""
+    check_reference(c, t)
+    return [s for s in c.students if s.exited and t <= s.exit_term <= c.range.hi and s.entrance <= t]
+
+
+def subset_enrolled(c: Cohort, t: Term) -> list[StudentStructure]:
+    """Students still enrolled at the data horizon with entrance at or before t."""
+    check_reference(c, t)
+    return [s for s in c.students if not s.exited and s.entrance <= t]
+
+
+def from_arrays(X, y, feature_names: tuple[str, ...] = (), role: str = "train") -> LabeledDataset:
+    """Plain arrays as a dataset, for tests that bypass splitting; the rows
+    carry placeholder provenance."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    rows = tuple((f"r{i}", Term(1, 1)) for i in range(len(y)))
+    names = feature_names or tuple(f"f{j}" for j in range(X.shape[1]))
+    return LabeledDataset(X=X, y=y, rows=rows, meta=DatasetMeta(role, names, ()))
 
 
 @pytest.fixture

@@ -25,17 +25,12 @@ from dropsplit.evaluation import (
     score_points,
 )
 from dropsplit.features import VectorCache
-from dropsplit.records import (
-    Cohort,
-    EnrollmentStatus,
-    subset_enrolled,
-    subset_exited_before,
-    subset_exited_from,
-    truncate_records,
-)
+from dropsplit.records import Cohort, EnrollmentStatus, truncate_records
 from dropsplit.splits import SplitApproach, SplitRequest, build_split
 from dropsplit.synthgen import GeneratorConfig, RegimeChange, generate
-from dropsplit.terms import Term, iter_terms, term_distance
+from dropsplit.terms import Term, iter_terms, term_distance, to_ordinal
+
+from conftest import from_arrays, subset_enrolled, subset_exited_before, subset_exited_from
 
 GRID_SPECS = [
     ClassifierSpec(kind="decision_tree", max_depth=12),
@@ -74,23 +69,22 @@ def test_criterion_1_subset_oracle_equivalence():
     cohort = generate(cfg).cohort
     assert len(cohort.students) == 504
     started = time.monotonic()
+    tab = VectorCache(cohort).table
+    positions = list(enumerate(cohort.students))
     mismatches = 0
     for t in iter_terms(cohort.range.lo, cohort.range.hi):
-        before = [s for s in cohort.students if s.exited and cohort.range.lo <= s.exit_term < t]
-        onward = [
-            s
-            for s in cohort.students
-            if s.exited and t <= s.exit_term <= cohort.range.hi and s.entrance <= t
-        ]
-        enrolled = [s for s in cohort.students if not s.exited and s.entrance <= t]
-        mismatches += subset_exited_before(cohort, t) != before
-        mismatches += subset_exited_from(cohort, t) != onward
-        mismatches += subset_enrolled(cohort, t) != enrolled
+        o = to_ordinal(t, cohort.terms_per_year)
+        before = [i for i, s in positions if s.exited and cohort.range.lo <= s.exit_term < t]
+        onward = [i for i, s in positions if s.exited and t <= s.exit_term <= cohort.range.hi and s.entrance <= t]
+        enrolled = [i for i, s in positions if not s.exited and s.entrance <= t]
+        mismatches += tab.exited_before(o).tolist() != before
+        mismatches += tab.exited_from(o).tolist() != onward
+        mismatches += tab.enrolled(o).tolist() != enrolled
     elapsed = time.monotonic() - started
     report(
         1,
         mismatches == 0 and elapsed < 5.0,
-        f"brute-force subset equivalence on {len(cohort.students)} students, "
+        f"brute-force population equivalence of the vector table on {len(cohort.students)} students, "
         f"{mismatches} mismatches, {elapsed:.2f}s (< 5s)",
     )
 
@@ -219,9 +213,7 @@ def test_criterion_5_point_system_oracle():
 def test_criterion_6_classifier_sanity():
     X_xor = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y_xor = np.array([0, 1, 1, 0])
-    from dropsplit.splits import LabeledDataset
-
-    tree = fit(ClassifierSpec(kind="decision_tree", max_depth=2), LabeledDataset.from_arrays(X_xor, y_xor))
+    tree = fit(ClassifierSpec(kind="decision_tree", max_depth=2), from_arrays(X_xor, y_xor))
     xor_ok = np.array_equal(predict(tree, X_xor), y_xor)
 
     rng = np.random.default_rng(640)
@@ -232,14 +224,14 @@ def test_criterion_6_classifier_sanity():
     y = np.array([0] * (n // 2) + [1] * (n // 2))
     blob_accs = {}
     for spec in GRID_SPECS:
-        model = fit(spec, LabeledDataset.from_arrays(X, y))
+        model = fit(spec, from_arrays(X, y))
         blob_accs[spec.label] = accuracy(y, predict(model, X))
     blobs_ok = all(v >= 0.95 for v in blob_accs.values())
 
     Xg = np.array([[1.0], [2.0], [6.0], [7.0]])
     yg = np.array([0, 0, 1, 1])
     floor = 1e-9
-    model = fit(ClassifierSpec(kind="gaussian_nb", variance_floor=floor), LabeledDataset.from_arrays(Xg, yg))
+    model = fit(ClassifierSpec(kind="gaussian_nb", variance_floor=floor), from_arrays(Xg, yg))
     mu, sd = Xg.mean(), Xg.std()
     z = (Xg[:, 0] - mu) / sd
     stats = {0: (z[:2].mean(), max(z[:2].var(), floor)), 1: (z[2:].mean(), max(z[2:].var(), floor))}

@@ -20,13 +20,14 @@ from dropsplit.classifiers import (
     predict_proba,
 )
 from dropsplit.rng import LaneDraws, Xoshiro256StarStar, derive_seed
-from dropsplit.splits import LabeledDataset
+
+from conftest import from_arrays
 
 ALL_KINDS = ["decision_tree", "extra_trees", "knn", "gaussian_nb"]
 
 
 def dataset(X, y):
-    return LabeledDataset.from_arrays(np.asarray(X, dtype=float), np.asarray(y, dtype=int))
+    return from_arrays(np.asarray(X, dtype=float), np.asarray(y, dtype=int))
 
 
 def blobs(n=200, separation=4.0, seed=0, std=1.0):

@@ -195,6 +195,9 @@ class TestEvaluateCommand:
             ("final_approach=B2T", "final_approach=B9", "final_approach"),
             ("final_approach=B2T", "final_approach=B1,B2T", "final_approach"),
             ("confusion_terms=2012.1", "confusion_terms=2012.1,2012.x", "confusion_terms"),
+            ("t_start=2011.1", "t_start=2011.x", "t_start"),
+            ("t_end=2012.2", "t_end=2012.x", "t_end"),
+            ("approaches=B1,B2T", "approaches=B1,B9", "approaches"),
         ],
     )
     def test_bad_report_setting_exits_before_the_grid(self, tmp_path, run_cfg, capsys, old, new, key):
@@ -203,6 +206,15 @@ class TestEvaluateCommand:
         out = tmp_path / "o"
         assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"error [config]: key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--t-start", "2011.x"], ["--t-end", "2012.3"], ["--approaches", "B1,B9"]]
+    )
+    def test_bad_grid_flag_names_the_flag(self, tmp_path, run_cfg, capsys, flags):
+        out = tmp_path / "o"
+        assert main(["evaluate", "--config", str(run_cfg), *flags, "--out", str(out)]) == 1
+        assert f"error [config]: {flags[0]}: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_end_to_end_outputs(self, tmp_path, run_cfg):

@@ -17,11 +17,18 @@ from dropsplit.evaluation import (
     score_points,
 )
 from dropsplit.features import CANONICAL_TIME_FEATURES, FeatureSetSpec, VectorCache
-from dropsplit.records import Cohort, subset_enrolled, subset_exited_before, subset_exited_from, truncate_records
+from dropsplit.records import Cohort, truncate_records
 from dropsplit.splits import SplitApproach, SplitError, SplitRequest, apply_rule, build_split
 from dropsplit.terms import Term, TermRange, iter_terms
 
-from conftest import course, make_student, naive_values
+from conftest import (
+    course,
+    make_student,
+    naive_values,
+    subset_enrolled,
+    subset_exited_before,
+    subset_exited_from,
+)
 
 FAST_SPECS = [
     ClassifierSpec(kind="decision_tree", max_depth=6, label="decision_tree"),

@@ -7,32 +7,61 @@ from hypothesis import given, settings, strategies as st
 from dropsplit.features import (
     CANONICAL_TIME_FEATURES,
     FeatureSetSpec,
-    FeatureWindowError,
-    UndefinedFeatureVector,
     VectorCache,
-    expand_history,
-    feature_vector,
+    VectorTable,
     student_label,
-    vector_as_of,
-    vector_at_end,
-    vector_at_last,
 )
 from dropsplit.records import Cohort, CourseRecord, EnrollmentStatus, StudentStructure
 from dropsplit.terms import Term, TermRange, iter_terms, next_term, prev_term, term_distance, to_ordinal
 
-from conftest import ATTRS, course, make_student, naive_values
+from conftest import ATTRS, FeatureVector, course, make_student, naive_values
 
 STATIC = (18.0, 1.0, 2.0)
+ONLY = np.zeros(1, dtype=np.int64)  # the one student of a one-student table
 
 
 def time_block(vec):
     return vec.values[len(STATIC):]
 
 
+def table_vectors(tab, pick):
+    """The vectors of the rows a table pick chose for its first student."""
+    start, count = int(pick.start[0]), int(pick.count[0])
+    X, y, rows = tab.take(np.arange(start, start + count), pick.as_of)
+    return [FeatureVector(sid, t, tuple(v), None if lb < 0 else lb) for (sid, t), v, lb in zip(rows, X.tolist(), y.tolist())]
+
+
+def table_outcome(tab, pick):
+    """The values of the one vector a table pick chose, or the reason it is undefined."""
+    return table_vectors(tab, pick)[0].values if pick.count[0] else str(pick.reason[0])
+
+
+def student_table(s, spec=None):
+    """The vector table of s alone, over entrance through one term past its last activity."""
+    cohort = Cohort(students=(s,), range=TermRange(s.entrance, next_term(s.last)))
+    return VectorCache(cohort, spec).table
+
+
+def pick_one(s, choose, spec=None):
+    """The vector choose picks from s's own table, or the reason it is undefined."""
+    tab = student_table(s, spec)
+    pick = choose(tab, ONLY)
+    return table_vectors(tab, pick)[0] if pick.count[0] else str(pick.reason[0])
+
+
+def as_of(t):
+    return lambda tab, si: tab.as_of(si, to_ordinal(t))
+
+
+def student_rows(tab):
+    """Every row of a one-student table, as vectors."""
+    return table_vectors(tab, tab.history(ONLY)) + table_vectors(tab, tab.at_end(ONLY))
+
+
 class TestFeatureVector:
     def test_hand_computed_full_window(self, alice):
         # courses before 2013.1: (8, 90, pass), (4, 70, fail), (6, 80, pass)
-        vec = feature_vector(alice, Term(2013, 1))
+        vec = pick_one(alice, as_of(Term(2013, 1)))
         assert vec.values[: len(STATIC)] == STATIC
         completed, taken, failed, mean_att, mean_score = time_block(vec)
         assert completed == 2.0
@@ -42,7 +71,7 @@ class TestFeatureVector:
         assert mean_score == pytest.approx(6.0)
 
     def test_hand_computed_first_term_only(self, alice):
-        vec = feature_vector(alice, Term(2012, 2))
+        vec = pick_one(alice, as_of(Term(2012, 2)))
         completed, taken, failed, mean_att, mean_score = time_block(vec)
         assert completed == 1.0
         assert taken == 2.0
@@ -51,7 +80,7 @@ class TestFeatureVector:
         assert mean_score == pytest.approx(6.0)
 
     def test_records_at_or_after_as_of_are_invisible(self, alice):
-        vec = feature_vector(alice, Term(2013, 1))
+        vec = pick_one(alice, as_of(Term(2013, 1)))
         extra = course(2013, 1, 0.0, 0.0, 0, "HACK")
         bumped = StudentStructure(
             student_id=alice.student_id,
@@ -61,103 +90,108 @@ class TestFeatureVector:
             exit_term=alice.exit_term,
             courses=tuple(sorted(alice.courses + (extra,), key=lambda c: (c.term.year, c.term.index))),
         )
-        assert feature_vector(bumped, Term(2013, 1)).values == vec.values
+        assert pick_one(bumped, as_of(Term(2013, 1))).values == vec.values
 
     def test_domain_errors(self, alice):
-        with pytest.raises(FeatureWindowError):
-            feature_vector(alice, Term(2012, 1))  # entrance term itself
-        with pytest.raises(FeatureWindowError):
-            feature_vector(alice, Term(2011, 2))
-        with pytest.raises(FeatureWindowError):
-            feature_vector(alice, Term(2014, 2))  # past end
+        # Rows run as of each term after entrance through one past the final activity.
+        tab = student_table(alice)
+        assert [t for _, t in tab.rows] == [Term(2012, 2), Term(2013, 1), Term(2013, 2), Term(2014, 1)]
+        assert pick_one(alice, as_of(Term(2012, 1))) == "starts_at_reference_term"  # entrance term itself
+        assert pick_one(alice, as_of(Term(2011, 2))) == "starts_at_reference_term"
+        # Past the end there is no row of its own: the full history, as of that term.
+        past = pick_one(alice, as_of(Term(2014, 2)))
+        assert past.as_of == Term(2014, 2)
+        assert past.values == pick_one(alice, VectorTable.at_end).values
 
     def test_empty_window_is_undefined_not_crash(self):
         # First record only in the second enrolled term: the 2013.2 window is empty.
         s = make_student("gap", (2013, 1), "enrolled", None, [course(2014, 1, 6.0, 80.0, 1)])
-        with pytest.raises(UndefinedFeatureVector) as err:
-            feature_vector(s, Term(2013, 2))
-        assert err.value.reason == "empty_window"
+        assert pick_one(s, as_of(Term(2013, 2))) == "no_records_before_reference"
+        assert pick_one(s, VectorTable.at_last) == "empty_window"
 
     def test_label_mapping(self, alice, tiny_cohort):
         assert student_label(alice) == 1
         assert student_label(tiny_cohort.student("bob")) == 0
         assert student_label(tiny_cohort.student("dave")) is None
-        assert feature_vector(alice, Term(2013, 1)).label == 1
+        assert pick_one(alice, as_of(Term(2013, 1))).label == 1
+        assert pick_one(tiny_cohort.student("dave"), VectorTable.at_end).label is None
 
 
 class TestNamedVectors:
     def test_vector_at_end_covers_everything(self, alice):
-        vec = vector_at_end(alice)
+        vec = pick_one(alice, VectorTable.at_end)
         assert vec.as_of == Term(2014, 1)
         completed, taken, failed, mean_att, mean_score = time_block(vec)
         assert (completed, taken, failed) == (4.0, 5.0, 1.0)
         assert mean_score == pytest.approx((8 + 4 + 6 + 7 + 9) / 5)
 
-    def test_vector_at_end_is_alias_for_feature_vector(self, alice):
-        direct = feature_vector(alice, next_term(alice.last))
-        assert vector_at_end(alice) == direct
+    def test_at_end_is_as_of_one_past_last(self, alice):
+        direct = pick_one(alice, as_of(next_term(alice.last)))
+        assert pick_one(alice, VectorTable.at_end) == direct
 
     def test_vector_at_last_excludes_final_term(self, alice):
-        vec = vector_at_last(alice)
+        vec = pick_one(alice, VectorTable.at_last)
         assert vec.as_of == Term(2013, 2)
         completed, taken, failed, _, _ = time_block(vec)
         assert (completed, taken) == (3.0, 4.0)
 
     def test_single_term_student_has_no_last_vector(self, tiny_cohort):
         carol = tiny_cohort.student("carol")
-        with pytest.raises(UndefinedFeatureVector) as err:
-            vector_at_last(carol)
-        assert err.value.reason == "single_term_history"
-        assert vector_at_end(carol) is not None
+        assert pick_one(carol, VectorTable.at_last) == "single_term_history"
+        assert isinstance(pick_one(carol, VectorTable.at_end), FeatureVector)
 
     def test_inactive_student_has_nothing(self, tiny_cohort):
         gina = tiny_cohort.student("gina")
-        with pytest.raises(UndefinedFeatureVector):
-            vector_at_end(gina)
-        with pytest.raises(UndefinedFeatureVector):
-            vector_at_last(gina)
+        assert pick_one(gina, VectorTable.at_end) == "no_course_records"
+        assert pick_one(gina, VectorTable.at_last) == "single_term_history"
 
 
 class TestVectorAsOf:
-    def test_matches_feature_vector_inside_domain(self, alice):
-        assert vector_as_of(alice, Term(2013, 1)) == feature_vector(alice, Term(2013, 1))
+    def test_matches_table_row_inside_domain(self, alice):
+        tab = student_table(alice)
+        row = tab.rows.index(("alice", Term(2013, 1)))
+        vec = pick_one(alice, as_of(Term(2013, 1)))
+        assert vec.values == tuple(tab.X[row]) == naive_values(alice, Term(2013, 1), tab.spec)
 
     def test_accepts_terms_past_end(self, tiny_cohort):
         # frank's last activity is 2014.1 but his registered exit is 2015.1;
         # at reference 2015.1 his vector is simply his full pre-reference history.
         frank = tiny_cohort.student("frank")
-        vec = vector_as_of(frank, Term(2015, 1))
+        vec = pick_one(frank, as_of(Term(2015, 1)))
         assert vec.as_of == Term(2015, 1)
-        assert time_block(vec) == time_block(vector_at_end(frank))
+        assert time_block(vec) == time_block(pick_one(frank, VectorTable.at_end))
 
     def test_requires_history_before_reference(self, alice):
-        with pytest.raises(UndefinedFeatureVector) as err:
-            vector_as_of(alice, Term(2012, 1))
-        assert err.value.reason == "starts_at_reference_term"
+        assert pick_one(alice, as_of(Term(2012, 1))) == "starts_at_reference_term"
 
 
 class TestExpandHistory:
     def test_row_per_term(self, alice):
-        vectors = expand_history(alice, next_term(alice.entrance), alice.last)
+        tab = student_table(alice)
+        vectors = table_vectors(tab, tab.history(ONLY))
         assert len(vectors) == term_distance(alice.entrance, alice.last)
         assert [v.as_of for v in vectors] == [Term(2012, 2), Term(2013, 1), Term(2013, 2)]
         assert all(v.label == 1 for v in vectors)
 
     def test_adding_end_term_adds_exactly_one(self, alice):
-        through_end = expand_history(alice, next_term(alice.entrance), next_term(alice.last))
+        through_end = student_rows(student_table(alice))
         assert len(through_end) == term_distance(alice.entrance, alice.last) + 1
+        assert through_end[-1].as_of == next_term(alice.last)
 
     def test_lower_bound_is_clamped(self, alice):
-        clamped = expand_history(alice, alice.entrance, alice.last)
-        unclamped = expand_history(alice, next_term(alice.entrance), alice.last)
-        assert clamped == unclamped
+        # No vector is as of the entrance term or earlier.
+        tab = student_table(alice)
+        assert table_vectors(tab, tab.history(ONLY))[0].as_of == next_term(alice.entrance)
+        assert all(t > alice.entrance for _, t in tab.rows)
 
     def test_empty_range_yields_empty_list(self, tiny_cohort):
-        carol = tiny_cohort.student("carol")
-        assert expand_history(carol, next_term(carol.entrance), carol.last) == []
+        tab = student_table(tiny_cohort.student("carol"))
+        pick = tab.history(ONLY)
+        assert table_vectors(tab, pick) == []
+        assert pick.reason[0] == "single_term_history"
 
     def test_counters_are_monotone(self, alice):
-        vectors = expand_history(alice, next_term(alice.entrance), next_term(alice.last))
+        vectors = student_rows(student_table(alice))
         for name in ("completed_terms", "courses_taken", "courses_failed"):
             pos = len(ATTRS) + CANONICAL_TIME_FEATURES.index(name)
             series = [v.values[pos] for v in vectors]
@@ -188,6 +222,11 @@ def random_students(draw):
     return make_student("h", (2010, entrance.index), "graduated", (t.year, t.index), courses)
 
 
+def outcome(vec):
+    """A picked vector's values, or the reason it is undefined."""
+    return vec if isinstance(vec, str) else vec.values
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_students(), st.integers(1, 10))
 def test_no_leakage_property(student, offset):
@@ -206,46 +245,16 @@ def test_no_leakage_property(student, offset):
         exit_term=None,
         courses=kept,
     )
-    try:
-        original = feature_vector(student, t)
-    except UndefinedFeatureVector:
-        with pytest.raises(UndefinedFeatureVector):
-            vector_as_of(censored, t)
-        return
-    assert vector_as_of(censored, t).values == original.values
+    assert outcome(pick_one(censored, as_of(t))) == outcome(pick_one(student, as_of(t)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_students())
 def test_windows_nest(student):
-    vectors = expand_history(student, next_term(student.entrance), next_term(student.last))
+    vectors = student_rows(student_table(student))
     taken_pos = len(ATTRS) + CANONICAL_TIME_FEATURES.index("courses_taken")
     series = [v.values[taken_pos] for v in vectors]
     assert series == sorted(series)
-
-
-def outcome(build, *args):
-    """A vector's values, or the reason it is undefined."""
-    try:
-        return build(*args).values
-    except UndefinedFeatureVector as exc:
-        return exc.reason
-
-
-def fields(v):
-    return (v.student_id, v.as_of, v.values, v.label)
-
-
-def table_vectors(tab, pick):
-    """The fields of each row a table pick chose for its first student."""
-    start, count = int(pick.start[0]), int(pick.count[0])
-    X, y, rows = tab.take(np.arange(start, start + count), pick.as_of)
-    return [(sid, t, tuple(v), None if lb < 0 else lb) for (sid, t), v, lb in zip(rows, X.tolist(), y.tolist())]
-
-
-def table_outcome(tab, pick):
-    """The values of the one vector a table pick chose, or the reason it is undefined."""
-    return table_vectors(tab, pick)[0][2] if pick.count[0] else str(pick.reason[0])
 
 
 FULL_SPEC = FeatureSetSpec(
@@ -257,8 +266,7 @@ FULL_SPEC = FeatureSetSpec(
 @settings(max_examples=60, deadline=None)
 @given(random_students(), st.integers(0, 2))
 def test_vectors_match_naive_reference(drawn, gap):
-    """Every entry point, and the cohort table's picks, equal the naive window
-    computation.
+    """The table's rows and picks equal the naive window computation.
 
     The entrance moves back by `gap` terms so some windows after entrance are
     empty. As-of terms run from entrance through two terms past the end.
@@ -275,28 +283,20 @@ def test_vectors_match_naive_reference(drawn, gap):
         courses=drawn.courses,
     )
     end = next_term(s.last)
-    cohort = Cohort(students=(s,), range=TermRange(entrance, end))
-    tab = VectorCache(cohort, FULL_SPEC).table
-    only = np.zeros(1, dtype=np.int64)
+    tab = student_table(s, FULL_SPEC)
     for t in iter_terms(entrance, next_term(next_term(end))):
         expected = naive_values(s, t, FULL_SPEC)
-        as_of = "starts_at_reference_term" if t <= entrance else expected or "no_records_before_reference"
-        assert outcome(vector_as_of, s, t, FULL_SPEC) == as_of
-        assert table_outcome(tab, tab.as_of(only, to_ordinal(t))) == as_of
-        if entrance < t <= end:
-            assert outcome(feature_vector, s, t, FULL_SPEC) == (expected or "empty_window")
-        else:
-            with pytest.raises(FeatureWindowError):
-                feature_vector(s, t, FULL_SPEC)
+        as_of_reason = "starts_at_reference_term" if t <= entrance else expected or "no_records_before_reference"
+        assert table_outcome(tab, tab.as_of(ONLY, to_ordinal(t))) == as_of_reason
+        # A term has a row of its own exactly when it lies in (entrance .. end]
+        # and its window holds a record.
+        assert ((s.student_id, t) in tab.rows) == (t <= end and expected is not None)
     at_end = naive_values(s, end, FULL_SPEC) or "no_course_records"
-    assert outcome(vector_at_end, s, FULL_SPEC) == at_end
-    assert table_outcome(tab, tab.at_end(only)) == at_end
+    assert table_outcome(tab, tab.at_end(ONLY)) == at_end
     at_last = "single_term_history" if s.last <= entrance else naive_values(s, s.last, FULL_SPEC) or "empty_window"
-    assert outcome(vector_at_last, s, FULL_SPEC) == at_last
-    assert table_outcome(tab, tab.at_last(only)) == at_last
+    assert table_outcome(tab, tab.at_last(ONLY)) == at_last
     history = [v for t in iter_terms(next_term(entrance), s.last) if (v := naive_values(s, t, FULL_SPEC))]
-    assert [v.values for v in expand_history(s, entrance, s.last, FULL_SPEC)] == history
-    assert [values for _, _, values, _ in table_vectors(tab, tab.history(only))] == history
+    assert [v.values for v in table_vectors(tab, tab.history(ONLY))] == history
 
 
 class TestSpecAndCache:
@@ -306,20 +306,25 @@ class TestSpecAndCache:
 
     def test_elapsed_terms_alternative(self, alice):
         spec = FeatureSetSpec(static_names=(), time_features=("elapsed_terms", "courses_taken"))
-        vec = feature_vector(alice, Term(2013, 1), spec)
+        vec = pick_one(alice, as_of(Term(2013, 1)), spec)
         assert vec.values == (2.0, 3.0)
 
     def test_cache_matches_direct_computation(self, tiny_cohort):
+        """The cohort table's picks equal the naive vectors, student by student."""
         cache = VectorCache(tiny_cohort)
         tab, spec = cache.table, cache.spec
         for k, s in enumerate(tiny_cohort.students):
             si = np.array([k])
+
+            def naive(t):
+                return FeatureVector(s.student_id, t, naive_values(s, t, spec), student_label(s))
+
             if s.last > s.entrance:
-                assert table_vectors(tab, tab.at_last(si)) == [fields(vector_at_last(s, spec))]
+                assert table_vectors(tab, tab.at_last(si)) == [naive(s.last)]
             if not s.inactive:
-                assert table_vectors(tab, tab.at_end(si)) == [fields(vector_at_end(s, spec))]
+                assert table_vectors(tab, tab.at_end(si)) == [naive(next_term(s.last))]
                 assert table_vectors(tab, tab.history(si)) == [
-                    fields(v) for v in expand_history(s, next_term(s.entrance), s.last, spec)
+                    naive(t) for t in iter_terms(next_term(s.entrance), s.last) if naive_values(s, t, spec)
                 ]
 
     def test_cache_replays_undefined_outcomes(self, tiny_cohort):

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from dropsplit import records
 from dropsplit.classifiers import ClassifierSpec
 from dropsplit.evaluation import predict_enrolled, run_grid
+from dropsplit.features import VectorCache
 from dropsplit.records import (
     _COURSE_COLUMNS,
     _STUDENT_COLUMNS,
@@ -30,15 +31,20 @@ from dropsplit.records import (
     StudentStructure,
     _read_csv,
     ingest,
-    subset_enrolled,
-    subset_exited_before,
-    subset_exited_from,
     truncate_records,
 )
 from dropsplit.splits import SplitApproach, SplitRequest, build_split
 from dropsplit.terms import Term, TermParseError, TermRange, iter_terms, parse_term, to_ordinal
 
-from conftest import course, eager_rebuild, ingest_written, make_student
+from conftest import (
+    course,
+    eager_rebuild,
+    ingest_written,
+    make_student,
+    subset_enrolled,
+    subset_exited_before,
+    subset_exited_from,
+)
 
 STUDENTS_CSV = """student_id,entrance_term,status,exit_term,age,sex
 s1,2012.1,graduated,2013.2,18,F
@@ -308,32 +314,43 @@ class TestSubsets:
         ]
         return before, onward, enrolled
 
+    @staticmethod
+    def populations(cohort, t):
+        """The student ids of the table's populations at t: exited before,
+        exited from, enrolled."""
+        tab = VectorCache(cohort).table
+        o = to_ordinal(t, cohort.terms_per_year)
+        return tuple(
+            [tab.student_ids[i] for i in idx] for idx in (tab.exited_before(o), tab.exited_from(o), tab.enrolled(o))
+        )
+
     def test_boundary_membership(self, tiny_cohort):
-        t = Term(2014, 1)
-        before = subset_exited_before(tiny_cohort, t)
-        assert {s.student_id for s in before} == {"alice", "bob", "carol"}
+        before, _, _ = self.populations(tiny_cohort, Term(2014, 1))
+        assert set(before) == {"alice", "bob", "carol"}
         # frank exited exactly at 2015.1: boundary exit >= T goes to the onward set
-        onward = subset_exited_from(tiny_cohort, Term(2015, 1))
-        assert {s.student_id for s in onward} == {"erin", "frank"}
-        assert "frank" not in {s.student_id for s in subset_exited_before(tiny_cohort, Term(2015, 1))}
+        before, onward, _ = self.populations(tiny_cohort, Term(2015, 1))
+        assert set(onward) == {"erin", "frank"}
+        assert "frank" not in before
 
     def test_entrance_filter_on_onward_set(self, tiny_cohort):
-        onward = subset_exited_from(tiny_cohort, Term(2013, 1))
+        _, onward, _ = self.populations(tiny_cohort, Term(2013, 1))
         # erin entered 2013.2 > T, so she is not yet observable at T
-        assert "erin" not in {s.student_id for s in onward}
+        assert "erin" not in onward
 
     def test_matches_brute_force_everywhere(self, medium_synth):
+        """The table's populations, and the test suite's population oracle,
+        equal the brute force in order."""
         for t in iter_terms(medium_synth.range.lo, medium_synth.range.hi):
-            before, onward, enrolled = self.brute_force(medium_synth, t)
-            assert subset_exited_before(medium_synth, t) == before
-            assert subset_exited_from(medium_synth, t) == onward
-            assert subset_enrolled(medium_synth, t) == enrolled
+            expected = self.brute_force(medium_synth, t)
+            ids = tuple([s.student_id for s in side] for side in expected)
+            assert self.populations(medium_synth, t) == ids
+            assert subset_exited_before(medium_synth, t) == expected[0]
+            assert subset_exited_from(medium_synth, t) == expected[1]
+            assert subset_enrolled(medium_synth, t) == expected[2]
 
     def test_disjoint_and_exhaustive(self, medium_synth):
         for t in iter_terms(medium_synth.range.lo, medium_synth.range.hi):
-            before = {s.student_id for s in subset_exited_before(medium_synth, t)}
-            onward = {s.student_id for s in subset_exited_from(medium_synth, t)}
-            enrolled = {s.student_id for s in subset_enrolled(medium_synth, t)}
+            before, onward, enrolled = map(set, self.populations(medium_synth, t))
             assert not before & onward
             assert not (before | onward) & enrolled
 
@@ -341,18 +358,17 @@ class TestSubsets:
         previous: set[str] = set()
         enrolled_prev = -1
         for t in iter_terms(medium_synth.range.lo, medium_synth.range.hi):
-            current = {s.student_id for s in subset_exited_before(medium_synth, t)}
-            assert previous <= current
-            previous = current
-            n_enrolled = len(subset_enrolled(medium_synth, t))
-            assert n_enrolled >= enrolled_prev
-            enrolled_prev = n_enrolled
+            before, _, enrolled = self.populations(medium_synth, t)
+            assert previous <= set(before)
+            previous = set(before)
+            assert len(enrolled) >= enrolled_prev
+            enrolled_prev = len(enrolled)
 
     def test_reference_term_outside_range(self, tiny_cohort):
         with pytest.raises(ReferenceTermError):
-            subset_exited_before(tiny_cohort, Term(2011, 2))
+            build_split(tiny_cohort, SplitRequest(SplitApproach.B1, Term(2011, 2)))
         with pytest.raises(ReferenceTermError):
-            subset_enrolled(tiny_cohort, Term(2017, 1))
+            build_split(tiny_cohort, SplitRequest(SplitApproach.B4T, Term(2017, 1)))
 
 
 class TestCohort:

@@ -132,6 +132,14 @@ def test_check_seed_accepts_exactly_64_bit_seeds():
         LaneDraws([1, -1])
 
 
+def test_scalar_stream_rejects_seed_outside_64_bits():
+    """A seed outside [0, 2**64) would alias another seed's stream."""
+    Xoshiro256StarStar(2**64 - 1).next_u64()
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must lie"):
+            Xoshiro256StarStar(bad)
+
+
 # --- lanes against the scalar reference ---------------------------------------
 #
 # The derived draws as the scalar class first defined them; the

@@ -6,22 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dropsplit.features import (
-    CANONICAL_TIME_FEATURES,
-    FeatureSetSpec,
-    FeatureVector,
-    UndefinedFeatureVector,
-    VectorCache,
-    student_label,
-)
-from dropsplit.records import (
-    Cohort,
-    CourseRecord,
-    subset_enrolled,
-    subset_exited_before,
-    subset_exited_from,
-    truncate_records,
-)
+from dropsplit.features import CANONICAL_TIME_FEATURES, FeatureSetSpec, VectorCache, student_label
+from dropsplit.records import Cohort, CourseRecord, truncate_records
 from dropsplit.rng import Xoshiro256StarStar
 from dropsplit.splits import (
     DatasetMeta,
@@ -35,7 +21,15 @@ from dropsplit.splits import (
 )
 from dropsplit.terms import Term, TermRange, from_ordinal, iter_terms, next_term, term_distance, to_ordinal
 
-from conftest import make_student, naive_values
+from conftest import (
+    FeatureVector,
+    UndefinedFeatureVector,
+    make_student,
+    naive_values,
+    subset_enrolled,
+    subset_exited_before,
+    subset_exited_from,
+)
 
 T_MID = Term(2012, 1)
 
@@ -316,12 +310,13 @@ def test_split_request_rejects_seed_outside_64_bits():
             SplitRequest(SplitApproach.A, T_MID, seed=bad)
 
 
-# --- the per-vector path the row-index path replaced, kept as the reference ---
+# --- the per-vector reference for the row-index path ---
 #
-# Each rule returns FeatureVectors from the naive filter-then-sum reference,
-# one student at a time, with the reason codes of the public vector functions;
-# rows are sorted by (student id, as-of ordinal) and copied one vector at a
-# time.
+# Each rule returns conftest FeatureVectors from the naive filter-then-sum
+# reference, one student at a time, over the conftest population oracle, and
+# raises UndefinedFeatureVector with the reason code a split records for the
+# exclusion; rows are sorted by (student id, as-of ordinal) and copied one
+# vector at a time.
 
 
 def _ref_vector(s, t, spec, tpy, reason):
