@@ -16,21 +16,11 @@ from collections import Counter
 from pathlib import Path
 
 from . import __version__
-from .config import (
-    ConfigError,
-    RunConfig,
-    approaches_from,
-    classifier_specs_from,
-    generator_config_from,
-    load_kv,
-    split_seed_from,
-    write_attr_codes,
-)
+from .config import ConfigError, RunConfig, generator_config_from, load_kv, parse_flag, write_attr_codes
 from .evaluation import (
     EnrolledPredictions,
     EvaluationError,
     EvaluationGrid,
-    POINT_MODES,
     chart_svg,
     points_csv,
     predict_enrolled,
@@ -52,7 +42,7 @@ from .synthgen import (
     write_students_csv,
     write_truth_csv,
 )
-from .terms import Term, TermParseError, format_term, iter_terms, parse_term
+from .terms import TermParseError, format_term, iter_terms
 
 _ORACLE_ENV = "DROPSPLIT_TEST_MODE"
 
@@ -93,18 +83,6 @@ def _load_cohort(cfg: RunConfig) -> tuple[Cohort, list[tuple[str, str]]]:
         ("ingest_duplicate_rows", str(result.duplicate_rows)),
     ]
     return result.cohort, extras
-
-
-def _feature_spec(cfg: RunConfig, cohort: Cohort) -> FeatureSetSpec | None:
-    """Optional `time_features=` config key overrides the canonical aggregates."""
-    text = cfg.raw.get("time_features", "").strip()
-    if not text:
-        return None
-    names = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    try:
-        return FeatureSetSpec.for_cohort(cohort, names)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _write_dataset_csv(ds: LabeledDataset, path: Path) -> None:
@@ -176,12 +154,13 @@ def _cmd_ingest(args) -> int:
 def _cmd_split(args) -> int:
     config_path = Path(args.config)
     cfg = RunConfig.load(config_path)
-    approach = approaches_from(args.approach)[0]
-    seed = args.seed if args.seed is not None else split_seed_from(cfg.raw)
+    approach = parse_flag("--approach", "final_approach", args.approach)
+    t = parse_flag("--t", "t_start", args.t, cfg.terms_per_year)
+    seed = args.seed if args.seed is not None else cfg.split_seed
     out_dir, entries = _start_out_dir(args.out, "split", config_path)
     cohort, extras = _load_cohort(cfg)
-    t = parse_term(args.t, cfg.terms_per_year)
-    train, test = build_split(cohort, SplitRequest(approach, t, seed), spec=_feature_spec(cfg, cohort))
+    spec = FeatureSetSpec.for_cohort(cohort, cfg.time_features)
+    train, test = build_split(cohort, SplitRequest(approach, t, seed), spec=spec)
     _write_dataset_csv(train, out_dir / "train.csv")
     _write_dataset_csv(test, out_dir / "test.csv")
     _write_provenance_csv(train, test, out_dir / "provenance.csv")
@@ -198,101 +177,59 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _check_points_mode(mode: str, name: str) -> str:
-    if mode not in POINT_MODES:
-        raise ConfigError(f"{name}: expected one of {','.join(POINT_MODES)}, got {mode!r}")
-    return mode
-
-
-def _resolve_grid_args(cfg: RunConfig, args):
-    """Every setting evaluate reads, checked before its output directory exists."""
-    kv = cfg.raw
-
-    def setting(key: str, parse, default: str | None = None):
-        """key's value from its flag when given, else from the config, parsed;
-        a bad value's error names the flag or the key."""
-        flag = getattr(args, key, None)
-        name, text = (f"--{key.replace('_', '-')}", flag) if flag else (f"key {key!r}", kv.get(key, default))
-        try:
-            return parse(text)
-        except (ConfigError, TermParseError) as exc:
-            raise ConfigError(f"{name}: {exc}") from None
-
-    def term(text: str) -> Term:
-        return parse_term(text, cfg.terms_per_year)
-
-    approaches = setting("approaches", approaches_from, "A,B1,B2,B2T,B3T,B4T")
-    for key, flag in (("t_start", args.t_start), ("t_end", args.t_end)):
-        if not flag and key not in kv:
-            raise ConfigError(f"{key} must come from the config or the matching flag")
-    t_start = setting("t_start", term)
-    t_end = setting("t_end", term)
-    specs = classifier_specs_from(kv)
-    seed = split_seed_from(kv)
-    mode = _check_points_mode(kv.get("points_mode", "pairs"), "key 'points_mode'")
-    final = setting("final_approach", approaches_from, "B4T")
-    if len(final) != 1:
-        raise ConfigError(f"key 'final_approach': expected one approach, got {kv['final_approach']!r}")
-    confusion_terms = setting("confusion_terms", lambda text: [term(tok) for tok in text.split(",") if tok.strip()], "")
-    return approaches, t_start, t_end, specs, seed, mode, final[0], confusion_terms
-
-
 def _cmd_evaluate(args) -> int:
     config_path = Path(args.config)
-    cfg = RunConfig.load(config_path)
-    approaches, t_start, t_end, specs, seed, mode, final_approach, confusion_terms = _resolve_grid_args(cfg, args)
+    cfg = RunConfig.load(config_path, {key: getattr(args, key) for key in ("approaches", "t_start", "t_end")})
+    for key in ("t_start", "t_end"):
+        if getattr(cfg, key) is None:
+            raise ConfigError(f"{key} must come from the config or the matching flag")
     out_dir, entries = _start_out_dir(args.out, "evaluate", config_path)
     cohort, extras = _load_cohort(cfg)
-    feature_spec = _feature_spec(cfg, cohort)
-    t_values = list(iter_terms(t_start, t_end, cfg.terms_per_year))
-    cache = VectorCache(cohort, feature_spec)
-    grid = run_grid(cohort, approaches, specs, t_values, split_seed=seed, cache=cache)
+    t_values = list(iter_terms(cfg.t_start, cfg.t_end, cfg.terms_per_year))
+    cache = VectorCache(cohort, FeatureSetSpec.for_cohort(cohort, cfg.time_features))
+    grid = run_grid(cohort, cfg.approaches, cfg.specs, t_values, split_seed=cfg.split_seed, cache=cache)
     tables = {}
-    for approach in approaches:
+    for approach in cfg.approaches:
         try:
-            tables[approach.value] = score_points(grid, approach, mode=mode)
+            tables[approach.value] = score_points(grid, approach, mode=cfg.points_mode)
         except EvaluationError:
             continue
-    render_report(grid, tables, out_dir, confusion_terms=confusion_terms)
-    predictions_written = False
-    table = tables.get(final_approach.value)
-    if table is not None and final_approach in approaches:
-        winning = next(s for s in specs if s.label == table.winner)
-        result = predict_enrolled(cohort, winning, final_approach, cache=cache)
+    render_report(grid, tables, out_dir, confusion_terms=cfg.confusion_terms)
+    entries += extras + [
+        ("approaches", ",".join(a.value for a in cfg.approaches)),
+        ("t_start", format_term(cfg.t_start)),
+        ("t_end", format_term(cfg.t_end)),
+        ("split_seed", str(cfg.split_seed)),
+        ("classifiers", ",".join(s.label for s in cfg.specs)),
+        ("points_mode", cfg.points_mode),
+    ]
+    final = cfg.final_approach
+    table = tables.get(final.value)  # None when final is not evaluated or has no point table
+    if table is not None:
+        winning = next(s for s in cfg.specs if s.label == table.winner)
+        result = predict_enrolled(cohort, winning, final, cache=cache)
         _write_predictions_csv(result, out_dir / "predictions.csv")
-        entries_extra = [
-            ("final_approach", final_approach.value),
+        entries += [
+            ("final_approach", final.value),
             ("final_classifier", table.winner),
             ("predictions", str(len(result.predictions))),
             ("prediction_exclusions", str(len(result.exclusions))),
         ]
-        predictions_written = True
-    else:
-        entries_extra = []
-    entries += extras + [
-        ("approaches", ",".join(a.value for a in approaches)),
-        ("t_start", format_term(t_start)),
-        ("t_end", format_term(t_end)),
-        ("split_seed", str(seed)),
-        ("classifiers", ",".join(s.label for s in specs)),
-        ("points_mode", mode),
-    ]
-    entries += entries_extra
     for (a, t), count in sorted(grid.exclusion_counts.items(), key=lambda kv: (kv[0][0], kv[0][1])):
         if count:
             entries.append((f"exclusions.{a}.{format_term(t)}", str(count)))
     _write_manifest(out_dir, entries)
-    if not predictions_written and final_approach in approaches:
-        print("note: final-stage predictions skipped (no point table for approach)", file=sys.stderr)
+    if table is None:
+        reason = "no point table for approach" if final in cfg.approaches else f"final_approach {final.value} is not evaluated"
+        print(f"note: final-stage predictions skipped ({reason})", file=sys.stderr)
     return 0
 
 
 def _cmd_predict(args) -> int:
     config_path = Path(args.config)
     cfg = RunConfig.load(config_path)
-    approach = approaches_from(args.approach)[0]
-    specs = classifier_specs_from(cfg.raw)
-    by_label = {s.label: s for s in specs}
+    approach = parse_flag("--approach", "final_approach", args.approach)
+    by_label = {s.label: s for s in cfg.specs}
     if args.classifier not in by_label:
         raise ConfigError(f"classifier {args.classifier!r} not configured; have {sorted(by_label)}")
     if args.oracle and os.environ.get(_ORACLE_ENV) != "1":
@@ -301,7 +238,8 @@ def _cmd_predict(args) -> int:
         )
     out_dir, entries = _start_out_dir(args.out, "predict", config_path)
     cohort, extras = _load_cohort(cfg)
-    result = predict_enrolled(cohort, by_label[args.classifier], approach, feature_spec=_feature_spec(cfg, cohort))
+    spec = FeatureSetSpec.for_cohort(cohort, cfg.time_features)
+    result = predict_enrolled(cohort, by_label[args.classifier], approach, feature_spec=spec)
     _write_predictions_csv(result, out_dir / "predictions.csv")
     entries += extras + [
         ("approach", approach.value),
@@ -325,12 +263,12 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    _check_points_mode(args.points_mode, "--points-mode")
+    mode = parse_flag("--points-mode", "points_mode", args.points_mode)
+    tpy = parse_flag("--terms-per-year", "terms_per_year", args.terms_per_year)
     grid_dir = Path(args.grid_dir)
     accuracy_files = sorted(grid_dir.glob("accuracy_*.csv"))
     if not accuracy_files:
         raise ConfigError(f"no accuracy_*.csv files under {grid_dir}")
-    tpy = args.terms_per_year
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = [("command", "report"), ("package_version", __version__), ("source", str(grid_dir))]
@@ -349,7 +287,7 @@ def _cmd_report(args) -> int:
             for t, value in zip(t_values, cells[:-1]):
                 if value is not None:
                     grid.accuracy[(name, classifier, t)] = value
-        table = score_points(grid, approach, mode=args.points_mode)
+        table = score_points(grid, approach, mode=mode)
         (out_dir / f"points_{name}.csv").write_text(points_csv(table), encoding="utf-8")
         (out_dir / f"chart_{name}.svg").write_text(chart_svg(grid, name), encoding="utf-8")
     return 0
@@ -405,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="recompute points and charts from accuracy CSVs")
     p.add_argument("--grid-dir", dest="grid_dir", required=True)
-    p.add_argument("--terms-per-year", dest="terms_per_year", type=int, default=2)
+    p.add_argument("--terms-per-year", dest="terms_per_year", default="2")
     p.add_argument("--points-mode", dest="points_mode", default="pairs")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)

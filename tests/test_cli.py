@@ -163,7 +163,26 @@ class TestSplitCommand:
         cfg.write_text(run_cfg.read_text() + "time_features=bogus_feature\n")
         code = main(["split", "--config", str(cfg), "--approach", "B1", "--t", "2011.2", "--out", str(tmp_path / "o2")])
         assert code == 1
-        assert "bogus_feature" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bogus_feature" in err
+        assert "error [config]: key 'time_features': unknown time-based features: ['bogus_feature']" in err
+        assert not (tmp_path / "o2").exists()
+
+    def test_bad_reference_term_names_the_flag(self, tmp_path, run_cfg, capsys):
+        out = tmp_path / "o"
+        code = main(["split", "--config", str(run_cfg), "--approach", "B1", "--t", "2011.x", "--out", str(out)])
+        assert code == 1
+        assert "error [config]: --t: malformed term '2011.x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["split", "predict"])
+    def test_approach_flag_names_one_approach(self, tmp_path, run_cfg, capsys, command):
+        out = tmp_path / "o"
+        extra = ["--t", "2011.2"] if command == "split" else ["--classifier", "gaussian_nb"]
+        code = main([command, "--config", str(run_cfg), "--approach", "B1,B2T", *extra, "--out", str(out)])
+        assert code == 1
+        assert "error [config]: --approach: expected one approach, got 'B1,B2T'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvaluateCommand:
@@ -180,6 +199,7 @@ class TestEvaluateCommand:
         [
             ("split_seed=3", "split_seed=-1", "key 'split_seed': seed must lie in [0, 2**64), got -1"),
             ("decision_tree.max_depth=5", "decision_tree.min_samples_split=abc", "key 'decision_tree.min_samples_split': expected integer"),
+            ("classifiers=gaussian_nb,decision_tree", "classifiers=gaussian_nb,gaussian_nb", "key 'classifiers': a name is listed twice in gaussian_nb,gaussian_nb"),
         ],
     )
     def test_bad_value_names_the_key(self, tmp_path, run_cfg, capsys, old, new, message):
@@ -217,6 +237,44 @@ class TestEvaluateCommand:
         assert f"error [config]: {flags[0]}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            # a key no row of the table lists
+            ("final_aproach=B3T", "unknown run config key 'final_aproach'"),
+            ("time_feature=elapsed_terms", "unknown run config key 'time_feature'"),
+            ("students_path=x", "unknown run config key 'students_path'"),
+            ("decision_tree.n_tree=3", "unknown run config key 'decision_tree.n_tree'"),
+            # a <name>.<param> key whose name is not a configured classifier
+            ("extra_tree.n_trees=3", "key 'extra_tree.n_trees': 'extra_tree' is not in classifiers=gaussian_nb,decision_tree"),
+            # a key the generator_config mode does not read
+            ("range_start=1999.1", "key 'range_start' is not read when generator_config is set"),
+            ("map.S1=1", "key 'map.S1' is not read when generator_config is set"),
+            ("attr_codes=codes.csv", "key 'attr_codes' is not read when generator_config is set"),
+            # both kinds of input
+            ("students=s.csv\ncourses=c.csv", "key 'students' is not read when generator_config is set"),
+            # terms per year
+            ("terms_per_year=0", "key 'terms_per_year': expected an integer >= 1, got '0'"),
+            ("terms_per_year=3", "key 'terms_per_year': 3 here, 2 in the generator config"),
+            # every <name>.<param>
+            ("gaussian_nb.kind=forest", "key 'gaussian_nb.kind': expected one of decision_tree,extra_trees,knn,gaussian_nb, got 'forest'"),
+            ("gaussian_nb.max_depth=deep", "key 'gaussian_nb.max_depth': expected integer or 'none', got 'deep'"),
+            ("gaussian_nb.min_samples_split=x", "key 'gaussian_nb.min_samples_split': expected integer, got 'x'"),
+            ("gaussian_nb.n_trees=x", "key 'gaussian_nb.n_trees': expected integer, got 'x'"),
+            ("gaussian_nb.feature_subsample=half", "key 'gaussian_nb.feature_subsample': expected 'sqrt', 'log2' or integer, got 'half'"),
+            ("gaussian_nb.seed=-1", "key 'gaussian_nb.seed': seed must lie in [0, 2**64), got -1"),
+            ("gaussian_nb.k=x", "key 'gaussian_nb.k': expected integer, got 'x'"),
+            ("gaussian_nb.variance_floor=tiny", "key 'gaussian_nb.variance_floor': expected number, got 'tiny'"),
+        ],
+    )
+    def test_config_typo_exits_before_the_grid(self, tmp_path, run_cfg, capsys, line, message):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(run_cfg.read_text().replace("terms_per_year=2\n", "") + line + "\n")
+        out = tmp_path / "o"
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error [config]: {message}\n"
+        assert not out.exists()
+
     def test_end_to_end_outputs(self, tmp_path, run_cfg):
         out = tmp_path / "eval_out"
         assert main(["evaluate", "--config", str(run_cfg), "--out", str(out)]) == 0
@@ -242,12 +300,15 @@ class TestEvaluateCommand:
         main(["evaluate", "--config", str(run_cfg), "--out", str(out2)])
         assert digest_dir(out1) == digest_dir(out2)
 
-    def test_flag_overrides_narrow_range(self, tmp_path, run_cfg):
+    def test_flag_overrides_narrow_range(self, tmp_path, run_cfg, capsys):
         out = tmp_path / "eval_narrow"
         main(["evaluate", "--config", str(run_cfg), "--t-start", "2012.1", "--t-end", "2012.2", "--approaches", "B1", "--out", str(out)])
         header = (out / "accuracy_B1.csv").read_text().splitlines()[0]
         assert header == "classifier,2012.1,2012.2,mean"
         assert not (out / "accuracy_B2T.csv").exists()
+        # final_approach=B2T is not among the evaluated approaches
+        assert not (out / "predictions.csv").exists()
+        assert "note: final-stage predictions skipped (final_approach B2T is not evaluated)" in capsys.readouterr().err
 
 
 class TestPredictCommand:
@@ -314,6 +375,13 @@ class TestReportCommand:
         assert not out.exists()
         assert main(["report", "--grid-dir", str(tmp_path), "--points-mode", "streaks", "--out", str(out)]) == 0
 
+    def test_terms_per_year_below_one_names_the_flag(self, tmp_path, capsys):
+        (tmp_path / "accuracy_B1.csv").write_text("classifier,2012.1,2012.2,mean\ngaussian_nb,0.5,0.6,0.55\nmean,0.5,0.6,0.55\n")
+        out = tmp_path / "r"
+        assert main(["report", "--grid-dir", str(tmp_path), "--terms-per-year", "0", "--out", str(out)]) == 1
+        assert "error [config]: --terms-per-year: expected an integer >= 1, got '0'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_dir_is_error(self, tmp_path, capsys):
         code = main(["report", "--grid-dir", str(tmp_path), "--out", str(tmp_path / "r")])
         assert code == 1
@@ -338,3 +406,18 @@ range_end=2012.2
         manifest = read_manifest(out)
         assert manifest["rejected_courses"] == "0"
         assert (out / "summary.txt").read_text() == (gen_out / "genstats.txt").read_text()
+
+    def test_attr_codes_resolve_against_the_config_directory(self, tmp_path, gen_cfg, monkeypatch):
+        gen_out = tmp_path / "gen_data"
+        main(["generate", "--config", str(gen_cfg), "--out", str(gen_out)])
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        cfg = sub / "run.cfg"
+        inputs = f"students={gen_out / 'students.csv'}\ncourses={gen_out / 'courses.csv'}\nrange_start=2009.1\nrange_end=2012.2\n"
+        cfg.write_text(inputs)
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "plain")]) == 0
+        (sub / "codes.csv").write_bytes((tmp_path / "plain" / "attr_codes.csv").read_bytes())
+        cfg.write_text(inputs + "attr_codes=codes.csv\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["ingest", "--config", "sub/run.cfg", "--out", "coded"]) == 0
+        assert (tmp_path / "coded" / "attr_codes.csv").read_text() == (sub / "codes.csv").read_text()

@@ -1,15 +1,13 @@
 from __future__ import annotations
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from dropsplit.config import (
-    ConfigError,
-    classifier_specs_from,
-    generator_config_from,
-    ingest_config_from,
-    load_kv,
-    split_seed_from,
-)
+from dropsplit.classifiers import ClassifierSpec
+from dropsplit.config import RUN_KEYS, ConfigError, RunConfig, generator_config_from, load_kv
 from dropsplit.terms import Term
 
 RANGE = "range_start=2009.1\nrange_end=2012.2\n"
@@ -19,6 +17,13 @@ def kv_from(tmp_path, text: str) -> dict[str, str]:
     path = tmp_path / "run.cfg"
     path.write_text(text, encoding="utf-8")
     return load_kv(path)
+
+
+def load(tmp_path, text: str) -> RunConfig:
+    """A run config over students/courses files (not read at load) plus text."""
+    path = tmp_path / "run.cfg"
+    path.write_text("students=s.csv\ncourses=c.csv\n" + RANGE + text, encoding="utf-8")
+    return RunConfig.load(path)
 
 
 class TestComments:
@@ -33,38 +38,34 @@ class TestComments:
 
 class TestMinitermMap:
     def test_non_integer_index_names_the_key(self, tmp_path):
-        kv = kv_from(tmp_path, RANGE + "map.S1=first\n")
         with pytest.raises(ConfigError, match="map.S1"):
-            ingest_config_from(kv)
+            load(tmp_path, "map.S1=first\n")
 
     def test_index_outside_calendar_names_the_key(self, tmp_path):
-        kv = kv_from(tmp_path, RANGE + "terms_per_year=2\nmap.S1=3\n")
         with pytest.raises(ConfigError, match="map.S1"):
-            ingest_config_from(kv)
+            load(tmp_path, "terms_per_year=2\nmap.S1=3\n")
 
     def test_valid_index_is_mapped(self, tmp_path):
-        kv = kv_from(tmp_path, RANGE + "map.S1=2\n")
-        assert ingest_config_from(kv).miniterm_map == {"S1": 2}
+        assert load(tmp_path, "map.S1=2\n").ingest.miniterm_map == {"S1": 2}
 
 
 class TestSplitSeed:
     def test_non_integer_names_the_key(self, tmp_path):
-        kv = kv_from(tmp_path, "split_seed=x\n")
         with pytest.raises(ConfigError, match="split_seed"):
-            split_seed_from(kv)
+            load(tmp_path, "split_seed=x\n")
 
     def test_value_and_default(self, tmp_path):
-        assert split_seed_from(kv_from(tmp_path, "split_seed=42\n")) == 42
-        assert split_seed_from({}) == 0
+        assert load(tmp_path, "split_seed=42\n").split_seed == 42
+        assert load(tmp_path, "").split_seed == 0
 
     @pytest.mark.parametrize("value", ["-1", str(2**64)])
     def test_outside_64_bits_names_the_key(self, tmp_path, value):
         with pytest.raises(ConfigError, match=r"key 'split_seed': seed must lie in \[0, 2\*\*64\)"):
-            split_seed_from(kv_from(tmp_path, f"split_seed={value}\n"))
+            load(tmp_path, f"split_seed={value}\n")
 
     def test_64_bit_extremes_accepted(self, tmp_path):
-        assert split_seed_from(kv_from(tmp_path, "split_seed=0\n")) == 0
-        assert split_seed_from(kv_from(tmp_path, f"split_seed={2**64 - 1}\n")) == 2**64 - 1
+        assert load(tmp_path, "split_seed=0\n").split_seed == 0
+        assert load(tmp_path, f"split_seed={2**64 - 1}\n").split_seed == 2**64 - 1
 
 
 class TestGeneratorSeed:
@@ -82,6 +83,10 @@ class TestGeneratorKeys:
     def test_unread_key_names_it(self, tmp_path, key):
         with pytest.raises(ConfigError, match=f"^unknown generator config key '{key}'$"):
             generator_config_from(kv_from(tmp_path, RANGE + f"{key}=5\n"))
+
+    def test_terms_per_year_below_one_names_the_key(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^key 'terms_per_year': expected an integer >= 1, got '0'$"):
+            generator_config_from(kv_from(tmp_path, RANGE + "terms_per_year=0\n"))
 
     def test_regime_shift_without_term_is_refused(self, tmp_path):
         with pytest.raises(ConfigError, match="^key 'regime_change_shift' needs a regime_change_term$"):
@@ -102,7 +107,7 @@ class TestAttrCodes:
     def write(self, tmp_path, text):
         path = tmp_path / "codes.csv"
         path.write_text(text, encoding="utf-8")
-        return ingest_config_from({"range_start": "2009.1", "range_end": "2012.2", "attr_codes": str(path)}), path
+        return load(tmp_path, f"attr_codes={path}\n").ingest, path
 
     def test_codes_are_read(self, tmp_path):
         cfg, _ = self.write(tmp_path, "attribute,value,code\nsex,F,0\nsex,M,1\n")
@@ -143,16 +148,58 @@ class TestClassifierParameters:
         ],
     )
     def test_bad_value_names_the_key(self, tmp_path, line, message):
-        kv = kv_from(tmp_path, "classifiers=extra_trees,gaussian_nb,knn\n" + line + "\n")
         with pytest.raises(ConfigError) as exc:
-            classifier_specs_from(kv)
+            load(tmp_path, "classifiers=extra_trees,gaussian_nb,knn\n" + line + "\n")
         assert str(exc.value) == message
 
     def test_values_parsed(self, tmp_path):
-        kv = kv_from(
+        (spec,) = load(
             tmp_path,
             f"classifiers=extra_trees\nextra_trees.n_trees=3\nextra_trees.max_depth=none\n"
             f"extra_trees.feature_subsample=2\nextra_trees.seed={2**64 - 1}\n",
-        )
-        (spec,) = classifier_specs_from(kv)
+        ).specs
         assert (spec.n_trees, spec.max_depth, spec.feature_subsample, spec.seed) == (3, None, 2, 2**64 - 1)
+
+
+class TestKeyTable:
+    def test_readme_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Run-config keys", 1)[1].split("\n#", 1)[0]
+        listed = re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", section, flags=re.M)
+
+        def shown(row) -> str:
+            if row.required:
+                return "required"
+            return {None: "unset", "": "empty"}.get(row.default, f"`{row.default}`")
+
+        assert listed == [(key, shown(row)) for key, row in RUN_KEYS.items()]
+
+    def test_classifier_parameter_defaults_are_the_spec_defaults(self):
+        spec_defaults = {f.name: f.default for f in fields(ClassifierSpec)}
+        params = [key.removeprefix("<name>.") for key in RUN_KEYS if key.startswith("<name>.")]
+        assert params == ["kind", "max_depth", "min_samples_split", "n_trees", "feature_subsample", "seed", "k", "variance_floor"]
+        for param in params[1:]:
+            row = RUN_KEYS[f"<name>.{param}"]
+            assert row.parse(row.default, 2) == spec_defaults[param], param
+
+    def test_defaults_of_an_ingest_config(self, tmp_path):
+        cfg = load(tmp_path, "")
+        assert [a.value for a in cfg.approaches] == ["A", "B1", "B2", "B2T", "B3T", "B4T"]
+        assert cfg.specs == [ClassifierSpec(kind=k) for k in ("decision_tree", "extra_trees", "knn", "gaussian_nb")]
+        assert (cfg.terms_per_year, cfg.t_start, cfg.t_end, cfg.split_seed) == (2, None, None, 0)
+        assert (cfg.points_mode, cfg.final_approach.value, cfg.confusion_terms) == ("pairs", "B4T", [])
+        assert cfg.time_features == ("completed_terms", "courses_taken", "courses_failed", "mean_attendance", "mean_score")
+        assert cfg.students_path == tmp_path / "s.csv" and cfg.generator is None
+        assert (cfg.ingest.range_start, cfg.ingest.range_end, cfg.ingest.miniterm_map, cfg.ingest.attr_codes) == (
+            Term(2009, 1), Term(2012, 2), {}, None
+        )
+
+    def test_flag_replaces_the_key_and_an_error_names_the_flag(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("students=s.csv\ncourses=c.csv\n" + RANGE + "t_start=2011.x\napproaches=B1\n", encoding="utf-8")
+        cfg = RunConfig.load(path, {"t_start": "2012.1", "approaches": None})
+        assert (cfg.t_start, [a.value for a in cfg.approaches]) == (Term(2012, 1), ["B1"])
+        with pytest.raises(ConfigError, match=r"^--t-end: malformed term '2012\.x'"):
+            RunConfig.load(path, {"t_start": "2012.1", "t_end": "2012.x"})
+        with pytest.raises(ConfigError, match=r"^key 't_start': malformed term '2011\.x'"):
+            RunConfig.load(path, {"t_start": ""})
