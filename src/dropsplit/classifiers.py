@@ -39,6 +39,13 @@ from .rng import LaneDraws, check_seed, derive_seed
 from .splits import LabeledDataset
 
 KINDS = ("decision_tree", "extra_trees", "knn", "gaussian_nb")
+# The `ClassifierSpec` parameters each kind reads; it ignores the others.
+KIND_PARAMS = {
+    "decision_tree": ("max_depth", "min_samples_split"),
+    "extra_trees": ("max_depth", "min_samples_split", "n_trees", "feature_subsample", "seed"),
+    "knn": ("k",),
+    "gaussian_nb": ("variance_floor",),
+}
 
 
 @dataclass(frozen=True)

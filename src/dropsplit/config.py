@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .classifiers import KINDS, ClassifierSpec
+from .classifiers import KIND_PARAMS, KINDS, ClassifierSpec
 from .evaluation import POINT_MODES
 from .features import CANONICAL_TIME_FEATURES, TIME_FEATURES
 from .records import IngestConfig
@@ -241,11 +241,13 @@ def generator_config_from(kv: dict[str, str]) -> GeneratorConfig:
 
 
 def _specs(settings: dict[str, object]) -> list[ClassifierSpec]:
-    """One spec per name in `classifiers=`, with its `<name>.<param>=` keys."""
+    """One spec per name in `classifiers=`, with its `<name>.<param>=` keys. A
+    parameter the kind does not read names its key, and so does a value the
+    spec refuses: a spec checks each parameter on its own."""
     names = settings["classifiers"]
     if not names:
         raise ConfigError("key 'classifiers': no classifiers configured")
-    params = {name: {"kind": name, "label": name} for name in names}
+    params: dict[str, dict[str, object]] = {name: {} for name in names}
     if len(params) < len(names):
         raise ConfigError(f"key 'classifiers': a name is listed twice in {','.join(names)}")
     for pattern, values in settings.items():
@@ -257,12 +259,18 @@ def _specs(settings: dict[str, object]) -> list[ClassifierSpec]:
                 params[name][param] = value
     specs = []
     for name, p in params.items():
-        if p["kind"] not in KINDS:
+        kind = p.pop("kind", name)
+        if kind not in KINDS:
             raise ConfigError(f"classifier {name!r}: set {name}.kind to one of {KINDS} when the name is not a kind")
-        try:
-            specs.append(ClassifierSpec(**p))
-        except ValueError as exc:
-            raise ConfigError(f"classifier {name!r}: {exc}") from None
+        for param, value in p.items():
+            key, reads = f"key '{name}.{param}'", KIND_PARAMS[kind]
+            if param not in reads:
+                raise ConfigError(f"{key}: classifier kind {kind!r} does not read {param}, only {','.join(reads)}")
+            try:
+                ClassifierSpec(kind, **{param: value})
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+        specs.append(ClassifierSpec(kind, label=name, **p))
     return specs
 
 

@@ -22,19 +22,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .records import (
     Cohort,
-    CourseRecord,
     CourseTable,
     EnrollmentStatus,
     IngestError,
     StudentStructure,
     _collector_paused,
+    _CourseColumns,
     _Memo,
     _column_index,
     _read_csv,
@@ -202,6 +202,7 @@ def _hazard(
 _LANES = 512
 # Course codes are C000 to C119.
 _COURSE_CODES = tuple(f"C{i:03d}" for i in range(120))
+_STATIC_NAMES = ("entrance_age", "sex_code", "degree_code", "admission_score")
 
 
 def _simulate_chunk(cfg: GeneratorConfig, seeds: list[int], entrance: np.ndarray) -> tuple:
@@ -297,8 +298,10 @@ def generate(cfg: GeneratorConfig) -> SyntheticCohort:
     Student i draws from the stream of ``derive_seed(cfg.seed, i)``. Students
     whose simulated exit falls past the horizon are recorded as enrolled with
     their courses truncated at the horizon; the simulated outcome is returned
-    separately as sealed truth. The cohort's `CourseTable` is built from the
-    simulated columns, as ingest builds it from the file's.
+    separately as sealed truth. The chunks' simulated course columns, code
+    included, are joined into the cohort's one course store, and each student
+    makes its records from its span of it on first read, as an ingested one
+    does.
     """
     window = TermRange(cfg.range_start, cfg.range_end)
     tpy = cfg.terms_per_year
@@ -308,9 +311,7 @@ def generate(cfg: GeneratorConfig) -> SyntheticCohort:
         for entrance in iter_terms(cfg.range_start, cfg.range_end, cfg.terms_per_year)
         for _ in range(cfg.intake_per_term)
     ]
-    first_term = to_ordinal(cfg.range_start, tpy)
-    terms = {o: from_ordinal(o, tpy) for o in range(first_term, horizon + cfg.max_terms)}
-    students: list[StudentStructure] = []
+    people: list[dict] = []  # each student's fields but its courses
     truth: dict[str, TruthRow] = {}
     columns: list[tuple[np.ndarray, ...]] = []
     for first in range(0, len(entrances), _LANES):
@@ -322,51 +323,22 @@ def generate(cfg: GeneratorConfig) -> SyntheticCohort:
         student, term, code, score, att, passed = courses
         recorded = np.flatnonzero(term <= horizon)
         order = recorded[np.argsort(student[recorded], kind="stable")]
-        term, code, score, att, passed = term[order], code[order], score[order], att[order], passed[order]
         count = np.bincount(student[order], minlength=len(indices))
-        columns.append((count, term, ~passed, att, score))
-        records = list(
-            map(
-                CourseRecord,
-                map(_COURSE_CODES.__getitem__, code.tolist()),
-                map(terms.__getitem__, term.tolist()),
-                score.tolist(),
-                att.tolist(),
-                passed.astype(np.int64).tolist(),
-            )
-        )
-        ends = np.cumsum(count).tolist()
+        columns.append((count, term[order], ~passed[order], att[order], score[order], code[order]))
         exits = zip(dropout.tolist(), exit_ordinal.tolist())
-        for index, (age, sex, degree, admission), (dropped, exit_at), start, end in zip(
-            indices, static, exits, [0, *ends], ends
-        ):
+        for index, values, (dropped, exit_at) in zip(indices, static, exits):
             sid = f"S{index:06d}"
             status = EnrollmentStatus.DROPOUT if dropped else EnrollmentStatus.GRADUATED
-            exit_term = terms[exit_at]
+            exit_term = from_ordinal(exit_at, tpy)
             if exit_at > horizon:
                 truth[sid] = TruthRow(status=status, exit_term=exit_term)
                 status, exit_term = EnrollmentStatus.ENROLLED, None
-            students.append(
-                StudentStructure(
-                    student_id=sid,
-                    static_attrs=(
-                        ("entrance_age", age),
-                        ("sex_code", sex),
-                        ("degree_code", degree),
-                        ("admission_score", admission),
-                    ),
-                    entrance=entrances[index],
-                    status=status,
-                    exit_term=exit_term,
-                    courses=tuple(records[start:end]),
-                )
-            )
-    cohort = Cohort(
-        students=tuple(students),
-        range=window,
-        terms_per_year=cfg.terms_per_year,
-        table=CourseTable(*map(np.concatenate, zip(*columns))),
-    )
+            attrs = tuple(zip(_STATIC_NAMES, values))
+            people.append(dict(student_id=sid, static_attrs=attrs, entrance=entrances[index], status=status, exit_term=exit_term))
+    *table, code = map(np.concatenate, zip(*columns))
+    store = _CourseColumns(CourseTable(*table), code, list(_COURSE_CODES), tpy)
+    students = tuple(StudentStructure._on_demand(store, start, end, **attrs) for attrs, (start, end) in zip(people, store.spans()))
+    cohort = Cohort(students=students, range=window, terms_per_year=tpy, columns=store)
     return SyntheticCohort(cohort=cohort, truth=truth, config=cfg)
 
 
@@ -474,21 +446,23 @@ def write_students_csv(c: Cohort, path: str | Path) -> None:
 
 
 def write_courses_csv(c: Cohort, path: str | Path) -> None:
-    """One row per course record; each distinct term and number is formatted once."""
+    """One row per course record, written from the cohort's course columns;
+    each distinct term and number is formatted once."""
     path = Path(path)
-    term_text, number = _Memo(format_term), _Memo(_fmt)
+    store, tpy = c.course_columns, c.terms_per_year
+    table = store.table
+    term_text, number = _Memo(lambda o: format_term(from_ordinal(o, tpy))), _Memo(_fmt)
+    rows = zip(
+        chain.from_iterable(map(repeat, (s.student_id for s in c.students), table.count.tolist())),
+        map(store.codes.__getitem__, store.code.tolist()),
+        map(term_text.__getitem__, table.term.tolist()),
+        map(number.__getitem__, table.score.tolist()),
+        map(number.__getitem__, table.attendance.tolist()),
+        (~table.failed).view(np.uint8).tolist(),
+    )
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write("student_id,course_code,term,score,attendance_pct,result\n")
-        for s in c.students:
-            sid = s.student_id
-            fh.write(
-                "".join(
-                    [
-                        f"{sid},{rec.course_code},{term_text[rec.term]},{number[rec.score]},{number[rec.attendance_pct]},{rec.result}\n"
-                        for rec in s.courses
-                    ]
-                )
-            )
+        fh.writelines(f"{sid},{code},{term},{score},{att},{result}\n" for sid, code, term, score, att, result in rows)
 
 
 def write_truth_csv(synth: SyntheticCohort, path: str | Path) -> None:

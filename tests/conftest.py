@@ -190,6 +190,24 @@ def ingest_written(cohort: Cohort, directory) -> Cohort:
     return ingest(sp, cp, cfg).cohort
 
 
+def reference_truncate(c: Cohort, t: Term) -> Cohort:
+    """The cohort keeping only the course records strictly before t, filtered
+    record by record: the reference for `truncate_records`, which masks the
+    cohort's course columns instead."""
+    students = tuple(
+        StudentStructure(
+            student_id=s.student_id,
+            static_attrs=s.static_attrs,
+            entrance=s.entrance,
+            status=s.status,
+            exit_term=s.exit_term,
+            courses=tuple(rec for rec in s.courses if rec.term < t),
+        )
+        for s in c.students
+    )
+    return Cohort(students=students, range=c.range, terms_per_year=c.terms_per_year)
+
+
 def eager_rebuild(cohort: Cohort) -> Cohort:
     """The same cohort with every student built through the constructor."""
     students = tuple(

@@ -152,6 +152,42 @@ class TestClassifierParameters:
             load(tmp_path, "classifiers=extra_trees,gaussian_nb,knn\n" + line + "\n")
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("knn.k=0", "key 'knn.k': k must be >= 1"),
+            ("decision_tree.max_depth=0", "key 'decision_tree.max_depth': max_depth must be >= 1 or None"),
+            ("extra_trees.min_samples_split=1", "key 'extra_trees.min_samples_split': min_samples_split must be >= 2"),
+            ("extra_trees.n_trees=0", "key 'extra_trees.n_trees': n_trees must be >= 1"),
+            ("extra_trees.feature_subsample=0", "key 'extra_trees.feature_subsample': feature_subsample must be >= 1"),
+            ("gaussian_nb.variance_floor=0", "key 'gaussian_nb.variance_floor': variance_floor must be positive"),
+        ],
+    )
+    def test_out_of_range_value_names_the_key(self, tmp_path, line, message):
+        with pytest.raises(ConfigError) as exc:
+            load(tmp_path, "classifiers=decision_tree,extra_trees,knn,gaussian_nb\n" + line + "\n")
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("knn.n_trees=30", "key 'knn.n_trees': classifier kind 'knn' does not read n_trees, only k"),
+            (
+                "gaussian_nb.max_depth=3",
+                "key 'gaussian_nb.max_depth': classifier kind 'gaussian_nb' does not read max_depth, only variance_floor",
+            ),
+            (
+                "decision_tree.seed=3",
+                "key 'decision_tree.seed': classifier kind 'decision_tree' does not read seed, only max_depth,min_samples_split",
+            ),
+            ("fast.max_depth=3", "key 'fast.max_depth': classifier kind 'knn' does not read max_depth, only k"),
+        ],
+    )
+    def test_parameter_the_kind_does_not_read_names_key_and_kind(self, tmp_path, line, message):
+        with pytest.raises(ConfigError) as exc:
+            load(tmp_path, "classifiers=decision_tree,knn,gaussian_nb,fast\nfast.kind=knn\n" + line + "\n")
+        assert str(exc.value) == message
+
     def test_values_parsed(self, tmp_path):
         (spec,) = load(
             tmp_path,

@@ -34,13 +34,15 @@ from dropsplit.records import (
     truncate_records,
 )
 from dropsplit.splits import SplitApproach, SplitRequest, build_split
-from dropsplit.terms import Term, TermParseError, TermRange, iter_terms, parse_term, to_ordinal
+from dropsplit.synthgen import GeneratorConfig, generate, write_courses_csv
+from dropsplit.terms import Term, TermParseError, TermRange, iter_terms, next_term, parse_term, to_ordinal
 
 from conftest import (
     course,
     eager_rebuild,
     ingest_written,
     make_student,
+    reference_truncate,
     subset_enrolled,
     subset_exited_before,
     subset_exited_from,
@@ -399,6 +401,17 @@ def test_truncate_records_drops_only_late_courses(tiny_cohort):
         assert [c for c in original.courses if c.term < t] == list(truncated.courses)
 
 
+@pytest.mark.parametrize("source", ["generated", "ingested", "tiny"])
+def test_truncate_records_equals_the_record_filter(source, medium_synth, tiny_cohort, tmp_path):
+    cohort = ingest_written(medium_synth, tmp_path) if source == "ingested" else {"generated": medium_synth, "tiny": tiny_cohort}[source]
+    tpy = cohort.terms_per_year
+    for t in iter_terms(cohort.range.lo, next_term(cohort.range.hi, tpy), tpy):
+        got, want = truncate_records(cohort, t), reference_truncate(cohort, t)
+        assert got == want and repr(got) == repr(want), t
+        for name, built, expected in zip(CourseTable._fields, got.course_table, want.course_table):
+            assert built.dtype == expected.dtype and built.tobytes() == expected.tobytes(), (t, name)
+
+
 # --- the row-by-row ingest as a reference -------------------------------------
 #
 # The ingest this module replaced: one dict per row, a regex parse of every term
@@ -700,7 +713,7 @@ def test_ingest_matches_reference(tmp_path_factory, case):
     assert got.dropped_students == expected.dropped_students
     assert got.duplicate_rows == expected.duplicate_rows
     assert got.attr_codes == expected.attr_codes
-    derived = CourseTable.of(expected.cohort.students, cfg.terms_per_year)
+    derived = expected.cohort.course_table  # the reference cohort derives it from its objects
     for name, built, want in zip(CourseTable._fields, got.cohort.course_table, derived):
         assert built.dtype == want.dtype and built.shape == want.shape, name
         assert built.tobytes() == want.tobytes(), name
@@ -873,6 +886,16 @@ class TestCoursesOnFirstRead:
         with pytest.raises(TypeError):
             StudentStructure("x", (), Term(2012, 1), EnrollmentStatus.ENROLLED, None)  # courses has no default
 
+    def test_generated_cohort_copies_equal_the_cohort(self):
+        cfg = GeneratorConfig(seed=11, range_start=Term(2009, 1), range_end=Term(2011, 2), intake_per_term=10)
+        eager = eager_rebuild(generate(cfg).cohort)
+        for how in (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
+            cohort = generate(cfg).cohort
+            got = how(cohort)
+            assert got == cohort == eager and repr(got) == repr(cohort) == repr(eager)
+            for built, want in zip(got.course_table, eager.course_table):
+                assert built.dtype == want.dtype and built.tobytes() == want.tobytes()
+
     def test_signed_zeros_keep_their_sign(self, tmp_path):
         courses = COURSES_CSV + "s3,Z1,2013.2,-0,-0.0,1\ns3,Z2,2013.2,0,0,1\n"
         z1, z2 = ingest(*write_inputs(tmp_path, courses=courses), default_config()).cohort.student("s3").courses[1:]
@@ -906,3 +929,25 @@ class TestCoursesOnFirstRead:
         assert not any("courses" in vars(s) for s in cohort.students)
         cohort.students[0].courses  # the spy sees a read
         assert made == [(0, int(cohort.course_table.count[0]))]
+
+    def test_generate_write_and_truncate_make_no_records(self, tmp_path, monkeypatch):
+        made: list[tuple[int, int]] = []
+        make = records._CourseColumns.records
+
+        def spy(columns, start, end):
+            made.append((start, end))
+            return make(columns, start, end)
+
+        monkeypatch.setattr(records._CourseColumns, "records", spy)
+        cohort = generate(GeneratorConfig(seed=5, range_start=Term(2009, 1), range_end=Term(2012, 2), intake_per_term=10)).cohort
+        write_courses_csv(cohort, tmp_path / "generated.csv")
+        ingested = ingest_written(cohort, tmp_path)
+        for c in (cohort, ingested):
+            for t in iter_terms(c.range.lo, c.range.hi):
+                cut = truncate_records(c, t)
+                write_courses_csv(cut, tmp_path / "truncated.csv")
+                if t >= Term(2011, 1):  # the audit: a split of the truncated cohort
+                    build_split(cut, SplitRequest(SplitApproach.B4T, t))
+                assert not any("courses" in vars(s) for s in cut.students)
+        assert made == []
+        assert not any("courses" in vars(s) for s in cohort.students + ingested.students)

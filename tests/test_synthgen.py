@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dropsplit import rng, synthgen
-from dropsplit.records import CourseRecord, CourseTable, EnrollmentStatus, IngestConfig, IngestError, ingest
+from dropsplit.records import CourseRecord, EnrollmentStatus, IngestConfig, IngestError, _CourseColumns, ingest
 from dropsplit.rng import Xoshiro256StarStar, derive_seed
 from dropsplit.synthgen import (
     GeneratorConfig,
@@ -167,7 +167,7 @@ def assert_matches_reference(cfg: GeneratorConfig) -> list[int]:
             assert synth.truth[student.student_id] == TruthRow(status=status, exit_term=exit_term)
     assert len(synth.truth) == sum(1 for s in synth.cohort.students if s.status is EnrollmentStatus.ENROLLED)
     # The table handed to the cohort is the one its objects give.
-    table = CourseTable.of(synth.cohort.students, cfg.terms_per_year)
+    table = _CourseColumns.of(synth.cohort.students, cfg.terms_per_year).table
     assert all(a.dtype == b.dtype and a.tolist() == b.tolist() for a, b in zip(synth.cohort.course_table, table))
     return words
 
