@@ -18,6 +18,7 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, RunConfig, generator_config_from, load_kv, parse_flag, write_attr_codes
 from .evaluation import (
+    AccuracyCsvError,
     EnrolledPredictions,
     EvaluationError,
     EvaluationGrid,
@@ -29,7 +30,7 @@ from .evaluation import (
     run_grid,
     score_points,
 )
-from .features import FeatureSetSpec, VectorCache
+from .features import FeatureSetSpec
 from .records import Cohort, IngestError, ingest
 from .rng import check_seed
 from .splits import LabeledDataset, SplitApproach, SplitError, SplitRequest, build_split
@@ -186,8 +187,8 @@ def _cmd_evaluate(args) -> int:
     out_dir, entries = _start_out_dir(args.out, "evaluate", config_path)
     cohort, extras = _load_cohort(cfg)
     t_values = list(iter_terms(cfg.t_start, cfg.t_end, cfg.terms_per_year))
-    cache = VectorCache(cohort, FeatureSetSpec.for_cohort(cohort, cfg.time_features))
-    grid = run_grid(cohort, cfg.approaches, cfg.specs, t_values, split_seed=cfg.split_seed, cache=cache)
+    spec = FeatureSetSpec.for_cohort(cohort, cfg.time_features)
+    grid = run_grid(cohort, cfg.approaches, cfg.specs, t_values, split_seed=cfg.split_seed, feature_spec=spec)
     tables = {}
     for approach in cfg.approaches:
         try:
@@ -207,7 +208,7 @@ def _cmd_evaluate(args) -> int:
     table = tables.get(final.value)  # None when final is not evaluated or has no point table
     if table is not None:
         winning = next(s for s in cfg.specs if s.label == table.winner)
-        result = predict_enrolled(cohort, winning, final, cache=cache)
+        result = predict_enrolled(cohort, winning, final, feature_spec=spec)
         _write_predictions_csv(result, out_dir / "predictions.csv")
         entries += [
             ("final_approach", final.value),
@@ -269,13 +270,14 @@ def _cmd_report(args) -> int:
     accuracy_files = sorted(grid_dir.glob("accuracy_*.csv"))
     if not accuracy_files:
         raise ConfigError(f"no accuracy_*.csv files under {grid_dir}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = [("command", "report"), ("package_version", __version__), ("source", str(grid_dir))]
-    _write_manifest(out_dir, entries)
+    outputs = {}  # file name -> text, all made before --out is created
     for path in accuracy_files:
         name = path.stem.split("_", 1)[1]
-        approach = SplitApproach(name)
+        try:
+            approach = SplitApproach(name)
+        except ValueError:
+            valid = ",".join(a.value for a in SplitApproach)
+            raise AccuracyCsvError(f"{path}: {name!r} is not an approach, expected one of {valid}") from None
         t_values, rows, _ = read_accuracy_csv(path, tpy)
         grid = EvaluationGrid(
             approaches=(approach,),
@@ -287,9 +289,13 @@ def _cmd_report(args) -> int:
             for t, value in zip(t_values, cells[:-1]):
                 if value is not None:
                     grid.accuracy[(name, classifier, t)] = value
-        table = score_points(grid, approach, mode=mode)
-        (out_dir / f"points_{name}.csv").write_text(points_csv(table), encoding="utf-8")
-        (out_dir / f"chart_{name}.svg").write_text(chart_svg(grid, name), encoding="utf-8")
+        outputs[f"points_{name}.csv"] = points_csv(score_points(grid, approach, mode=mode))
+        outputs[f"chart_{name}.svg"] = chart_svg(grid, name)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_manifest(out_dir, [("command", "report"), ("package_version", __version__), ("source", str(grid_dir))])
+    for file_name, text in outputs.items():
+        (out_dir / file_name).write_text(text, encoding="utf-8")
     return 0
 
 

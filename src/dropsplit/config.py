@@ -308,6 +308,9 @@ class RunConfig:
         s = _parse_settings(kv, RUN_KEYS, "run config", flags)
         keyed = {f.name: s.get(f.name) for f in fields(RunConfig) if f.name in RUN_KEYS}
         cfg = RunConfig(raw=kv, base_dir=base, specs=_specs(s), **keyed)
+        if None not in (cfg.t_start, cfg.t_end) and cfg.t_end < cfg.t_start:
+            source = "--t-end" if flags and flags.get("t_end") else "key 't_end'"
+            raise ConfigError(f"{source}: {cfg.t_end} is before t_start {cfg.t_start}")
         tpy = cfg.terms_per_year
         if "generator_config" in s:
             cfg.generator = generator_config_from(load_kv(_resolve(base, s["generator_config"])))

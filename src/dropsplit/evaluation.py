@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import ClassifierSpec, accuracy, confusion, fit, fit_each, predict
-from .features import FeatureSetSpec, VectorCache, checked_cache
+from .features import FeatureSetSpec, VectorTable, vector_table
 from .records import Cohort
 from .splits import (
     RULES,
@@ -33,6 +33,11 @@ from .terms import Term, format_term, to_ordinal
 
 class EvaluationError(RuntimeError):
     """The evaluation cannot proceed (e.g. every cell was skipped)."""
+
+
+class AccuracyCsvError(EvaluationError):
+    """An accuracy CSV read back for a report is malformed; the message names
+    the file and, where one is at fault, the line."""
 
 
 @dataclass(frozen=True)
@@ -87,17 +92,16 @@ def run_grid(
     t_values: list[Term],
     split_seed: int = 0,
     feature_spec: FeatureSetSpec | None = None,
-    cache: VectorCache | None = None,
 ) -> EvaluationGrid:
     """Fit and score every (reference term, approach, classifier) cell.
 
-    One vector cache is shared across the whole walk (pass `cache` to share it
-    with the final stage too), and cells are visited in a fixed order so
-    results do not depend on scheduling. A reference term's splits are built
-    first; then each classifier is fitted once per distinct training set, as
-    `RULES` gives them (B2 and B2T train on the same rows), all of the term's
-    sets in one `fit_each` call, and each model scores every test set that
-    needs it.
+    Every split of the walk is cut from the cohort's one vector table under
+    feature_spec (`features.vector_table`), which the final stage reuses, and
+    cells are visited in a fixed order so results do not depend on
+    scheduling. A reference term's splits are built first; then each
+    classifier is fitted once per distinct training set, as `RULES` gives them
+    (B2 and B2T train on the same rows), all of the term's sets in one
+    `fit_each` call, and each model scores every test set that needs it.
     """
     if not specs:
         raise EvaluationError("no classifier specs given")
@@ -107,7 +111,7 @@ def run_grid(
     for t in t_values:
         if t not in cohort.range:
             raise EvaluationError(f"reference term {t} outside cohort range")
-    cache = checked_cache(cohort, feature_spec, cache)
+    tab = vector_table(cohort, feature_spec)
     grid = EvaluationGrid(
         approaches=tuple(approaches),
         classifiers=tuple(labels),
@@ -115,19 +119,19 @@ def run_grid(
         terms_per_year=cohort.terms_per_year,
     )
     for t in t_values:
-        _run_term(grid, cohort, approaches, specs, t, split_seed, cache)
+        _run_term(grid, cohort, tab, approaches, specs, t, split_seed)
     return grid
 
 
-def _run_term(grid, cohort, approaches, specs, t, split_seed, cache) -> None:
+def _run_term(grid, cohort, tab: VectorTable, approaches, specs, t, split_seed) -> None:
     """Fill term t's cells; its models and splits go with the call."""
-    grid.enrolled[t] = len(cache.table.enrolled(to_ordinal(t, cohort.terms_per_year)))
+    grid.enrolled[t] = len(tab.enrolled(to_ordinal(t, cohort.terms_per_year)))
     trains = {}  # one per distinct training set: A's own, else its train rule's
     held = []  # (approach, training-set key, test)
     for approach in approaches:
         a = approach.value
         try:
-            train, test = build_split(cohort, SplitRequest(approach, t, split_seed), cache=cache)
+            train, test = build_split(cohort, SplitRequest(approach, t, split_seed), spec=tab.spec)
         except SplitError as exc:
             grid.sizes[(a, t)] = SetSizes(0, 0, 0, 0)
             for spec in specs:
@@ -276,7 +280,6 @@ def predict_enrolled(
     winning_spec: ClassifierSpec,
     approach: SplitApproach = SplitApproach.B4T,
     feature_spec: FeatureSetSpec | None = None,
-    cache: VectorCache | None = None,
 ) -> EnrolledPredictions:
     """Refit on every exited student and predict each enrolled student's outcome.
 
@@ -287,8 +290,7 @@ def predict_enrolled(
     plus exclusions always account for the whole enrolled population. With no
     enrolled student nothing is fitted and both sides are empty.
     """
-    cache = checked_cache(cohort, feature_spec, cache)
-    tab = cache.table
+    tab = vector_table(cohort, feature_spec)
     horizon = cohort.range.hi
     o = to_ordinal(horizon, tab.terms_per_year)
     result = EnrolledPredictions(approach.value, winning_spec.label, horizon, [], [], (), ())
@@ -296,7 +298,7 @@ def predict_enrolled(
     if not len(enrolled):
         return result
     exited = np.concatenate([tab.exited_before(o), tab.exited_from(o)])
-    train = apply_rule(approach, "train", exited, horizon, cache)
+    train = apply_rule(approach, "train", exited, horizon, tab)
     if not train.n:
         raise EvaluationError("no exited students with computable training vectors")
     result.train_rows, result.train_exclusions = train.rows, train.meta.exclusions
@@ -474,18 +476,33 @@ def render_report(
 def read_accuracy_csv(path: str | Path, terms_per_year: int = 2):
     """Parse an emitted accuracy CSV back into (t_values, rows, mean_row).
 
-    Used by report tooling and by tests verifying the round trip.
+    Used by report tooling and by tests verifying the round trip. A header
+    other than classifier,<terms>,mean, a row with another number of cells
+    than the header, or a cell that is neither empty nor a number raises
+    AccuracyCsvError naming the file and the line (the header is line 1).
     """
     from .terms import parse_term
 
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = text[0].split(",")
-    t_values = [parse_term(tok, terms_per_year) for tok in header[1:-1]]
+    lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+    header = lines[0].split(",")
+    if header[0] != "classifier" or header[-1] != "mean":
+        raise AccuracyCsvError(f"{path}: line 1: expected the header classifier,<terms>,mean, got {lines[0]!r}")
+    try:
+        t_values = [parse_term(tok, terms_per_year) for tok in header[1:-1]]
+    except ValueError as exc:
+        raise AccuracyCsvError(f"{path}: line 1: {exc}") from None
     rows: dict[str, list[float | None]] = {}
     mean_row: list[float | None] = []
-    for line in text[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        values = [float(v) if v else None for v in cells[1:]]
+        if len(cells) != len(header):
+            raise AccuracyCsvError(f"{path}: line {lineno}: {len(cells)} cells, the header has {len(header)}")
+        values = []
+        for column, v in zip(header[1:], cells[1:]):
+            try:
+                values.append(float(v) if v else None)
+            except ValueError:
+                raise AccuracyCsvError(f"{path}: line {lineno}: column {column!r} has non-numeric value {v!r}") from None
         if cells[0] == "mean":
             mean_row = values
         else:

@@ -10,14 +10,14 @@ than zero-filled, and callers decide how to count the exclusion.
 arrays, built from the cohort's `CourseTable` columns, with every defined
 as-of vector as a matrix row in (student id, as-of term) order and each
 student's rows contiguous. Choosing vectors is then index arithmetic over a
-population and copying them is one gather. `VectorCache` holds a cohort's
-table, built on first use.
+population and copying them is one gather. `vector_table` is the way to a
+cohort's table: it builds it on the first call for a (cohort, feature set)
+pair and keeps it with the cohort, in `Cohort.vector_tables`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -298,29 +298,18 @@ class VectorTable:
         return X, self.labels[idx], [(rows[r][0], t) for r in idx.tolist()]
 
 
-class VectorCache:
-    """A cohort's vectors for repeated split construction.
-
-    The `VectorTable` is built once, on first use, so replaying a split
-    rebuilds byte-identical datasets without recomputing histories.
-    """
-
-    def __init__(self, cohort: Cohort, spec: FeatureSetSpec | None = None) -> None:
-        self.cohort = cohort
-        self.spec = spec if spec is not None else FeatureSetSpec.for_cohort(cohort)
-
-    @cached_property
-    def table(self) -> VectorTable:
-        return VectorTable.of(self.cohort, self.spec)
+class VectorCache(dict):
+    """A cohort's vector tables, keyed by `FeatureSetSpec`: the memo that
+    `Cohort.vector_tables` holds and `vector_table` fills."""
 
 
-def checked_cache(cohort: Cohort, spec: FeatureSetSpec | None, cache: VectorCache | None) -> VectorCache:
-    """cache, refused unless it holds cohort's vectors under spec (when given),
-    or a new cache of them."""
-    if cache is None:
-        return VectorCache(cohort, spec)
-    if cache.cohort is not cohort:
-        raise ValueError("the vector cache was built for another cohort")
-    if spec is not None and spec != cache.spec:
-        raise ValueError(f"the vector cache was built for features {cache.spec.names}, not {spec.names}")
-    return cache
+def vector_table(cohort: Cohort, spec: FeatureSetSpec | None = None) -> VectorTable:
+    """The cohort's vectors under spec (default: its static attributes and the
+    canonical aggregates), built on the first call for the pair and kept with
+    the cohort, so replaying a split rebuilds byte-identical datasets without
+    recomputing histories."""
+    spec = spec if spec is not None else FeatureSetSpec.for_cohort(cohort)
+    tables = cohort.vector_tables
+    if spec not in tables:
+        tables[spec] = VectorTable.of(cohort, spec)
+    return tables[spec]

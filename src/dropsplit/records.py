@@ -255,7 +255,7 @@ class Cohort:
     `course_table` its table. A caller whose students read their records from
     a store passes it as `columns` (ingest, `synthgen.generate` and
     `truncate_records` do); otherwise it is derived from the students' records
-    on first use.
+    on first use. `vector_tables` keeps the cohort's feature tables.
     """
 
     students: tuple[StudentStructure, ...]
@@ -295,6 +295,14 @@ class Cohort:
     @property
     def course_table(self) -> CourseTable:
         return self.course_columns.table
+
+    @cached_property
+    def vector_tables(self) -> VectorCache:
+        """The cohort's `features.VectorTable`s by feature set, each built by
+        `features.vector_table` on first use."""
+        from .features import VectorCache  # features imports this module
+
+        return VectorCache()
 
     @property
     def static_attr_names(self) -> tuple[str, ...]:
@@ -475,15 +483,15 @@ class _Memo(dict):
 
 @contextmanager
 def _collector_paused() -> Iterator[None]:
-    """Hold off the cyclic garbage collector while a cohort is built.
+    """Hold off the cyclic garbage collector while `ingest` builds a cohort.
 
     Allocating containers starts a collection every few hundred objects, and
-    the older generations' passes walk every object built so far, yet a
-    builder's rows and students form no reference cycles, so those passes
-    free nothing. `ingest` makes a few objects per course row. Builders keep
-    courses as columns and make no records, so `synthgen.generate` makes only
-    a few per student, and the pause saves it little. The collector resumes,
-    if it was on, when the builder returns or raises.
+    the older generations' passes walk every object built so far, yet the
+    rows and students form no reference cycles, so those passes free
+    nothing; `ingest` makes a few objects per course row. `synthgen.generate`
+    keeps courses as columns and makes only a few objects per student, and
+    runs without the pause, which did not pay there. The collector resumes,
+    if it was on, when `ingest` returns or raises.
     """
     if not gc.isenabled():
         yield

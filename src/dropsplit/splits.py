@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .features import FeatureSetSpec, Pick, VectorCache, VectorTable, checked_cache
+from .features import FeatureSetSpec, Pick, VectorTable, vector_table
 from .records import Cohort, check_reference
 from .rng import Xoshiro256StarStar, check_seed
 from .terms import Term, to_ordinal
@@ -84,13 +84,13 @@ class LabeledDataset:
         return {sid for sid, _ in self.rows}
 
 
-def _dataset(cache: VectorCache, idx, as_of: int | None, role: str, exclusions: list[Exclusion]) -> LabeledDataset:
-    X, y, rows = cache.table.take(np.asarray(idx, dtype=np.int64), as_of)
+def _dataset(tab: VectorTable, idx, as_of: int | None, role: str, exclusions: list[Exclusion]) -> LabeledDataset:
+    X, y, rows = tab.take(np.asarray(idx, dtype=np.int64), as_of)
     unlabeled = np.flatnonzero(y < 0)
     if len(unlabeled):
         sid = rows[unlabeled[0]][0]
         raise ValueError(f"student {sid} has no label; enrolled students cannot enter a split")
-    return LabeledDataset(X=X, y=y, rows=tuple(rows), meta=DatasetMeta(role, cache.spec.names, tuple(exclusions)))
+    return LabeledDataset(X=X, y=y, rows=tuple(rows), meta=DatasetMeta(role, tab.spec.names, tuple(exclusions)))
 
 
 # A rule picks, for students at cohort positions si, the table rows of their
@@ -143,12 +143,11 @@ RULES: dict[SplitApproach, Rules] = {
 
 
 def _choose(
-    rule: Rule, si: np.ndarray, t: Term, cache: VectorCache, role: str, exclusions: list[Exclusion]
+    rule: Rule, si: np.ndarray, t: Term, tab: VectorTable, role: str, exclusions: list[Exclusion]
 ) -> tuple[np.ndarray, int | None]:
     """The rows a rule picks for students si, in row order, and the as-of
     ordinal they are pinned at; students without a vector are appended to
     exclusions in the order of si."""
-    tab = cache.table
     pick = rule(tab, si, to_ordinal(t, tab.terms_per_year))
     undefined = np.flatnonzero(pick.count == 0)
     exclusions += [
@@ -162,16 +161,16 @@ def _choose(
     return idx, pick.as_of
 
 
-def apply_rule(approach: SplitApproach, role: str, si: np.ndarray, t: Term, cache: VectorCache) -> LabeledDataset:
+def apply_rule(approach: SplitApproach, role: str, si: np.ndarray, t: Term, tab: VectorTable) -> LabeledDataset:
     """One side of a split: the approach's rule for role ("train" or "test") applied
     to the students at cohort positions si, every undefined vector an exclusion."""
     exclusions: list[Exclusion] = []
-    idx, as_of = _choose(getattr(RULES[approach], role), si, t, cache, role, exclusions)
-    return _dataset(cache, idx, as_of, role, exclusions)
+    idx, as_of = _choose(getattr(RULES[approach], role), si, t, tab, role, exclusions)
+    return _dataset(tab, idx, as_of, role, exclusions)
 
 
 def _pooled(
-    before: np.ndarray, onward: np.ndarray, t: Term, seed: int, cache: VectorCache
+    before: np.ndarray, onward: np.ndarray, t: Term, seed: int, tab: VectorTable
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Approach A: a seeded random partition of both populations' vectors.
 
@@ -181,8 +180,8 @@ def _pooled(
     """
     rules = RULES[SplitApproach.A]
     excl: list[Exclusion] = []
-    rows_before, _ = _choose(rules.train, before, t, cache, "pool", excl)
-    rows_onward, _ = _choose(rules.test, onward, t, cache, "pool", excl)
+    rows_before, _ = _choose(rules.train, before, t, tab, "pool", excl)
+    rows_onward, _ = _choose(rules.test, onward, t, tab, "pool", excl)
     if not len(rows_before):
         raise SplitError(f"no students exited before reference term {t}")
     if not len(rows_onward):
@@ -191,33 +190,30 @@ def _pooled(
     pool = sorted(rows_before.tolist() + rows_onward.tolist())
     Xoshiro256StarStar(seed).shuffle(pool)
     n_train = len(rows_before)
-    train = _dataset(cache, sorted(pool[:n_train]), None, "train", excl)
-    test = _dataset(cache, sorted(pool[n_train:]), None, "test", [])
+    train = _dataset(tab, sorted(pool[:n_train]), None, "train", excl)
+    test = _dataset(tab, sorted(pool[n_train:]), None, "test", [])
     return train, test
 
 
 def build_split(
-    c: Cohort,
-    request: SplitRequest,
-    spec: FeatureSetSpec | None = None,
-    cache: VectorCache | None = None,
+    c: Cohort, request: SplitRequest, spec: FeatureSetSpec | None = None
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Materialize one approach's (train, test) pair at a reference term T.
 
     Train rows come from students who exited before T, test rows from students
     active at T who exited by the end of the window; RULES says which vectors
-    each side uses. A cache of another cohort, or of features other than spec
-    when spec is given, is refused with a ValueError.
+    each side uses. The vectors are the cohort's table under spec, built on the
+    cohort's first use of spec (see `features.vector_table`).
     """
     t = request.reference_term
-    cache = checked_cache(c, spec, cache)
     check_reference(c, t)
+    tab = vector_table(c, spec)
     o = to_ordinal(t, c.terms_per_year)
-    before, onward = cache.table.exited_before(o), cache.table.exited_from(o)
+    before, onward = tab.exited_before(o), tab.exited_from(o)
     if request.approach is SplitApproach.A:
-        return _pooled(before, onward, t, request.seed, cache)
-    train = apply_rule(request.approach, "train", before, t, cache)
-    test = apply_rule(request.approach, "test", onward, t, cache)
+        return _pooled(before, onward, t, request.seed, tab)
+    train = apply_rule(request.approach, "train", before, t, tab)
+    test = apply_rule(request.approach, "test", onward, t, tab)
     if not train.n:
         raise SplitError(f"train side empty: no student exited before {t} with a usable vector")
     if not test.n:

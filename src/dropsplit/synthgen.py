@@ -33,7 +33,6 @@ from .records import (
     EnrollmentStatus,
     IngestError,
     StudentStructure,
-    _collector_paused,
     _CourseColumns,
     _Memo,
     _column_index,
@@ -291,7 +290,6 @@ def _simulate_chunk(cfg: GeneratorConfig, seeds: list[int], entrance: np.ndarray
     return static, dropout, exit_term, tuple(map(np.concatenate, zip(*parts)))
 
 
-@_collector_paused()
 def generate(cfg: GeneratorConfig) -> SyntheticCohort:
     """Generate one cohort; same config (and seed) always yields the same data.
 

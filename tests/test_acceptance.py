@@ -24,7 +24,7 @@ from dropsplit.evaluation import (
     run_grid,
     score_points,
 )
-from dropsplit.features import VectorCache
+from dropsplit.features import vector_table
 from dropsplit.records import Cohort, EnrollmentStatus, truncate_records
 from dropsplit.splits import SplitApproach, SplitRequest, build_split
 from dropsplit.synthgen import GeneratorConfig, RegimeChange, generate
@@ -69,7 +69,7 @@ def test_criterion_1_subset_oracle_equivalence():
     cohort = generate(cfg).cohort
     assert len(cohort.students) == 504
     started = time.monotonic()
-    tab = VectorCache(cohort).table
+    tab = vector_table(cohort)
     positions = list(enumerate(cohort.students))
     mismatches = 0
     for t in iter_terms(cohort.range.lo, cohort.range.hi):
@@ -92,24 +92,22 @@ def test_criterion_1_subset_oracle_equivalence():
 def test_criterion_2_no_leakage_and_b2_leak(default_cohort):
     rng = random.Random(20120101)
     pairs_checked = 0
-    cache = VectorCache(default_cohort)
     for t in (Term(2013, 1), Term(2014, 2), Term(2016, 1), Term(2017, 2)):
         cut = truncate_records(default_cohort, t)
-        cut_cache = VectorCache(cut)
         for approach in (SplitApproach.B2T, SplitApproach.B3T, SplitApproach.B4T):
-            _, test = build_split(default_cohort, SplitRequest(approach, t), cache=cache)
-            _, cut_test = build_split(cut, SplitRequest(approach, t), cache=cut_cache)
+            _, test = build_split(default_cohort, SplitRequest(approach, t))
+            _, cut_test = build_split(cut, SplitRequest(approach, t))
             assert test.rows == cut_test.rows
             assert np.array_equal(test.X, cut_test.X)
         # sample student rows from the shared truncated test set
-        _, test = build_split(default_cohort, SplitRequest(SplitApproach.B2T, t), cache=cache)
+        _, test = build_split(default_cohort, SplitRequest(SplitApproach.B2T, t))
         take = rng.sample(range(test.n), min(25, test.n))
         pairs_checked += len(take)
     assert pairs_checked >= 100
 
     # Converse: B2 test rows must change under the same truncation.
     t = Term(2014, 2)
-    _, b2_test = build_split(default_cohort, SplitRequest(SplitApproach.B2, t), cache=cache)
+    _, b2_test = build_split(default_cohort, SplitRequest(SplitApproach.B2, t))
     _, b2_cut_test = build_split(truncate_records(default_cohort, t), SplitRequest(SplitApproach.B2, t))
     by_id = {s.student_id: s for s in default_cohort.students}
     original = {sid: tuple(b2_test.X[i]) for i, (sid, _) in enumerate(b2_test.rows)}

@@ -265,13 +265,23 @@ class TestEvaluateCommand:
             ("gaussian_nb.seed=-1", "key 'gaussian_nb.seed': seed must lie in [0, 2**64), got -1"),
             ("gaussian_nb.k=x", "key 'gaussian_nb.k': expected integer, got 'x'"),
             ("gaussian_nb.variance_floor=tiny", "key 'gaussian_nb.variance_floor': expected number, got 'tiny'"),
+            # a walk that ends before it starts (the config has t_start=2011.1, t_end=2012.2)
+            ("t_end=2010.2", "key 't_end': 2010.2 is before t_start 2011.1"),
+            ("--t-end 2010.2", "--t-end: 2010.2 is before t_start 2011.1"),
+            ("--t-start 2013.1", "key 't_end': 2012.2 is before t_start 2013.1"),
         ],
     )
     def test_config_typo_exits_before_the_grid(self, tmp_path, run_cfg, capsys, line, message):
+        """line is appended to the config, in place of a key it sets, or
+        passed as flags when it starts with --."""
+        flags = line.split() if line.startswith("--") else []
+        appended = [] if flags else line.split("\n")
+        keys = {"terms_per_year"} | {kv.split("=")[0] for kv in appended}
+        kept = [kv for kv in run_cfg.read_text().splitlines() if kv.split("=")[0] not in keys]
         cfg = tmp_path / "typo.cfg"
-        cfg.write_text(run_cfg.read_text().replace("terms_per_year=2\n", "") + line + "\n")
+        cfg.write_text("\n".join(kept + appended) + "\n")
         out = tmp_path / "o"
-        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert main(["evaluate", "--config", str(cfg), *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error [config]: {message}\n"
         assert not out.exists()
 
@@ -385,6 +395,35 @@ class TestReportCommand:
     def test_empty_dir_is_error(self, tmp_path, capsys):
         code = main(["report", "--grid-dir", str(tmp_path), "--out", str(tmp_path / "r")])
         assert code == 1
+
+    ACCURACY_B1 = (
+        "classifier,2012.1,2012.2,mean\n"
+        "gaussian_nb,0.5,0.6,0.55\n"
+        "decision_tree,0.7,0.4,0.55\n"
+        "mean,0.6,0.5,0.55\n"
+    )
+
+    @pytest.mark.parametrize(
+        "name, old, new, message",
+        [
+            # a row one cell short: decision_tree's mean cell is cut
+            ("accuracy_B1.csv", "0.4,0.55\n", "0.4\n", "line 3: 3 cells, the header has 4"),
+            ("accuracy_B1.csv", "0.7,", "0.7x,", "line 3: column '2012.1' has non-numeric value '0.7x'"),
+            ("accuracy_B1.csv", "2012.1", "2012.x", "line 1: malformed term '2012.x', expected YYYY.K"),
+            ("accuracy_B1.csv", "classifier,", "", "line 1: expected the header classifier,<terms>,mean"),
+            # a stray file beside a good one, read after it
+            ("accuracy_Z9.csv", "", "", "'Z9' is not an approach, expected one of A,B1,B2,B2T,B3T,B4T"),
+        ],
+    )
+    def test_bad_accuracy_csv_names_the_file_and_exits_before_writing(self, tmp_path, capsys, name, old, new, message):
+        grid = tmp_path / "grid"
+        grid.mkdir()
+        (grid / "accuracy_B1.csv").write_text(self.ACCURACY_B1)
+        (grid / name).write_text(self.ACCURACY_B1.replace(old, new, 1) if old else self.ACCURACY_B1)
+        out = tmp_path / "r"
+        assert main(["report", "--grid-dir", str(grid), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error [evaluation]: {grid / name}: {message}")
+        assert not out.exists()
 
 
 class TestIngestCommand:

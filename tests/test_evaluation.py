@@ -16,9 +16,10 @@ from dropsplit.evaluation import (
     run_grid,
     score_points,
 )
-from dropsplit.features import CANONICAL_TIME_FEATURES, FeatureSetSpec, VectorCache
+from dropsplit.features import CANONICAL_TIME_FEATURES, FeatureSetSpec, VectorTable, vector_table
 from dropsplit.records import Cohort, truncate_records
 from dropsplit.splits import SplitApproach, SplitError, SplitRequest, apply_rule, build_split
+from dropsplit.synthgen import GeneratorConfig, generate
 from dropsplit.terms import Term, TermRange, iter_terms
 
 from conftest import (
@@ -149,10 +150,10 @@ class TestRunGrid:
         assert batches == [(spec.label, n) for n in (2, 4) for spec in specs]
 
     def test_fills_the_cache_it_is_given(self, medium_synth):
-        cache = VectorCache(medium_synth)
-        assert "table" not in vars(cache)  # the table is built on first use
-        run_grid(medium_synth, [SplitApproach.B1], FAST_SPECS, [Term(2012, 1)], cache=cache)
-        assert "table" in vars(cache)
+        medium_synth.vector_tables.clear()
+        assert not medium_synth.vector_tables  # the table is built on first use
+        run_grid(medium_synth, [SplitApproach.B1], FAST_SPECS, [Term(2012, 1)])
+        assert list(medium_synth.vector_tables) == [FeatureSetSpec.for_cohort(medium_synth)]
 
     def test_duplicate_labels_rejected(self, medium_synth):
         with pytest.raises(EvaluationError, match="duplicate"):
@@ -165,39 +166,41 @@ class TestRunGrid:
 
 
 class TestCacheChecks:
-    """run_grid and predict_enrolled read only the cache's table, so they refuse
-    a cache of another cohort, or of features other than the ones asked for."""
-
-    COURSES_ONLY = FeatureSetSpec(static_names=(), time_features=("courses_taken",))
-
-    def test_grid_refuses_a_foreign_cache_before_its_first_term(self, medium_synth):
-        foreign = VectorCache(truncate_records(medium_synth, Term(2014, 1)))
-        for terms in ([], [Term(2012, 1)]):
-            with pytest.raises(ValueError, match="another cohort"):
-                run_grid(medium_synth, [SplitApproach.B1], FAST_SPECS, terms, cache=foreign)
-        assert "table" not in vars(foreign)
-
-    def test_final_stage_refuses_a_foreign_cache(self, medium_synth):
-        foreign = VectorCache(truncate_records(medium_synth, Term(2014, 1)))
-        with pytest.raises(ValueError, match="another cohort"):
-            predict_enrolled(medium_synth, ClassifierSpec(kind="gaussian_nb"), SplitApproach.B4T, cache=foreign)
-
-    def test_a_cache_of_other_features_is_refused(self, medium_synth):
-        cache = VectorCache(medium_synth)
-        with pytest.raises(ValueError, match="features"):
-            run_grid(medium_synth, [SplitApproach.B1], FAST_SPECS, [Term(2012, 1)], feature_spec=self.COURSES_ONLY, cache=cache)
-        with pytest.raises(ValueError, match="features"):
-            predict_enrolled(medium_synth, ClassifierSpec(kind="gaussian_nb"), feature_spec=self.COURSES_ONLY, cache=cache)
+    """run_grid, predict_enrolled and build_split read the table the cohort
+    keeps for their feature set, so it is built once per (cohort, features)."""
 
     def test_a_cache_of_the_same_features_is_used(self, medium_synth):
-        cache = VectorCache(medium_synth)
         same = FeatureSetSpec.for_cohort(medium_synth)
         spec = ClassifierSpec(kind="gaussian_nb")
-        grid = run_grid(medium_synth, [SplitApproach.B1], [spec], [Term(2012, 1)], feature_spec=same, cache=cache)
+        grid = run_grid(medium_synth, [SplitApproach.B1], [spec], [Term(2012, 1)], feature_spec=same)
         assert grid.accuracy == run_grid(medium_synth, [SplitApproach.B1], [spec], [Term(2012, 1)]).accuracy
-        result = predict_enrolled(medium_synth, spec, feature_spec=same, cache=cache)
+        result = predict_enrolled(medium_synth, spec, feature_spec=same)
         assert result == predict_enrolled(medium_synth, spec)
 
+    def test_one_table_per_cohort_and_feature_set(self, monkeypatch):
+        cohort = generate(GeneratorConfig(seed=11, range_start=Term(2009, 1), range_end=Term(2012, 2), intake_per_term=15)).cohort
+        built = []  # (cohort, features) of each VectorTable.of call
+        of = VectorTable.of
+
+        def spy(c, features):
+            built.append((c, features))
+            return of(c, features)
+
+        monkeypatch.setattr(VectorTable, "of", staticmethod(spy))
+        default, spec, t = FeatureSetSpec.for_cohort(cohort), ClassifierSpec(kind="gaussian_nb"), Term(2011, 2)
+        run_grid(cohort, list(SplitApproach), [spec], [Term(2011, 1), t])
+        assert built == [(cohort, default)]
+        predict_enrolled(cohort, spec)
+        build_split(cohort, SplitRequest(SplitApproach.B4T, t), default)
+        assert built == [(cohort, default)]
+        courses_only = FeatureSetSpec(static_names=(), time_features=("courses_taken",))
+        run_grid(cohort, [SplitApproach.B1], [spec], [t], feature_spec=courses_only)
+        predict_enrolled(cohort, spec, feature_spec=courses_only)
+        assert built == [(cohort, default), (cohort, courses_only)]
+        cut = truncate_records(cohort, t)
+        build_split(cut, SplitRequest(SplitApproach.B4T, t))
+        assert vector_table(cut) is cut.vector_tables[default] is not vector_table(cohort)
+        assert built == [(cohort, default), (cohort, courses_only), (cut, default)]
 
 def make_grid(t_count, cells):
     """Build a grid directly from a {classifier: [acc or None, ...]} table."""
@@ -410,10 +413,10 @@ class TestPredictEnrolled:
         X = np.array([values for _, values in rows], dtype=np.float64)
         (got,) = matrices
         assert got.shape == X.shape and got.tobytes() == X.tobytes()
-        cache = VectorCache(medium_synth, features)
+        tab = vector_table(medium_synth, features)
         exited = subset_exited_before(medium_synth, horizon) + subset_exited_from(medium_synth, horizon)
-        si = np.array([cache.table.index[s.student_id] for s in exited], dtype=np.int64)
-        train = apply_rule(SplitApproach.B4T, "train", si, horizon, cache)
+        si = np.array([tab.index[s.student_id] for s in exited], dtype=np.int64)
+        train = apply_rule(SplitApproach.B4T, "train", si, horizon, tab)
         labels = predict(fit(clf, train), X)
         assert result.predictions == [(sid, int(label)) for (sid, _), label in zip(rows, labels)]
         assert result.exclusions == exclusions

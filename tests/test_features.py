@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +15,7 @@ from dropsplit.features import (
     VectorCache,
     VectorTable,
     student_label,
+    vector_table,
 )
 from dropsplit.records import Cohort, CourseRecord, EnrollmentStatus, StudentStructure
 from dropsplit.terms import Term, TermRange, iter_terms, next_term, prev_term, term_distance, to_ordinal
@@ -39,7 +45,7 @@ def table_outcome(tab, pick):
 def student_table(s, spec=None):
     """The vector table of s alone, over entrance through one term past its last activity."""
     cohort = Cohort(students=(s,), range=TermRange(s.entrance, next_term(s.last)))
-    return VectorCache(cohort, spec).table
+    return vector_table(cohort, spec)
 
 
 def pick_one(s, choose, spec=None):
@@ -311,8 +317,8 @@ class TestSpecAndCache:
 
     def test_cache_matches_direct_computation(self, tiny_cohort):
         """The cohort table's picks equal the naive vectors, student by student."""
-        cache = VectorCache(tiny_cohort)
-        tab, spec = cache.table, cache.spec
+        tab = vector_table(tiny_cohort)
+        spec = tab.spec
         for k, s in enumerate(tiny_cohort.students):
             si = np.array([k])
 
@@ -328,12 +334,45 @@ class TestSpecAndCache:
                 ]
 
     def test_cache_replays_undefined_outcomes(self, tiny_cohort):
-        cache = VectorCache(tiny_cohort)
-        gina = np.array([cache.table.index["gina"]])
+        tab = vector_table(tiny_cohort)
+        gina = np.array([tab.index["gina"]])
         for _ in range(2):
-            pick = cache.table.at_end(gina)
-            assert table_vectors(cache.table, pick) == []
+            pick = vector_table(tiny_cohort).at_end(gina)
+            assert table_vectors(tab, pick) == []
             assert pick.reason[0] == "no_course_records"
+
+    def test_a_cohort_keeps_one_table_per_feature_set(self, tiny_cohort):
+        spec = FeatureSetSpec.for_cohort(tiny_cohort)
+        courses_only = FeatureSetSpec(static_names=(), time_features=("courses_taken",))
+        assert type(tiny_cohort.vector_tables) is VectorCache and not tiny_cohort.vector_tables
+        tab = vector_table(tiny_cohort)
+        assert vector_table(tiny_cohort, spec) is tab and tab.spec == spec
+        assert vector_table(tiny_cohort, courses_only).spec == courses_only
+        assert list(tiny_cohort.vector_tables) == [spec, courses_only]
+
+    def test_a_filled_memo_leaves_the_cohort_as_it_was(self, tiny_cohort):
+        fresh = Cohort(students=tiny_cohort.students, range=tiny_cohort.range, terms_per_year=tiny_cohort.terms_per_year)
+        vector_table(tiny_cohort)
+        vector_table(tiny_cohort, FeatureSetSpec(static_names=(), time_features=("elapsed_terms",)))
+        assert tiny_cohort == fresh and repr(tiny_cohort) == repr(fresh)
+        for how in (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
+            got = how(tiny_cohort)
+            assert got == fresh and repr(got) == repr(fresh)
+            assert vector_table(got).X.tobytes() == vector_table(fresh).X.tobytes()
+
+    def test_a_dropped_cohort_frees_its_tables(self, tiny_cohort):
+        """The memo holds no reference back to its cohort, so dropping the
+        cohort frees its tables without the cyclic collector."""
+        cohort = Cohort(students=tiny_cohort.students, range=tiny_cohort.range)
+        tab = weakref.ref(vector_table(cohort))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del cohort
+            assert tab() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_for_cohort_uses_cohort_attr_names(self, tiny_cohort):
         spec = FeatureSetSpec.for_cohort(tiny_cohort)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from dropsplit import records
 from dropsplit.classifiers import ClassifierSpec
 from dropsplit.evaluation import predict_enrolled, run_grid
-from dropsplit.features import VectorCache
+from dropsplit.features import vector_table
 from dropsplit.records import (
     _COURSE_COLUMNS,
     _STUDENT_COLUMNS,
@@ -320,7 +320,7 @@ class TestSubsets:
     def populations(cohort, t):
         """The student ids of the table's populations at t: exited before,
         exited from, enrolled."""
-        tab = VectorCache(cohort).table
+        tab = vector_table(cohort)
         o = to_ordinal(t, cohort.terms_per_year)
         return tuple(
             [tab.student_ids[i] for i in idx] for idx in (tab.exited_before(o), tab.exited_from(o), tab.enrolled(o))

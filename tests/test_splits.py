@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dropsplit.features import CANONICAL_TIME_FEATURES, FeatureSetSpec, VectorCache, student_label
+from dropsplit.features import CANONICAL_TIME_FEATURES, FeatureSetSpec, student_label, vector_table
 from dropsplit.records import Cohort, CourseRecord, truncate_records
 from dropsplit.rng import Xoshiro256StarStar
 from dropsplit.splits import (
@@ -266,9 +266,12 @@ class TestCrossCutting:
             assert set(np.unique(ds.y)) <= {0, 1}
 
     def test_shared_cache_is_equivalent(self, medium_synth):
-        cache = VectorCache(medium_synth)
+        """A split cut from the table the cohort keeps equals one cut from a
+        table built afresh."""
+        vector_table(medium_synth)
         for approach in SplitApproach:
-            with_cache = build_split(medium_synth, SplitRequest(approach, T_MID, seed=6), cache=cache)
+            with_cache = build_split(medium_synth, SplitRequest(approach, T_MID, seed=6))
+            medium_synth.vector_tables.clear()
             without = build_split(medium_synth, SplitRequest(approach, T_MID, seed=6))
             for a, b in zip(with_cache, without):
                 assert a.rows == b.rows
@@ -286,20 +289,12 @@ class TestCrossCutting:
 
 
 class TestSharedCache:
-    def test_cache_of_another_cohort_is_refused(self, medium_synth, tiny_cohort):
-        with pytest.raises(ValueError, match="another cohort"):
-            build_split(medium_synth, SplitRequest(SplitApproach.B1, T_MID), cache=VectorCache(tiny_cohort))
-
-    def test_cache_of_other_features_is_refused(self, medium_synth):
-        courses_only = FeatureSetSpec(static_names=(), time_features=("courses_taken",))
-        with pytest.raises(ValueError, match="features"):
-            build_split(medium_synth, SplitRequest(SplitApproach.B1, T_MID), spec=courses_only, cache=VectorCache(medium_synth))
-
     def test_cache_of_the_same_features_is_used(self, medium_synth):
-        cache = VectorCache(medium_synth)
+        medium_synth.vector_tables.clear()
         spec = FeatureSetSpec.for_cohort(medium_synth)
-        train, test = build_split(medium_synth, SplitRequest(SplitApproach.B1, T_MID), spec=spec, cache=cache)
-        assert "table" in vars(cache)
+        train, test = build_split(medium_synth, SplitRequest(SplitApproach.B1, T_MID), spec=spec)
+        assert list(medium_synth.vector_tables) == [spec]
+        assert vector_table(medium_synth) is medium_synth.vector_tables[spec]
         assert train.X.shape[1] == test.X.shape[1] == len(spec.names)
 
 
@@ -489,10 +484,9 @@ def test_row_index_path_matches_per_vector_reference(cohort, spec, seed):
     """Every approach at every reference term equals the per-vector path, bit
     for bit: X bytes, labels, rows, and exclusions with reasons and order."""
     resolved = spec or FeatureSetSpec.for_cohort(cohort)
-    cache = VectorCache(cohort, spec)
     for t in iter_terms(WINDOW.lo, WINDOW.hi):
         for approach in SplitApproach:
-            got = split_or_error(build_split, cohort, SplitRequest(approach, t, seed), spec, cache)
+            got = split_or_error(build_split, cohort, SplitRequest(approach, t, seed), spec)
             expected = split_or_error(ref_build_split, cohort, approach, t, seed, resolved)
             if isinstance(expected, str):
                 assert got == expected
@@ -505,13 +499,11 @@ def test_row_index_path_matches_per_vector_reference(cohort, spec, seed):
 @given(small_cohorts(), st.sampled_from([None, FULL_SPEC]))
 def test_reference_term_test_sides_survive_truncation(cohort, spec):
     """A *T test side rebuilt from the records before T is the same dataset."""
-    cache = VectorCache(cohort, spec)
     for t in iter_terms(WINDOW.lo, WINDOW.hi):
         cut = truncate_records(cohort, t)
-        cut_cache = VectorCache(cut, spec)
         for approach in (SplitApproach.B2T, SplitApproach.B3T, SplitApproach.B4T):
-            got = split_or_error(build_split, cohort, SplitRequest(approach, t), spec, cache)
-            rebuilt = split_or_error(build_split, cut, SplitRequest(approach, t), spec, cut_cache)
+            got = split_or_error(build_split, cohort, SplitRequest(approach, t), spec)
+            rebuilt = split_or_error(build_split, cut, SplitRequest(approach, t), spec)
             if isinstance(got, str):
                 assert got == rebuilt
             else:
@@ -522,12 +514,11 @@ def test_reference_term_test_sides_survive_truncation(cohort, spec):
 @given(small_cohorts(), st.integers(0, 2**32))
 def test_rows_and_exclusions_account_for_each_population(cohort, seed):
     """On each side every student of the population is a row or an exclusion, never both."""
-    cache = VectorCache(cohort)
     for t in iter_terms(WINDOW.lo, WINDOW.hi):
         before = {s.student_id for s in subset_exited_before(cohort, t)}
         onward = {s.student_id for s in subset_exited_from(cohort, t)}
         for approach in SplitApproach:
-            split = split_or_error(build_split, cohort, SplitRequest(approach, t, seed), None, cache)
+            split = split_or_error(build_split, cohort, SplitRequest(approach, t, seed))
             if isinstance(split, str):
                 continue
             sides = [(split[0], before), (split[1], onward)]
@@ -547,13 +538,13 @@ def test_rows_and_exclusions_account_for_each_population(cohort, seed):
 def test_apply_rule_sorts_rows_and_keeps_population_order(cohort, approach):
     """Rows come out in (student id, as-of) order whatever the population
     order; exclusions follow the population order."""
-    cache = VectorCache(cohort)
+    tab = vector_table(cohort)
     t = Term(2012, 1)
     exited = subset_exited_from(cohort, t) + subset_exited_before(cohort, t)
-    si = np.array([cache.table.index[s.student_id] for s in exited], dtype=np.int64)
+    si = np.array([tab.index[s.student_id] for s in exited], dtype=np.int64)
     for role in ("train", "test"):
-        forward = apply_rule(approach, role, si, t, cache)
-        backward = apply_rule(approach, role, si[::-1], t, cache)
+        forward = apply_rule(approach, role, si, t, tab)
+        backward = apply_rule(approach, role, si[::-1], t, tab)
         keys = [(sid, to_ordinal(as_of)) for sid, as_of in forward.rows]
         assert keys == sorted(keys)
         assert backward.rows == forward.rows and backward.X.tobytes() == forward.X.tobytes()
@@ -569,7 +560,7 @@ def test_table_populations_equal_the_subset_oracle(cohort):
     """At every term of the range the table's populations are, in order, the
     cohort positions of the `subset_*` students: enrolled students and
     students entering after the term included."""
-    tab = VectorCache(cohort).table
+    tab = vector_table(cohort)
     for t in iter_terms(WINDOW.lo, WINDOW.hi):
         o = to_ordinal(t)
         for got, subset in (

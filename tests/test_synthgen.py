@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import gc
 import math
 import re
 
@@ -210,20 +209,6 @@ class TestGenerate:
         words = assert_matches_reference(cfg)
         assert len(words) > 7
         assert max(words) > rng._BLOCK
-
-    def test_collector_paused_while_generating(self, monkeypatch):
-        states = []
-        real = synthgen._simulate_chunk
-
-        def spy(*args):
-            states.append(gc.isenabled())
-            return real(*args)
-
-        monkeypatch.setattr(synthgen, "_simulate_chunk", spy)
-        assert gc.isenabled()
-        generate(small_config(intake_per_term=2))
-        assert states and not any(states)
-        assert gc.isenabled()
 
     def test_different_seeds_differ(self):
         assert generate(small_config(seed=1)).cohort != generate(small_config(seed=2)).cohort
