@@ -308,19 +308,28 @@ class RunConfig:
         s = _parse_settings(kv, RUN_KEYS, "run config", flags)
         keyed = {f.name: s.get(f.name) for f in fields(RunConfig) if f.name in RUN_KEYS}
         cfg = RunConfig(raw=kv, base_dir=base, specs=_specs(s), **keyed)
+
+        def source(key: str) -> str:
+            return "--" + key.replace("_", "-") if flags and flags.get(key) else f"key {key!r}"
+
         if None not in (cfg.t_start, cfg.t_end) and cfg.t_end < cfg.t_start:
-            source = "--t-end" if flags and flags.get("t_end") else "key 't_end'"
-            raise ConfigError(f"{source}: {cfg.t_end} is before t_start {cfg.t_start}")
+            raise ConfigError(f"{source('t_end')}: {cfg.t_end} is before t_start {cfg.t_start}")
         tpy = cfg.terms_per_year
         if "generator_config" in s:
             cfg.generator = generator_config_from(load_kv(_resolve(base, s["generator_config"])))
             if cfg.generator.terms_per_year != tpy:
                 raise ConfigError(f"key 'terms_per_year': {tpy} here, {cfg.generator.terms_per_year} in the generator config")
-            return cfg
-        cfg.students_path = _resolve(base, s["students"])
-        cfg.courses_path = _resolve(base, s["courses"])
-        attr_codes = _read_attr_codes(_resolve(base, s["attr_codes"])) if s.get("attr_codes") else None
-        cfg.ingest = IngestConfig(s["range_start"], s["range_end"], tpy, s["map.<tag>"], attr_codes)
+            lo, hi = cfg.generator.range_start, cfg.generator.range_end
+        else:
+            cfg.students_path = _resolve(base, s["students"])
+            cfg.courses_path = _resolve(base, s["courses"])
+            attr_codes = _read_attr_codes(_resolve(base, s["attr_codes"])) if s.get("attr_codes") else None
+            cfg.ingest = IngestConfig(s["range_start"], s["range_end"], tpy, s["map.<tag>"], attr_codes)
+            lo, hi = s["range_start"], s["range_end"]
+        for key in ("t_start", "t_end"):  # the walk must lie in the cohort's range
+            t = getattr(cfg, key)
+            if t is not None and not lo <= t <= hi:
+                raise ConfigError(f"{source(key)}: {t} is outside the cohort range {lo}..{hi}")
         return cfg
 
 

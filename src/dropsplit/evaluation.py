@@ -478,8 +478,9 @@ def read_accuracy_csv(path: str | Path, terms_per_year: int = 2):
 
     Used by report tooling and by tests verifying the round trip. A header
     other than classifier,<terms>,mean, a row with another number of cells
-    than the header, or a cell that is neither empty nor a number raises
-    AccuracyCsvError naming the file and the line (the header is line 1).
+    than the header, a cell that is neither empty nor a number, or a second
+    row of one classifier or of the mean raises AccuracyCsvError naming the
+    file and the line (the header is line 1).
     """
     from .terms import parse_term
 
@@ -493,10 +494,14 @@ def read_accuracy_csv(path: str | Path, terms_per_year: int = 2):
         raise AccuracyCsvError(f"{path}: line 1: {exc}") from None
     rows: dict[str, list[float | None]] = {}
     mean_row: list[float | None] = []
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(header):
             raise AccuracyCsvError(f"{path}: line {lineno}: {len(cells)} cells, the header has {len(header)}")
+        if cells[0] in first_line:
+            raise AccuracyCsvError(f"{path}: line {lineno}: row {cells[0]!r} repeats line {first_line[cells[0]]}")
+        first_line[cells[0]] = lineno
         values = []
         for column, v in zip(header[1:], cells[1:]):
             try:

@@ -6,6 +6,13 @@ course taken. Ingestion normalizes mini-terms onto the main calendar, codes
 non-numeric attributes to integers, enforces the structural invariants, and
 reports every rejected row with a reason.
 
+The courses file is read by columns, a bounded block of lines at a time.
+Cells are read as `csv.reader` reads them, quoting and CRLF line ends
+included. Each column's cell texts become int32 ids through one dict per
+column, so each distinct text is parsed and checked once, and every row check
+is a mask over the ids. A course row whose ids, and so whose cells, equal an
+earlier row's is a duplicate and is dropped.
+
 A cohort keeps its course records in one store, `_CourseColumns`: a
 `CourseTable` of arrays, which the feature table, the splits and the final
 stage read, plus each course's code as an index into the distinct code texts.
@@ -20,12 +27,11 @@ derives its store from them on first use.
 from __future__ import annotations
 
 import csv
-import gc
 import math
-from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field, fields
 from enum import Enum
 from functools import cached_property, partial
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -387,26 +393,32 @@ def _read_csv(fh, name: str, required: tuple[str, ...]) -> tuple[list[str], Iter
     return header, rows()
 
 
-class _TermCells:
-    """Term cells as (term, ordinal) pairs, each distinct text parsed once.
+class _TermCells(dict):
+    """Term cell text -> (term, ordinal), or the text of its parse error; each
+    distinct text is parsed once. Mini-term tags map onto main terms.
 
-    Mini-term tags map onto main terms; a malformed cell raises `IngestError`
-    naming its row.
+    Called with a row number, a cell's (term, ordinal) or an `IngestError`
+    naming the row.
     """
 
     def __init__(self, cfg: IngestConfig) -> None:
+        super().__init__()
         self.cfg = cfg
-        self.parsed: dict[str, tuple[Term, int]] = {}
+
+    def __missing__(self, text: str) -> tuple[Term, int] | str:
+        tpy = self.cfg.terms_per_year
+        try:
+            term = parse_term(text.strip(), tpy, self.cfg.miniterm_map)
+        except TermParseError as exc:
+            hit = self[text] = str(exc)
+        else:
+            hit = self[text] = (term, to_ordinal(term, tpy))
+        return hit
 
     def __call__(self, text: str, row: int) -> tuple[Term, int]:
-        hit = self.parsed.get(text)
-        if hit is None:
-            tpy = self.cfg.terms_per_year
-            try:
-                term = parse_term(text.strip(), tpy, self.cfg.miniterm_map)
-            except TermParseError as exc:
-                raise IngestError(f"row {row}: {exc}") from None
-            hit = self.parsed[text] = (term, to_ordinal(term, tpy))
+        hit = self[text]
+        if isinstance(hit, str):
+            raise IngestError(f"row {row}: {hit}")
         return hit
 
 
@@ -481,38 +493,203 @@ class _Memo(dict):
         return value
 
 
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Hold off the cyclic garbage collector while `ingest` builds a cohort.
+class _Ids(dict):
+    """Cell text -> int id, ids given in order of first lookup."""
 
-    Allocating containers starts a collection every few hundred objects, and
-    the older generations' passes walk every object built so far, yet the
-    rows and students form no reference cycles, so those passes free
-    nothing; `ingest` makes a few objects per course row. `synthgen.generate`
-    keeps courses as columns and makes only a few objects per student, and
-    runs without the pause, which did not pay there. The collector resumes,
-    if it was on, when `ingest` returns or raises.
+    def __missing__(self, text: str) -> int:
+        i = self[text] = len(self)
+        return i
+
+
+_BLOCK_ROWS = 1 << 13  # lines read at a time; bounds the cell texts alive at once
+
+
+def _tokens(fh) -> Iterator[tuple[list[int], list[str]]]:
+    """Each block of up to `_BLOCK_ROWS` lines of fh, as the cell count of
+    each non-blank row and all their cells, row after row.
+
+    Cells are read as `csv.reader` reads them. Lines are split on commas until
+    a block holds a `"`, `\r` or NUL, the characters a csv reader does more
+    with than split; that block and the rest of the file go through
+    `csv.reader`.
     """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
+    while lines := list(islice(fh, _BLOCK_ROWS)):
+        text = "".join(lines)
+        if '"' in text or "\r" in text or "\x00" in text:
+            break
+        if "\n" in lines:  # a blank line holds no row
+            lines = [line for line in lines if line != "\n"]
+            text = "".join(lines)
+        cells = text.replace("\n", ",").split(",") if text else []
+        if text.endswith("\n"):
+            cells.pop()
+        yield [line.count(",") + 1 for line in lines], cells
+    reader = csv.reader(chain(lines, fh))
+    while rows := list(islice(reader, _BLOCK_ROWS)):
+        rows = [cells for cells in rows if cells]
+        yield list(map(len, rows)), list(chain.from_iterable(rows))
 
 
-@_collector_paused()
+def _course_cells(fh, name: str, width: int) -> Iterator[list[str]]:
+    """The cells of the data rows after the header of a courses file, a
+    block at a time, row after row. A row without `width` cells raises
+    `IngestError` naming it (the header is row 1, and blank rows are not
+    counted), once the rows before it have been yielded."""
+    rownum = 2  # of the block's first row
+    for widths, cells in _tokens(fh):
+        good = len(widths) if widths.count(width) == len(widths) else next(i for i, n in enumerate(widths) if n != width)
+        del cells[good * width :]
+        yield cells
+        if good < len(widths):
+            raise IngestError(f"{name}: row {rownum + good}: {widths[good]} cells, the header has {width}")
+        rownum += good
+
+
+def _repeats(ids: list[np.ndarray], sizes: list[int]) -> np.ndarray:
+    """True for each row whose ids, one array per column, equal an earlier
+    row's. sizes[j] bounds the ids of column j.
+
+    The columns are folded into one int64 key, most significant first; when
+    the next fold could overflow, the key is first renumbered densely.
+    """
+    key, span = np.zeros(len(ids[0]), np.int64), 1
+    for column, size in zip(ids, sizes):
+        if span * size >= 1 << 63:
+            key = np.unique(key, return_inverse=True)[1]
+            span = int(key.max()) + 1
+        key, span = key * size + column, span * size
+    order = np.argsort(key, kind="stable")  # the first of equal keys is the first in the file
+    repeat = np.zeros(len(key), bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    return repeat
+
+
+_NEVER = np.iinfo(np.int64).max  # the exit ordinal of an enrolled student
+
+
+def _numbers(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """`_number` of each text, nan where it raises, and where it does not."""
+    values, ok = [], []
+    for text in texts:
+        try:
+            values.append(_number(text))
+            ok.append(True)
+        except ValueError:
+            values.append(math.nan)
+            ok.append(False)
+    return np.array(values, np.float64), np.array(ok, bool)
+
+
+def _read_courses(
+    path: Path, term_cell: _TermCells, students: list[str], entrance_of: np.ndarray, exit_of: np.ndarray
+) -> tuple[_CourseColumns, list[tuple[int, str, str]], int]:
+    """The cohort's course store read from the courses file, with the rejected
+    rows and the count of duplicate rows.
+
+    Each column's cell texts become int32 ids, one dict per column, so each
+    distinct text is parsed and checked once, and every row check is a mask
+    over the ids. A row is a duplicate when its ids equal an earlier row's.
+    students are the cohort's student ids; entrance_of and exit_of hold their
+    ordinals by position, plus one entry for a student not in the cohort.
+    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        header, _ = _read_csv(fh, path.name, _COURSE_COLUMNS)
+        width = len(header)
+        dicts = [_Ids() for _ in header]
+        blocks, late = [[np.empty(0, np.int32)] * width], None
+        try:
+            for cells in _course_cells(fh, path.name, width):
+                n = len(cells) // width
+                blocks.append([np.fromiter(map(d.__getitem__, cells[j::width]), np.int32, n) for j, d in enumerate(dicts)])
+        except IngestError as exc:
+            late = exc  # a row without a cell per column: a row before it may hold an earlier error
+    # The cells as ids, a column each; this also frees the last block's texts.
+    cells = [np.concatenate(parts) for parts in zip(*blocks)]
+    del blocks
+    live = ~_repeats(cells, list(map(len, dicts)))
+    column = _column_index(header)
+    sid_ids, code_ids, term_ids, score_ids, attendance_ids, result_ids = (cells[column[c]] for c in _COURSE_COLUMNS)
+    sid_texts, code_texts, term_texts, score_texts, attendance_texts, result_texts = (
+        list(dicts[column[c]]) for c in _COURSE_COLUMNS
+    )
+
+    # Each distinct text parsed and checked once, then spread over the rows.
+    sids = [text.strip() for text in sid_texts]
+    position = {sid: k for k, sid in enumerate(students)}
+    owner = np.array([position.get(sid, -1) for sid in sids], np.int64)[sid_ids]  # -1: not in the cohort
+    terms = [term_cell[text] for text in term_texts]  # (term, ordinal), or the parse error
+    term_ok = np.array([not isinstance(hit, str) for hit in terms], bool)
+    ordinal = np.array([hit[1] if ok else 0 for hit, ok in zip(terms, term_ok)], np.int64)[term_ids]
+    score, score_ok = _numbers(score_texts)
+    attendance, attendance_ok = _numbers(attendance_texts)
+    result = np.array([_RESULTS.get(text.strip(), -1) for text in result_texts], np.int64)
+    known = owner >= 0
+
+    # In the order each row's cells are checked; the first failing check of
+    # the first failing row, in file order, names the error.
+    checks = [
+        (~term_ok[term_ids], lambda i: terms[term_ids[i]]),
+        (~score_ok[score_ids], lambda i: f"column 'score' has non-numeric value {score_texts[score_ids[i]]!r}"),
+        (
+            ~attendance_ok[attendance_ids],
+            lambda i: f"column 'attendance_pct' has non-numeric value {attendance_texts[attendance_ids[i]]!r}",
+        ),
+        (result[result_ids] < 0, lambda i: f"result must be 0 or 1, got {result_texts[result_ids[i]].strip()!r}"),
+        (~((score >= 0.0) & (score <= 10.0))[score_ids], lambda i: f"score {float(score[score_ids[i]])} outside [0, 10]"),
+        (
+            ~((attendance >= 0.0) & (attendance <= 100.0))[attendance_ids],
+            lambda i: f"attendance {float(attendance[attendance_ids[i]])} outside [0, 100]",
+        ),
+        (
+            known & (ordinal < entrance_of[owner]),
+            lambda i: f"course term {terms[term_ids[i]][0]} before entrance of student {sids[sid_ids[i]]}",
+        ),
+    ]
+    bad = live & np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(bad.argmax())
+        raise IngestError(f"row {i + 2}: " + next(message(i) for mask, message in checks if mask[i]))
+    if late is not None:
+        raise late
+
+    # Registered exit wins over trailing activity; keep the row out.
+    after = known & (ordinal > exit_of[owner])
+    rejected = np.flatnonzero(live & (~known | after))
+    rejects = [
+        (i + 2, sids[k], "after_exit" if exited else "unknown_student")
+        for i, k, exited in zip(rejected.tolist(), sid_ids[rejected].tolist(), after[rejected].tolist())
+    ]
+    kept = np.flatnonzero(live & known & ~after)
+    # Cohort order, then term order; lexsort is stable, so file order within a term.
+    rows = kept[np.lexsort((ordinal[kept], owner[kept]))]
+    table = CourseTable(
+        count=np.bincount(owner[kept], minlength=len(students)),
+        term=ordinal[rows],
+        failed=result[result_ids[rows]] == 0,
+        attendance=attendance[attendance_ids[rows]],
+        score=score[score_ids[rows]],
+    )
+    # A code is kept as its index among the distinct stripped codes of the kept rows.
+    stripped = _Ids()
+    code = np.array([stripped[text.strip()] for text in code_texts], np.int64)[code_ids[rows]]
+    used = np.zeros(len(stripped), bool)
+    used[code] = True
+    code = (np.cumsum(used) - 1)[code]
+    columns = _CourseColumns(table, code, list(compress(stripped, used)), term_cell.cfg.terms_per_year)
+    return columns, rejects, len(live) - int(live.sum())
+
+
 def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfig) -> IngestResult:
     """Read, validate, and normalize the two input CSVs into a Cohort.
 
-    Schema violations abort with the offending row number. Course rows that
-    reference unknown or out-of-range students, duplicate an earlier row byte
-    for byte, or fall after a student's registered exit are collected into the
-    rejects list instead. Each student's courses are kept in (term, file row)
-    order in the cohort's `CourseTable`, and made into records in that order
-    when first read.
+    Schema violations abort with the offending row number: the first bad row
+    in the file, rows counted without blank lines and the header as row 1.
+    Course rows that reference unknown or out-of-range students, or fall
+    after a student's registered exit, are collected into the rejects list
+    instead; a course row whose cells equal an earlier row's is dropped and
+    counted as a duplicate. Each student's courses are kept in (term, file
+    row) order in the cohort's `CourseTable`, and made into records in that
+    order when first read.
     """
     students_path, courses_path = Path(students_path), Path(courses_path)
     with students_path.open(newline="", encoding="utf-8") as fh:
@@ -560,89 +737,10 @@ def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfi
     # on the README cohort, about 4 MB less stays resident after ingest.
     del student_rows
     ids = sorted(parsed)  # cohort order
-    position = {sid: k for k, sid in enumerate(ids)}
-    entrance_of = [parsed[sid][1][1] for sid in ids]
-    exit_of = [math.inf if parsed[sid][3] is None else parsed[sid][3][1] for sid in ids]
-
-    rejects: list[tuple[int, str, str]] = []
-    duplicates = 0
-    # Each distinct score, attendance or course code text is parsed once: a
-    # course file repeats a few thousand numbers and codes across all its rows.
-    # A code is kept as its index among the distinct stripped codes.
-    numbers, code_index = _Memo(_number), {}
-    code_ids = _Memo(lambda text: code_index.setdefault(text.strip(), len(code_index)))
-    seen_lines: set[str | tuple[str, ...]] = set()
-    # One entry per kept course, in file order.
-    owner: list[int] = []
-    code: list[int] = []
-    ordinal: list[int] = []
-    results: list[int] = []
-    attendances: list[float] = []
-    scores: list[float] = []
-    with courses_path.open(newline="", encoding="utf-8") as fh:
-        header, rows = _read_csv(fh, courses_path.name, _COURSE_COLUMNS)
-        column = _column_index(header)
-        c_sid, c_code, c_term = column["student_id"], column["course_code"], column["term"]
-        c_score, c_attendance, c_result = column["score"], column["attendance_pct"], column["result"]
-        for rownum, cells in enumerate(rows, start=2):
-            # The joined line holds under a third of the memory of the tuple
-            # of its cells. It stands for the row only when no cell holds a
-            # NUL; other rows keep their tuple, which never equals a string.
-            key = "\x00".join(cells)
-            if key.count("\x00") != len(cells) - 1:
-                key = tuple(cells)
-            if key in seen_lines:
-                duplicates += 1
-                continue
-            seen_lines.add(key)
-            sid = cells[c_sid].strip()
-            term, o = term_cell(cells[c_term], rownum)
-            try:
-                score = numbers[cells[c_score]]
-            except ValueError:
-                raise IngestError(f"row {rownum}: column 'score' has non-numeric value {cells[c_score]!r}") from None
-            try:
-                attendance = numbers[cells[c_attendance]]
-            except ValueError:
-                raise IngestError(
-                    f"row {rownum}: column 'attendance_pct' has non-numeric value {cells[c_attendance]!r}"
-                ) from None
-            result = _RESULTS.get(cells[c_result].strip())
-            if result is None:
-                raise IngestError(f"row {rownum}: result must be 0 or 1, got {cells[c_result].strip()!r}")
-            if not 0.0 <= score <= 10.0:
-                raise IngestError(f"row {rownum}: score {score} outside [0, 10]")
-            if not 0.0 <= attendance <= 100.0:
-                raise IngestError(f"row {rownum}: attendance {attendance} outside [0, 100]")
-            k = position.get(sid)
-            if k is None:
-                rejects.append((rownum, sid, "unknown_student"))
-                continue
-            if o < entrance_of[k]:
-                raise IngestError(f"row {rownum}: course term {term} before entrance of student {sid}")
-            if o > exit_of[k]:
-                # Registered exit wins over trailing activity; keep the row out.
-                rejects.append((rownum, sid, "after_exit"))
-                continue
-            owner.append(k)
-            code.append(code_ids[cells[c_code]])
-            ordinal.append(o)
-            results.append(result)
-            attendances.append(attendance)
-            scores.append(score)
-    del seen_lines
-
-    student, terms = np.array(owner, dtype=np.int64), np.array(ordinal, dtype=np.int64)
-    # Cohort order, then term order; lexsort is stable, so file order within a term.
-    order = np.lexsort((terms, student))
-    table = CourseTable(
-        count=np.bincount(student, minlength=len(ids)),
-        term=terms[order],
-        failed=(np.array(results, dtype=np.int64) == 0)[order],
-        attendance=np.array(attendances, dtype=np.float64)[order],
-        score=np.array(scores, dtype=np.float64)[order],
-    )
-    columns = _CourseColumns(table, np.array(code, dtype=np.int64)[order], list(code_index), cfg.terms_per_year)
+    # By cohort position, and one entry more for a student not in the cohort.
+    entrance_of = np.array([parsed[sid][1][1] for sid in ids] + [0], np.int64)
+    exit_of = np.array([_NEVER if parsed[sid][3] is None else parsed[sid][3][1] for sid in ids] + [0], np.int64)
+    columns, rejects, duplicates = _read_courses(courses_path, term_cell, ids, entrance_of, exit_of)
     students = []
     for sid, (start, end) in zip(ids, columns.spans()):
         rownum, (entrance, _), status, exit_term, attrs = parsed[sid]

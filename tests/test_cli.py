@@ -269,6 +269,10 @@ class TestEvaluateCommand:
             ("t_end=2010.2", "key 't_end': 2010.2 is before t_start 2011.1"),
             ("--t-end 2010.2", "--t-end: 2010.2 is before t_start 2011.1"),
             ("--t-start 2013.1", "key 't_end': 2012.2 is before t_start 2013.1"),
+            # a walk past the generated cohort's range, 2009.1..2012.2
+            ("t_end=2013.1", "key 't_end': 2013.1 is outside the cohort range 2009.1..2012.2"),
+            ("--t-end 2013.1", "--t-end: 2013.1 is outside the cohort range 2009.1..2012.2"),
+            ("--t-start 2008.2", "--t-start: 2008.2 is outside the cohort range 2009.1..2012.2"),
         ],
     )
     def test_config_typo_exits_before_the_grid(self, tmp_path, run_cfg, capsys, line, message):
@@ -280,6 +284,28 @@ class TestEvaluateCommand:
         kept = [kv for kv in run_cfg.read_text().splitlines() if kv.split("=")[0] not in keys]
         cfg = tmp_path / "typo.cfg"
         cfg.write_text("\n".join(kept + appended) + "\n")
+        out = tmp_path / "o"
+        assert main(["evaluate", "--config", str(cfg), *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error [config]: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, flags, message",
+        [
+            ("t_start=2011.1\nt_end=2013.1\n", [], "key 't_end': 2013.1 is outside the cohort range 2009.1..2012.2"),
+            ("t_start=2011.1\nt_end=2012.2\n", ["--t-end", "2013.1"], "--t-end: 2013.1 is outside the cohort range 2009.1..2012.2"),
+            ("t_start=2008.2\nt_end=2012.2\n", [], "key 't_start': 2008.2 is outside the cohort range 2009.1..2012.2"),
+        ],
+    )
+    def test_walk_outside_the_ingest_range_exits_before_the_grid(self, tmp_path, gen_cfg, capsys, line, flags, message):
+        gen_out = tmp_path / "gen_data"
+        main(["generate", "--config", str(gen_cfg), "--out", str(gen_out)])
+        cfg = tmp_path / "ingest.cfg"
+        cfg.write_text(
+            f"students={gen_out / 'students.csv'}\ncourses={gen_out / 'courses.csv'}\n"
+            f"range_start=2009.1\nrange_end=2012.2\nclassifiers=gaussian_nb\n{line}"
+        )
+        capsys.readouterr()
         out = tmp_path / "o"
         assert main(["evaluate", "--config", str(cfg), *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error [config]: {message}\n"
@@ -413,6 +439,9 @@ class TestReportCommand:
             ("accuracy_B1.csv", "classifier,", "", "line 1: expected the header classifier,<terms>,mean"),
             # a stray file beside a good one, read after it
             ("accuracy_Z9.csv", "", "", "'Z9' is not an approach, expected one of A,B1,B2,B2T,B3T,B4T"),
+            # a second row of one classifier, or of the mean
+            ("accuracy_B1.csv", "mean,", "decision_tree,0.1,0.1,0.1\nmean,", "line 4: row 'decision_tree' repeats line 3"),
+            ("accuracy_B1.csv", "mean,0.6,0.5,0.55\n", "mean,0.6,0.5,0.55\nmean,0.1,0.1,0.1\n", "line 5: row 'mean' repeats line 4"),
         ],
     )
     def test_bad_accuracy_csv_names_the_file_and_exits_before_writing(self, tmp_path, capsys, name, old, new, message):

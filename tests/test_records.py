@@ -10,6 +10,7 @@ import pickle
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -69,6 +70,13 @@ def default_config(**overrides) -> IngestConfig:
     base = dict(range_start=Term(2012, 1), range_end=Term(2016, 2), terms_per_year=2)
     base.update(overrides)
     return IngestConfig(**base)
+
+
+def quoted(text: str) -> str:
+    """The CSV text with every cell quoted and CRLF line ends."""
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(csv.reader(io.StringIO(text)))
+    return out.getvalue()
 
 
 def write_inputs(tmp_path, students=STUDENTS_CSV, courses=COURSES_CSV):
@@ -256,9 +264,10 @@ def malformed_inputs(draw):
 @given(malformed_inputs())
 def test_malformed_row_is_ingest_error_naming_its_row(tmp_path_factory, case):
     texts, name, rownum = case
-    sp, cp = write_inputs(tmp_path_factory.mktemp("fuzz"), texts["students"], texts["courses"])
-    with pytest.raises(IngestError, match=rf"row {rownum}\b"):
-        ingest(sp, cp, default_config())
+    for how in (str, quoted):
+        sp, cp = write_inputs(tmp_path_factory.mktemp("fuzz"), how(texts["students"]), how(texts["courses"]))
+        with pytest.raises(IngestError, match=rf"row {rownum}\b"):
+            ingest(sp, cp, default_config())
 
 
 @pytest.mark.parametrize(
@@ -687,26 +696,36 @@ def ingest_inputs(draw):
 @settings(max_examples=400, deadline=None)
 @given(ingest_inputs())
 def test_ingest_matches_reference(tmp_path_factory, case):
+    """ingest agrees with the reference on the plain text, and gives the same
+    on a copy with every cell quoted and CRLF line ends."""
     students, courses, cfg = case
     sp, cp = write_inputs(tmp_path_factory.mktemp("reference"), students, courses)
+    inputs = [(sp, cp), write_inputs(tmp_path_factory.mktemp("quoted"), quoted(students), quoted(courses))]
     try:
         expected = reference_ingest(sp, cp, cfg)
     except IngestError as exc:
-        with pytest.raises(IngestError) as got:
-            ingest(sp, cp, cfg)
-        if str(exc).startswith("attribute "):  # now also names the file and a row
-            assert re.fullmatch(rf"students\.csv: row \d+: {re.escape(str(exc))}", str(got.value))
-        else:
-            assert str(got.value) == str(exc)
+        for paths in inputs:
+            with pytest.raises(IngestError) as got:
+                ingest(*paths, cfg)
+            if str(exc).startswith("attribute "):  # now also names the file and a row
+                assert re.fullmatch(rf"students\.csv: row \d+: {re.escape(str(exc))}", str(got.value))
+            else:
+                assert str(got.value) == str(exc)
         return
     except ValueError as exc:
         # The reference let an exit before the entrance reach StudentStructure,
         # whose bare ValueError named no row; ingest names the student's row.
         assert "before entrance" in str(exc)
-        with pytest.raises(IngestError, match=rf"^row \d+: {re.escape(str(exc))}$"):
-            ingest(sp, cp, cfg)
+        for paths in inputs:
+            with pytest.raises(IngestError, match=rf"^row \d+: {re.escape(str(exc))}$"):
+                ingest(*paths, cfg)
         return
-    got = ingest(sp, cp, cfg)
+    for paths in inputs:
+        assert_ingested(ingest(*paths, cfg), expected)
+
+
+def assert_ingested(got: IngestResult, expected: IngestResult) -> None:
+    """got equals expected, down to the bytes of the course table."""
     assert got.cohort == expected.cohort
     assert repr(got.cohort) == repr(expected.cohort)  # also tells 1 from True and 1.0
     assert got.rejected_courses == expected.rejected_courses
@@ -717,6 +736,58 @@ def test_ingest_matches_reference(tmp_path_factory, case):
     for name, built, want in zip(CourseTable._fields, got.cohort.course_table, derived):
         assert built.dtype == want.dtype and built.shape == want.shape, name
         assert built.tobytes() == want.tobytes(), name
+
+
+# Rows 9 to 14, with blank lines between them: a duplicate of row 2, a row of
+# an unknown student and its duplicate, a row after s2's exit, row 2 again
+# with every cell quoted and a CRLF line end, and one kept row.
+_EDGE_ROWS = (
+    "\ns1,MATH1,2012.1,7.5,90,1\nghost,MATH1,2013.1,5.0,50,1\n\n\nghost,MATH1,2013.1,5.0,50,1\n"
+    's2,LATE1,2014.1,6.0,70,1\n"s1","MATH1","2012.1","7.5","90","1"\r\ns3,PHYS1,2013.2,8.0,90,1\n'
+)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_blocks_edges_keep_rows_duplicates_and_rejects(tmp_path, monkeypatch, block):
+    sp, cp = write_inputs(tmp_path, courses=COURSES_CSV + _EDGE_ROWS)
+    whole = ingest(sp, cp, default_config())
+    monkeypatch.setattr(records, "_BLOCK_ROWS", block)
+    got = ingest(sp, cp, default_config())
+    assert got.duplicate_rows == 3
+    assert got.rejected_courses == [(10, "ghost", "unknown_student"), (12, "s2", "after_exit")]
+    assert [c.course_code for c in got.cohort.student("s3").courses] == ["MATH1", "PHYS1"]
+    assert_ingested(got, whole)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, records._BLOCK_ROWS])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # a bad term after a blank line, then a row one cell short
+        ("s1,MATH1,2012.1,7.5,90,1\n\ns1,MATH1,2012.x,7.5,90,1\ns1,MATH1\n", "row 10: malformed term '2012.x'"),
+        ("s1,MATH1,2012.1,7.5,90,1\n\ns1,MATH1\ns1,MATH1,2012.x,7.5,90,1\n", "courses.csv: row 10: 2 cells"),
+        # the same, quoted
+        ('"s1","M"\n\n"s1","MATH1","2012.x","7.5","90","1"\n', "courses.csv: row 9: 2 cells"),
+        ('s1,MATH1,2012.1,7.5,90,1\n\n"s1","MATH1","2012.x","7.5","90","1"\n"s1"\n', "row 10: malformed term '2012.x'"),
+    ],
+)
+def test_first_bad_row_across_blocks_names_its_row(tmp_path, monkeypatch, block, rows, message):
+    monkeypatch.setattr(records, "_BLOCK_ROWS", block)
+    sp, cp = write_inputs(tmp_path, courses=COURSES_CSV + rows)
+    with pytest.raises(IngestError, match=re.escape(message)):
+        ingest(sp, cp, default_config())
+
+
+def test_repeats_renumbers_a_key_that_would_overflow():
+    rng = np.random.default_rng(0)
+    ids = [rng.integers(0, 3, 300) for _ in range(4)]
+    seen: set[tuple[int, ...]] = set()
+    want = []
+    for row in zip(*(column.tolist() for column in ids)):
+        want.append(row in seen)
+        seen.add(row)
+    for sizes in ([3] * 4, [2**40] * 4):  # the second would overflow int64 at each later fold
+        assert records._repeats(ids, sizes).tolist() == want
 
 
 def test_cohort_derives_its_course_table_from_objects(tiny_cohort):
