@@ -31,7 +31,7 @@ import math
 from dataclasses import InitVar, dataclass, field, fields
 from enum import Enum
 from functools import cached_property, partial
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -504,15 +504,18 @@ class _Ids(dict):
 _BLOCK_ROWS = 1 << 13  # lines read at a time; bounds the cell texts alive at once
 
 
-def _tokens(fh) -> Iterator[tuple[list[int], list[str]]]:
+def _tokens(fh) -> Iterator[tuple[list[int], list[str], str | None]]:
     """Each block of up to `_BLOCK_ROWS` lines of fh, as the cell count of
-    each non-blank row and all their cells, row after row.
+    each non-blank row, all their cells, row after row, and the error of the
+    row after them, or None.
 
     Cells are read as `csv.reader` reads them. Lines are split on commas until
     a block holds a `"`, `\r` or NUL, the characters a csv reader does more
     with than split; that block and the rest of the file go through
-    `csv.reader`.
+    `csv.reader`. A row `csv.reader` cannot read, such as one with a cell
+    longer than `csv.field_size_limit()`, ends the blocks with its error.
     """
+    limit = csv.field_size_limit()
     while lines := list(islice(fh, _BLOCK_ROWS)):
         text = "".join(lines)
         if '"' in text or "\r" in text or "\x00" in text:
@@ -520,29 +523,50 @@ def _tokens(fh) -> Iterator[tuple[list[int], list[str]]]:
         if "\n" in lines:  # a blank line holds no row
             lines = [line for line in lines if line != "\n"]
             text = "".join(lines)
+        error = None
+        if max(map(len, lines), default=0) > limit:
+            long = [max(map(len, line.rstrip("\n").split(","))) > limit for line in lines]
+            if any(long):
+                lines, error = lines[: long.index(True)], f"field larger than field limit ({limit})"
+                text = "".join(lines)
         cells = text.replace("\n", ",").split(",") if text else []
         if text.endswith("\n"):
             cells.pop()
-        yield [line.count(",") + 1 for line in lines], cells
-    reader = csv.reader(chain(lines, fh))
-    while rows := list(islice(reader, _BLOCK_ROWS)):
+        yield [line.count(",") + 1 for line in lines], cells, error
+        if error:
+            return
+    errors: list[str] = []
+    reader = _csv_rows(chain(lines, fh), errors)
+    while (rows := list(islice(reader, _BLOCK_ROWS))) or errors:
         rows = [cells for cells in rows if cells]
-        yield list(map(len, rows)), list(chain.from_iterable(rows))
+        yield list(map(len, rows)), list(chain.from_iterable(rows)), errors.pop() if errors else None
+
+
+def _csv_rows(lines, errors: list[str]) -> Iterator[list[str]]:
+    """The rows `csv.reader` reads from lines; a `csv.Error` ends them, and
+    its text is appended to errors."""
+    try:
+        yield from csv.reader(lines)
+    except csv.Error as exc:
+        errors.append(str(exc))
 
 
 def _course_cells(fh, name: str, width: int) -> Iterator[list[str]]:
     """The cells of the data rows after the header of a courses file, a
-    block at a time, row after row. A row without `width` cells raises
-    `IngestError` naming it (the header is row 1, and blank rows are not
-    counted), once the rows before it have been yielded."""
+    block at a time, row after row. A row without `width` cells, or one
+    `csv.reader` cannot read, raises `IngestError` naming it (the header is
+    row 1, and blank rows are not counted), once the rows before it have
+    been yielded."""
     rownum = 2  # of the block's first row
-    for widths, cells in _tokens(fh):
+    for widths, cells, error in _tokens(fh):
         good = len(widths) if widths.count(width) == len(widths) else next(i for i, n in enumerate(widths) if n != width)
         del cells[good * width :]
         yield cells
         if good < len(widths):
             raise IngestError(f"{name}: row {rownum + good}: {widths[good]} cells, the header has {width}")
         rownum += good
+        if error:
+            raise IngestError(f"{name}: row {rownum}: {error}")
 
 
 def _repeats(ids: list[np.ndarray], sizes: list[int]) -> np.ndarray:
@@ -669,13 +693,10 @@ def _read_courses(
         attendance=attendance[attendance_ids[rows]],
         score=score[score_ids[rows]],
     )
-    # A code is kept as its index among the distinct stripped codes of the kept rows.
+    # A code is kept as its index among the distinct stripped codes of the file.
     stripped = _Ids()
     code = np.array([stripped[text.strip()] for text in code_texts], np.int64)[code_ids[rows]]
-    used = np.zeros(len(stripped), bool)
-    used[code] = True
-    code = (np.cumsum(used) - 1)[code]
-    columns = _CourseColumns(table, code, list(compress(stripped, used)), term_cell.cfg.terms_per_year)
+    columns = _CourseColumns(table, code, list(stripped), term_cell.cfg.terms_per_year)
     return columns, rejects, len(live) - int(live.sum())
 
 

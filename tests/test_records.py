@@ -778,6 +778,31 @@ def test_first_bad_row_across_blocks_names_its_row(tmp_path, monkeypatch, block,
         ingest(sp, cp, default_config())
 
 
+@pytest.mark.parametrize("block", [1, 2, records._BLOCK_ROWS])
+@pytest.mark.parametrize("form", ["plain", "quoted"])
+def test_cell_past_the_csv_field_limit_names_its_row(tmp_path, monkeypatch, block, form):
+    # Row 9 holds a cell of csv.field_size_limit() characters, which csv
+    # reads; row 10 holds one a character longer, which it refuses.
+    limit = csv.field_size_limit()
+    rows = [["s3", "C" * limit, "2013.2", "8.0", "90", "1"], ["s3", "D" * (limit + 1), "2013.2", "8.0", "90", "1"]]
+
+    def ingest_rows(rows):
+        out = io.StringIO()
+        if form == "quoted":
+            csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
+        else:
+            csv.writer(out, lineterminator="\n").writerows(rows)
+        return ingest(*write_inputs(tmp_path, courses=COURSES_CSV + "\n" + out.getvalue()), default_config())
+
+    monkeypatch.setattr(records, "_BLOCK_ROWS", block)
+    assert "C" * limit in [c.course_code for c in ingest_rows(rows[:1]).cohort.student("s3").courses]
+    with pytest.raises(IngestError, match=re.escape(f"courses.csv: row 10: field larger than field limit ({limit})")):
+        ingest_rows(rows)
+    rows[0][2] = "2012.x"  # an earlier bad row names the error
+    with pytest.raises(IngestError, match=re.escape("row 9: malformed term '2012.x'")):
+        ingest_rows(rows)
+
+
 def test_repeats_renumbers_a_key_that_would_overflow():
     rng = np.random.default_rng(0)
     ids = [rng.integers(0, 3, 300) for _ in range(4)]
