@@ -157,6 +157,7 @@ def _cmd_split(args) -> int:
     cfg = RunConfig.load(config_path)
     approach = parse_flag("--approach", "final_approach", args.approach)
     t = parse_flag("--t", "t_start", args.t, cfg.terms_per_year)
+    cfg.check_in_range("--t", t)
     seed = args.seed if args.seed is not None else cfg.split_seed
     out_dir, entries = _start_out_dir(args.out, "split", config_path)
     cohort, extras = _load_cohort(cfg)

@@ -319,18 +319,23 @@ class RunConfig:
             cfg.generator = generator_config_from(load_kv(_resolve(base, s["generator_config"])))
             if cfg.generator.terms_per_year != tpy:
                 raise ConfigError(f"key 'terms_per_year': {tpy} here, {cfg.generator.terms_per_year} in the generator config")
-            lo, hi = cfg.generator.range_start, cfg.generator.range_end
         else:
             cfg.students_path = _resolve(base, s["students"])
             cfg.courses_path = _resolve(base, s["courses"])
             attr_codes = _read_attr_codes(_resolve(base, s["attr_codes"])) if s.get("attr_codes") else None
             cfg.ingest = IngestConfig(s["range_start"], s["range_end"], tpy, s["map.<tag>"], attr_codes)
-            lo, hi = s["range_start"], s["range_end"]
         for key in ("t_start", "t_end"):  # the walk must lie in the cohort's range
-            t = getattr(cfg, key)
-            if t is not None and not lo <= t <= hi:
-                raise ConfigError(f"{source(key)}: {t} is outside the cohort range {lo}..{hi}")
+            if (t := getattr(cfg, key)) is not None:
+                cfg.check_in_range(source(key), t)
         return cfg
+
+    def check_in_range(self, source: str, t: Term) -> None:
+        """Raise unless t lies in the cohort's range; the error names source,
+        a key or a flag."""
+        cohort = self.generator or self.ingest
+        lo, hi = cohort.range_start, cohort.range_end
+        if not lo <= t <= hi:
+            raise ConfigError(f"{source}: {t} is outside the cohort range {lo}..{hi}")
 
 
 def _resolve(base: Path, text: str) -> Path:

@@ -16,21 +16,19 @@ earlier row's is a duplicate and is dropped.
 A cohort keeps its course records in one store, `_CourseColumns`: a
 `CourseTable` of arrays, which the feature table, the splits and the final
 stage read, plus each course's code as an index into the distinct code texts.
-`StudentStructure` and `CourseRecord` objects are a view of that store, made
-on read: `ingest`, `synthgen.generate` and `truncate_records` build only the
-columns, and a student makes its `courses` from its span of them the first
-time they are read, and keeps them. Records made so share one object per
-distinct code, term and number. A cohort put together by hand from objects
-derives its store from them on first use.
+A `StudentStructure` holds a student's identity, attributes, status and terms,
+and as `courses` the range of the student's rows in that store. `ingest`,
+`synthgen.generate` and `truncate_records` build the store first, then the
+students from its spans.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -42,7 +40,6 @@ from .terms import (
     Term,
     TermParseError,
     TermRange,
-    from_ordinal,
     parse_term,
     to_ordinal,
 )
@@ -62,35 +59,14 @@ class EnrollmentStatus(Enum):
     ENROLLED = "enrolled"
 
 
-@dataclass(frozen=True, slots=True)  # one per course row: slots keep each small
-class CourseRecord:
-    course_code: str
-    term: Term
-    score: float
-    attendance_pct: float
-    result: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 10.0:
-            raise ValueError(f"score {self.score} outside [0, 10]")
-        if not 0.0 <= self.attendance_pct <= 100.0:
-            raise ValueError(f"attendance {self.attendance_pct} outside [0, 100]")
-        if self.result not in (0, 1):
-            raise ValueError(f"result must be 0 or 1, got {self.result}")
-
-
 @dataclass(frozen=True)
 class StudentStructure:
-    """One student's static attributes, status, and course history.
+    """One student's static attributes, status, and course rows.
 
-    Courses are sorted by term. ``last`` is the latest term with any course
-    record, falling back to the entrance term for students with no records
-    (those carry no computable time-based features and are flagged inactive).
-
-    A student of an ingested, generated or truncated cohort makes its
-    ``courses`` from the cohort's course columns on first read
-    (`_CoursesOnFirstRead`). It compares, prints, hashes, copies and pickles
-    as one built with the same records.
+    ``courses`` is the range of the student's rows in the cohort's course
+    store (`Cohort.course_columns`). Whoever builds the store vouches that a
+    student's rows are sorted by term, none before the entrance or after the
+    exit term; the checks here read no course.
     """
 
     student_id: str
@@ -98,25 +74,9 @@ class StudentStructure:
     entrance: Term
     status: EnrollmentStatus
     exit_term: Term | None
-    courses: tuple[CourseRecord, ...]
+    courses: range
 
     def __post_init__(self) -> None:
-        sid = self.student_id
-        # Terms order as (year, index); comparing those tuples keeps these
-        # checks cheap on long histories.
-        keys = [(c.term.year, c.term.index) for c in self.courses]
-        if keys and min(keys) < (self.entrance.year, self.entrance.index):
-            early = next(c.term for c in self.courses if c.term < self.entrance)
-            raise ValueError(f"student {sid}: course at {early} before entrance {self.entrance}")
-        if keys != sorted(keys):
-            raise ValueError(f"student {sid}: courses not sorted by term")
-        self._check_exit()
-        if self.exited and self.last > self.exit_term:
-            raise ValueError(f"student {sid}: course records after exit term {self.exit_term}")
-
-    def _check_exit(self) -> None:
-        """The checks that read no course: status against exit term, and exit
-        before entrance."""
         sid = self.student_id
         if self.status is EnrollmentStatus.ENROLLED:
             if self.exit_term is not None:
@@ -127,57 +87,9 @@ class StudentStructure:
             if self.exit_term < self.entrance:
                 raise ValueError(f"student {sid}: exit {self.exit_term} before entrance {self.entrance}")
 
-    @classmethod
-    def _on_demand(cls, columns: _CourseColumns, start: int, end: int, **attrs) -> StudentStructure:
-        """A student whose `courses` are rows [start, end) of `columns`, made
-        into records on first read.
-
-        The caller vouches for the course checks of `__post_init__` (sorted by
-        term, none before entrance or after exit); the others run here.
-        """
-        s = cls.__new__(cls)
-        s.__dict__.update(attrs, _columns=(columns, start, end))
-        s._check_exit()
-        return s
-
-    def __getstate__(self) -> dict:
-        # Copies and pickles carry the records, not the cohort's columns.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @property
-    def last(self) -> Term:
-        return self.courses[-1].term if self.courses else self.entrance
-
-    @property
-    def inactive(self) -> bool:
-        return not self.courses
-
     @property
     def exited(self) -> bool:
         return self.status is not EnrollmentStatus.ENROLLED
-
-
-class _CoursesOnFirstRead:
-    """`StudentStructure.courses` of a student made by `_on_demand`: made from
-    its span of the cohort's columns on first read, then kept in the instance.
-
-    A non-data descriptor: a student holding its `courses` (built through
-    `__init__`, or read once) answers from its own `__dict__`.
-    """
-
-    def __get__(self, s: StudentStructure | None, owner: type | None = None):
-        if s is None:
-            return self
-        try:
-            columns, start, end = s.__dict__.pop("_columns")
-        except KeyError:
-            raise AttributeError(f"{type(s).__name__!r} object has no attribute 'courses'") from None
-        courses = s.__dict__["courses"] = columns.records(start, end)
-        return courses
-
-
-# Set after the class is made, so the dataclass sees no default for `courses`.
-StudentStructure.courses = _CoursesOnFirstRead()
 
 
 class CourseTable(NamedTuple):
@@ -185,7 +97,7 @@ class CourseTable(NamedTuple):
 
     count has one entry per student, in cohort order. The other columns have
     one entry per course: each student's courses are contiguous, in cohort
-    order, and in the order of the student's `courses`.
+    order, and a student's `courses` is the range of them.
     """
 
     count: np.ndarray  # courses per student
@@ -200,78 +112,49 @@ class _CourseColumns:
     `CourseTable`, plus each course's code as an index into the distinct code
     texts `codes`.
 
-    `records(start, end)` makes rows [start, end) into `CourseRecord`s. Records
-    made from one store share one object per distinct code, term ordinal and
-    number: numbers are keyed by their bits, so -0.0 and 0.0 stay apart.
+    Two stores are equal when their table columns are, dtype and bytes (so
+    -0.0 and 0.0 differ), and so are their rows' code texts.
     """
 
-    def __init__(self, table: CourseTable, code: np.ndarray, codes: list[str], terms_per_year: int) -> None:
+    def __init__(self, table: CourseTable, code: np.ndarray, codes: list[str]) -> None:
         self.table, self.code, self.codes = table, code, codes
-        self.terms = _Memo(partial(from_ordinal, terms_per_year=terms_per_year))  # a partial pickles
-        self.numbers: dict[int, float] = {}
-
-    @classmethod
-    def of(cls, students: tuple[StudentStructure, ...], terms_per_year: int) -> _CourseColumns:
-        """The store of the students' course records, read from the objects."""
-        courses = [c for s in students for c in s.courses]
-        n = len(courses)
-        index = np.fromiter((c.term.index for c in courses), np.int64, n)
-        if n and index.max() > terms_per_year:
-            to_ordinal(courses[int(np.argmax(index > terms_per_year))].term, terms_per_year)  # raises, naming the term
-        code_index: dict[str, int] = {}
-        table = CourseTable(
-            count=np.fromiter((len(s.courses) for s in students), np.int64, len(students)),
-            term=np.fromiter((c.term.year for c in courses), np.int64, n) * terms_per_year + index - 1,
-            failed=np.fromiter((c.result == 0 for c in courses), bool, n),
-            attendance=np.fromiter((c.attendance_pct for c in courses), np.float64, n),
-            score=np.fromiter((c.score for c in courses), np.float64, n),
-        )
-        code = np.fromiter((code_index.setdefault(c.course_code, len(code_index)) for c in courses), np.int64, n)
-        return cls(table, code, list(code_index), terms_per_year)
 
     def spans(self) -> Iterator[tuple[int, int]]:
         """Each student's rows, as (start, end), in cohort order."""
         ends = np.cumsum(self.table.count).tolist()
         return zip([0, *ends], ends)
 
-    def records(self, start: int, end: int) -> tuple[CourseRecord, ...]:
-        table, codes, terms, numbers = self.table, self.codes, self.terms, self.numbers
+    def _code_texts(self) -> list[str]:
+        return [self.codes[k] for k in self.code.tolist()]
 
-        def shared(column: np.ndarray) -> list[float]:
-            part = column[start:end]
-            return [numbers.setdefault(b, v) for b, v in zip(part.view(np.int64).tolist(), part.tolist())]
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _CourseColumns):
+            return NotImplemented
+        same = (a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(self.table, other.table))
+        return all(same) and self._code_texts() == other._code_texts()
 
-        return tuple(
-            map(
-                CourseRecord,
-                [codes[k] for k in self.code[start:end].tolist()],
-                [terms[o] for o in table.term[start:end].tolist()],
-                shared(table.score),
-                shared(table.attendance),
-                (~table.failed[start:end]).view(np.uint8).tolist(),
-            )
-        )
+    def __repr__(self) -> str:
+        columns = (f"{name}={column.dtype}{column.tolist()}" for name, column in self.table._asdict().items())
+        return f"_CourseColumns({', '.join(columns)}, code={self._code_texts()})"
 
 
 @dataclass(frozen=True)
 class Cohort:
     """All ingested students whose entrance falls inside the study window.
 
-    `course_columns` is the store of the students' course records, and
-    `course_table` its table. A caller whose students read their records from
-    a store passes it as `columns` (ingest, `synthgen.generate` and
-    `truncate_records` do); otherwise it is derived from the students' records
-    on first use. `vector_tables` keeps the cohort's feature tables.
+    `course_columns` is the one store of the students' course records, and
+    `course_table` its table; each student's `courses` are its span of rows
+    there. `vector_tables` keeps the cohort's feature tables.
     """
 
     students: tuple[StudentStructure, ...]
     range: TermRange
+    course_columns: _CourseColumns
     terms_per_year: int = DEFAULT_TERMS_PER_YEAR
-    columns: InitVar[_CourseColumns | None] = None
 
     _by_id: dict[str, StudentStructure] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, columns: _CourseColumns | None) -> None:
+    def __post_init__(self) -> None:
         by_id: dict[str, StudentStructure] = {}
         names: tuple[str, ...] | None = None
         for s in self.students:
@@ -290,13 +173,9 @@ class Cohort:
         ids = [s.student_id for s in self.students]
         if ids != sorted(ids):
             raise ValueError("cohort students must be sorted by student id")
+        if [s.courses for s in self.students] != [range(*span) for span in self.course_columns.spans()]:
+            raise ValueError("students' courses must be their spans of the course store, in cohort order")
         object.__setattr__(self, "_by_id", by_id)
-        if columns is not None:
-            object.__setattr__(self, "course_columns", columns)
-
-    @cached_property
-    def course_columns(self) -> _CourseColumns:
-        return _CourseColumns.of(self.students, self.terms_per_year)
 
     @property
     def course_table(self) -> CourseTable:
@@ -328,22 +207,15 @@ def truncate_records(c: Cohort, t: Term) -> Cohort:
 
     Statuses and exit terms are untouched; this is the audit tool for checking
     that a test row uses no information recorded at or after the reference term.
-    A mask over the cohort's course columns picks the rows kept, and the copy's
-    students make their records from them on first read.
+    A mask over the cohort's course columns picks the rows kept.
     """
     columns, n = c.course_columns, len(c.students)
     table = columns.table
     keep = table.term < to_ordinal(t, c.terms_per_year)
     count = np.bincount(np.repeat(np.arange(n), table.count)[keep], minlength=n)
-    kept = _CourseColumns(
-        CourseTable(count, *(column[keep] for column in table[1:])), columns.code[keep], columns.codes, c.terms_per_year
-    )
-    plain = [f.name for f in fields(StudentStructure) if f.name != "courses"]
-    students = tuple(
-        StudentStructure._on_demand(kept, start, end, **{name: getattr(s, name) for name in plain})
-        for s, (start, end) in zip(c.students, kept.spans())
-    )
-    return Cohort(students=students, range=c.range, terms_per_year=c.terms_per_year, columns=kept)
+    kept = _CourseColumns(CourseTable(count, *(column[keep] for column in table[1:])), columns.code[keep], columns.codes)
+    students = tuple(replace(s, courses=range(*span)) for s, span in zip(c.students, kept.spans()))
+    return Cohort(students=students, range=c.range, course_columns=kept, terms_per_year=c.terms_per_year)
 
 
 @dataclass
@@ -375,20 +247,27 @@ _COURSE_COLUMNS = ("student_id", "course_code", "term", "score", "attendance_pct
 def _read_csv(fh, name: str, required: tuple[str, ...]) -> tuple[list[str], Iterator[list[str]]]:
     """The header and the data rows of a CSV file, blank lines skipped.
 
-    Every data row must have one cell per header column; the first that does
-    not raises, naming the file and its row (the header is row 1).
+    Every data row must have one cell per header column, and `csv.reader`
+    must read every row; the first row that fails raises, naming the file and
+    its row (the header is row 1).
     """
-    reader = csv.reader(fh)
+    errors: list[str] = []
+    reader = _csv_rows(fh, errors)
     header = next(reader, [])
+    if errors:
+        raise IngestError(f"{name}: row 1: {errors[0]}")
     missing = [c for c in required if c not in header]
     if missing:
         raise IngestError(f"{name}: missing columns {missing}")
 
     def rows() -> Iterator[list[str]]:
+        rownum = 1
         for rownum, cells in enumerate((cells for cells in reader if cells), start=2):
             if len(cells) != len(header):
                 raise IngestError(f"{name}: row {rownum}: {len(cells)} cells, the header has {len(header)}")
             yield cells
+        if errors:
+            raise IngestError(f"{name}: row {rownum + 1}: {errors[0]}")
 
     return header, rows()
 
@@ -479,18 +358,6 @@ def _number(text: str) -> float:
     if not text.isascii() or "_" in text:
         raise ValueError(f"not a number: {text!r}")
     return float(text)
-
-
-class _Memo(dict):
-    """``memo[key]`` is ``make(key)``, made once per distinct key."""
-
-    def __init__(self, make) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
 
 
 class _Ids(dict):
@@ -696,7 +563,7 @@ def _read_courses(
     # A code is kept as its index among the distinct stripped codes of the file.
     stripped = _Ids()
     code = np.array([stripped[text.strip()] for text in code_texts], np.int64)[code_ids[rows]]
-    columns = _CourseColumns(table, code, list(stripped), term_cell.cfg.terms_per_year)
+    columns = _CourseColumns(table, code, list(stripped))
     return columns, rejects, len(live) - int(live.sum())
 
 
@@ -709,8 +576,7 @@ def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfi
     after a student's registered exit, are collected into the rejects list
     instead; a course row whose cells equal an earlier row's is dropped and
     counted as a duplicate. Each student's courses are kept in (term, file
-    row) order in the cohort's `CourseTable`, and made into records in that
-    order when first read.
+    row) order in the cohort's `CourseTable`.
     """
     students_path, courses_path = Path(students_path), Path(courses_path)
     with students_path.open(newline="", encoding="utf-8") as fh:
@@ -763,24 +629,13 @@ def ingest(students_path: str | Path, courses_path: str | Path, cfg: IngestConfi
     exit_of = np.array([_NEVER if parsed[sid][3] is None else parsed[sid][3][1] for sid in ids] + [0], np.int64)
     columns, rejects, duplicates = _read_courses(courses_path, term_cell, ids, entrance_of, exit_of)
     students = []
-    for sid, (start, end) in zip(ids, columns.spans()):
+    for sid, span in zip(ids, columns.spans()):
         rownum, (entrance, _), status, exit_term, attrs = parsed[sid]
         try:
-            students.append(
-                StudentStructure._on_demand(
-                    columns,
-                    start,
-                    end,
-                    student_id=sid,
-                    static_attrs=attrs,
-                    entrance=entrance,
-                    status=status,
-                    exit_term=None if exit_term is None else exit_term[0],
-                )
-            )
+            students.append(StudentStructure(sid, attrs, entrance, status, None if exit_term is None else exit_term[0], range(*span)))
         except ValueError as exc:
             raise IngestError(f"row {rownum}: {exc}") from None
-    cohort = Cohort(students=tuple(students), range=window, terms_per_year=cfg.terms_per_year, columns=columns)
+    cohort = Cohort(students=tuple(students), range=window, course_columns=columns, terms_per_year=cfg.terms_per_year)
     return IngestResult(
         cohort=cohort,
         rejected_courses=rejects,

@@ -34,7 +34,6 @@ from .records import (
     IngestError,
     StudentStructure,
     _CourseColumns,
-    _Memo,
     _column_index,
     _read_csv,
 )
@@ -297,9 +296,8 @@ def generate(cfg: GeneratorConfig) -> SyntheticCohort:
     whose simulated exit falls past the horizon are recorded as enrolled with
     their courses truncated at the horizon; the simulated outcome is returned
     separately as sealed truth. The chunks' simulated course columns, code
-    included, are joined into the cohort's one course store, and each student
-    makes its records from its span of it on first read, as an ingested one
-    does.
+    included, are joined into the cohort's one course store, and each student's
+    `courses` are its span of it, as an ingested student's are.
     """
     window = TermRange(cfg.range_start, cfg.range_end)
     tpy = cfg.terms_per_year
@@ -334,9 +332,9 @@ def generate(cfg: GeneratorConfig) -> SyntheticCohort:
             attrs = tuple(zip(_STATIC_NAMES, values))
             people.append(dict(student_id=sid, static_attrs=attrs, entrance=entrances[index], status=status, exit_term=exit_term))
     *table, code = map(np.concatenate, zip(*columns))
-    store = _CourseColumns(CourseTable(*table), code, list(_COURSE_CODES), tpy)
-    students = tuple(StudentStructure._on_demand(store, start, end, **attrs) for attrs, (start, end) in zip(people, store.spans()))
-    cohort = Cohort(students=students, range=window, terms_per_year=tpy, columns=store)
+    store = _CourseColumns(CourseTable(*table), code, list(_COURSE_CODES))
+    students = tuple(StudentStructure(**attrs, courses=range(*span)) for attrs, span in zip(people, store.spans()))
+    cohort = Cohort(students=students, range=window, course_columns=store, terms_per_year=tpy)
     return SyntheticCohort(cohort=cohort, truth=truth, config=cfg)
 
 
@@ -426,6 +424,18 @@ def format_stats(stats: CohortStats) -> str:
 
 
 # --- CSV emission -----------------------------------------------------------
+
+
+class _Memo(dict):
+    """``memo[key]`` is ``make(key)``, made once per distinct key."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _fmt(v: float) -> str:

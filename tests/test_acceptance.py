@@ -30,7 +30,7 @@ from dropsplit.splits import SplitApproach, SplitRequest, build_split
 from dropsplit.synthgen import GeneratorConfig, RegimeChange, generate
 from dropsplit.terms import Term, iter_terms, term_distance, to_ordinal
 
-from conftest import from_arrays, subset_enrolled, subset_exited_before, subset_exited_from
+from conftest import from_arrays, last, subset_enrolled, subset_exited_before, subset_exited_from
 
 GRID_SPECS = [
     ClassifierSpec(kind="decision_tree", max_depth=12),
@@ -115,7 +115,7 @@ def test_criterion_2_no_leakage_and_b2_leak(default_cohort):
     changed = [
         sid
         for sid in original.keys() & truncated.keys()
-        if original[sid] != truncated[sid] and by_id[sid].last > t
+        if original[sid] != truncated[sid] and last(default_cohort, by_id[sid]) > t
     ]
     report(
         2,
@@ -129,13 +129,13 @@ def test_criterion_3_row_count_identities(default_cohort, default_grid):
     failures = []
     for t in WALK:
         included = [
-            s for s in subset_exited_before(default_cohort, t) if s.last > s.entrance
+            s for s in subset_exited_before(default_cohort, t) if last(default_cohort, s) > s.entrance
         ]
         b3t = default_grid.sizes[("B3T", t)]
         b4t = default_grid.sizes[("B4T", t)]
         if b4t.train_rows - b3t.train_rows != len(included):
             failures.append(f"B4T-B3T at {t}")
-        closed_form = sum(term_distance(s.entrance, s.last) for s in included)
+        closed_form = sum(term_distance(s.entrance, last(default_cohort, s)) for s in included)
         if b3t.train_rows != closed_form:
             failures.append(f"B3T closed form at {t}")
         a, b1 = default_grid.sizes[("A", t)], default_grid.sizes[("B1", t)]

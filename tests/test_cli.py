@@ -175,6 +175,13 @@ class TestSplitCommand:
         assert "error [config]: --t: malformed term '2011.x'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_reference_term_outside_the_range_names_the_flag(self, tmp_path, run_cfg, capsys):
+        out = tmp_path / "o"
+        code = main(["split", "--config", str(run_cfg), "--approach", "B4T", "--t", "2013.1", "--out", str(out)])
+        assert code == 1
+        assert "error [config]: --t: 2013.1 is outside the cohort range 2009.1..2012.2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["split", "predict"])
     def test_approach_flag_names_one_approach(self, tmp_path, run_cfg, capsys, command):
         out = tmp_path / "o"

@@ -17,15 +17,15 @@ from dropsplit.evaluation import (
     score_points,
 )
 from dropsplit.features import CANONICAL_TIME_FEATURES, FeatureSetSpec, VectorTable, vector_table
-from dropsplit.records import Cohort, truncate_records
+from dropsplit.records import truncate_records
 from dropsplit.splits import SplitApproach, SplitError, SplitRequest, apply_rule, build_split
 from dropsplit.synthgen import GeneratorConfig, generate
 from dropsplit.terms import Term, TermRange, iter_terms
 
 from conftest import (
-    course,
-    make_student,
+    build_cohort,
     naive_values,
+    rows,
     subset_enrolled,
     subset_exited_before,
     subset_exited_from,
@@ -362,7 +362,7 @@ class TestPredictEnrolled:
         for sid, reason in result.exclusions:
             s = by_id[sid]
             assert reason in ("starts_at_reference_term", "no_records_before_reference")
-            assert not [c for c in s.courses if c.term < horizon] or s.entrance == horizon
+            assert not [row for row in rows(medium_synth, s) if row.term < horizon] or s.entrance == horizon
 
     def test_labels_are_binary(self, medium_synth):
         result = predict_enrolled(medium_synth, ClassifierSpec(kind="decision_tree", max_depth=6))
@@ -402,7 +402,7 @@ class TestPredictEnrolled:
         horizon = medium_synth.range.hi
         rows, exclusions = [], []
         for s in subset_enrolled(medium_synth, horizon):
-            values = naive_values(s, horizon, features)
+            values = naive_values(medium_synth, s, horizon, features)
             if s.entrance >= horizon:
                 exclusions.append((s.student_id, "starts_at_reference_term"))
             elif values is None:
@@ -427,16 +427,16 @@ class TestPredictEnrolled:
         # four terms before the horizon, so its elapsed terms are the
         # horizon's, not its last row's.
         students = [
-            make_student("a", (2014, 2), "dropout", (2014, 2), [course(2014, 2, 3.0, 50.0, 0)]),
-            make_student("b", (2012, 1), "dropout", (2012, 1), [course(2012, 1, 2.0, 40.0, 0)]),
-            make_student("c", (2012, 1), "graduated", (2013, 2), [course(2012, 1, 8.0, 90.0, 1), course(2013, 1, 7.0, 80.0, 1)]),
-            make_student("d", (2012, 1), "dropout", (2013, 1), [course(2012, 1, 3.0, 60.0, 0), course(2012, 2, 2.0, 50.0, 0)]),
-            make_student("e", (2013, 1), "enrolled", None, [course(2013, 1, 6.0, 80.0, 1), course(2014, 1, 7.0, 85.0, 1)]),
-            make_student("f", (2012, 2), "enrolled", None, [course(2012, 2, 5.0, 70.0, 1)]),
-            make_student("g", (2014, 2), "enrolled", None, []),
-            make_student("h", (2013, 2), "enrolled", None, []),
+            ("a", (2014, 2), "dropout", (2014, 2), [(2014, 2, 3.0, 50.0, 0)]),
+            ("b", (2012, 1), "dropout", (2012, 1), [(2012, 1, 2.0, 40.0, 0)]),
+            ("c", (2012, 1), "graduated", (2013, 2), [(2012, 1, 8.0, 90.0, 1), (2013, 1, 7.0, 80.0, 1)]),
+            ("d", (2012, 1), "dropout", (2013, 1), [(2012, 1, 3.0, 60.0, 0), (2012, 2, 2.0, 50.0, 0)]),
+            ("e", (2013, 1), "enrolled", None, [(2013, 1, 6.0, 80.0, 1), (2014, 1, 7.0, 85.0, 1)]),
+            ("f", (2012, 2), "enrolled", None, [(2012, 2, 5.0, 70.0, 1)]),
+            ("g", (2014, 2), "enrolled", None, []),
+            ("h", (2013, 2), "enrolled", None, []),
         ]
-        cohort = Cohort(tuple(students), TermRange(Term(2012, 1), Term(2014, 2)))
+        cohort = build_cohort(students, TermRange(Term(2012, 1), Term(2014, 2)))
         features = FeatureSetSpec.for_cohort(cohort, CANONICAL_TIME_FEATURES + ("elapsed_terms",))
         matrices = []
         monkeypatch.setattr(evaluation, "predict", lambda model, X: matrices.append(X) or predict(model, X))
@@ -448,7 +448,7 @@ class TestPredictEnrolled:
         assert [sid for sid, _ in result.predictions] == ["e", "f"]
         assert result.exclusions == [("g", "starts_at_reference_term"), ("h", "no_records_before_reference")]
         (X,) = matrices
-        expected = [naive_values(cohort.student(sid), Term(2014, 2), features) for sid in "ef"]
+        expected = [naive_values(cohort, cohort.student(sid), Term(2014, 2), features) for sid in "ef"]
         assert X.tolist() == [list(values) for values in expected]
         assert X[1, -1] == 4.0
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import gc
 import pickle
 import weakref
@@ -17,10 +18,10 @@ from dropsplit.features import (
     student_label,
     vector_table,
 )
-from dropsplit.records import Cohort, CourseRecord, EnrollmentStatus, StudentStructure
-from dropsplit.terms import Term, TermRange, iter_terms, next_term, prev_term, term_distance, to_ordinal
+from dropsplit.records import Cohort
+from dropsplit.terms import Term, iter_terms, next_term, prev_term, term_distance, to_ordinal
 
-from conftest import ATTRS, FeatureVector, course, make_student, naive_values
+from conftest import ALICE, ATTRS, FeatureVector, Row, build_cohort, last, naive_values
 
 STATIC = (18.0, 1.0, 2.0)
 ONLY = np.zeros(1, dtype=np.int64)  # the one student of a one-student table
@@ -42,16 +43,17 @@ def table_outcome(tab, pick):
     return table_vectors(tab, pick)[0].values if pick.count[0] else str(pick.reason[0])
 
 
-def student_table(s, spec=None):
-    """The vector table of s alone, over entrance through one term past its last activity."""
-    cohort = Cohort(students=(s,), range=TermRange(s.entrance, next_term(s.last)))
-    return vector_table(cohort, spec)
+@pytest.fixture
+def alice() -> Cohort:
+    """alice alone in a cohort, over the entrance through one term past the last course."""
+    return build_cohort([ALICE])
 
 
-def pick_one(s, choose, spec=None):
-    """The vector choose picks from s's own table, or the reason it is undefined."""
-    tab = student_table(s, spec)
-    pick = choose(tab, ONLY)
+def pick_one(c, choose, spec=None, sid=None):
+    """The vector choose picks from c's table for its student sid (by
+    default its only one), or the reason it is undefined."""
+    tab = vector_table(c, spec)
+    pick = choose(tab, ONLY if sid is None else np.array([tab.index[sid]]))
     return table_vectors(tab, pick)[0] if pick.count[0] else str(pick.reason[0])
 
 
@@ -87,20 +89,13 @@ class TestFeatureVector:
 
     def test_records_at_or_after_as_of_are_invisible(self, alice):
         vec = pick_one(alice, as_of(Term(2013, 1)))
-        extra = course(2013, 1, 0.0, 0.0, 0, "HACK")
-        bumped = StudentStructure(
-            student_id=alice.student_id,
-            static_attrs=alice.static_attrs,
-            entrance=alice.entrance,
-            status=alice.status,
-            exit_term=alice.exit_term,
-            courses=tuple(sorted(alice.courses + (extra,), key=lambda c: (c.term.year, c.term.index))),
-        )
+        *fields, courses = ALICE
+        bumped = build_cohort([(*fields, sorted([*courses, (2013, 1, 0.0, 0.0, 0, "HACK")], key=lambda c: c[:2]))])
         assert pick_one(bumped, as_of(Term(2013, 1))).values == vec.values
 
     def test_domain_errors(self, alice):
         # Rows run as of each term after entrance through one past the final activity.
-        tab = student_table(alice)
+        tab = vector_table(alice)
         assert [t for _, t in tab.rows] == [Term(2012, 2), Term(2013, 1), Term(2013, 2), Term(2014, 1)]
         assert pick_one(alice, as_of(Term(2012, 1))) == "starts_at_reference_term"  # entrance term itself
         assert pick_one(alice, as_of(Term(2011, 2))) == "starts_at_reference_term"
@@ -111,16 +106,16 @@ class TestFeatureVector:
 
     def test_empty_window_is_undefined_not_crash(self):
         # First record only in the second enrolled term: the 2013.2 window is empty.
-        s = make_student("gap", (2013, 1), "enrolled", None, [course(2014, 1, 6.0, 80.0, 1)])
+        s = build_cohort([("gap", (2013, 1), "enrolled", None, [(2014, 1, 6.0, 80.0, 1)])])
         assert pick_one(s, as_of(Term(2013, 2))) == "no_records_before_reference"
         assert pick_one(s, VectorTable.at_last) == "empty_window"
 
     def test_label_mapping(self, alice, tiny_cohort):
-        assert student_label(alice) == 1
+        assert student_label(tiny_cohort.student("alice")) == 1
         assert student_label(tiny_cohort.student("bob")) == 0
         assert student_label(tiny_cohort.student("dave")) is None
         assert pick_one(alice, as_of(Term(2013, 1))).label == 1
-        assert pick_one(tiny_cohort.student("dave"), VectorTable.at_end).label is None
+        assert pick_one(tiny_cohort, VectorTable.at_end, sid="dave").label is None
 
 
 class TestNamedVectors:
@@ -132,7 +127,7 @@ class TestNamedVectors:
         assert mean_score == pytest.approx((8 + 4 + 6 + 7 + 9) / 5)
 
     def test_at_end_is_as_of_one_past_last(self, alice):
-        direct = pick_one(alice, as_of(next_term(alice.last)))
+        direct = pick_one(alice, as_of(next_term(last(alice, alice.students[0]))))
         assert pick_one(alice, VectorTable.at_end) == direct
 
     def test_vector_at_last_excludes_final_term(self, alice):
@@ -142,30 +137,27 @@ class TestNamedVectors:
         assert (completed, taken) == (3.0, 4.0)
 
     def test_single_term_student_has_no_last_vector(self, tiny_cohort):
-        carol = tiny_cohort.student("carol")
-        assert pick_one(carol, VectorTable.at_last) == "single_term_history"
-        assert isinstance(pick_one(carol, VectorTable.at_end), FeatureVector)
+        assert pick_one(tiny_cohort, VectorTable.at_last, sid="carol") == "single_term_history"
+        assert isinstance(pick_one(tiny_cohort, VectorTable.at_end, sid="carol"), FeatureVector)
 
     def test_inactive_student_has_nothing(self, tiny_cohort):
-        gina = tiny_cohort.student("gina")
-        assert pick_one(gina, VectorTable.at_end) == "no_course_records"
-        assert pick_one(gina, VectorTable.at_last) == "single_term_history"
+        assert pick_one(tiny_cohort, VectorTable.at_end, sid="gina") == "no_course_records"
+        assert pick_one(tiny_cohort, VectorTable.at_last, sid="gina") == "single_term_history"
 
 
 class TestVectorAsOf:
     def test_matches_table_row_inside_domain(self, alice):
-        tab = student_table(alice)
+        tab = vector_table(alice)
         row = tab.rows.index(("alice", Term(2013, 1)))
         vec = pick_one(alice, as_of(Term(2013, 1)))
-        assert vec.values == tuple(tab.X[row]) == naive_values(alice, Term(2013, 1), tab.spec)
+        assert vec.values == tuple(tab.X[row]) == naive_values(alice, alice.students[0], Term(2013, 1), tab.spec)
 
     def test_accepts_terms_past_end(self, tiny_cohort):
         # frank's last activity is 2014.1 but his registered exit is 2015.1;
         # at reference 2015.1 his vector is simply his full pre-reference history.
-        frank = tiny_cohort.student("frank")
-        vec = pick_one(frank, as_of(Term(2015, 1)))
+        vec = pick_one(tiny_cohort, as_of(Term(2015, 1)), sid="frank")
         assert vec.as_of == Term(2015, 1)
-        assert time_block(vec) == time_block(pick_one(frank, VectorTable.at_end))
+        assert time_block(vec) == time_block(pick_one(tiny_cohort, VectorTable.at_end, sid="frank"))
 
     def test_requires_history_before_reference(self, alice):
         assert pick_one(alice, as_of(Term(2012, 1))) == "starts_at_reference_term"
@@ -173,31 +165,32 @@ class TestVectorAsOf:
 
 class TestExpandHistory:
     def test_row_per_term(self, alice):
-        tab = student_table(alice)
+        tab = vector_table(alice)
         vectors = table_vectors(tab, tab.history(ONLY))
-        assert len(vectors) == term_distance(alice.entrance, alice.last)
+        assert len(vectors) == term_distance(Term(2012, 1), last(alice, alice.students[0]))
         assert [v.as_of for v in vectors] == [Term(2012, 2), Term(2013, 1), Term(2013, 2)]
         assert all(v.label == 1 for v in vectors)
 
     def test_adding_end_term_adds_exactly_one(self, alice):
-        through_end = student_rows(student_table(alice))
-        assert len(through_end) == term_distance(alice.entrance, alice.last) + 1
-        assert through_end[-1].as_of == next_term(alice.last)
+        through_end = student_rows(vector_table(alice))
+        alice_last = last(alice, alice.students[0])
+        assert len(through_end) == term_distance(Term(2012, 1), alice_last) + 1
+        assert through_end[-1].as_of == next_term(alice_last)
 
     def test_lower_bound_is_clamped(self, alice):
         # No vector is as of the entrance term or earlier.
-        tab = student_table(alice)
-        assert table_vectors(tab, tab.history(ONLY))[0].as_of == next_term(alice.entrance)
-        assert all(t > alice.entrance for _, t in tab.rows)
+        tab = vector_table(alice)
+        assert table_vectors(tab, tab.history(ONLY))[0].as_of == next_term(Term(2012, 1))
+        assert all(t > Term(2012, 1) for _, t in tab.rows)
 
     def test_empty_range_yields_empty_list(self, tiny_cohort):
-        tab = student_table(tiny_cohort.student("carol"))
-        pick = tab.history(ONLY)
+        tab = vector_table(tiny_cohort)
+        pick = tab.history(np.array([tab.index["carol"]]))
         assert table_vectors(tab, pick) == []
         assert pick.reason[0] == "single_term_history"
 
     def test_counters_are_monotone(self, alice):
-        vectors = student_rows(student_table(alice))
+        vectors = student_rows(vector_table(alice))
         for name in ("completed_terms", "courses_taken", "courses_failed"):
             pos = len(ATTRS) + CANONICAL_TIME_FEATURES.index(name)
             series = [v.values[pos] for v in vectors]
@@ -214,18 +207,11 @@ def random_students(draw):
     courses = []
     t = entrance
     for i in range(n_courses):
-        courses.append(
-            CourseRecord(
-                course_code=f"C{i}",
-                term=t,
-                score=draw(st.floats(0, 10, allow_nan=False)),
-                attendance_pct=draw(st.floats(0, 100, allow_nan=False)),
-                result=draw(st.integers(0, 1)),
-            )
-        )
+        score, attendance = draw(st.floats(0, 10, allow_nan=False)), draw(st.floats(0, 100, allow_nan=False))
+        courses.append(Row(t, score, attendance, draw(st.integers(0, 1)), f"C{i}"))
         if draw(st.booleans()):
             t = next_term(t)
-    return make_student("h", (2010, entrance.index), "graduated", (t.year, t.index), courses)
+    return ("h", entrance, "graduated", t, courses)  # as build_cohort takes a student
 
 
 def outcome(vec):
@@ -237,27 +223,19 @@ def outcome(vec):
 @given(random_students(), st.integers(1, 10))
 def test_no_leakage_property(student, offset):
     """Deleting records at or after the as-of term never changes the vector."""
-    t = student.entrance
+    sid, entrance, _, _, courses = student
+    t = entrance
     for _ in range(offset):
         t = next_term(t)
-    if t > next_term(student.last):
-        t = next_term(student.last)
-    kept = tuple(c for c in student.courses if c.term < t)
-    censored = StudentStructure(
-        student_id=student.student_id,
-        static_attrs=student.static_attrs,
-        entrance=student.entrance,
-        status=EnrollmentStatus.ENROLLED,
-        exit_term=None,
-        courses=kept,
-    )
-    assert outcome(pick_one(censored, as_of(t))) == outcome(pick_one(student, as_of(t)))
+    t = min(t, next_term(courses[-1].term))
+    censored = (sid, entrance, "enrolled", None, [c for c in courses if c.term < t])
+    assert outcome(pick_one(build_cohort([censored]), as_of(t))) == outcome(pick_one(build_cohort([student]), as_of(t)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_students())
 def test_windows_nest(student):
-    vectors = student_rows(student_table(student))
+    vectors = student_rows(vector_table(build_cohort([student])))
     taken_pos = len(ATTRS) + CANONICAL_TIME_FEATURES.index("courses_taken")
     series = [v.values[taken_pos] for v in vectors]
     assert series == sorted(series)
@@ -277,31 +255,26 @@ def test_vectors_match_naive_reference(drawn, gap):
     The entrance moves back by `gap` terms so some windows after entrance are
     empty. As-of terms run from entrance through two terms past the end.
     """
-    entrance = drawn.entrance
+    sid, entrance, *fields = drawn
     for _ in range(gap):
         entrance = prev_term(entrance)
-    s = StudentStructure(
-        student_id=drawn.student_id,
-        static_attrs=drawn.static_attrs,
-        entrance=entrance,
-        status=drawn.status,
-        exit_term=drawn.exit_term,
-        courses=drawn.courses,
-    )
-    end = next_term(s.last)
-    tab = student_table(s, FULL_SPEC)
+    c = build_cohort([(sid, entrance, *fields)])
+    s = c.students[0]
+    end = next_term(last(c, s))
+    tab = vector_table(c, FULL_SPEC)
     for t in iter_terms(entrance, next_term(next_term(end))):
-        expected = naive_values(s, t, FULL_SPEC)
+        expected = naive_values(c, s, t, FULL_SPEC)
         as_of_reason = "starts_at_reference_term" if t <= entrance else expected or "no_records_before_reference"
         assert table_outcome(tab, tab.as_of(ONLY, to_ordinal(t))) == as_of_reason
         # A term has a row of its own exactly when it lies in (entrance .. end]
         # and its window holds a record.
         assert ((s.student_id, t) in tab.rows) == (t <= end and expected is not None)
-    at_end = naive_values(s, end, FULL_SPEC) or "no_course_records"
+    at_end = naive_values(c, s, end, FULL_SPEC) or "no_course_records"
     assert table_outcome(tab, tab.at_end(ONLY)) == at_end
-    at_last = "single_term_history" if s.last <= entrance else naive_values(s, s.last, FULL_SPEC) or "empty_window"
+    s_last = last(c, s)
+    at_last = "single_term_history" if s_last <= entrance else naive_values(c, s, s_last, FULL_SPEC) or "empty_window"
     assert table_outcome(tab, tab.at_last(ONLY)) == at_last
-    history = [v for t in iter_terms(next_term(entrance), s.last) if (v := naive_values(s, t, FULL_SPEC))]
+    history = [v for t in iter_terms(next_term(entrance), s_last) if (v := naive_values(c, s, t, FULL_SPEC))]
     assert [v.values for v in table_vectors(tab, tab.history(ONLY))] == history
 
 
@@ -323,14 +296,15 @@ class TestSpecAndCache:
             si = np.array([k])
 
             def naive(t):
-                return FeatureVector(s.student_id, t, naive_values(s, t, spec), student_label(s))
+                return FeatureVector(s.student_id, t, naive_values(tiny_cohort, s, t, spec), student_label(s))
 
-            if s.last > s.entrance:
-                assert table_vectors(tab, tab.at_last(si)) == [naive(s.last)]
-            if not s.inactive:
-                assert table_vectors(tab, tab.at_end(si)) == [naive(next_term(s.last))]
+            s_last = last(tiny_cohort, s)
+            if s_last > s.entrance:
+                assert table_vectors(tab, tab.at_last(si)) == [naive(s_last)]
+            if s.courses:
+                assert table_vectors(tab, tab.at_end(si)) == [naive(next_term(s_last))]
                 assert table_vectors(tab, tab.history(si)) == [
-                    naive(t) for t in iter_terms(next_term(s.entrance), s.last) if naive_values(s, t, spec)
+                    naive(t) for t in iter_terms(next_term(s.entrance), s_last) if naive_values(tiny_cohort, s, t, spec)
                 ]
 
     def test_cache_replays_undefined_outcomes(self, tiny_cohort):
@@ -351,7 +325,7 @@ class TestSpecAndCache:
         assert list(tiny_cohort.vector_tables) == [spec, courses_only]
 
     def test_a_filled_memo_leaves_the_cohort_as_it_was(self, tiny_cohort):
-        fresh = Cohort(students=tiny_cohort.students, range=tiny_cohort.range, terms_per_year=tiny_cohort.terms_per_year)
+        fresh = dataclasses.replace(tiny_cohort)
         vector_table(tiny_cohort)
         vector_table(tiny_cohort, FeatureSetSpec(static_names=(), time_features=("elapsed_terms",)))
         assert tiny_cohort == fresh and repr(tiny_cohort) == repr(fresh)
@@ -363,7 +337,7 @@ class TestSpecAndCache:
     def test_a_dropped_cohort_frees_its_tables(self, tiny_cohort):
         """The memo holds no reference back to its cohort, so dropping the
         cohort frees its tables without the cyclic collector."""
-        cohort = Cohort(students=tiny_cohort.students, range=tiny_cohort.range)
+        cohort = dataclasses.replace(tiny_cohort)
         tab = weakref.ref(vector_table(cohort))
         enabled = gc.isenabled()
         gc.disable()

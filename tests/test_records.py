@@ -15,14 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dropsplit import records
-from dropsplit.classifiers import ClassifierSpec
-from dropsplit.evaluation import predict_enrolled, run_grid
 from dropsplit.features import vector_table
 from dropsplit.records import (
     _COURSE_COLUMNS,
     _STUDENT_COLUMNS,
-    Cohort,
-    CourseRecord,
     CourseTable,
     EnrollmentStatus,
     IngestConfig,
@@ -30,20 +26,21 @@ from dropsplit.records import (
     IngestResult,
     ReferenceTermError,
     StudentStructure,
-    _read_csv,
     ingest,
     truncate_records,
 )
 from dropsplit.splits import SplitApproach, SplitRequest, build_split
-from dropsplit.synthgen import GeneratorConfig, generate, write_courses_csv
+from dropsplit.synthgen import GeneratorConfig, generate
 from dropsplit.terms import Term, TermParseError, TermRange, iter_terms, next_term, parse_term, to_ordinal
 
 from conftest import (
-    course,
-    eager_rebuild,
+    ALICE,
+    Row,
+    build_cohort,
     ingest_written,
-    make_student,
+    last,
     reference_truncate,
+    rows,
     subset_enrolled,
     subset_exited_before,
     subset_exited_from,
@@ -95,8 +92,9 @@ class TestIngest:
         assert len(cohort.students) == 3
         s1 = cohort.student("s1")
         assert s1.status is EnrollmentStatus.GRADUATED
-        assert [c.term for c in s1.courses] == sorted(c.term for c in s1.courses)
-        assert s1.last == Term(2013, 2)
+        terms = [row.term for row in rows(cohort, s1)]
+        assert terms == sorted(terms)
+        assert last(cohort, s1) == Term(2013, 2)
         # sex is non-numeric and gets a deterministic sorted coding: F=0, M=1
         assert result.attr_codes == {"sex": {"F": 0, "M": 1}}
         assert dict(s1.static_attrs) == {"age": 18.0, "sex": 0.0}
@@ -110,19 +108,11 @@ class TestIngest:
         second = ingest(sp, cp, default_config())
         assert first.cohort == second.cohort
 
-    def test_repeated_cells_share_one_object(self, tmp_path):
-        sp, cp = write_inputs(tmp_path, courses=COURSES_CSV + "s3,PHYS1,2013.2,8.0,90,1\n")
-        cohort = ingest(sp, cp, default_config()).cohort
-        s1, s2, s3 = (cohort.student(sid).courses for sid in ("s1", "s2", "s3"))
-        assert s1[0].course_code is s2[0].course_code is s3[0].course_code == "MATH1"
-        assert s3[1].score is s1[2].score == 8.0
-        assert s3[1].attendance_pct is s1[0].attendance_pct == 90.0
-
     def test_miniterm_mapping(self, tmp_path):
         courses = COURSES_CSV + "s1,SUMMER,2012.S1,8.0,100,1\n"
         sp, cp = write_inputs(tmp_path, courses=courses)
         result = ingest(sp, cp, default_config(miniterm_map={"S1": 2}))
-        summer = [c for c in result.cohort.student("s1").courses if c.course_code == "SUMMER"]
+        summer = [row for row in rows(result.cohort, result.cohort.student("s1")) if row.course_code == "SUMMER"]
         assert summer[0].term == Term(2012, 2)
 
     def test_unmapped_miniterm_is_schema_error(self, tmp_path):
@@ -176,20 +166,19 @@ class TestIngest:
         result = ingest(*write_inputs(tmp_path, courses=courses), default_config())
         assert result.duplicate_rows == 1
         assert result.rejected_courses == [(10, "s1\x00", "unknown_student")]
-        assert "\x00X" in [c.course_code for c in result.cohort.student("s1").courses]
+        assert "\x00X" in [row.course_code for row in rows(result.cohort, result.cohort.student("s1"))]
 
     def test_retake_rows_are_kept(self, tmp_path):
         # Same course in a different term is a real retake, not a duplicate.
         result = ingest(*write_inputs(tmp_path), default_config())
-        s2 = result.cohort.student("s2")
-        assert [c.course_code for c in s2.courses] == ["MATH1", "MATH1"]
+        assert [row.course_code for row in rows(result.cohort, result.cohort.student("s2"))] == ["MATH1", "MATH1"]
 
     def test_course_after_exit_rejected_with_warning(self, tmp_path):
         courses = COURSES_CSV + "s2,LATE1,2014.1,6.0,70,1\n"
         sp, cp = write_inputs(tmp_path, courses=courses)
         result = ingest(sp, cp, default_config())
         assert (9, "s2", "after_exit") in result.rejected_courses
-        assert result.cohort.student("s2").last == Term(2013, 1)
+        assert last(result.cohort, result.cohort.student("s2")) == Term(2013, 1)
 
     def test_enrolled_student_with_exit_term_is_error(self, tmp_path):
         students = STUDENTS_CSV.replace("s3,2013.1,enrolled,", "s3,2013.1,enrolled,2014.1")
@@ -285,23 +274,39 @@ def test_row_with_wrong_cell_count_names_file_and_row(tmp_path, name, text, mess
         ingest(sp, cp, default_config())
 
 
+def test_students_cell_past_the_csv_field_limit_names_its_row(tmp_path):
+    limit = csv.field_size_limit()
+    students = STUDENTS_CSV.replace("s2,2012.2,dropout,2013.1,22,M", "s2,2012.2,dropout,2013.1,22," + "M" * (limit + 1))
+    message = f"students.csv: row 3: field larger than field limit ({limit})"
+    with pytest.raises(IngestError, match=re.escape(message)):
+        ingest(*write_inputs(tmp_path, students=students), default_config())
+
+
+def test_courses_header_cell_past_the_csv_field_limit_names_row_1(tmp_path):
+    limit = csv.field_size_limit()
+    courses = COURSES_CSV.replace("result\n", "result," + "x" * (limit + 1) + "\n", 1)
+    message = f"courses.csv: row 1: field larger than field limit ({limit})"
+    with pytest.raises(IngestError, match=re.escape(message)):
+        ingest(*write_inputs(tmp_path, courses=courses), default_config())
+
+
 class TestStudentStructure:
-    def test_last_falls_back_to_entrance(self):
-        s = make_student("x", (2013, 1), "enrolled", None, [])
-        assert s.last == Term(2013, 1)
-        assert s.inactive
+    def test_a_student_without_courses_has_an_empty_range(self):
+        cohort = build_cohort([("x", (2013, 1), "enrolled", None, [])])
+        assert cohort.students[0].courses == range(0, 0)
+        assert last(cohort, cohort.students[0]) == Term(2013, 1)
 
     def test_course_before_entrance_rejected(self):
-        with pytest.raises(ValueError, match="before entrance"):
-            make_student("x", (2013, 1), "enrolled", None, [course(2012, 1, 5.0, 50.0, 1)])
+        with pytest.raises(ValueError, match=re.escape("student x: course at 2012.1 before entrance 2013.1")):
+            build_cohort([("x", (2013, 1), "enrolled", None, [(2012, 1, 5.0, 50.0, 1)])])
 
     def test_exit_required_for_exited(self):
         with pytest.raises(ValueError, match="requires an exit term"):
-            make_student("x", (2013, 1), "dropout", None, [])
+            StudentStructure("x", (), Term(2013, 1), EnrollmentStatus.DROPOUT, None, range(0))
 
     def test_courses_after_exit_rejected(self):
-        with pytest.raises(ValueError, match="after exit"):
-            make_student("x", (2013, 1), "dropout", (2013, 1), [course(2013, 2, 5.0, 50.0, 1)])
+        with pytest.raises(ValueError, match=re.escape("student x: course at 2013.2 after exit term 2013.1")):
+            build_cohort([("x", (2013, 1), "dropout", (2013, 1), [(2013, 2, 5.0, 50.0, 1)])])
 
 
 class TestSubsets:
@@ -383,21 +388,27 @@ class TestSubsets:
 
 
 class TestCohort:
-    def test_rejects_duplicate_ids(self, alice):
+    def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError, match="duplicate"):
-            Cohort(
-                students=(alice, alice),
-                range=TermRange(Term(2012, 1), Term(2016, 2)),
-            )
+            build_cohort([ALICE, ALICE], TermRange(Term(2012, 1), Term(2016, 2)))
 
-    def test_rejects_entrance_outside_range(self, alice):
+    def test_rejects_entrance_outside_range(self):
         with pytest.raises(ValueError, match="outside"):
-            Cohort(students=(alice,), range=TermRange(Term(2013, 1), Term(2016, 2)))
+            build_cohort([ALICE], TermRange(Term(2013, 1), Term(2016, 2)))
 
-    def test_rejects_mismatched_attr_names(self, alice):
-        other = make_student("zed", (2013, 1), "enrolled", None, [], attrs=(("height", 1.8),))
+    def test_rejects_mismatched_attr_names(self):
+        other = ("zed", (2013, 1), "enrolled", None, [], (("height", 1.8),))
         with pytest.raises(ValueError, match="attribute names"):
-            Cohort(students=(alice, other), range=TermRange(Term(2012, 1), Term(2016, 2)))
+            build_cohort([ALICE, other], TermRange(Term(2012, 1), Term(2016, 2)))
+
+    def test_rejects_courses_that_are_not_the_students_spans(self, tiny_cohort):
+        alice, bob, *others = tiny_cohort.students
+        for courses in (range(0, 4), range(1, 6), (0, 1, 2, 3, 4)):
+            students = (dataclasses.replace(alice, courses=courses), bob, *others)
+            with pytest.raises(ValueError, match="spans of the course store"):
+                dataclasses.replace(tiny_cohort, students=students)
+        with pytest.raises(ValueError, match="spans of the course store"):
+            dataclasses.replace(tiny_cohort, students=tiny_cohort.students[:-1])  # gina's span is left over
 
 
 def test_truncate_records_drops_only_late_courses(tiny_cohort):
@@ -406,8 +417,8 @@ def test_truncate_records_drops_only_late_courses(tiny_cohort):
     for original, truncated in zip(tiny_cohort.students, cut.students):
         assert truncated.status is original.status
         assert truncated.exit_term == original.exit_term
-        assert all(c.term < t for c in truncated.courses)
-        assert [c for c in original.courses if c.term < t] == list(truncated.courses)
+        assert all(row.term < t for row in rows(cut, truncated))
+        assert [row for row in rows(tiny_cohort, original) if row.term < t] == rows(cut, truncated)
 
 
 @pytest.mark.parametrize("source", ["generated", "ingested", "tiny"])
@@ -495,12 +506,30 @@ def _reference_code_static_attrs(raw, names, provided):
     return codes, values
 
 
+def _reference_csv(path: Path, required: tuple[str, ...]):
+    """The header and the data rows of a CSV file, read with `csv.reader`.
+    Blank rows are skipped and not counted (the header is row 1); a row
+    without one cell per header column raises when it is reached."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        header, *body = list(csv.reader(fh)) or [[]]
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise IngestError(f"{path.name}: missing columns {missing}")
+
+    def data():
+        for rownum, cells in enumerate((cells for cells in body if cells), start=2):
+            if len(cells) != len(header):
+                raise IngestError(f"{path.name}: row {rownum}: {len(cells)} cells, the header has {len(header)}")
+            yield cells
+
+    return header, data()
+
+
 def reference_ingest(students_path, courses_path, cfg: IngestConfig) -> IngestResult:
     students_path, courses_path = Path(students_path), Path(courses_path)
-    with students_path.open(newline="", encoding="utf-8") as fh:
-        header, rows = _read_csv(fh, students_path.name, _STUDENT_COLUMNS)
-        attr_names = [c for c in header if c not in _STUDENT_COLUMNS]
-        student_rows = [dict(zip(header, cells)) for cells in rows]
+    header, data = _reference_csv(students_path, _STUDENT_COLUMNS)
+    attr_names = [c for c in header if c not in _STUDENT_COLUMNS]
+    student_rows = [dict(zip(header, cells)) for cells in data]
 
     attr_codes, attr_values = _reference_code_static_attrs(student_rows, attr_names, cfg.attr_codes)
     window = TermRange(cfg.range_start, cfg.range_end)
@@ -543,61 +572,43 @@ def reference_ingest(students_path, courses_path, cfg: IngestConfig) -> IngestRe
     rejects: list[tuple[int, str, str]] = []
     duplicates = 0
     seen_lines: set[tuple[str, ...]] = set()
-    with courses_path.open(newline="", encoding="utf-8") as fh:
-        header, rows = _read_csv(fh, courses_path.name, _COURSE_COLUMNS)
-        for i, cells in enumerate(rows):
-            rownum = i + 2
-            key = tuple(cells)
-            if key in seen_lines:
-                duplicates += 1
-                continue
-            seen_lines.add(key)
-            row = dict(zip(header, cells))
-            sid = row["student_id"].strip()
-            term = _reference_record_term(row["term"], cfg, rownum)
-            score = _reference_float(row["score"], "score", rownum)
-            attendance = _reference_float(row["attendance_pct"], "attendance_pct", rownum)
-            result_text = row["result"].strip()
-            if result_text not in ("0", "1"):
-                raise IngestError(f"row {rownum}: result must be 0 or 1, got {result_text!r}")
-            if not 0.0 <= score <= 10.0:
-                raise IngestError(f"row {rownum}: score {score} outside [0, 10]")
-            if not 0.0 <= attendance <= 100.0:
-                raise IngestError(f"row {rownum}: attendance {attendance} outside [0, 100]")
-            entry = parsed.get(sid)
-            if entry is None:
-                rejects.append((rownum, sid, "unknown_student"))
-                continue
-            if term < entry["entrance"]:
-                raise IngestError(f"row {rownum}: course term {term} before entrance of student {sid}")
-            if entry["exit"] is not None and term > entry["exit"]:
-                rejects.append((rownum, sid, "after_exit"))
-                continue
-            entry["courses"].append(
-                CourseRecord(
-                    course_code=row["course_code"].strip(),
-                    term=term,
-                    score=score,
-                    attendance_pct=attendance,
-                    result=int(result_text),
-                )
-            )
+    header, data = _reference_csv(courses_path, _COURSE_COLUMNS)
+    for i, cells in enumerate(data):
+        rownum = i + 2
+        key = tuple(cells)
+        if key in seen_lines:
+            duplicates += 1
+            continue
+        seen_lines.add(key)
+        row = dict(zip(header, cells))
+        sid = row["student_id"].strip()
+        term = _reference_record_term(row["term"], cfg, rownum)
+        score = _reference_float(row["score"], "score", rownum)
+        attendance = _reference_float(row["attendance_pct"], "attendance_pct", rownum)
+        result_text = row["result"].strip()
+        if result_text not in ("0", "1"):
+            raise IngestError(f"row {rownum}: result must be 0 or 1, got {result_text!r}")
+        if not 0.0 <= score <= 10.0:
+            raise IngestError(f"row {rownum}: score {score} outside [0, 10]")
+        if not 0.0 <= attendance <= 100.0:
+            raise IngestError(f"row {rownum}: attendance {attendance} outside [0, 100]")
+        entry = parsed.get(sid)
+        if entry is None:
+            rejects.append((rownum, sid, "unknown_student"))
+            continue
+        if term < entry["entrance"]:
+            raise IngestError(f"row {rownum}: course term {term} before entrance of student {sid}")
+        if entry["exit"] is not None and term > entry["exit"]:
+            rejects.append((rownum, sid, "after_exit"))
+            continue
+        entry["courses"].append(Row(term, score, attendance, int(result_text), row["course_code"].strip()))
 
     students = []
     for sid in sorted(parsed):
         entry = parsed[sid]
         courses = sorted(entry["courses"], key=lambda c: to_ordinal(c.term, cfg.terms_per_year))
-        students.append(
-            StudentStructure(
-                student_id=sid,
-                static_attrs=entry["attrs"],
-                entrance=entry["entrance"],
-                status=entry["status"],
-                exit_term=entry["exit"],
-                courses=tuple(courses),
-            )
-        )
-    cohort = Cohort(students=tuple(students), range=window, terms_per_year=cfg.terms_per_year)
+        students.append((sid, entry["entrance"], entry["status"], entry["exit"], courses, entry["attrs"]))
+    cohort = build_cohort(students, window, cfg.terms_per_year)
     return IngestResult(
         cohort=cohort,
         rejected_courses=rejects,
@@ -732,7 +743,7 @@ def assert_ingested(got: IngestResult, expected: IngestResult) -> None:
     assert got.dropped_students == expected.dropped_students
     assert got.duplicate_rows == expected.duplicate_rows
     assert got.attr_codes == expected.attr_codes
-    derived = expected.cohort.course_table  # the reference cohort derives it from its objects
+    derived = expected.cohort.course_table  # the reference cohort is built from its rows
     for name, built, want in zip(CourseTable._fields, got.cohort.course_table, derived):
         assert built.dtype == want.dtype and built.shape == want.shape, name
         assert built.tobytes() == want.tobytes(), name
@@ -755,7 +766,7 @@ def test_blocks_edges_keep_rows_duplicates_and_rejects(tmp_path, monkeypatch, bl
     got = ingest(sp, cp, default_config())
     assert got.duplicate_rows == 3
     assert got.rejected_courses == [(10, "ghost", "unknown_student"), (12, "s2", "after_exit")]
-    assert [c.course_code for c in got.cohort.student("s3").courses] == ["MATH1", "PHYS1"]
+    assert [row.course_code for row in rows(got.cohort, got.cohort.student("s3"))] == ["MATH1", "PHYS1"]
     assert_ingested(got, whole)
 
 
@@ -784,23 +795,24 @@ def test_cell_past_the_csv_field_limit_names_its_row(tmp_path, monkeypatch, bloc
     # Row 9 holds a cell of csv.field_size_limit() characters, which csv
     # reads; row 10 holds one a character longer, which it refuses.
     limit = csv.field_size_limit()
-    rows = [["s3", "C" * limit, "2013.2", "8.0", "90", "1"], ["s3", "D" * (limit + 1), "2013.2", "8.0", "90", "1"]]
+    cells = [["s3", "C" * limit, "2013.2", "8.0", "90", "1"], ["s3", "D" * (limit + 1), "2013.2", "8.0", "90", "1"]]
 
-    def ingest_rows(rows):
+    def ingest_rows(cells):
         out = io.StringIO()
         if form == "quoted":
-            csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
+            csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(cells)
         else:
-            csv.writer(out, lineterminator="\n").writerows(rows)
+            csv.writer(out, lineterminator="\n").writerows(cells)
         return ingest(*write_inputs(tmp_path, courses=COURSES_CSV + "\n" + out.getvalue()), default_config())
 
     monkeypatch.setattr(records, "_BLOCK_ROWS", block)
-    assert "C" * limit in [c.course_code for c in ingest_rows(rows[:1]).cohort.student("s3").courses]
+    cohort = ingest_rows(cells[:1]).cohort
+    assert "C" * limit in [row.course_code for row in rows(cohort, cohort.student("s3"))]
     with pytest.raises(IngestError, match=re.escape(f"courses.csv: row 10: field larger than field limit ({limit})")):
-        ingest_rows(rows)
-    rows[0][2] = "2012.x"  # an earlier bad row names the error
+        ingest_rows(cells)
+    cells[0][2] = "2012.x"  # an earlier bad row names the error
     with pytest.raises(IngestError, match=re.escape("row 9: malformed term '2012.x'")):
-        ingest_rows(rows)
+        ingest_rows(cells)
 
 
 def test_repeats_renumbers_a_key_that_would_overflow():
@@ -813,19 +825,6 @@ def test_repeats_renumbers_a_key_that_would_overflow():
         seen.add(row)
     for sizes in ([3] * 4, [2**40] * 4):  # the second would overflow int64 at each later fold
         assert records._repeats(ids, sizes).tolist() == want
-
-
-def test_cohort_derives_its_course_table_from_objects(tiny_cohort):
-    table = tiny_cohort.course_table
-    assert table is tiny_cohort.course_table  # built once
-    assert table.count.tolist() == [len(s.courses) for s in tiny_cohort.students]
-    courses = [c for s in tiny_cohort.students for c in s.courses]
-    assert table.term.tolist() == [to_ordinal(c.term, 2) for c in courses]
-    assert table.failed.tolist() == [c.result == 0 for c in courses]
-    assert table.attendance.tolist() == [c.attendance_pct for c in courses]
-    assert table.score.tolist() == [c.score for c in courses]
-    with pytest.raises(ValueError, match="index beyond"):
-        Cohort(students=tiny_cohort.students, range=tiny_cohort.range, terms_per_year=1).course_table
 
 
 class TestTermGrammar:
@@ -886,7 +885,8 @@ class TestNumberCells:
     @pytest.mark.parametrize("text, value", [(" 5e0 ", 5.0), ("1E1", 10.0), (" .5", 0.5), ("+7", 7.0)])
     def test_course_number_reads_as_float_reads_it(self, tmp_path, text, value):
         sp, cp = write_inputs(tmp_path, courses=COURSES_CSV + f"s3,LATE,2013.2,{text},90,1\n")
-        assert ingest(sp, cp, default_config()).cohort.student("s3").courses[-1].score == value
+        cohort = ingest(sp, cp, default_config()).cohort
+        assert cohort.course_table.score[cohort.student("s3").courses][-1] == value
 
     @pytest.mark.parametrize("value", ["2_0", "\u0662\u0660"])
     def test_attribute_outside_the_grammar_is_coded_like_words(self, tmp_path, value):
@@ -920,130 +920,83 @@ def test_exit_before_entrance_names_the_student_row(tmp_path):
 
 
 def test_unsorted_courses_rejected():
-    with pytest.raises(ValueError, match="not sorted"):
-        StudentStructure(
-            student_id="x",
-            static_attrs=(),
-            entrance=Term(2012, 1),
-            status=EnrollmentStatus.ENROLLED,
-            exit_term=None,
-            courses=(course(2012, 2, 5.0, 50.0, 1), course(2012, 1, 5.0, 50.0, 1)),
-        )
+    with pytest.raises(ValueError, match=re.escape("student x: courses not sorted by term")):
+        build_cohort([("x", (2012, 1), "enrolled", None, [(2012, 2, 5.0, 50.0, 1), (2012, 1, 5.0, 50.0, 1)])])
 
 
 def test_unsorted_course_before_entrance_names_the_first():
-    with pytest.raises(ValueError, match=re.escape("course at 2012.1 before entrance 2012.2")):
-        StudentStructure(
-            student_id="x",
-            static_attrs=(),
-            entrance=Term(2012, 2),
-            status=EnrollmentStatus.ENROLLED,
-            exit_term=None,
-            courses=(course(2013, 1, 5.0, 50.0, 1), course(2012, 1, 5.0, 50.0, 1), course(2011, 1, 5.0, 50.0, 1)),
-        )
+    courses = [(2013, 1, 5.0, 50.0, 1), (2012, 1, 5.0, 50.0, 1), (2011, 1, 5.0, 50.0, 1)]
+    with pytest.raises(ValueError, match=re.escape("student x: course at 2012.1 before entrance 2012.2")):
+        build_cohort([("w", (2012, 1), "enrolled", None, []), ("x", (2012, 2), "enrolled", None, courses)])
 
 
-# --- records made on first read ------------------------------------------------
+# --- the course store ------------------------------------------------------------
 
 
-class TestCoursesOnFirstRead:
-    """An ingested student makes its `CourseRecord`s from the cohort's columns
-    the first time `courses` is read; it must be indistinguishable from a
-    student built with its records."""
+def _spans(cohort):
+    ends = np.cumsum(cohort.course_table.count).tolist()
+    return [range(start, end) for start, end in zip([0, *ends], ends)]
 
-    @pytest.mark.parametrize(
-        "how",
-        [None, copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)), dataclasses.replace],
-        ids=["read", "copy", "deepcopy", "pickle", "replace"],
-    )
-    def test_ingested_students_equal_their_eager_rebuild(self, medium_synth, tmp_path, how):
-        eager = eager_rebuild(ingest_written(medium_synth, tmp_path)).students
-        got = ingest_written(medium_synth, tmp_path).students
-        assert not any("courses" in vars(s) for s in got)
-        if how is not None:
-            got = [how(s) for s in got]
-            # A copy holds its records, not the cohort's columns.
-            assert [vars(s) for s in got] == [vars(s) for s in eager]
-        for s, want in zip(got, eager):
-            assert s == want and repr(s) == repr(want) and hash(s) == hash(want)
-        assert [vars(s) for s in got] == [vars(s) for s in eager]
-        assert [dataclasses.astuple(s) for s in got] == [dataclasses.astuple(s) for s in medium_synth.students]
 
-    def test_cohort_copies_equal_the_eager_cohort(self, medium_synth, tmp_path):
-        eager = eager_rebuild(ingest_written(medium_synth, tmp_path))
-        for how in (copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
-            cohort = how(ingest_written(medium_synth, tmp_path))
-            assert cohort == eager and repr(cohort) == repr(eager)
+@pytest.mark.parametrize("source", ["generated", "ingested", "truncated"])
+def test_courses_are_each_students_row_range(source, medium_synth, tmp_path):
+    """`len(s.courses)` is a student's course count, read without making an
+    object per course, and `s.courses` the range of its rows in the store."""
+    cohort = {
+        "generated": lambda: medium_synth,
+        "ingested": lambda: ingest_written(medium_synth, tmp_path),
+        "truncated": lambda: truncate_records(medium_synth, Term(2012, 1)),
+    }[source]()
+    assert [len(s.courses) for s in cohort.students] == cohort.course_table.count.tolist()
+    assert all(type(s.courses) is range for s in cohort.students)
+    assert [s.courses for s in cohort.students] == _spans(cohort)
+    assert len(cohort.course_columns.code) == len(cohort.course_table.term) == sum(map(len, _spans(cohort)))
 
-    def test_public_surface_is_unchanged(self):
-        names = [f.name for f in dataclasses.fields(StudentStructure)]
-        assert names == ["student_id", "static_attrs", "entrance", "status", "exit_term", "courses"]
-        assert CourseTable._fields == ("count", "term", "failed", "attendance", "score")
-        with pytest.raises(TypeError):
-            StudentStructure("x", (), Term(2012, 1), EnrollmentStatus.ENROLLED, None)  # courses has no default
 
-    def test_generated_cohort_copies_equal_the_cohort(self):
-        cfg = GeneratorConfig(seed=11, range_start=Term(2009, 1), range_end=Term(2011, 2), intake_per_term=10)
-        eager = eager_rebuild(generate(cfg).cohort)
-        for how in (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
-            cohort = generate(cfg).cohort
-            got = how(cohort)
-            assert got == cohort == eager and repr(got) == repr(cohort) == repr(eager)
-            for built, want in zip(got.course_table, eager.course_table):
-                assert built.dtype == want.dtype and built.tobytes() == want.tobytes()
-
-    def test_signed_zeros_keep_their_sign(self, tmp_path):
-        courses = COURSES_CSV + "s3,Z1,2013.2,-0,-0.0,1\ns3,Z2,2013.2,0,0,1\n"
-        z1, z2 = ingest(*write_inputs(tmp_path, courses=courses), default_config()).cohort.student("s3").courses[1:]
-        assert math.copysign(1.0, z1.score) == math.copysign(1.0, z1.attendance_pct) == -1.0
-        assert math.copysign(1.0, z2.score) == math.copysign(1.0, z2.attendance_pct) == 1.0
-
-    def test_hot_paths_make_no_records(self, medium_synth, tmp_path, monkeypatch):
-        made: list[tuple[int, int]] = []
-        make = records._CourseColumns.records
-
-        def spy(columns, start, end):
-            made.append((start, end))
-            return make(columns, start, end)
-
-        monkeypatch.setattr(records._CourseColumns, "records", spy)
-        cohort = ingest_written(medium_synth, tmp_path)
-        terms = [Term(2012, 1), Term(2013, 2)]
-        for approach in SplitApproach:
-            for t in terms:
-                build_split(cohort, SplitRequest(approach, t, seed=3))
-        specs = [
-            ClassifierSpec(kind="decision_tree", max_depth=4),
-            ClassifierSpec(kind="extra_trees", n_trees=3, max_depth=4, seed=1),
-            ClassifierSpec(kind="knn", k=3),
-            ClassifierSpec(kind="gaussian_nb"),
+@pytest.mark.parametrize("source", ["generated", "ingested"])
+def test_copies_and_pickles_carry_the_columns(source, tmp_path):
+    cohort = generate(GeneratorConfig(seed=11, range_start=Term(2009, 1), range_end=Term(2011, 2), intake_per_term=10)).cohort
+    if source == "ingested":
+        cohort = ingest_written(cohort, tmp_path)
+    from_rows = reference_truncate(cohort, next_term(cohort.range.hi))  # every row kept, built anew
+    for how in (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
+        got = how(cohort)
+        assert got == cohort == from_rows and repr(got) == repr(cohort) == repr(from_rows)
+        for built, want in zip(got.course_table, from_rows.course_table):
+            assert built.dtype == want.dtype and built.tobytes() == want.tobytes()
+        assert [got.course_columns.codes[k] for k in got.course_columns.code.tolist()] == [
+            row.course_code for s in from_rows.students for row in rows(from_rows, s)
         ]
-        run_grid(cohort, list(SplitApproach), specs, terms, split_seed=3)
-        for spec in specs:
-            predict_enrolled(cohort, spec, SplitApproach.B4T)
-        assert made == []
-        assert not any("courses" in vars(s) for s in cohort.students)
-        cohort.students[0].courses  # the spy sees a read
-        assert made == [(0, int(cohort.course_table.count[0]))]
 
-    def test_generate_write_and_truncate_make_no_records(self, tmp_path, monkeypatch):
-        made: list[tuple[int, int]] = []
-        make = records._CourseColumns.records
 
-        def spy(columns, start, end):
-            made.append((start, end))
-            return make(columns, start, end)
+def test_stores_compare_bytes_dtypes_and_code_texts(tiny_cohort):
+    store = tiny_cohort.course_columns
+    table, n = store.table, len(store.codes)
+    renumbered = records._CourseColumns(table, n - 1 - store.code, [*reversed(store.codes), "unused"])
+    assert renumbered == store and repr(renumbered) == repr(store)
+    zeros = np.zeros_like(table.score)
+    signed = [records._CourseColumns(table._replace(score=z), store.code, store.codes) for z in (zeros, -zeros)]
+    assert np.array_equal(*(s.table.score for s in signed)) and signed[0] != signed[1]
+    changes = [
+        records._CourseColumns(table._replace(count=table.count.astype(np.int32)), store.code, store.codes),
+        records._CourseColumns(table, store.code, ["X" + code for code in store.codes]),
+    ]
+    for changed in changes:
+        assert changed != store and repr(changed) != repr(store)
+    assert dataclasses.replace(tiny_cohort, course_columns=changes[0]) != tiny_cohort
 
-        monkeypatch.setattr(records._CourseColumns, "records", spy)
-        cohort = generate(GeneratorConfig(seed=5, range_start=Term(2009, 1), range_end=Term(2012, 2), intake_per_term=10)).cohort
-        write_courses_csv(cohort, tmp_path / "generated.csv")
-        ingested = ingest_written(cohort, tmp_path)
-        for c in (cohort, ingested):
-            for t in iter_terms(c.range.lo, c.range.hi):
-                cut = truncate_records(c, t)
-                write_courses_csv(cut, tmp_path / "truncated.csv")
-                if t >= Term(2011, 1):  # the audit: a split of the truncated cohort
-                    build_split(cut, SplitRequest(SplitApproach.B4T, t))
-                assert not any("courses" in vars(s) for s in cut.students)
-        assert made == []
-        assert not any("courses" in vars(s) for s in cohort.students + ingested.students)
+
+def test_public_surface_is_unchanged():
+    names = [f.name for f in dataclasses.fields(StudentStructure)]
+    assert names == ["student_id", "static_attrs", "entrance", "status", "exit_term", "courses"]
+    assert CourseTable._fields == ("count", "term", "failed", "attendance", "score")
+    with pytest.raises(TypeError):
+        StudentStructure("x", (), Term(2012, 1), EnrollmentStatus.ENROLLED, None)  # courses has no default
+
+
+def test_signed_zeros_keep_their_sign(tmp_path):
+    courses = COURSES_CSV + "s3,Z1,2013.2,-0,-0.0,1\ns3,Z2,2013.2,0,0,1\n"
+    cohort = ingest(*write_inputs(tmp_path, courses=courses), default_config()).cohort
+    table, z1, z2 = cohort.course_table, *cohort.student("s3").courses[1:]
+    assert [math.copysign(1.0, v) for v in (table.score[z1], table.attendance[z1])] == [-1.0, -1.0]
+    assert [math.copysign(1.0, v) for v in (table.score[z2], table.attendance[z2])] == [1.0, 1.0]

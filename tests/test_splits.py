@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dropsplit.features import CANONICAL_TIME_FEATURES, FeatureSetSpec, student_label, vector_table
-from dropsplit.records import Cohort, CourseRecord, truncate_records
+from dropsplit.records import truncate_records
 from dropsplit.rng import Xoshiro256StarStar
 from dropsplit.splits import (
     DatasetMeta,
@@ -23,8 +23,10 @@ from dropsplit.terms import Term, TermRange, from_ordinal, iter_terms, next_term
 
 from conftest import (
     FeatureVector,
+    Row,
     UndefinedFeatureVector,
-    make_student,
+    build_cohort,
+    last,
     naive_values,
     subset_enrolled,
     subset_exited_before,
@@ -36,7 +38,7 @@ T_MID = Term(2012, 1)
 
 def included_train_students(cohort, t):
     """Students exited before t with more than one active term (the closed-form oracle)."""
-    return [s for s in subset_exited_before(cohort, t) if s.last > s.entrance]
+    return [s for s in subset_exited_before(cohort, t) if last(cohort, s) > s.entrance]
 
 
 class TestSplitA:
@@ -68,9 +70,9 @@ class TestSplitA:
         by_id = {s.student_id: s for s in medium_synth.students}
         for ds in (train, test):
             for i, (sid, as_of) in enumerate(ds.rows):
-                end = next_term(by_id[sid].last)
+                end = next_term(last(medium_synth, by_id[sid]))
                 assert as_of == end
-                assert tuple(ds.X[i]) == naive_values(by_id[sid], end, spec)
+                assert tuple(ds.X[i]) == naive_values(medium_synth, by_id[sid], end, spec)
 
     def test_train_membership_frequency_is_uniform(self, tiny_cohort):
         # 5 exited students at 2014.1, train side picks 3, so every student
@@ -118,8 +120,8 @@ class TestSplitB2:
     def test_excludes_single_term_students_both_sides(self, medium_synth):
         b1_train, b1_test = build_split(medium_synth, SplitRequest(SplitApproach.B1, T_MID))
         b2_train, b2_test = build_split(medium_synth, SplitRequest(SplitApproach.B2, T_MID))
-        single_before = [s for s in subset_exited_before(medium_synth, T_MID) if s.last == s.entrance]
-        single_onward = [s for s in subset_exited_from(medium_synth, T_MID) if s.last == s.entrance]
+        single_before = [s for s in subset_exited_before(medium_synth, T_MID) if last(medium_synth, s) == s.entrance]
+        single_onward = [s for s in subset_exited_from(medium_synth, T_MID) if last(medium_synth, s) == s.entrance]
         assert b2_train.n == b1_train.n - len(single_before)
         assert b2_test.n == b1_test.n - len(single_onward)
         reasons = {e.reason for ds in (b2_train, b2_test) for e in ds.meta.exclusions}
@@ -132,15 +134,15 @@ class TestSplitB2:
         by_id = {s.student_id: s for s in medium_synth.students}
         for ds in (train, test):
             for i, (sid, as_of) in enumerate(ds.rows):
-                assert as_of == by_id[sid].last
-                assert tuple(ds.X[i]) == naive_values(by_id[sid], as_of, spec)
+                assert as_of == last(medium_synth, by_id[sid])
+                assert tuple(ds.X[i]) == naive_values(medium_synth, by_id[sid], as_of, spec)
 
     def test_test_rows_can_use_post_reference_records(self, medium_synth):
         # The documented leak: a student still active at T contributes a test
         # row whose window extends past T.
         _, test = build_split(medium_synth, SplitRequest(SplitApproach.B2, T_MID))
         by_id = {s.student_id: s for s in medium_synth.students}
-        assert any(by_id[sid].last > T_MID for sid, _ in test.rows)
+        assert any(last(medium_synth, by_id[sid]) > T_MID for sid, _ in test.rows)
 
 
 class TestSplitB2T:
@@ -181,7 +183,7 @@ class TestSplitB3T:
     def test_row_count_closed_form(self, medium_synth):
         train, _ = build_split(medium_synth, SplitRequest(SplitApproach.B3T, T_MID))
         expected = sum(
-            term_distance(s.entrance, s.last) for s in included_train_students(medium_synth, T_MID)
+            term_distance(s.entrance, last(medium_synth, s)) for s in included_train_students(medium_synth, T_MID)
         )
         assert train.n == expected
 
@@ -215,8 +217,8 @@ class TestSplitB4T:
         spec = FeatureSetSpec.for_cohort(medium_synth)
         values = {row: tuple(b4t_train.X[i]) for i, row in enumerate(b4t_train.rows)}
         for sid, as_of in extra:
-            assert as_of == next_term(by_id[sid].last)
-            assert values[(sid, as_of)] == naive_values(by_id[sid], as_of, spec)
+            assert as_of == next_term(last(medium_synth, by_id[sid]))
+            assert values[(sid, as_of)] == naive_values(medium_synth, by_id[sid], as_of, spec)
 
     def test_test_identical_to_b2t(self, medium_synth):
         _, b2t_test = build_split(medium_synth, SplitRequest(SplitApproach.B2T, T_MID))
@@ -246,11 +248,11 @@ class TestCrossCutting:
         for i, (sid, as_of) in enumerate(train.rows):
             s = by_id[sid]
             if approach is SplitApproach.B1:
-                assert tuple(train.X[i]) == naive_values(s, next_term(s.last), spec)
+                assert tuple(train.X[i]) == naive_values(medium_synth, s, next_term(last(medium_synth, s)), spec)
             elif approach in (SplitApproach.B2, SplitApproach.B2T):
-                assert tuple(train.X[i]) == naive_values(s, s.last, spec)
+                assert tuple(train.X[i]) == naive_values(medium_synth, s, last(medium_synth, s), spec)
             else:
-                assert tuple(train.X[i]) == naive_values(s, as_of, spec)
+                assert tuple(train.X[i]) == naive_values(medium_synth, s, as_of, spec)
 
     @pytest.mark.parametrize("approach", list(SplitApproach))
     def test_rows_sorted_by_student_then_term(self, medium_synth, approach):
@@ -314,42 +316,43 @@ def test_split_request_rejects_seed_outside_64_bits():
 # vector at a time.
 
 
-def _ref_vector(s, t, spec, tpy, reason):
-    values = naive_values(s, t, spec, tpy)
+def _ref_vector(c, s, t, spec, reason):
+    values = naive_values(c, s, t, spec)
     if values is None:
         raise UndefinedFeatureVector(s.student_id, reason)
     return FeatureVector(s.student_id, t, values, student_label(s))
 
 
-def _ref_final(s, t, spec, tpy):
-    return (_ref_vector(s, next_term(s.last, tpy), spec, tpy, "no_course_records"),)
+def _ref_final(c, s, t, spec):
+    return (_ref_vector(c, s, next_term(last(c, s), c.terms_per_year), spec, "no_course_records"),)
 
 
-def _ref_last(s, t, spec, tpy):
-    if s.last <= s.entrance:
+def _ref_last(c, s, t, spec):
+    if last(c, s) <= s.entrance:
         raise UndefinedFeatureVector(s.student_id, "single_term_history")
-    return (_ref_vector(s, s.last, spec, tpy, "empty_window"),)
+    return (_ref_vector(c, s, last(c, s), spec, "empty_window"),)
 
 
-def _ref_reference(s, t, spec, tpy):
+def _ref_reference(c, s, t, spec):
     if t <= s.entrance:
         raise UndefinedFeatureVector(s.student_id, "starts_at_reference_term")
-    return (_ref_vector(s, t, spec, tpy, "no_records_before_reference"),)
+    return (_ref_vector(c, s, t, spec, "no_records_before_reference"),)
 
 
-def _ref_expanded(s, t, spec, tpy):
+def _ref_expanded(c, s, t, spec):
+    tpy = c.terms_per_year
     history = tuple(
         FeatureVector(s.student_id, u, values, student_label(s))
-        for u in iter_terms(next_term(s.entrance, tpy), s.last, tpy)
-        if (values := naive_values(s, u, spec, tpy)) is not None
+        for u in iter_terms(next_term(s.entrance, tpy), last(c, s), tpy)
+        if (values := naive_values(c, s, u, spec)) is not None
     )
     if not history:
         raise UndefinedFeatureVector(s.student_id, "single_term_history")
     return history
 
 
-def _ref_expanded_and_final(s, t, spec, tpy):
-    return _ref_expanded(s, t, spec, tpy) + _ref_final(s, t, spec, tpy)
+def _ref_expanded_and_final(c, s, t, spec):
+    return _ref_expanded(c, s, t, spec) + _ref_final(c, s, t, spec)
 
 
 REF_RULES = {
@@ -362,11 +365,11 @@ REF_RULES = {
 }
 
 
-def ref_collect(rule, students, t, spec, tpy, role, exclusions):
+def ref_collect(rule, c, students, t, spec, role, exclusions):
     out = []
     for s in students:
         try:
-            out.extend(rule(s, t, spec, tpy))
+            out.extend(rule(c, s, t, spec))
         except UndefinedFeatureVector as exc:
             exclusions.append(Exclusion(s.student_id, role, exc.reason))
     return out
@@ -389,8 +392,8 @@ def ref_build_split(c, approach, t, seed, spec):
     train_rule, test_rule = REF_RULES[approach]
     if approach is SplitApproach.A:
         excl = []
-        vecs_before = ref_collect(train_rule, before, t, spec, tpy, "pool", excl)
-        vecs_onward = ref_collect(test_rule, onward, t, spec, tpy, "pool", excl)
+        vecs_before = ref_collect(train_rule, c, before, t, spec, "pool", excl)
+        vecs_onward = ref_collect(test_rule, c, onward, t, spec, "pool", excl)
         if not vecs_before:
             raise SplitError(f"no students exited before reference term {t}")
         if not vecs_onward:
@@ -405,7 +408,7 @@ def ref_build_split(c, approach, t, seed, spec):
     sides = []
     for rule, role, students in ((train_rule, "train", before), (test_rule, "test", onward)):
         excl = []
-        vectors = ref_collect(rule, students, t, spec, tpy, role, excl)
+        vectors = ref_collect(rule, c, students, t, spec, role, excl)
         sides.append(ref_materialize(vectors, role, excl, spec, tpy))
     train, test = sides
     if not train.n:
@@ -453,29 +456,19 @@ def small_cohorts(draw):
             o += draw(st.integers(0 if k == 0 else 1, 2))
             for _ in range(draw(st.integers(1, 3))):
                 courses.append(
-                    CourseRecord(
-                        course_code=f"C{len(courses)}",
-                        term=from_ordinal(o),
-                        score=draw(st.floats(0, 10, allow_nan=False)),
-                        attendance_pct=draw(st.floats(0, 100, allow_nan=False)),
-                        result=draw(st.integers(0, 1)),
+                    Row(
+                        from_ordinal(o),
+                        draw(st.floats(0, 10, allow_nan=False)),
+                        draw(st.floats(0, 100, allow_nan=False)),
+                        draw(st.integers(0, 1)),
+                        f"C{len(courses)}",
                     )
                 )
         status = draw(st.sampled_from(["graduated", "dropout", "enrolled"]))
         exit_term = None if status == "enrolled" else from_ordinal(o + draw(st.integers(0, 3)))
         attrs = (("age", float(draw(st.integers(17, 40)))), ("code", draw(st.floats(-1e3, 1e3))))
-        entrance_term = from_ordinal(entrance)
-        students.append(
-            make_student(
-                f"s{i}",
-                (entrance_term.year, entrance_term.index),
-                status,
-                exit_term and (exit_term.year, exit_term.index),
-                courses,
-                attrs,
-            )
-        )
-    return Cohort(students=tuple(students), range=WINDOW)
+        students.append((f"s{i}", from_ordinal(entrance), status, exit_term, courses, attrs))
+    return build_cohort(students, WINDOW)
 
 
 @settings(max_examples=80, deadline=None)

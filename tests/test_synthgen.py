@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import csv
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dropsplit import rng, synthgen
-from dropsplit.records import CourseRecord, EnrollmentStatus, IngestConfig, IngestError, _CourseColumns, ingest
+from dropsplit.records import EnrollmentStatus, IngestConfig, IngestError, ingest
 from dropsplit.rng import Xoshiro256StarStar, derive_seed
 from dropsplit.synthgen import (
     GeneratorConfig,
@@ -24,7 +26,7 @@ from dropsplit.synthgen import (
 )
 from dropsplit.terms import Term, iter_terms, next_term, term_distance
 
-from conftest import eager_rebuild, ingest_written
+from conftest import Row, build_cohort, ingest_written, rows
 
 
 def small_config(**overrides) -> GeneratorConfig:
@@ -69,6 +71,16 @@ def reference_hazard(cfg, ability, fail_frac, behind_terms, k, current) -> float
         return 0.0
 
 
+class Course(NamedTuple):
+    """One simulated course, in the field order of `conftest.Row`."""
+
+    term: Term
+    score: float
+    attendance_pct: float
+    result: int
+    course_code: str
+
+
 def simulate_student(cfg: GeneratorConfig, entrance: Term, gen: Xoshiro256StarStar):
     """One student's career: (static attributes, all courses, status, exit term)."""
     ability = gen.normal(cfg.ability_mean, cfg.ability_std)
@@ -82,7 +94,7 @@ def simulate_student(cfg: GeneratorConfig, entrance: Term, gen: Xoshiro256StarSt
         ("degree_code", float(gen.randbelow(cfg.degree_count))),
         ("admission_score", admission),
     )
-    courses: list[CourseRecord] = []
+    courses: list[Course] = []
     current = entrance
     passed_total = 0
     prev_fail_frac = 0.0
@@ -115,7 +127,7 @@ def simulate_student(cfg: GeneratorConfig, entrance: Term, gen: Xoshiro256StarSt
             att = round(reference_clamp(att, 0.0, 100.0), 2)
             result = 1 if score >= cfg.pass_score else 0
             fails += 1 - result
-            courses.append(CourseRecord(course_code=code, term=current, score=score, attendance_pct=att, result=result))
+            courses.append(Course(current, score, att, result, code))
         if collapsing:
             return static_attrs, courses, EnrollmentStatus.DROPOUT, current
         passed_total += n_courses - fails
@@ -137,11 +149,7 @@ class CountingStream(Xoshiro256StarStar):
 
 def signed(items) -> list:
     """Attributes or courses with each float as its repr, which tells -0.0 from 0.0."""
-    out = []
-    for item in items:
-        fields = item if isinstance(item, tuple) else (item.course_code, item.term, item.score, item.attendance_pct, item.result)
-        out.append(tuple(repr(v) if isinstance(v, float) else v for v in fields))
-    return out
+    return [tuple(repr(v) if isinstance(v, float) else v for v in item) for item in items]
 
 
 def assert_matches_reference(cfg: GeneratorConfig) -> list[int]:
@@ -149,30 +157,31 @@ def assert_matches_reference(cfg: GeneratorConfig) -> list[int]:
     synth = generate(cfg)
     entrances = [e for e in iter_terms(cfg.range_start, cfg.range_end, cfg.terms_per_year) for _ in range(cfg.intake_per_term)]
     assert len(synth.cohort.students) == len(entrances)
-    words = []
+    words, expected = [], []
     for index, (student, entrance) in enumerate(zip(synth.cohort.students, entrances)):
         gen = CountingStream(derive_seed(cfg.seed, index))
         attrs, courses, status, exit_term = simulate_student(cfg, entrance, gen)
         words.append(gen.words)
+        recorded = [Row(*c) for c in courses if c.term <= cfg.range_end]
         assert student.student_id == f"S{index:06d}"
         assert student.entrance == entrance
         assert signed(student.static_attrs) == signed(attrs)
-        assert signed(student.courses) == signed(tuple(c for c in courses if c.term <= cfg.range_end))
+        assert signed(rows(synth.cohort, student)) == signed(recorded)
         if exit_term <= cfg.range_end:
             assert (student.status, student.exit_term) == (status, exit_term)
             assert student.student_id not in synth.truth
         else:
             assert (student.status, student.exit_term) == (EnrollmentStatus.ENROLLED, None)
             assert synth.truth[student.student_id] == TruthRow(status=status, exit_term=exit_term)
+        expected.append((student.student_id, entrance, student.status, student.exit_term, recorded, attrs))
     assert len(synth.truth) == sum(1 for s in synth.cohort.students if s.status is EnrollmentStatus.ENROLLED)
-    # The table handed to the cohort is the one its objects give.
-    table = _CourseColumns.of(synth.cohort.students, cfg.terms_per_year).table
-    assert all(a.dtype == b.dtype and a.tolist() == b.tolist() for a, b in zip(synth.cohort.course_table, table))
+    # The cohort is the one built from the reference's rows, down to the bytes of its course store.
+    assert synth.cohort == build_cohort(expected, synth.cohort.range, cfg.terms_per_year)
     return words
 
 
-def active_terms(s) -> int:
-    return len({c.term for c in s.courses})
+def active_terms(c, s) -> int:
+    return len({row.term for row in rows(c, s)})
 
 
 class TestGenerate:
@@ -215,8 +224,8 @@ class TestGenerate:
 
     def test_dropouts_have_shorter_histories(self):
         cohort = generate(GeneratorConfig(seed=3, range_start=Term(2009, 1), range_end=Term(2016, 2), intake_per_term=70)).cohort
-        drop = [active_terms(s) for s in cohort.students if s.status is EnrollmentStatus.DROPOUT]
-        grad = [active_terms(s) for s in cohort.students if s.status is EnrollmentStatus.GRADUATED]
+        drop = [active_terms(cohort, s) for s in cohort.students if s.status is EnrollmentStatus.DROPOUT]
+        grad = [active_terms(cohort, s) for s in cohort.students if s.status is EnrollmentStatus.GRADUATED]
         assert drop and grad
         mean_drop = sum(drop) / len(drop)
         mean_grad = sum(grad) / len(grad)
@@ -244,7 +253,7 @@ class TestGenerate:
         cohort = generate(small_config()).cohort
         for s in cohort.students:
             assert s.courses
-            assert s.courses[0].term == s.entrance
+            assert rows(cohort, s)[0].term == s.entrance
 
     def test_early_hazard_multiplier_shifts_dropouts_earlier(self):
         fractions = []
@@ -252,7 +261,7 @@ class TestGenerate:
             cfg = small_config(hazard_early_multiplier=mult, intake_per_term=60)
             cohort = generate(cfg).cohort
             drops = [s for s in cohort.students if s.status is EnrollmentStatus.DROPOUT]
-            short = sum(1 for s in drops if active_terms(s) <= cfg.early_terms)
+            short = sum(1 for s in drops if active_terms(cohort, s) <= cfg.early_terms)
             fractions.append(short / len(drops))
         assert fractions == sorted(fractions)
         assert fractions[-1] > fractions[0]
@@ -422,6 +431,14 @@ class TestRoundTrip:
             read_truth_csv(tmp_path / "truth.csv")
 
 
+    def test_truth_cell_past_the_csv_field_limit_names_its_row(self, tmp_path):
+        limit = csv.field_size_limit()
+        text = "student_id,status,exit_term\nS1,dropout,2013.1\nS2,dropout," + "9" * (limit + 1) + "\n"
+        (tmp_path / "truth.csv").write_text(text, encoding="utf-8")
+        with pytest.raises(IngestError, match=re.escape(f"truth.csv: row 3: field larger than field limit ({limit})")):
+            read_truth_csv(tmp_path / "truth.csv")
+
+
 class TestValidate:
     def test_counts_add_up(self):
         cohort = generate(small_config()).cohort
@@ -438,17 +455,15 @@ class TestValidate:
         assert "records_per_student_histogram" in text
         assert format_stats(validate(cohort)) == text
 
-    def test_ingested_cohort_reads_as_its_eager_rebuild(self, tmp_path):
-        cohort = ingest_written(generate(small_config()).cohort, tmp_path)
-        text = format_stats(validate(cohort))
-        assert not any("courses" in vars(s) for s in cohort.students)  # counted from the course table
-        assert text == format_stats(validate(eager_rebuild(cohort)))
+    def test_ingested_cohort_reads_as_the_generated_one(self, tmp_path):
+        generated = generate(small_config()).cohort
+        assert format_stats(validate(ingest_written(generated, tmp_path))) == format_stats(validate(generated))
 
     def test_active_terms_count_distinct_terms(self, tiny_cohort):
         for cohort in (tiny_cohort, generate(small_config()).cohort):
             per_status: dict[str, list[int]] = {}
             for s in cohort.students:
-                per_status.setdefault(s.status.value, []).append(len({rec.term for rec in s.courses}))
+                per_status.setdefault(s.status.value, []).append(active_terms(cohort, s))
             stats = validate(cohort)
             for status, values in per_status.items():
                 assert stats.terms_by_status[status] == (sum(values) / len(values), min(values), max(values))
