@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Subcommands: generate, ingest, split, evaluate, predict, report. Every run
-writes its manifest and config snapshot into the output directory before any
-data file, carries no timestamps, and takes all randomness from explicit
-seeds, so rerunning a manifest reproduces the directory byte for byte.
+Subcommands: generate, ingest, split, evaluate, predict, report. Each run
+writes into a fresh hidden sibling of --out and renames it into place only
+when the command succeeds, so an output directory holds one whole run or does
+not exist. --out must be absent or an empty directory: a rerun never merges
+into an earlier run's files. Manifests carry no timestamps and all randomness
+comes from explicit seeds, so rerunning a manifest reproduces the directory
+byte for byte.
 """
 
 from __future__ import annotations
@@ -11,8 +14,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import shutil
 import sys
+import tempfile
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -48,28 +54,38 @@ from .terms import TermParseError, format_term, iter_terms
 _ORACLE_ENV = "DROPSPLIT_TEST_MODE"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+@contextmanager
+def _staged(out: Path):
+    """Yield a fresh directory beside out, then rename it onto out; on any
+    exception remove it instead. out must be absent or an empty directory."""
+    if out.is_symlink() or out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise ConfigError(f"--out: {out} exists and is not an empty directory")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        yield stage
+        umask = os.umask(0)
+        os.umask(umask)
+        stage.chmod(0o777 & ~umask)  # mkdtemp's 0o700 becomes the mode mkdir would give
+        try:
+            os.rename(stage, out)
+        except OSError as exc:  # another run filled out meanwhile
+            raise ConfigError(f"--out: {exc}") from None
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
 
 
-def _write_manifest(out_dir: Path, entries: list[tuple[str, str]]) -> None:
-    text = "".join(f"{key}={value}\n" for key, value in entries)
+def _write_manifest(out_dir: Path, args, entries: list[tuple[str, str]]) -> None:
+    """Write the config snapshot and manifest.txt: command, package_version
+    and config_sha256 (report has no config), then the command's entries."""
+    head = [("command", args.command), ("package_version", __version__)]
+    if args.command != "report":
+        config = Path(args.config)
+        (out_dir / "config.txt").write_text(config.read_text(encoding="utf-8"), encoding="utf-8")
+        head.append(("config_sha256", hashlib.sha256(config.read_bytes()).hexdigest()))
+    text = "".join(f"{key}={value}\n" for key, value in head + entries)
     (out_dir / "manifest.txt").write_text(text, encoding="utf-8")
-
-
-def _start_out_dir(out: str, command: str, config_path: Path) -> tuple[Path, list[tuple[str, str]]]:
-    """Create the output directory and write manifest + config snapshot first."""
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    snapshot = out_dir / "config.txt"
-    snapshot.write_text(config_path.read_text(encoding="utf-8"), encoding="utf-8")
-    entries = [
-        ("command", command),
-        ("package_version", __version__),
-        ("config_sha256", _sha256(config_path)),
-    ]
-    _write_manifest(out_dir, entries)
-    return out_dir, entries
 
 
 def _load_cohort(cfg: RunConfig) -> tuple[Cohort, list[tuple[str, str]]]:
@@ -111,30 +127,24 @@ def _write_predictions_csv(result: EnrolledPredictions, path: Path) -> None:
             fh.write(f"{sid},,{reason}\n")
 
 
-def _cmd_generate(args) -> int:
-    config_path = Path(args.config)
-    gcfg = generator_config_from(load_kv(config_path))
-    out_dir, entries = _start_out_dir(args.out, "generate", config_path)
+def _cmd_generate(args, out_dir: Path) -> list[tuple[str, str]]:
+    gcfg = generator_config_from(load_kv(args.config))
     synth = generate(gcfg)
     write_students_csv(synth.cohort, out_dir / "students.csv")
     write_courses_csv(synth.cohort, out_dir / "courses.csv")
     write_truth_csv(synth, out_dir / "truth_sealed.csv")
     (out_dir / "genstats.txt").write_text(format_stats(validate(synth.cohort)), encoding="utf-8")
-    entries += [
+    return [
         ("seed", str(gcfg.seed)),
         ("students", str(len(synth.cohort.students))),
         ("enrolled_with_sealed_truth", str(len(synth.truth))),
     ]
-    _write_manifest(out_dir, entries)
-    return 0
 
 
-def _cmd_ingest(args) -> int:
-    config_path = Path(args.config)
-    cfg = RunConfig.load(config_path)
+def _cmd_ingest(args, out_dir: Path) -> list[tuple[str, str]]:
+    cfg = RunConfig.load(args.config)
     if cfg.ingest is None:
         raise ConfigError("ingest needs students/courses paths in the config")
-    out_dir, entries = _start_out_dir(args.out, "ingest", config_path)
     result = ingest(cfg.students_path, cfg.courses_path, cfg.ingest)
     write_attr_codes(result.attr_codes, out_dir / "attr_codes.csv")
     with (out_dir / "rejects.csv").open("w", encoding="utf-8", newline="") as fh:
@@ -142,24 +152,20 @@ def _cmd_ingest(args) -> int:
         for row, sid, reason in result.rejected_courses:
             fh.write(f"{row},{sid},{reason}\n")
     (out_dir / "summary.txt").write_text(format_stats(validate(result.cohort)), encoding="utf-8")
-    entries += [
+    return [
         ("students", str(len(result.cohort.students))),
         ("rejected_courses", str(len(result.rejected_courses))),
         ("dropped_students", str(result.dropped_students)),
         ("duplicate_rows", str(result.duplicate_rows)),
     ]
-    _write_manifest(out_dir, entries)
-    return 0
 
 
-def _cmd_split(args) -> int:
-    config_path = Path(args.config)
-    cfg = RunConfig.load(config_path)
+def _cmd_split(args, out_dir: Path) -> list[tuple[str, str]]:
+    cfg = RunConfig.load(args.config)
     approach = parse_flag("--approach", "final_approach", args.approach)
     t = parse_flag("--t", "t_start", args.t, cfg.terms_per_year)
     cfg.check_in_range("--t", t)
     seed = args.seed if args.seed is not None else cfg.split_seed
-    out_dir, entries = _start_out_dir(args.out, "split", config_path)
     cohort, extras = _load_cohort(cfg)
     spec = FeatureSetSpec.for_cohort(cohort, cfg.time_features)
     train, test = build_split(cohort, SplitRequest(approach, t, seed), spec=spec)
@@ -167,25 +173,21 @@ def _cmd_split(args) -> int:
     _write_dataset_csv(test, out_dir / "test.csv")
     _write_provenance_csv(train, test, out_dir / "provenance.csv")
     reasons = Counter(e.reason for ds in (train, test) for e in ds.meta.exclusions)
-    entries += extras + [
+    entries = extras + [
         ("approach", approach.value),
         ("reference_term", format_term(t)),
         ("seed", str(seed)),
         ("train_rows", str(train.n)),
         ("test_rows", str(test.n)),
     ]
-    entries += [(f"exclusions.{reason}", str(count)) for reason, count in sorted(reasons.items())]
-    _write_manifest(out_dir, entries)
-    return 0
+    return entries + [(f"exclusions.{reason}", str(count)) for reason, count in sorted(reasons.items())]
 
 
-def _cmd_evaluate(args) -> int:
-    config_path = Path(args.config)
-    cfg = RunConfig.load(config_path, {key: getattr(args, key) for key in ("approaches", "t_start", "t_end")})
+def _cmd_evaluate(args, out_dir: Path) -> list[tuple[str, str]]:
+    cfg = RunConfig.load(args.config, {key: getattr(args, key) for key in ("approaches", "t_start", "t_end")})
     for key in ("t_start", "t_end"):
         if getattr(cfg, key) is None:
             raise ConfigError(f"{key} must come from the config or the matching flag")
-    out_dir, entries = _start_out_dir(args.out, "evaluate", config_path)
     cohort, extras = _load_cohort(cfg)
     t_values = list(iter_terms(cfg.t_start, cfg.t_end, cfg.terms_per_year))
     spec = FeatureSetSpec.for_cohort(cohort, cfg.time_features)
@@ -197,7 +199,7 @@ def _cmd_evaluate(args) -> int:
         except EvaluationError:
             continue
     render_report(grid, tables, out_dir, confusion_terms=cfg.confusion_terms)
-    entries += extras + [
+    entries = extras + [
         ("approaches", ",".join(a.value for a in cfg.approaches)),
         ("t_start", format_term(cfg.t_start)),
         ("t_end", format_term(cfg.t_end)),
@@ -220,16 +222,14 @@ def _cmd_evaluate(args) -> int:
     for (a, t), count in sorted(grid.exclusion_counts.items(), key=lambda kv: (kv[0][0], kv[0][1])):
         if count:
             entries.append((f"exclusions.{a}.{format_term(t)}", str(count)))
-    _write_manifest(out_dir, entries)
     if table is None:
         reason = "no point table for approach" if final in cfg.approaches else f"final_approach {final.value} is not evaluated"
         print(f"note: final-stage predictions skipped ({reason})", file=sys.stderr)
-    return 0
+    return entries
 
 
-def _cmd_predict(args) -> int:
-    config_path = Path(args.config)
-    cfg = RunConfig.load(config_path)
+def _cmd_predict(args, out_dir: Path) -> list[tuple[str, str]]:
+    cfg = RunConfig.load(args.config)
     approach = parse_flag("--approach", "final_approach", args.approach)
     by_label = {s.label: s for s in cfg.specs}
     if args.classifier not in by_label:
@@ -238,12 +238,11 @@ def _cmd_predict(args) -> int:
         raise ConfigError(
             f"--oracle reads sealed ground truth and is refused outside test mode (set {_ORACLE_ENV}=1)"
         )
-    out_dir, entries = _start_out_dir(args.out, "predict", config_path)
     cohort, extras = _load_cohort(cfg)
     spec = FeatureSetSpec.for_cohort(cohort, cfg.time_features)
     result = predict_enrolled(cohort, by_label[args.classifier], approach, feature_spec=spec)
     _write_predictions_csv(result, out_dir / "predictions.csv")
-    entries += extras + [
+    entries = extras + [
         ("approach", approach.value),
         ("classifier", args.classifier),
         ("predictions", str(len(result.predictions))),
@@ -260,18 +259,16 @@ def _cmd_predict(args) -> int:
             hits = sum(1 for pred, true in pairs if pred == true)
             entries.append(("oracle_matched", str(len(pairs))))
             entries.append(("oracle_accuracy", repr(hits / len(pairs))))
-    _write_manifest(out_dir, entries)
-    return 0
+    return entries
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args, out_dir: Path) -> list[tuple[str, str]]:
     mode = parse_flag("--points-mode", "points_mode", args.points_mode)
     tpy = parse_flag("--terms-per-year", "terms_per_year", args.terms_per_year)
     grid_dir = Path(args.grid_dir)
     accuracy_files = sorted(grid_dir.glob("accuracy_*.csv"))
     if not accuracy_files:
         raise ConfigError(f"no accuracy_*.csv files under {grid_dir}")
-    outputs = {}  # file name -> text, all made before --out is created
     for path in accuracy_files:
         name = path.stem.split("_", 1)[1]
         try:
@@ -290,14 +287,9 @@ def _cmd_report(args) -> int:
             for t, value in zip(t_values, cells[:-1]):
                 if value is not None:
                     grid.accuracy[(name, classifier, t)] = value
-        outputs[f"points_{name}.csv"] = points_csv(score_points(grid, approach, mode=mode))
-        outputs[f"chart_{name}.svg"] = chart_svg(grid, name)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, [("command", "report"), ("package_version", __version__), ("source", str(grid_dir))])
-    for file_name, text in outputs.items():
-        (out_dir / file_name).write_text(text, encoding="utf-8")
-    return 0
+        (out_dir / f"points_{name}.csv").write_text(points_csv(score_points(grid, approach, mode=mode)), encoding="utf-8")
+        (out_dir / f"chart_{name}.svg").write_text(chart_svg(grid, name), encoding="utf-8")
+    return [("source", str(grid_dir))]
 
 
 def _seed(text: str) -> int:
@@ -359,10 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _staged(Path(args.out)) as out_dir:
+            _write_manifest(out_dir, args, args.func(args, out_dir))
+        return 0
     except (ConfigError, IngestError, SplitError, EvaluationError, TermParseError) as exc:
         module = type(exc).__module__.rsplit(".", 1)[-1]
         print(f"error [{module}]: {exc}", file=sys.stderr)

@@ -280,7 +280,6 @@ class RunConfig:
     from terms_per_year to time_features are the settings of their keys."""
 
     raw: dict[str, str]
-    base_dir: Path
     specs: list[ClassifierSpec]
     terms_per_year: int
     approaches: list[SplitApproach]
@@ -307,7 +306,7 @@ class RunConfig:
             raise ConfigError("config needs either students/courses paths or generator_config")
         s = _parse_settings(kv, RUN_KEYS, "run config", flags)
         keyed = {f.name: s.get(f.name) for f in fields(RunConfig) if f.name in RUN_KEYS}
-        cfg = RunConfig(raw=kv, base_dir=base, specs=_specs(s), **keyed)
+        cfg = RunConfig(raw=kv, specs=_specs(s), **keyed)
 
         def source(key: str) -> str:
             return "--" + key.replace("_", "-") if flags and flags.get(key) else f"key {key!r}"

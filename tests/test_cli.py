@@ -55,6 +55,12 @@ def digest_dir(path: Path) -> dict[str, str]:
     }
 
 
+def assert_no_run(out: Path) -> None:
+    """Neither out nor a staging sibling of it is left behind."""
+    assert not out.exists()
+    assert not [p.name for p in out.parent.iterdir() if p.name.startswith(f".{out.name}")]
+
+
 def read_manifest(path: Path) -> dict[str, str]:
     out = {}
     for line in (path / "manifest.txt").read_text().splitlines():
@@ -368,7 +374,7 @@ class TestPredictCommand:
         )
         assert code == 1
         assert "test mode" in capsys.readouterr().err
-        assert not (out / "predictions.csv").exists()
+        assert not out.exists()
 
     def test_predictions_accounting(self, tmp_path, run_cfg):
         out = tmp_path / "pred_out2"
@@ -496,3 +502,126 @@ range_end=2012.2
         monkeypatch.chdir(tmp_path)
         assert main(["ingest", "--config", "sub/run.cfg", "--out", "coded"]) == 0
         assert (tmp_path / "coded" / "attr_codes.csv").read_text() == (sub / "codes.csv").read_text()
+
+
+def fail(exc: BaseException):
+    """A stand-in for a cli writer that raises exc once called."""
+
+    def raiser(*args, **kwargs):
+        raise exc
+
+    return raiser
+
+
+class TestFailedRuns:
+    """A run that fails leaves neither --out nor its staging directory."""
+
+    def test_generate_writer_error(self, tmp_path, gen_cfg, monkeypatch, capsys):
+        monkeypatch.setattr("dropsplit.cli.write_truth_csv", fail(ValueError("disk full")))
+        out = tmp_path / "gen_out"
+        assert main(["generate", "--config", str(gen_cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert_no_run(out)
+
+    def test_interrupt_removes_the_stage(self, tmp_path, gen_cfg, monkeypatch):
+        monkeypatch.setattr("dropsplit.cli.write_courses_csv", fail(KeyboardInterrupt()))
+        out = tmp_path / "gen_out"
+        with pytest.raises(KeyboardInterrupt):
+            main(["generate", "--config", str(gen_cfg), "--out", str(out)])
+        assert_no_run(out)
+
+    @pytest.mark.parametrize("command", ["ingest", "evaluate"])
+    def test_malformed_course_term(self, tmp_path, gen_cfg, capsys, command):
+        gen_out = tmp_path / "gen_data"
+        assert main(["generate", "--config", str(gen_cfg), "--out", str(gen_out)]) == 0
+        lines = (gen_out / "courses.csv").read_text().splitlines(keepends=True)
+        cells = lines[4].split(",")  # row 5; the header is row 1
+        lines[4] = ",".join(cells[:2] + ["2010.x"] + cells[3:])
+        (tmp_path / "courses.csv").write_text("".join(lines))
+        cfg = tmp_path / "ingest.cfg"
+        cfg.write_text(
+            f"students={gen_out / 'students.csv'}\ncourses={tmp_path / 'courses.csv'}\n"
+            "range_start=2009.1\nrange_end=2012.2\nt_start=2011.1\nt_end=2012.2\nclassifiers=gaussian_nb\n"
+        )
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error [records]: row 5: malformed term '2010.x'" in capsys.readouterr().err
+        assert_no_run(out)
+
+    def test_split_writer_error_after_the_data_files(self, tmp_path, run_cfg, monkeypatch, capsys):
+        monkeypatch.setattr("dropsplit.cli._write_provenance_csv", fail(ValueError("disk full")))
+        out = tmp_path / "o"
+        assert main(["split", "--config", str(run_cfg), "--approach", "B4T", "--t", "2011.2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert_no_run(out)
+
+    def test_predict_bad_oracle_after_the_predictions(self, tmp_path, run_cfg, monkeypatch, capsys):
+        monkeypatch.setenv("DROPSPLIT_TEST_MODE", "1")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("student_id,status,exit_term\nS000000,lost,2010.1\n")
+        out = tmp_path / "o"
+        argv = ["predict", "--config", str(run_cfg), "--approach", "B4T", "--classifier", "gaussian_nb"]
+        assert main([*argv, "--oracle", str(truth), "--out", str(out)]) == 1
+        assert "error [records]: truth.csv: row 2: 'lost'" in capsys.readouterr().err
+        assert_no_run(out)
+
+    def test_report_manifest_error_after_the_csvs(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "accuracy_B1.csv").write_text("classifier,2012.1,2012.2,mean\ngaussian_nb,0.5,0.6,0.55\nmean,0.5,0.6,0.55\n")
+        monkeypatch.setattr("dropsplit.cli._write_manifest", fail(ValueError("disk full")))
+        out = tmp_path / "r"
+        assert main(["report", "--grid-dir", str(tmp_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert_no_run(out)
+
+
+class TestReruns:
+    """--out must be absent or an empty directory; nothing is merged."""
+
+    def test_rerun_is_refused_and_keeps_the_first_run(self, tmp_path, run_cfg, capsys):
+        out = tmp_path / "e"
+        assert main(["evaluate", "--config", str(run_cfg), "--approaches", "B1,B4T", "--out", str(out)]) == 0
+        first = digest_dir(out)
+        assert "accuracy_B1.csv" in first
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(run_cfg), "--approaches", "B4T", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error [config]: --out: {out} exists and is not an empty directory\n"
+        assert digest_dir(out) == first
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
+    def test_empty_directory_is_accepted(self, tmp_path, gen_cfg):
+        out, plain = tmp_path / "empty", tmp_path / "plain"
+        out.mkdir()
+        plain.mkdir()
+        assert main(["generate", "--config", str(gen_cfg), "--out", str(out)]) == 0
+        assert read_manifest(out)["command"] == "generate"
+        assert out.stat().st_mode == plain.stat().st_mode
+
+    def test_out_filled_during_the_run_is_kept(self, tmp_path, gen_cfg, monkeypatch, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+
+        def another_run(*args, **kwargs):
+            (out / "keep.txt").write_text("keep\n")
+
+        monkeypatch.setattr("dropsplit.cli.write_truth_csv", another_run)
+        assert main(["generate", "--config", str(gen_cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error [config]: --out: ")
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.cfg", "o"]
+
+    @pytest.mark.parametrize("kind", ["file", "directory", "symlink"])
+    def test_occupied_out_is_refused(self, tmp_path, gen_cfg, capsys, kind):
+        out = tmp_path / "o"
+        if kind == "file":
+            out.write_text("keep\n")
+        elif kind == "directory":
+            out.mkdir()
+            (out / "keep.txt").write_text("keep\n")
+        else:
+            (tmp_path / "target").mkdir()
+            out.symlink_to(tmp_path / "target")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["generate", "--config", str(gen_cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error [config]: --out: {out} exists and is not an empty directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert kind != "symlink" or not any((tmp_path / "target").iterdir())
