@@ -17,14 +17,16 @@ each split. The trees of a forest grow in lockstep, one node of many trees
 per byte-bounded step, each tree still drawing from its own stream in its own
 depth-first order, so the forest is the one grown tree by tree; `fit_each`
 grows the forests of several training sets in one such pass, one lane per
-tree of every forest. A forest node is a segment of its tree's row
-permutation, split in place; a step gathers its rows feature by feature,
-makes its lanes' draws as arrays, and compares the rows only on the features
-each node chose. Fitted trees are flat node arrays, and they predict by array
-descent, all rows one level per step. KNN builds squared distances one
-feature column at a time, summed in numpy's own pairwise order, finds the
-k-th distance by partition rather than a full sort, then fills ties at that
-distance in training-row order.
+tree of every forest, and the walk-forward grid gives it the sets of several
+reference terms at once (`_FOREST_PASS_BYTES`). A forest node is a segment of
+its tree's row permutation, split in place; a step gathers its rows feature
+by feature, makes its lanes' draws as arrays, and compares the rows only on
+the features each node chose. A pass logs its splits in packed 32-bit chunks
+and writes them into the node arrays at its end. Fitted trees are flat node
+arrays, and they predict by array descent, all rows one level per step. KNN
+builds squared distances one feature column at a time, summed in numpy's own
+pairwise order, finds the k-th distance by partition rather than a full sort,
+then fills ties at that distance in training-row order.
 """
 
 from __future__ import annotations
@@ -205,10 +207,18 @@ def _subsample_count(feature_subsample, m: int) -> int:
 # per-row temporaries of scoring and partitioning them.
 _FOREST_STEP_BYTES = 8 << 20
 
+# Bytes, at 4 per training row per tree (the widest row permutation entry),
+# that one forest pass of `evaluation.run_grid` may hold: the grid grows
+# consecutive terms' forests in one pass until the next term would pass this,
+# and a term over it alone gets a pass of its own. A pass's node tables and
+# split logs grow with its rows times trees too.
+_FOREST_PASS_BYTES = 8 << 20
 
-def _grow_forests(spec: ClassifierSpec, sets: list[tuple[np.ndarray, np.ndarray]]) -> list[_Trees]:
-    """Extra-trees growth of one forest per (standardized rows, labels) set,
-    all trees in lockstep.
+
+def _grow_forests(spec: ClassifierSpec, sets: list[tuple]) -> list[_Trees]:
+    """Extra-trees growth of one forest per (rows, labels, means, stds) set,
+    all trees in lockstep, on the rows standardized by the set's means and
+    standard deviations.
 
     Lane l grows tree ``t = l % spec.n_trees`` of forest ``l // spec.n_trees``
     from the stream of ``derive_seed(spec.seed, t)``, with its own depth-first
@@ -221,35 +231,71 @@ def _grow_forests(spec: ClassifierSpec, sets: list[tuple[np.ndarray, np.ndarray]
     candidate thresholds together; the first lowest Gini cost in chosen order
     wins. Only a lane's own pops touch its stack, so the trees are node for
     node those grown one at a time.
+    """
+    made, log = _grow_lanes(spec, sets)
+    # Each lane's nodes in their order in its tree, the lanes one after
+    # another; a left child's number counts from its forest's first node.
+    start = made.cumsum() - made
+    to_forest = start - start[:: spec.n_trees].repeat(spec.n_trees)
+    feature, left = np.full((2, made.sum()), _LEAF, dtype=np.int32)
+    threshold, prob1 = np.zeros((2, made.sum()))
+    ones, rows = np.array([(y.sum(), len(y)) for _, y, _, _ in sets]).T
+    prob1[start] = np.repeat(ones / rows, spec.n_trees)
+    while log:
+        (lane, node, feat, child), thr, prob = log.pop()
+        at = start[lane] + node
+        feature[at], threshold[at], left[at] = feat, thr, child + to_forest[lane]
+        kids = (at - node + child).repeat(2)
+        kids[1::2] += 1
+        prob1[kids] = prob
+    forests = []
+    for lo, hi, roots in zip(start[:: spec.n_trees], (start + made)[spec.n_trees - 1 :: spec.n_trees], start.reshape(-1, spec.n_trees)):
+        forests.append(_Trees(feature[lo:hi], threshold[lo:hi], left[lo:hi], prob1[lo:hi], roots - lo))
+    return forests
+
+
+def _grow_lanes(spec: ClassifierSpec, sets) -> tuple[np.ndarray, list]:
+    """The lockstep loop of `_grow_forests`: each lane's node count, and its
+    splits as packed chunks of ((lane, node, feature, left child) as int32,
+    thresholds, and the left and right child's class-1 shares interleaved).
 
     Each lane holds one permutation of its set's rows, and a node is a segment
     of it: a split writes the node's left rows, then its right rows, back into
     the node's segment. Row order within a node changes no minimum, maximum or
     count. A step gathers its rows feature-major, so node minima and maxima
     reduce along contiguous memory, and compares each node's rows only on the
-    features the node chose.
+    features the node chose. Each set is standardized straight into its
+    columns of the feature-major matrix, so no standardized copy of a set is
+    made.
     """
 
     def splittable(size, ones, depth):
         ok = (0 < ones) & (ones < size) & (size >= spec.min_samples_split)
         return ok if spec.max_depth is None else ok & (depth < spec.max_depth)
 
-    n_rows = np.array([len(y) for _, y in sets])
-    ZT = np.empty((sets[0][0].shape[1], n_rows.sum()))  # rows of every set, feature-major
-    np.concatenate([Z.T for Z, _ in sets], axis=1, out=ZT)
-    y = np.concatenate([y for _, y in sets])
+    widths = {X.shape[1] for X, _, _, _ in sets}
+    if len(widths) > 1:
+        raise ValueError(f"forests grown together need one column count; the sets' dimensions differ: {sorted(widths)}")
+    n_rows = np.array([len(y) for _, y, _, _ in sets])
+    set_first = np.cumsum(n_rows) - n_rows
+    ZT = np.empty((widths.pop(), n_rows.sum()))  # rows of every set, feature-major
+    for (X, _, means, stds), first, n in zip(sets, set_first.tolist(), n_rows.tolist()):
+        Z = ZT[:, first : first + n]
+        np.subtract(X.T, means[:, None], out=Z)
+        Z /= stds[:, None]
+    y = np.concatenate([y for _, y, _, _ in sets])
     positive = y == 1
     n_trees, n_lanes = spec.n_trees, len(sets) * spec.n_trees
     k_features = _subsample_count(spec.feature_subsample, len(ZT))
     # Per row, a step holds its m gathered values, a feature index, threshold
     # and value per chosen feature, and about three row indices.
     row_budget = _FOREST_STEP_BYTES // (ZT.itemsize * (len(ZT) + 3 * k_features + 3))
-    set_first = np.cumsum(n_rows) - n_rows
     lane_rows = np.repeat(n_rows, n_trees)
     lane_ones = np.repeat(np.add.reduceat(y, set_first), n_trees)
-    # Lane l's rows, as columns of ZT, are perm[begin[l] : begin[l] + lane_rows[l]].
+    # Lane l's rows, as columns of ZT, are perm[begin[l] : begin[l] + lane_rows[l]],
+    # in the narrowest unsigned dtype that numbers every column.
     begin = np.cumsum(lane_rows) - lane_rows
-    perm = np.empty(lane_rows.sum(), dtype=np.int32)
+    perm = np.empty(lane_rows.sum(), dtype=np.min_scalar_type(len(y) - 1))
     for f, (first, n) in enumerate(zip(set_first.tolist(), n_rows.tolist())):
         at = begin[f * n_trees]
         perm[at : at + n * n_trees].reshape(n_trees, n)[:] = np.arange(first, first + n)
@@ -261,7 +307,9 @@ def _grow_forests(spec: ClassifierSpec, sets: list[tuple[np.ndarray, np.ndarray]
     stack[1:, :, 0] = [begin, lane_rows, lane_ones, 0 * begin]
     top = splittable(lane_rows, lane_ones, 0).astype(np.intp)
     made = np.ones(n_lanes, dtype=np.int64)  # nodes of each lane's tree
-    split_log, child_log = [], []  # per step: (lane, node, feature, threshold, left child), (lane, node, prob1)
+    # Per step: (lane, node, feature, left child), threshold, (left, right)
+    # class-1 shares; packed every 16k splits or so.
+    log, steps, logged = [], [], 0
     while True:
         draws.release(top == 0)
         live = top.nonzero()[0]
@@ -297,7 +345,12 @@ def _grow_forests(spec: ClassifierSpec, sets: list[tuple[np.ndarray, np.ndarray]
         col = np.arange(taken)
         at = (slot_feat * taken).repeat(sizes, axis=1)
         at += col
-        goes_left = sub.take(at) <= slot_thr.repeat(sizes, axis=1)
+        # Each (k_features, rows) temporary goes once used, so that at most
+        # two of them are alive at a time.
+        values = sub.take(at)
+        del at
+        goes_left = values <= slot_thr.repeat(sizes, axis=1)
+        del values
         n_left = np.add.reduceat(goes_left, starts, axis=1, dtype=np.int64)
         n1_left = np.add.reduceat(goes_left & positive[rows], starts, axis=1, dtype=np.int64)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -335,8 +388,11 @@ def _grow_forests(spec: ClassifierSpec, sets: list[tuple[np.ndarray, np.ndarray]
         entries[1:4, 1::2] += n_lefts, -n_lefts, -left_ones
         child_depth += 1
         child_lanes = split_lanes.repeat(2)
-        split_log.append((split_lanes, nid[split], slot_feat[won], slot_thr[won], child[0::2]))
-        child_log.append((child_lanes, child, child_ones / child_size))
+        steps.append(((split_lanes, nid[split], slot_feat[won], child[0::2]), slot_thr[won], child_ones / child_size))
+        logged += len(split)
+        if logged >= 1 << 14:
+            log.append(_pack(steps))
+            steps, logged = [], 0
         # Children that will never split are final leaves and are not
         # pushed; pushing left then right pops the right child first.
         push = splittable(child_size, child_ones, child_depth)
@@ -346,23 +402,20 @@ def _grow_forests(spec: ClassifierSpec, sets: list[tuple[np.ndarray, np.ndarray]
             stack = np.concatenate([stack, np.zeros_like(stack)], axis=2)
         stack[:, child_lanes[push], slot[push]] = entries[:, push]
         np.add.at(top, child_lanes, push)
-    # Each lane's nodes in their order in its tree, the lanes one after
-    # another; a left child's number counts from its forest's first node.
-    start = made.cumsum() - made
-    feature, left = np.full((2, made.sum()), _LEAF)
-    threshold, prob1 = np.zeros((2, made.sum()))
-    prob1[start] = lane_ones / lane_rows
-    if split_log:
-        lane, node, prob = map(np.concatenate, zip(*child_log))
-        prob1[start[lane] + node] = prob
-        lane, node, feat, thr, child = map(np.concatenate, zip(*split_log))
-        at = start[lane] + node
-        forest_start = start[lane - lane % n_trees]
-        feature[at], threshold[at], left[at] = feat, thr, at - node - forest_start + child
-    forests = []
-    for lo, hi, roots in zip(start[::n_trees], (start + made)[n_trees - 1 :: n_trees], start.reshape(-1, n_trees)):
-        forests.append(_Trees(feature[lo:hi], threshold[lo:hi], left[lo:hi], prob1[lo:hi], roots - lo))
-    return forests
+    if steps:
+        log.append(_pack(steps))
+    return made, log
+
+
+def _pack(steps: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steps' logged splits as one int32 (4, splits) array, thresholds and
+    class-1 shares."""
+    ints, thr, prob = zip(*steps)
+    thr = np.concatenate(thr)
+    packed = np.empty((4, len(thr)), dtype=np.int32)
+    for field, parts in zip(packed, zip(*ints)):
+        np.concatenate(parts, out=field, casting="same_kind")
+    return packed, thr, np.concatenate(prob)
 
 
 def _segments(begins: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -462,8 +515,10 @@ def fit(spec: ClassifierSpec, train: LabeledDataset) -> TrainedModel:
 def fit_each(spec: ClassifierSpec, trains: list[LabeledDataset]) -> list[TrainedModel]:
     """One model per training set, each the model `fit` gives on that set alone.
 
-    Extra-trees forests grow together, one lockstep lane per tree of every
-    set, so their sets must have one column count.
+    Extra-trees forests grow together in one lockstep pass, one lane per tree
+    of every set, so their sets must have one column count; a pass's memory
+    grows with its sets' rows times trees, which `run_grid` bounds by
+    `_FOREST_PASS_BYTES`. The other kinds fit each set in turn.
     """
     models, forest_sets = [], []
     for train in trains:
@@ -477,14 +532,14 @@ def fit_each(spec: ClassifierSpec, trains: list[LabeledDataset]) -> list[Trained
         if len(bad):
             raise ValueError(f"labels must be 0 (dropout) or 1 (graduated), got {bad.tolist()}")
         means, stds = _standardize_params(X)
+        models.append(TrainedModel(spec=spec, n_features=X.shape[1], feature_means=means, feature_stds=stds, state=None))
+        if spec.kind == "extra_trees":
+            forest_sets.append((X, y, means, stds))
+            continue
         Z = X - means
         Z /= stds
-
-        state = None
         if spec.kind == "decision_tree":
             state = _grow_decision_tree(Z, y, spec.max_depth, spec.min_samples_split)
-        elif spec.kind == "extra_trees":
-            forest_sets.append((Z, y))
         elif spec.kind == "knn":
             state = (Z.copy(), y.copy())
         else:  # gaussian_nb
@@ -497,7 +552,7 @@ def fit_each(spec: ClassifierSpec, trains: list[LabeledDataset]) -> list[Trained
                 var = rows.var(axis=0)
                 params[int(cls)] = (rows.mean(axis=0), np.maximum(var, spec.variance_floor))
             state = (priors, params)
-        models.append(TrainedModel(spec=spec, n_features=X.shape[1], feature_means=means, feature_stds=stds, state=state))
+        models[-1].state = state
     for model, forest in zip(models, _grow_forests(spec, forest_sets) if forest_sets else []):
         model.state = forest
     return models

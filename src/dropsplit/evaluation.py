@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import classifiers
 from .classifiers import ClassifierSpec, accuracy, confusion, fit, fit_each, predict
 from .features import FeatureSetSpec, VectorTable, vector_table
 from .records import Cohort
@@ -98,10 +99,15 @@ def run_grid(
     Every split of the walk is cut from the cohort's one vector table under
     feature_spec (`features.vector_table`), which the final stage reuses, and
     cells are visited in a fixed order so results do not depend on
-    scheduling. A reference term's splits are built first; then each
+    scheduling. A reference term's splits are built first, and each
     classifier is fitted once per distinct training set, as `RULES` gives them
-    (B2 and B2T train on the same rows), all of the term's sets in one
-    `fit_each` call, and each model scores every test set that needs it.
+    (B2 and B2T train on the same rows); each model scores every test set that
+    needs it. Decision tree, KNN and naive Bayes specs fit all of a term's
+    sets in one `fit_each` call. Extra-trees specs hold the sets of
+    consecutive terms and grow all of their forests in one `fit_each` pass:
+    a batch closes before the term that would push its rows x trees past
+    `classifiers._FOREST_PASS_BYTES`, so a term over it alone gets its own
+    pass. Each forest is the one grown alone, so batching changes no cell.
     """
     if not specs:
         raise EvaluationError("no classifier specs given")
@@ -118,16 +124,32 @@ def run_grid(
         t_values=tuple(t_values),
         terms_per_year=cohort.terms_per_year,
     )
+    forests = [s for s in specs if s.kind == "extra_trees"]
+    others = [s for s in specs if s.kind != "extra_trees"]
+    row_bytes = 4 * max((s.n_trees for s in forests), default=0)  # as `_FOREST_PASS_BYTES` counts
+    batch, held_bytes = [], 0
     for t in t_values:
-        _run_term(grid, cohort, tab, approaches, specs, t, split_seed)
+        term = _build_term(grid, cohort, tab, approaches, specs, t, split_seed)
+        _fit_and_score(grid, others, [term])
+        if forests:
+            term_bytes = row_bytes * sum(train.n for train in term[1].values())
+            if batch and held_bytes + term_bytes > classifiers._FOREST_PASS_BYTES:
+                _fit_and_score(grid, forests, batch)
+                batch, held_bytes = [], 0
+            batch.append(term)
+            held_bytes += term_bytes
+        del term  # a term no batch holds goes before the next term's splits are built
+    _fit_and_score(grid, forests, batch)
     return grid
 
 
-def _run_term(grid, cohort, tab: VectorTable, approaches, specs, t, split_seed) -> None:
-    """Fill term t's cells; its models and splits go with the call."""
+def _build_term(grid, cohort, tab: VectorTable, approaches, specs, t, split_seed) -> tuple:
+    """Build term t's splits, recording their sizes and skips; returns
+    (t, one training set per distinct train rule, the (approach, rule, test)
+    of each built split)."""
     grid.enrolled[t] = len(tab.enrolled(to_ordinal(t, cohort.terms_per_year)))
     trains = {}  # one per distinct training set: A's own, else its train rule's
-    held = []  # (approach, training-set key, test)
+    held = []
     for approach in approaches:
         a = approach.value
         try:
@@ -147,10 +169,19 @@ def _run_term(grid, cohort, tab: VectorTable, approaches, specs, t, split_seed) 
         key = approach if approach is SplitApproach.A else RULES[approach].train
         trains.setdefault(key, train)
         held.append((a, key, test))
+    return t, trains, held
+
+
+def _fit_and_score(grid: EvaluationGrid, specs: list[ClassifierSpec], terms: list[tuple]) -> None:
+    """Fit each spec on every distinct training set of `terms` in one
+    `fit_each` call, and score each test set with its model."""
+    keys = [(t, key) for t, trains, _ in terms for key in trains]
+    sets = [train for _, trains, _ in terms for train in trains.values()]
     for spec in specs:
-        fitted = dict(zip(trains, fit_each(spec, list(trains.values()))))
-        for a, key, test in held:
-            _score(grid, (a, spec.label, t), fitted[key], test)
+        fitted = dict(zip(keys, fit_each(spec, sets)))
+        for t, _, held in terms:
+            for a, key, test in held:
+                _score(grid, (a, spec.label, t), fitted[(t, key)], test)
 
 
 def _score(grid: EvaluationGrid, cell: tuple, model, test: LabeledDataset) -> None:

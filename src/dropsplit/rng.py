@@ -191,11 +191,13 @@ class LaneDraws:
     ``log`` and ``cos`` may differ in the last ulp, so `math.log` and
     `math.cos` are mapped over the values.
 
-    The words wait in one ``(lanes, width)`` uint64 array. When a call would
-    read past its end for any of its lanes, the next block is drawn for every
-    lane, and the columns every live lane has read are dropped. Lanes that
-    will draw no more should be let go, with `keep` or `release`, so that the
-    lanes left read at similar rates and the array stays about a block wide.
+    The words wait in one ``(rows, width)`` uint64 array, one row per lane
+    still held. When a call would read past its end for any of its lanes, the
+    rows of released lanes are dropped, the columns every live lane has read
+    are dropped, and the next block is drawn for the rows left; lanes keep
+    their numbers. Lanes that will draw no more should be let go, with `keep`
+    or `release`, so that a refill steps only live lanes, and the lanes left
+    read at similar rates and the array stays about a block wide.
     """
 
     def __init__(self, seeds: Sequence[int]) -> None:
@@ -205,18 +207,21 @@ class LaneDraws:
             state, s[w] = _splitmix64_lanes(state)
         self._s = s
         self._words = np.empty((len(state), 0), dtype=np.uint64)
+        # By row of the state, words and positions: its lane still draws.
         self._pos = np.zeros(len(state), dtype=np.intp)
         self._live = np.ones(len(state), dtype=bool)
+        # By lane: its row, or -1 once a refill has dropped it.
+        self._row = np.arange(len(state))
 
     def __len__(self) -> int:
-        return len(self._pos)
+        return len(self._row)
 
     def _draw(self) -> np.ndarray:
-        """The next ``_BLOCK`` words of every lane: a ``(lanes, _BLOCK)`` uint64 array."""
+        """The next ``_BLOCK`` words of every row: a ``(rows, _BLOCK)`` uint64 array."""
         s = self._s
         s0, s1, s2, s3 = s
         low, high = s[:2], s[2:]
-        out = np.empty((_BLOCK, len(self)), dtype=np.uint64)
+        out = np.empty((_BLOCK, s.shape[1]), dtype=np.uint64)
         t = np.empty_like(s0)
         # 0-d arrays: numpy takes them faster than scalars.
         k17, k45, k19 = (np.array(k, dtype=np.uint64) for k in (17, 45, 19))
@@ -239,32 +244,54 @@ class LaneDraws:
 
     def keep(self, lanes: np.ndarray) -> None:
         """Keep only `lanes`, renumbered 0, 1, ... in the order given."""
-        self._s = self._s[:, lanes]
-        self._words = self._words[lanes]
-        self._pos = self._pos[lanes]
-        self._live = self._live[lanes]
+        rows = self._row[lanes]
+        self._s = self._s.take(rows, axis=1)  # C-contiguous, as `_draw` steps it by row
+        self._words = self._words[rows]
+        self._pos = self._pos[rows]
+        self._live = self._live[rows] & (rows >= 0)
+        self._row = np.arange(len(rows))
 
     def release(self, lanes: np.ndarray) -> None:
         """Let `lanes` (an index or boolean array) go without renumbering: they
         must draw no more."""
-        self._live[lanes] = False
+        rows = self._row[lanes]
+        self._live[rows[rows >= 0]] = False
+
+    def _refill(self) -> None:
+        """Drop the rows of released lanes and the columns every live lane has
+        read, then draw the next block for the rows left."""
+        live = self._live.nonzero()[0]
+        read = self._pos[live].min(initial=self._words.shape[1])
+        words = self._words[:, read:]
+        if len(live) < len(self._live):
+            renumber = np.full(len(self._live) + 1, -1)  # the last entry keeps -1 at -1
+            renumber[live] = np.arange(len(live))
+            self._row = renumber[self._row]
+            self._s, self._pos, self._live = self._s.take(live, axis=1), self._pos[live], self._live[live]
+            words = words[live]
+        self._words = np.concatenate([words, self._draw()], axis=1)
+        self._pos -= read
 
     def _window(self, lanes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The next n words of each of `lanes`, one row per lane, and the lanes'
         positions; the words are not read."""
-        pos = self._pos[lanes]
+        rows = self._row[lanes]
+        pos = self._pos[rows]
         while len(pos) and pos.max() + n > self._words.shape[1]:
-            read = self._pos.min(where=self._live, initial=self._words.shape[1])
-            self._words = np.concatenate([self._words[:, read:], self._draw()], axis=1)
-            self._pos -= read
-            pos = self._pos[lanes]
+            self._refill()
+            rows = self._row[lanes]
+            pos = self._pos[rows]
         width = self._words.shape[1]
-        return self._words.take((lanes * width + pos)[:, None] + np.arange(n)), pos
+        return self._words.take((rows * width + pos)[:, None] + np.arange(n)), pos
+
+    def _advance(self, lanes: np.ndarray, pos: np.ndarray) -> None:
+        """Move each of `lanes` to its new position."""
+        self._pos[self._row[lanes]] = pos
 
     def _take(self, lanes: np.ndarray, n: int) -> np.ndarray:
         """The next n words of each of `lanes`, one row per lane."""
         words, pos = self._window(lanes, n)
-        self._pos[lanes] = pos + n
+        self._advance(lanes, pos + n)
         return words
 
     def random(self, lanes: np.ndarray) -> np.ndarray:
@@ -333,7 +360,7 @@ class LaneDraws:
             if cursor.max(initial=0) <= width:
                 break
             width *= 2
-        self._pos[lanes] = pos + cursor + k
+        self._advance(lanes, pos + cursor + k)
         drawn = np.where(idle[:, :, 0], 0, values[rows[:, None], picks, at]).astype(np.intp)
         # Flat positions in pool of each lane's swaps.
         swap = (rows * pool.shape[1])[:, None] + picks + drawn

@@ -255,17 +255,18 @@ def test_criterion_6_classifier_sanity():
     )
 
 
-def test_criterion_7_regime_change_dip():
+def test_criterion_7_regime_change_dip(default_grid):
     change = Term(2016, 1)
     walk = list(iter_terms(Term(2015, 1), Term(2018, 2)))
-    base = generate(GeneratorConfig(seed=42)).cohort
+    # The unshifted grid is default_grid's B4T cells: the same cohort, specs
+    # and split seed, and a cell does not depend on the others of its walk.
+    assert GeneratorConfig().seed == 42 and set(walk) <= set(WALK)
     shifted = generate(
         GeneratorConfig(seed=42, regime_change=RegimeChange(term=change, hazard_shift=1.2))
     ).cohort
-    g_base = run_grid(base, [SplitApproach.B4T], GRID_SPECS, walk, split_seed=42)
     g_shift = run_grid(shifted, [SplitApproach.B4T], GRID_SPECS, walk, split_seed=42)
     drops = {
-        t: (g_base.per_t_mean("B4T", t) - g_shift.per_t_mean("B4T", t)) * 100
+        t: (default_grid.per_t_mean("B4T", t) - g_shift.per_t_mean("B4T", t)) * 100
         for t in walk
         if t >= change
     }

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from dropsplit import evaluation
+from dropsplit import classifiers, evaluation
 from dropsplit.classifiers import ClassifierSpec, accuracy, confusion, fit, fit_each, predict
 from dropsplit.evaluation import (
     EvaluationError,
@@ -111,8 +111,8 @@ class TestRunGrid:
 
     def test_forest_cells_equal_cells_fitted_alone(self, medium_synth, monkeypatch):
         # At 2010.2 only A and B1 can be built; the others raise SplitError.
-        # Every spec, of every kind, waits for the term's splits and is fitted
-        # on all its distinct training sets in one batch.
+        # The decision tree is fitted on each term's distinct training sets
+        # in one call; each forest spec grows both terms' sets in one pass.
         specs = [
             ClassifierSpec(kind="extra_trees", n_trees=4, max_depth=4, seed=1, label="forest_a"),
             ClassifierSpec(kind="decision_tree", max_depth=4, label="tree"),
@@ -145,9 +145,40 @@ class TestRunGrid:
                     assert grid.cell(a, spec.label, t) == accuracy(test.y, y_pred)
                     assert np.array_equal(grid.confusions[(a, spec.label, t)], confusion(test.y, y_pred))
         assert skipped == 3
-        # Per term, one batch per spec: A and B1 at 2010.2; at 2012.1 B2 and
-        # B2T share their training set.
-        assert batches == [(spec.label, n) for n in (2, 4) for spec in specs]
+        # A and B1 at 2010.2; at 2012.1 B2 and B2T share their training set.
+        # The walk's 6 sets stay far under the forest pass bound.
+        assert batches == [("tree", 2), ("tree", 4), ("forest_a", 6), ("forest_b", 6)]
+
+    def test_forest_batches_do_not_change_the_grid(self, medium_synth, monkeypatch):
+        # A 1-byte bound grows every term's forests in a pass of their own; a
+        # bound past the walk's rows grows them all in one pass. 2009.2 skips
+        # every approach, and 2010.1 and 2010.2 all but A and B1.
+        specs = [
+            ClassifierSpec(kind="extra_trees", n_trees=3, max_depth=5, seed=4, label="forest"),
+            ClassifierSpec(kind="gaussian_nb", label="nb"),
+            ClassifierSpec(kind="extra_trees", n_trees=2, feature_subsample=None, seed=8, label="forest_all"),
+        ]
+        terms = list(iter_terms(Term(2009, 2), Term(2012, 2), 2))
+        grids, passes = [], []
+
+        def counting_fit_each(spec, trains):
+            if spec.kind == "extra_trees":
+                passes[-1] += 1
+            return fit_each(spec, trains)
+
+        monkeypatch.setattr(evaluation, "fit_each", counting_fit_each)
+        for bound in (1, 1 << 40):
+            monkeypatch.setattr(classifiers, "_FOREST_PASS_BYTES", bound)
+            passes.append(0)
+            grids.append(run_grid(medium_synth, list(SplitApproach), specs, terms, split_seed=5))
+        alone, together = grids
+        assert passes == [2 * len(terms), 2]
+        assert alone.skips and len(alone.accuracy) == len(specs) * len(terms) * len(SplitApproach) - len(alone.skips)
+        for name in ("accuracy", "skips", "sizes", "exclusion_counts", "enrolled"):
+            assert getattr(together, name) == getattr(alone, name), name
+        assert together.confusions.keys() == alone.confusions.keys()
+        for cell, matrix in alone.confusions.items():
+            assert np.array_equal(together.confusions[cell], matrix), cell
 
     def test_fills_the_cache_it_is_given(self, medium_synth):
         medium_synth.vector_tables.clear()

@@ -385,6 +385,27 @@ def test_lane_draws_match_scalar_reference(seeds, calls, block):
         assert draws._take(np.array(live, dtype=np.intp), 3).tolist() == [[scalars[i].next_u64() for _ in range(3)] for i in live]
 
 
+def test_refill_drops_released_lanes_and_keeps_lane_numbers():
+    # After lanes 1 and 3 are let go, the next refill steps and holds only
+    # the four live lanes, which still read their own streams by their own
+    # numbers; `keep` then renumbers them, a dropped lane among them.
+    seeds = [derive_seed(9, i) for i in range(6)]
+    with mock.patch.object(rng, "_BLOCK", 4):
+        draws = LaneDraws(seeds)
+        scalars = [Xoshiro256StarStar(seed) for seed in seeds]
+        draws._take(np.arange(6), 3)
+        draws.release(np.array([1, 3]))
+        live = np.array([5, 0, 4, 2])
+        got = draws._take(live, 6)
+        assert draws._words.shape[0] == draws._s.shape[1] == 4
+        assert len(draws) == 6
+        want = [[gen.next_u64() for _ in range(9)][3:] for gen in scalars]
+        assert got.tolist() == [want[i] for i in live.tolist()]
+        draws.keep(np.array([2, 3, 0]))
+        draws.release(np.array([1]))
+        assert draws._take(np.array([0, 2]), 2).tolist() == [[scalars[i].next_u64() for _ in range(2)] for i in (2, 0)]
+
+
 @pytest.mark.parametrize("block", [1, 3, rng._BLOCK])
 def test_lane_randbelow_with_a_bound_per_lane(block):
     # n = 1 draws no word; 9 rejects 7 words in 16, and 2**62 + 1 almost 1 in 2.
