@@ -6,7 +6,8 @@ when the command succeeds, so an output directory holds one whole run or does
 not exist. --out must be absent or an empty directory: a rerun never merges
 into an earlier run's files. Manifests carry no timestamps and all randomness
 comes from explicit seeds, so rerunning a manifest reproduces the directory
-byte for byte.
+byte for byte. `report` re-scores an evaluate directory in the calendar and
+point mode of the config.txt snapshot there; --points-mode overrides the mode.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, RunConfig, generator_config_from, load_kv, parse_flag, write_attr_codes
+from .config import RUN_KEYS, ConfigError, RunConfig, generator_config_from, load_kv, parse_flag, write_attr_codes
 from .evaluation import (
     AccuracyCsvError,
     EnrolledPredictions,
@@ -38,7 +39,6 @@ from .evaluation import (
 )
 from .features import FeatureSetSpec
 from .records import Cohort, IngestError, ingest
-from .rng import check_seed
 from .splits import LabeledDataset, SplitApproach, SplitError, SplitRequest, build_split
 from .synthgen import (
     format_stats,
@@ -165,7 +165,7 @@ def _cmd_split(args, out_dir: Path) -> list[tuple[str, str]]:
     approach = parse_flag("--approach", "final_approach", args.approach)
     t = parse_flag("--t", "t_start", args.t, cfg.terms_per_year)
     cfg.check_in_range("--t", t)
-    seed = args.seed if args.seed is not None else cfg.split_seed
+    seed = cfg.split_seed if args.seed is None else parse_flag("--seed", "split_seed", args.seed)
     cohort, extras = _load_cohort(cfg)
     spec = FeatureSetSpec.for_cohort(cohort, cfg.time_features)
     train, test = build_split(cohort, SplitRequest(approach, t, seed), spec=spec)
@@ -263,9 +263,15 @@ def _cmd_predict(args, out_dir: Path) -> list[tuple[str, str]]:
 
 
 def _cmd_report(args, out_dir: Path) -> list[tuple[str, str]]:
-    mode = parse_flag("--points-mode", "points_mode", args.points_mode)
-    tpy = parse_flag("--terms-per-year", "terms_per_year", args.terms_per_year)
     grid_dir = Path(args.grid_dir)
+    config = grid_dir / "config.txt"  # the run config evaluate ran
+    kv = load_kv(config) if config.is_file() else {}
+    tpy, mode = (
+        parse_flag(f"{config}: key {key!r}", key, kv.get(key, RUN_KEYS[key].default))
+        for key in ("terms_per_year", "points_mode")
+    )
+    if args.points_mode is not None:
+        mode = parse_flag("--points-mode", "points_mode", args.points_mode)
     accuracy_files = sorted(grid_dir.glob("accuracy_*.csv"))
     if not accuracy_files:
         raise ConfigError(f"no accuracy_*.csv files under {grid_dir}")
@@ -292,13 +298,6 @@ def _cmd_report(args, out_dir: Path) -> list[tuple[str, str]]:
     return [("source", str(grid_dir))]
 
 
-def _seed(text: str) -> int:
-    try:
-        return check_seed(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dropsplit",
@@ -320,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--approach", required=True)
     p.add_argument("--t", required=True, help="reference term, YYYY.K")
-    p.add_argument("--seed", type=_seed, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_split)
 
@@ -342,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="recompute points and charts from accuracy CSVs")
     p.add_argument("--grid-dir", dest="grid_dir", required=True)
-    p.add_argument("--terms-per-year", dest="terms_per_year", default="2")
-    p.add_argument("--points-mode", dest="points_mode", default="pairs")
+    p.add_argument("--points-mode", dest="points_mode", default=None, help="default: the grid's points_mode")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)
 

@@ -195,7 +195,8 @@ def _parsed(name: str, parse: Callable[[str, int], object], text: str, tpy: int)
 
 
 def parse_flag(flag: str, key: str, text: str, terms_per_year: int = DEFAULT_TERMS_PER_YEAR) -> object:
-    """A command-line value read by the row of key; an error names the flag."""
+    """A command-line value, or one key of a file read outside a run config,
+    read by the row of key; an error names flag, the flag or the file's key."""
     return _parsed(flag, RUN_KEYS[key].parse, text, terms_per_year)
 
 

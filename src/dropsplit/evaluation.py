@@ -65,25 +65,19 @@ class EvaluationGrid:
     def cell(self, approach: str, classifier: str, t: Term) -> float | None:
         return self.accuracy.get((approach, classifier, t))
 
-    def skip_reason(self, approach: str, classifier: str, t: Term) -> str | None:
-        return self.skips.get((approach, classifier, t))
+    def _mean(self, cells) -> float | None:
+        """The mean of the accuracies the grid holds at cells, in their order."""
+        values = [v for key in cells if (v := self.accuracy.get(key)) is not None]
+        return sum(values) / len(values) if values else None
 
     def per_t_mean(self, approach: str, t: Term) -> float | None:
-        cells = [v for c in self.classifiers if (v := self.cell(approach, c, t)) is not None]
-        return sum(cells) / len(cells) if cells else None
+        return self._mean((approach, c, t) for c in self.classifiers)
 
     def period_mean(self, approach: str, classifier: str) -> float | None:
-        cells = [v for t in self.t_values if (v := self.cell(approach, classifier, t)) is not None]
-        return sum(cells) / len(cells) if cells else None
+        return self._mean((approach, classifier, t) for t in self.t_values)
 
     def block_mean(self, approach: str) -> float | None:
-        cells = [
-            v
-            for c in self.classifiers
-            for t in self.t_values
-            if (v := self.cell(approach, c, t)) is not None
-        ]
-        return sum(cells) / len(cells) if cells else None
+        return self._mean((approach, c, t) for c in self.classifiers for t in self.t_values)
 
 
 def run_grid(
@@ -209,45 +203,30 @@ def _award_points(
 ) -> dict[str, int]:
     """Points per classifier under the consecutive-top rule.
 
-    A pair of adjacent terms only counts when every classifier has a value at
-    both; in "pairs" mode a streak of L consecutive tops earns L-1 points, in
-    "streaks" mode each maximal streak of length >= 2 earns one.
+    Only the terms at which every classifier has a value are walked. Two of
+    them that are adjacent in the calendar form a pair, and a classifier top
+    at both holds the pair; consecutive pairs it holds make a run. In "pairs"
+    mode every pair of a run earns a point, so a streak of L consecutive tops
+    earns L-1; in "streaks" mode only a run's first pair does, so each streak
+    of length >= 2 earns one.
     """
     if mode not in POINT_MODES:
         raise ValueError(f"unknown points mode {mode!r}, expected one of {','.join(POINT_MODES)}")
-    usable = [
-        t
-        for t in grid.t_values
-        if all(grid.cell(approach, c, t) is not None for c in classifiers)
-    ]
-    tops: list[set[str]] = []
-    for t in usable:
+    points = dict.fromkeys(classifiers, 0)
+    run = dict.fromkeys(classifiers, 0)  # pairs held in each classifier's current run
+    last, last_top = None, set()  # ordinal and tops of the last walked term
+    for t in grid.t_values:
         values = {c: grid.cell(approach, c, t) for c in classifiers}
+        if None in values.values():
+            continue
         best = max(values.values())
-        tops.append({c for c, v in values.items() if v == best})
-    points = {c: 0 for c in classifiers}
-    adjacent = [
-        to_ordinal(b, grid.terms_per_year) - to_ordinal(a, grid.terms_per_year) == 1
-        for a, b in zip(usable, usable[1:])
-    ]
-    if mode == "pairs":
-        for i, adj in enumerate(adjacent):
-            if not adj:
-                continue
-            for c in tops[i] & tops[i + 1]:
-                points[c] += 1
-    else:
+        top = {c for c, v in values.items() if v == best}
+        o = to_ordinal(t, grid.terms_per_year)
         for c in classifiers:
-            run = 1 if tops and c in tops[0] else 0
-            for i, adj in enumerate(adjacent):
-                if adj and c in tops[i] and c in tops[i + 1]:
-                    run += 1
-                else:
-                    if run >= 2:
-                        points[c] += 1
-                    run = 1 if c in tops[i + 1] else 0
-            if run >= 2:
+            run[c] = run[c] + 1 if o - 1 == last and c in top and c in last_top else 0
+            if run[c] and (mode == "pairs" or run[c] == 1):
                 points[c] += 1
+        last, last_top = o, top
     return points
 
 

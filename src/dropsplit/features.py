@@ -174,7 +174,6 @@ class VectorTable:
     spec: FeatureSetSpec
     terms_per_year: int
     student_ids: tuple[str, ...]
-    index: dict[str, int]  # student id -> cohort position
     entrance: np.ndarray  # per student, ordinals
     last: np.ndarray
     exit: np.ndarray
@@ -228,7 +227,6 @@ class VectorTable:
             spec=spec,
             terms_per_year=tpy,
             student_ids=student_ids,
-            index={sid: i for i, sid in enumerate(student_ids)},
             entrance=entrance,
             last=last,
             exit=exits,

@@ -195,8 +195,8 @@ class LaneDraws:
     still held. When a call would read past its end for any of its lanes, the
     rows of released lanes are dropped, the columns every live lane has read
     are dropped, and the next block is drawn for the rows left; lanes keep
-    their numbers. Lanes that will draw no more should be let go, with `keep`
-    or `release`, so that a refill steps only live lanes, and the lanes left
+    their numbers. Lanes that will draw no more should be let go with
+    `release`, so that a refill steps only live lanes, and the lanes left
     read at similar rates and the array stays about a block wide.
     """
 
@@ -242,18 +242,8 @@ class LaneDraws:
         out *= np.uint64(9)
         return out.T
 
-    def keep(self, lanes: np.ndarray) -> None:
-        """Keep only `lanes`, renumbered 0, 1, ... in the order given."""
-        rows = self._row[lanes]
-        self._s = self._s.take(rows, axis=1)  # C-contiguous, as `_draw` steps it by row
-        self._words = self._words[rows]
-        self._pos = self._pos[rows]
-        self._live = self._live[rows] & (rows >= 0)
-        self._row = np.arange(len(rows))
-
     def release(self, lanes: np.ndarray) -> None:
-        """Let `lanes` (an index or boolean array) go without renumbering: they
-        must draw no more."""
+        """Let `lanes` (an index or boolean array) go: they must draw no more."""
         rows = self._row[lanes]
         self._live[rows[rows >= 0]] = False
 
@@ -267,7 +257,8 @@ class LaneDraws:
             renumber = np.full(len(self._live) + 1, -1)  # the last entry keeps -1 at -1
             renumber[live] = np.arange(len(live))
             self._row = renumber[self._row]
-            self._s, self._pos, self._live = self._s.take(live, axis=1), self._pos[live], self._live[live]
+            self._s = self._s.take(live, axis=1)  # C-contiguous, as `_draw` steps it by row
+            self._pos, self._live = self._pos[live], self._live[live]
             words = words[live]
         self._words = np.concatenate([words, self._draw()], axis=1)
         self._pos -= read

@@ -207,11 +207,11 @@ def _simulate_chunk(cfg: GeneratorConfig, seeds: list[int], entrance: np.ndarray
     """Simulate the careers of the students with these stream seeds and entrance ordinals.
 
     All students step together, one career term and one course slot at a
-    time; a student who exits leaves the lanes. Each student makes the draws
-    of the one-student simulation, in its order: the ability and admission
-    normals; entrance age, sex and degree; each term, the collapse uniform
-    and the course count; each course, its code, then the score and
-    attendance normals.
+    time; a student draws from the lane of its chunk position and lets it go
+    when it exits. Each student makes the draws of the one-student
+    simulation, in its order: the ability and admission normals; entrance
+    age, sex and degree; each term, the collapse uniform and the course
+    count; each course, its code, then the score and attendance normals.
 
     Returns ``(static, dropout, exit_term, courses)``: per student, the
     (age, sex, degree, admission) attributes, whether it left as a dropout
@@ -240,7 +240,7 @@ def _simulate_chunk(cfg: GeneratorConfig, seeds: list[int], entrance: np.ndarray
         changed_from = rc.year * tpy + min(rc.index, tpy + 1) - 1
     span = cfg.courses_max - cfg.courses_min + 1
     pace = cfg.passes_required / cfg.degree_length_terms
-    # The active students: chunk position, and the state their careers carry.
+    # The active students: chunk position (their lane), and the state their careers carry.
     who, current = lanes, entrance
     passed_total = np.zeros(n, dtype=np.int64)
     prev_fail_frac = np.zeros(n)
@@ -250,19 +250,19 @@ def _simulate_chunk(cfg: GeneratorConfig, seeds: list[int], entrance: np.ndarray
         # the final term of a dropout is then lived in collapse. Falling behind
         # schedule depresses performance on its own, so exits are preceded by a
         # visible decline rather than arriving out of nowhere.
-        lanes = np.arange(len(who))
         behind_terms = _clamp((pace * (k - 1) - passed_total) / pace, 0.0, math.inf)
         p = _hazard(cfg, ability, prev_fail_frac, behind_terms, k, current >= changed_from)
-        collapsing = draws.random(lanes) < p
-        n_courses = cfg.courses_min + draws.randbelow(lanes, span)
+        collapsing = draws.random(who) < p
+        n_courses = cfg.courses_min + draws.randbelow(who, span)
         slots = []
         for slot in range(cfg.courses_max):
             taking = np.flatnonzero(n_courses > slot)
             if not len(taking):
                 break
-            code = draws.randbelow(taking, len(_COURSE_CODES))
-            score_noise = draws.normal(taking, 0.0, cfg.score_noise_std)
-            attendance_noise = draws.normal(taking, 0.0, cfg.attendance_noise_std)
+            lanes = who[taking]
+            code = draws.randbelow(lanes, len(_COURSE_CODES))
+            score_noise = draws.normal(lanes, 0.0, cfg.score_noise_std)
+            attendance_noise = draws.normal(lanes, 0.0, cfg.attendance_noise_std)
             slots.append((taking, code, score_noise, attendance_noise))
         taking, code, score_noise, attendance_noise = map(np.concatenate, zip(*slots))
         a, behind, collapse = ability[taking], behind_terms[taking], collapsing[taking]
@@ -283,7 +283,7 @@ def _simulate_chunk(cfg: GeneratorConfig, seeds: list[int], entrance: np.ndarray
         stay = np.flatnonzero(~done)
         if not len(stay):
             break
-        draws.keep(stay)
+        draws.release(who[done])
         who, ability, passed_total, prev_fail_frac = who[stay], ability[stay], passed_total[stay], prev_fail_frac[stay]
         current = current[stay] + 1
     return static, dropout, exit_term, tuple(map(np.concatenate, zip(*parts)))

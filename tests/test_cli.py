@@ -142,12 +142,11 @@ class TestSplitCommand:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    def test_seed_outside_64_bits_exits_2(self, run_cfg, tmp_path, capsys, seed):
+    def test_seed_outside_64_bits_exits_1(self, run_cfg, tmp_path, capsys, seed):
         out = tmp_path / "o"
-        with pytest.raises(SystemExit) as exc:
-            main(["split", "--config", str(run_cfg), "--approach", "A", "--t", "2011.2", "--seed", seed, "--out", str(out)])
-        assert exc.value.code == 2
-        assert f"argument --seed: seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+        code = main(["split", "--config", str(run_cfg), "--approach", "A", "--t", "2011.2", "--seed", seed, "--out", str(out)])
+        assert code == 1
+        assert f"error [config]: --seed: seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_approach_exits_1(self, run_cfg, tmp_path, capsys):
@@ -424,12 +423,38 @@ class TestReportCommand:
         assert not out.exists()
         assert main(["report", "--grid-dir", str(tmp_path), "--points-mode", "streaks", "--out", str(out)]) == 0
 
-    def test_terms_per_year_below_one_names_the_flag(self, tmp_path, capsys):
+    def test_bad_terms_per_year_in_the_grid_config_names_the_file(self, tmp_path, capsys):
         (tmp_path / "accuracy_B1.csv").write_text("classifier,2012.1,2012.2,mean\ngaussian_nb,0.5,0.6,0.55\nmean,0.5,0.6,0.55\n")
+        (tmp_path / "config.txt").write_text("terms_per_year=0\n")
         out = tmp_path / "r"
-        assert main(["report", "--grid-dir", str(tmp_path), "--terms-per-year", "0", "--out", str(out)]) == 1
-        assert "error [config]: --terms-per-year: expected an integer >= 1, got '0'" in capsys.readouterr().err
+        assert main(["report", "--grid-dir", str(tmp_path), "--out", str(out)]) == 1
+        config = tmp_path / "config.txt"
+        assert f"error [config]: {config}: key 'terms_per_year': expected an integer >= 1, got '0'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_reads_the_calendar_of_the_grid_config(self, tmp_path):
+        # Under 3 terms a year, 2015.2 and 2015.3 are adjacent: a, top at
+        # both, holds the pair and wins without a tiebreak.
+        (tmp_path / "accuracy_B4T.csv").write_text(
+            "classifier,2015.2,2015.3,mean\na,0.75,0.75,0.75\nb,0.5,0.25,0.375\nmean,0.625,0.5,0.5625\n"
+        )
+        (tmp_path / "config.txt").write_text("terms_per_year=3\n")
+        out = tmp_path / "r"
+        assert main(["report", "--grid-dir", str(tmp_path), "--out", str(out)]) == 0
+        assert (out / "points_B4T.csv").read_text() == (
+            "classifier,points,period_mean,selection\na,1,0.75,winner\nb,0,0.375,runner_up\n# tiebreak_used=false\n"
+        )
+
+    def test_points_mode_of_the_grid_config_is_the_default(self, tmp_path):
+        # a holds both pairs of one run: 2 points as pairs, 1 as a streak.
+        (tmp_path / "accuracy_B4T.csv").write_text(
+            "classifier,2015.1,2015.2,2016.1,mean\na,0.9,0.9,0.9,0.9\nb,0.5,0.5,0.5,0.5\nmean,0.7,0.7,0.7,0.7\n"
+        )
+        (tmp_path / "config.txt").write_text("generator_config=gen.cfg\npoints_mode=streaks\n")
+        for flags, points in (([], "1"), (["--points-mode", "pairs"], "2")):
+            out = tmp_path / f"r{points}"
+            assert main(["report", "--grid-dir", str(tmp_path), *flags, "--out", str(out)]) == 0
+            assert (out / "points_B4T.csv").read_text().splitlines()[1] == f"a,{points},0.9,winner"
 
     def test_empty_dir_is_error(self, tmp_path, capsys):
         code = main(["report", "--grid-dir", str(tmp_path), "--out", str(tmp_path / "r")])

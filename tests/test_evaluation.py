@@ -8,6 +8,7 @@ import pytest
 from dropsplit import classifiers, evaluation
 from dropsplit.classifiers import ClassifierSpec, accuracy, confusion, fit, fit_each, predict
 from dropsplit.evaluation import (
+    POINT_MODES,
     EvaluationError,
     EvaluationGrid,
     predict_enrolled,
@@ -74,7 +75,7 @@ class TestRunGrid:
         grid = run_grid(medium_synth, [SplitApproach.B1], FAST_SPECS, [t0, Term(2011, 1)])
         for spec in FAST_SPECS:
             assert grid.cell("B1", spec.label, t0) is None
-            assert "exited" in grid.skip_reason("B1", spec.label, t0)
+            assert "exited" in grid.skips[("B1", spec.label, t0)]
             assert grid.cell("B1", spec.label, Term(2011, 1)) is not None
 
     def test_grid_is_deterministic(self, medium_synth, small_grid):
@@ -138,7 +139,7 @@ class TestRunGrid:
                     skipped += 1
                     for spec in specs:
                         assert grid.cell(a, spec.label, t) is None
-                        assert grid.skip_reason(a, spec.label, t) == str(exc)
+                        assert grid.skips[(a, spec.label, t)] == str(exc)
                     continue
                 for spec in specs:
                     y_pred = predict(fit(spec, train), test.X)
@@ -249,22 +250,28 @@ def make_grid(t_count, cells):
     return grid
 
 
-def brute_force_points(cells: dict[str, list[float | None]], names: list[str]) -> dict[str, int]:
-    """Direct enumeration of the consecutive-pair rule over a dense index."""
+def brute_force_points(cells: dict[str, list[float | None]], names: list[str], mode: str = "pairs") -> dict[str, int]:
+    """Direct enumeration of the consecutive-pair rule over a dense index. A
+    classifier holds the pair (i, i + 1) when it is top at both; in "pairs"
+    mode each pair held is a point, in "streaks" mode only one whose previous
+    pair (i - 1, i) the classifier did not hold."""
     n = len(next(iter(cells.values())))
-    points = {c: 0 for c in names}
+    held = {c: [False] * n for c in names}  # held[c][i]: c holds the pair (i, i + 1)
     for i in range(n - 1):
         if any(cells[c][i] is None or cells[c][i + 1] is None for c in names):
             continue
         top_a = {c for c in names if cells[c][i] == max(cells[x][i] for x in names)}
         top_b = {c for c in names if cells[c][i + 1] == max(cells[x][i + 1] for x in names)}
         for c in top_a & top_b:
-            points[c] += 1
-    return points
+            held[c][i] = True
+    return {
+        c: sum(1 for i in range(n) if held[c][i] and (mode == "pairs" or i == 0 or not held[c][i - 1]))
+        for c in names
+    }
 
 
-def brute_force_winner(cells, names):
-    points = brute_force_points(cells, names)
+def brute_force_winner(cells, names, mode="pairs"):
+    points = brute_force_points(cells, names, mode)
     best = max(points.values())
     tied = [c for c in names if points[c] == best]
     if len(tied) == 1:
@@ -366,12 +373,13 @@ class TestScorePoints:
             if all(all(v is None for v in series) for series in cells.values()):
                 continue
             grid = make_grid(n_terms, cells)
-            try:
-                table = score_points(grid, SplitApproach.B4T)
-            except EvaluationError:
-                continue
-            assert table.points == brute_force_points(cells, names)
-            assert table.winner == brute_force_winner(cells, names)
+            for mode in POINT_MODES:
+                try:
+                    table = score_points(grid, SplitApproach.B4T, mode=mode)
+                except EvaluationError:
+                    continue
+                assert table.points == brute_force_points(cells, names, mode)
+                assert table.winner == brute_force_winner(cells, names, mode)
 
 
 class TestPredictEnrolled:
@@ -446,7 +454,7 @@ class TestPredictEnrolled:
         assert got.shape == X.shape and got.tobytes() == X.tobytes()
         tab = vector_table(medium_synth, features)
         exited = subset_exited_before(medium_synth, horizon) + subset_exited_from(medium_synth, horizon)
-        si = np.array([tab.index[s.student_id] for s in exited], dtype=np.int64)
+        si = np.array([tab.student_ids.index(s.student_id) for s in exited], dtype=np.int64)
         train = apply_rule(SplitApproach.B4T, "train", si, horizon, tab)
         labels = predict(fit(clf, train), X)
         assert result.predictions == [(sid, int(label)) for (sid, _), label in zip(rows, labels)]

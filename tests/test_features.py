@@ -53,7 +53,7 @@ def pick_one(c, choose, spec=None, sid=None):
     """The vector choose picks from c's table for its student sid (by
     default its only one), or the reason it is undefined."""
     tab = vector_table(c, spec)
-    pick = choose(tab, ONLY if sid is None else np.array([tab.index[sid]]))
+    pick = choose(tab, ONLY if sid is None else np.array([tab.student_ids.index(sid)]))
     return table_vectors(tab, pick)[0] if pick.count[0] else str(pick.reason[0])
 
 
@@ -185,7 +185,7 @@ class TestExpandHistory:
 
     def test_empty_range_yields_empty_list(self, tiny_cohort):
         tab = vector_table(tiny_cohort)
-        pick = tab.history(np.array([tab.index["carol"]]))
+        pick = tab.history(np.array([tab.student_ids.index("carol")]))
         assert table_vectors(tab, pick) == []
         assert pick.reason[0] == "single_term_history"
 
@@ -309,7 +309,7 @@ class TestSpecAndCache:
 
     def test_cache_replays_undefined_outcomes(self, tiny_cohort):
         tab = vector_table(tiny_cohort)
-        gina = np.array([tab.index["gina"]])
+        gina = np.array([tab.student_ids.index("gina")])
         for _ in range(2):
             pick = vector_table(tiny_cohort).at_end(gina)
             assert table_vectors(tab, pick) == []

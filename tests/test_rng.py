@@ -344,7 +344,6 @@ def lane_reference(gen, kind, args, i):
     calls=st.lists(
         st.one_of(
             lane_calls(),
-            st.lists(st.integers(0, 5), unique=True).map(lambda keep: ("keep", keep)),
             st.lists(st.integers(0, 5), unique=True).map(lambda gone: ("release", gone)),
         ),
         max_size=30,
@@ -356,20 +355,13 @@ def test_lane_draws_match_scalar_reference(seeds, calls, block):
 
     Calls name lanes in any order and leave some out, so lanes read at
     different rates and a refill keeps words that some lanes have not read;
-    `keep` drops and renumbers lanes between calls, and `release` lets lanes
-    go, which then draw no more.
+    `release` lets lanes go between calls, which then draw no more.
     """
     with mock.patch.object(rng, "_BLOCK", block):
         draws = LaneDraws(seeds)
         scalars = [Xoshiro256StarStar(seed) for seed in seeds]
         released: set[int] = set()
         for kind, args, *lanes in calls:
-            if kind == "keep":
-                kept = [i for i in args if i < len(scalars)]
-                draws.keep(np.array(kept, dtype=np.intp))
-                scalars = [scalars[i] for i in kept]
-                released = {j for j, i in enumerate(kept) if i in released}
-                continue
             if kind == "release":
                 gone = [i for i in args if i < len(scalars)]
                 draws.release(np.array(gone, dtype=np.intp))
@@ -388,7 +380,7 @@ def test_lane_draws_match_scalar_reference(seeds, calls, block):
 def test_refill_drops_released_lanes_and_keeps_lane_numbers():
     # After lanes 1 and 3 are let go, the next refill steps and holds only
     # the four live lanes, which still read their own streams by their own
-    # numbers; `keep` then renumbers them, a dropped lane among them.
+    # numbers.
     seeds = [derive_seed(9, i) for i in range(6)]
     with mock.patch.object(rng, "_BLOCK", 4):
         draws = LaneDraws(seeds)
@@ -401,9 +393,6 @@ def test_refill_drops_released_lanes_and_keeps_lane_numbers():
         assert len(draws) == 6
         want = [[gen.next_u64() for _ in range(9)][3:] for gen in scalars]
         assert got.tolist() == [want[i] for i in live.tolist()]
-        draws.keep(np.array([2, 3, 0]))
-        draws.release(np.array([1]))
-        assert draws._take(np.array([0, 2]), 2).tolist() == [[scalars[i].next_u64() for _ in range(2)] for i in (2, 0)]
 
 
 @pytest.mark.parametrize("block", [1, 3, rng._BLOCK])

@@ -534,7 +534,7 @@ def test_apply_rule_sorts_rows_and_keeps_population_order(cohort, approach):
     tab = vector_table(cohort)
     t = Term(2012, 1)
     exited = subset_exited_from(cohort, t) + subset_exited_before(cohort, t)
-    si = np.array([tab.index[s.student_id] for s in exited], dtype=np.int64)
+    si = np.array([tab.student_ids.index(s.student_id) for s in exited], dtype=np.int64)
     for role in ("train", "test"):
         forward = apply_rule(approach, role, si, t, tab)
         backward = apply_rule(approach, role, si[::-1], t, tab)
@@ -561,4 +561,4 @@ def test_table_populations_equal_the_subset_oracle(cohort):
             (tab.exited_from(o), subset_exited_from),
             (tab.enrolled(o), subset_enrolled),
         ):
-            assert got.tolist() == [tab.index[s.student_id] for s in subset(cohort, t)]
+            assert got.tolist() == [tab.student_ids.index(s.student_id) for s in subset(cohort, t)]
