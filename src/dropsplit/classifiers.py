@@ -24,9 +24,13 @@ by feature, makes its lanes' draws as arrays, and compares the rows only on
 the features each node chose. A pass logs its splits in packed 32-bit chunks
 and writes them into the node arrays at its end. Fitted trees are flat node
 arrays, and they predict by array descent, all rows one level per step. KNN
-builds squared distances one feature column at a time, summed in numpy's own
-pairwise order, finds the k-th distance by partition rather than a full sort,
-then fills ties at that distance in training-row order.
+picks each query's candidate neighbours with one matrix product per chunk of
+query rows, the squared distance less the query's own squared norm, and a
+rounding margin derived from the feature count: the k-th smallest minimum of
+blocks of training rows bounds the k-th distance. Only the candidates get the
+exact squared distance, summed one feature column at a time in numpy's own
+pairwise order, and a stable sort of them by distance picks the neighbours,
+ties in training-row order.
 """
 
 from __future__ import annotations
@@ -300,6 +304,10 @@ def _grow_lanes(spec: ClassifierSpec, sets) -> tuple[np.ndarray, list]:
         at = begin[f * n_trees]
         perm[at : at + n * n_trees].reshape(n_trees, n)[:] = np.arange(first, first + n)
     draws = LaneDraws([derive_seed(spec.seed, t) for t in range(n_trees)] * len(sets))
+    # Each step gathers its rows into this one buffer, grown only for a step
+    # over the budget, so that the pass's largest temporary does not leave
+    # holes of a new size in the heap at every step.
+    gathered = np.empty(len(ZT) * min(row_budget, len(perm)))
     # Lane l's stack is stack[:, l, :top[l]], one column per entry: the node's
     # number in its tree, its segment's begin and size, its class-1 rows and
     # its depth. Roots are node 0.
@@ -324,7 +332,10 @@ def _grow_lanes(spec: ClassifierSpec, sets) -> tuple[np.ndarray, list]:
         starts = sizes.cumsum() - sizes
         taken = int(starts[-1] + sizes[-1])
         rows = perm[_segments(begins, sizes)]
-        sub = ZT.take(rows, axis=1)
+        if len(ZT) * taken > len(gathered):
+            gathered = np.empty(len(ZT) * taken)
+        sub = gathered[: len(ZT) * taken].reshape(len(ZT), taken)
+        np.take(ZT, rows, axis=1, out=sub, mode="clip")  # every row is in range; "clip" writes straight into sub
         mins = np.minimum.reduceat(sub, starts, axis=1)
         maxs = np.maximum.reduceat(sub, starts, axis=1)
         varies = mins < maxs
@@ -426,10 +437,14 @@ def _segments(begins: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 # --- nearest neighbours -----------------------------------------------------
 
-# Bytes of the (features x query rows x training rows) buffer of squared
-# differences that KNN prediction fills one chunk of query rows at a time;
-# small enough that a chunk stays in cache.
+# Bytes of the (query rows x training rows) matrix of approximate distances
+# that KNN prediction fills one chunk of query rows at a time, and of the
+# squared differences its exact pass holds at once; small enough that a chunk
+# stays in cache.
 _KNN_CHUNK_BYTES = 2 << 20
+
+# Training rows per block of the KNN pre-filter.
+_KNN_BLOCK = 64
 
 
 def _sum_columns(cols: list[np.ndarray], lo: int, hi: int) -> np.ndarray:
@@ -468,32 +483,90 @@ def _sum_columns(cols: list[np.ndarray], lo: int, hi: int) -> np.ndarray:
     return r[0]
 
 
-def _knn_ones(
-    ZtrainT: np.ndarray, ytrain: np.ndarray, block: np.ndarray, k: int, buf: np.ndarray
-) -> np.ndarray:
+def _knn_ones(Ztrain: np.ndarray, ytrain: np.ndarray, Z: np.ndarray, k: int) -> np.ndarray:
     """Class-1 labels among each query row's k nearest training rows.
 
-    ``ZtrainT`` holds the training rows by feature column and ``buf`` has room
-    for at least ``len(block)`` rows of every column's squared differences.
-    The squared distances equal ``((block[:, None, :] - Ztrain) ** 2).sum(axis=2)``
-    float for float. Neighbours are those a stable sort by squared distance
-    would put first: every row closer than the k-th distance, then rows at
-    exactly that distance in training-row order. Only a query with more such
-    ties than free places needs a look at the order of its ties.
+    The neighbours are those a stable sort by squared distance would put
+    first, ties in training-row order, where the squared distances are
+    ``((Z[:, None, :] - Ztrain) ** 2).sum(axis=2)`` float for float. A matrix
+    product picks candidates, and only they get that exact distance.
+
+    Approximate pass. For each chunk of query rows, ``approx = (-2 Q) @
+    Ztrain.T + |t|²`` is the squared distance less |q|², and the factor -2 is
+    exact. The training rows are padded to whole blocks of `_KNN_BLOCK`, the
+    padding with |t|² = +inf; of B blocks, block j holds rows j, j + B,
+    j + 2B, ..., so that their minima reduce along contiguous memory, and row
+    j < B is a training row. Blocks are disjoint, so their k smallest minima
+    come from k distinct rows, and the k-th of them, b, bounds the k-th
+    smallest approx from above. With fewer blocks than k, b is the k-th
+    smallest approx itself.
+
+    The margin. Let u = 2**-53, m the feature count, S = |q|² + max |t|²,
+    γ_n = nu / (1 - nu), and e = fl(d2) - |q|², where fl(d2) is the squared
+    distance the exact pass computes. Without overflow or underflow, whatever
+    the order of the sums and whether they fuse multiply-adds (Higham 2002,
+    §3.1):
+    - the product's dot -2q·t is off by at most γ_m·2|q||t| <= γ_m·S;
+    - |t|² is off by at most γ_m·S;
+    - adding the two rounds by at most u·2S·(1 + 2γ_m);
+    - fl(d2), a sum of m rounded squares of rounded differences, all of them
+      nonnegative, is off by at most γ_{m+2}·d2 <= γ_{m+2}·2S.
+    So |approx - e| <= E < (4m + 7)·u·S for any practical m. The margin
+    M = (m + 4)·(2**-50·S + 2**-1060) is 8(m + 4)·u·S, over 2E, plus an
+    absolute term. The excess covers the rounding of S and of b + 2M; the
+    absolute term covers the at most 3m products that can underflow, each by
+    at most 2**-1075.
+
+    The k rows behind b have e <= b + E, so the k-th smallest e is at most
+    b + E. Each neighbour's e is at most that, so its approx is at most
+    b + 2E. The candidates are the rows with approx <= b + 2M, the k rows
+    behind b among them. A query with S > 2**1000 could overflow, so all its
+    rows are candidates.
+
+    Exact pass. Each candidate's squared distance is summed by `_sum_columns`
+    in numpy's order, at most `_KNN_CHUNK_BYTES` of squared differences at a
+    time. The candidates come in (query, training row) order, so a stable
+    sort by (query, distance) puts each query's neighbours first. The
+    pre-filter only drops rows, so the result does not depend on the BLAS
+    library or its thread count.
     """
-    cols = list(buf[:, : len(block)])
-    for f, col in enumerate(cols):
-        np.subtract(block[:, f, None], ZtrainT[f], out=col)
-        np.square(col, out=col)
-    d2 = _sum_columns(cols, 0, len(cols))
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-    within = d2 <= kth
+    n, m = Ztrain.shape
+    blocks = -(-n // _KNN_BLOCK)
+    width = blocks * _KNN_BLOCK
+    padded = np.zeros((m, width))
+    padded[:, :n] = Ztrain.T
+    tt = np.full(width, np.inf)
+    tt[:n] = np.einsum("ij,ij->i", Ztrain, Ztrain)
+    t_max = tt[:n].max()
     positive = ytrain == 1
-    ones = np.count_nonzero(within & positive, axis=1)
-    excess = np.count_nonzero(within, axis=1) - k
-    for r in np.flatnonzero(excess):
-        dropped = np.flatnonzero(d2[r] == kth[r])[-excess[r] :]
-        ones[r] -= np.count_nonzero(positive[dropped])
+    chunk = max(1, _KNN_CHUNK_BYTES // (padded.itemsize * width))
+    step = max(1, _KNN_CHUNK_BYTES // (padded.itemsize * m))
+    approx = np.empty((min(chunk, len(Z)), width))
+    ones = np.empty(len(Z), dtype=np.int64)
+    for start in range(0, len(Z), chunk):
+        Q = Z[start : start + chunk]
+        a = approx[: len(Q)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(-2.0 * Q, padded, out=a)
+            a += tt
+            mins = a.reshape(len(Q), _KNN_BLOCK, blocks).min(axis=1) if blocks >= k else a
+            b = np.partition(mins, k - 1, axis=1)[:, k - 1]
+            S = np.einsum("ij,ij->i", Q, Q) + t_max
+            cut = np.where(S <= 2.0**1000, b + 2 * (m + 4) * (2.0**-50 * S + 2.0**-1060), np.inf)
+            # `not >` keeps the rows of a query whose approx overflowed to nan.
+            qi, ti = np.divmod(np.flatnonzero(~(a > cut[:, None])), width)
+        real = ti < n  # the padding passes only a cut of +inf
+        qi, ti = qi[real], ti[real]
+        d2 = np.empty(len(qi))
+        for lo in range(0, len(qi), step):
+            diff = Q[qi[lo : lo + step]]
+            diff -= Ztrain[ti[lo : lo + step]]
+            np.square(diff, out=diff)
+            d2[lo : lo + step] = _sum_columns(list(diff.T), 0, m)
+        counts = np.bincount(qi, minlength=len(Q))
+        first = np.cumsum(counts) - counts
+        nearest = ti[np.lexsort((d2, qi))[(first[:, None] + np.arange(k)).ravel()]]
+        ones[start : start + len(Q)] = np.count_nonzero(positive[nearest].reshape(len(Q), k), axis=1)
     return ones
 
 
@@ -595,14 +668,7 @@ def predict_proba(model: TrainedModel, X) -> np.ndarray:
     if spec.kind == "knn":
         Ztrain, ytrain = model.state
         k = min(spec.k, len(ytrain))
-        ZtrainT = np.ascontiguousarray(Ztrain.T)
-        chunk = max(1, _KNN_CHUNK_BYTES // (Ztrain.itemsize * Ztrain.size))
-        buf = np.empty((Ztrain.shape[1], min(chunk, len(Z)), len(ytrain)))
-        ones = np.empty(len(Z), dtype=np.float64)
-        for start in range(0, len(Z), chunk):
-            block = Z[start : start + chunk]
-            ones[start : start + len(block)] = _knn_ones(ZtrainT, ytrain, block, k, buf) / k
-        return ones
+        return _knn_ones(Ztrain, ytrain, Z, k) / k
     priors, params = model.state
     log_post = np.full((len(Z), 2), -np.inf, dtype=np.float64)
     for cls, (mu, var) in params.items():

@@ -10,7 +10,7 @@ period means breaking ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from . import classifiers
 from .classifiers import ClassifierSpec, accuracy, confusion, fit, fit_each, predict
 from .features import FeatureSetSpec, VectorTable, vector_table
-from .records import Cohort
+from .records import Cohort, _number
 from .splits import (
     RULES,
     Exclusion,
@@ -140,7 +140,7 @@ def run_grid(
 def _build_term(grid, cohort, tab: VectorTable, approaches, specs, t, split_seed) -> tuple:
     """Build term t's splits, recording their sizes and skips; returns
     (t, one training set per distinct train rule, the (approach, rule, test)
-    of each built split)."""
+    of each built split). The sets it returns hold only their X and y."""
     grid.enrolled[t] = len(tab.enrolled(to_ordinal(t, cohort.terms_per_year)))
     trains = {}  # one per distinct training set: A's own, else its train rule's
     held = []
@@ -161,9 +161,14 @@ def _build_term(grid, cohort, tab: VectorTable, approaches, specs, t, split_seed
         )
         grid.exclusion_counts[(a, t)] = len(train.meta.exclusions) + len(test.meta.exclusions)
         key = approach if approach is SplitApproach.A else RULES[approach].train
-        trains.setdefault(key, train)
-        held.append((a, key, test))
+        trains.setdefault(key, _xy(train))
+        held.append((a, key, _xy(test)))
     return t, trains, held
+
+
+def _xy(ds: LabeledDataset) -> LabeledDataset:
+    """ds with its X and y only, all that fitting and scoring read."""
+    return replace(ds, rows=(), meta=replace(ds.meta, exclusions=()))
 
 
 def _fit_and_score(grid: EvaluationGrid, specs: list[ClassifierSpec], terms: list[tuple]) -> None:
@@ -486,11 +491,13 @@ def render_report(
 def read_accuracy_csv(path: str | Path, terms_per_year: int = 2):
     """Parse an emitted accuracy CSV back into (t_values, rows, mean_row).
 
-    Used by report tooling and by tests verifying the round trip. A header
-    other than classifier,<terms>,mean, a row with another number of cells
-    than the header, a cell that is neither empty nor a number, or a second
-    row of one classifier or of the mean raises AccuracyCsvError naming the
-    file and the line (the header is line 1).
+    Used by report tooling and by tests verifying the round trip. A cell is
+    empty or an accuracy: an ASCII number without `_` (as `records._number`
+    reads it) that is finite and in [0, 1]. A header other than
+    classifier,<terms>,mean, a row with another number of cells than the
+    header, any other cell, or a second row of one classifier or of the mean
+    raises AccuracyCsvError naming the file and the line (the header is line
+    1), and a bad cell's column.
     """
     from .terms import parse_term
 
@@ -515,9 +522,12 @@ def read_accuracy_csv(path: str | Path, terms_per_year: int = 2):
         values = []
         for column, v in zip(header[1:], cells[1:]):
             try:
-                values.append(float(v) if v else None)
+                value = _number(v) if v else None
             except ValueError:
                 raise AccuracyCsvError(f"{path}: line {lineno}: column {column!r} has non-numeric value {v!r}") from None
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise AccuracyCsvError(f"{path}: line {lineno}: column {column!r} has {v!r}, not an accuracy in [0, 1]")
+            values.append(value)
         if cells[0] == "mean":
             mean_row = values
         else:

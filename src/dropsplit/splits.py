@@ -68,7 +68,11 @@ class DatasetMeta:
 
 @dataclass
 class LabeledDataset:
-    """Feature matrix, labels, and per-row provenance for one split side."""
+    """Feature matrix, labels, and per-row provenance for one split side.
+
+    The walk-forward grid holds its sets with no provenance (`rows` empty),
+    so `n` counts labels.
+    """
 
     X: np.ndarray
     y: np.ndarray
@@ -77,7 +81,7 @@ class LabeledDataset:
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.y)
 
     @property
     def student_ids(self) -> set[str]:

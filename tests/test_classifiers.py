@@ -199,6 +199,45 @@ class TestKNNFloatDistances:
         assert np.array_equal(classifiers._sum_columns(cols, 0, m), expected)
 
 
+@st.composite
+def prefilter_case(draw):
+    """Training sets where the matrix-product pre-filter is weakest: a tight
+    cluster far from the standardized origin, made so by one outlier that
+    inflates the standard deviation (the product form cancels there), exact
+    distance ties and ties one ulp apart, and row counts around whole blocks."""
+    n_train = draw(st.sampled_from([1, 2, 5, 63, 64, 65, 127, 128, 129, 200]))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    X = 1e4 + rng.standard_normal((n_train, m)) * spread
+    if n_train > 2:
+        X[rng.integers(0, n_train)] = -1e8  # the outlier
+    # Exact ties: repeated rows; near ties: a row one ulp away from another.
+    X[rng.integers(0, n_train, n_train // 3)] = X[0]
+    if n_train > 1:
+        X[1] = np.nextafter(X[0], np.inf)
+    Xq = np.vstack([X[rng.integers(0, n_train, 3)], 1e4 + rng.standard_normal((3, m)) * spread])
+    y = rng.integers(0, 2, n_train)
+    k = draw(st.integers(1, n_train + 2))
+    return X, y, Xq, k
+
+
+class TestKNNPrefilter:
+    """The pre-filter's margin must keep every true neighbour, so its scores
+    equal a full stable argsort, at any chunk size."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=prefilter_case())
+    def test_matches_stable_argsort(self, case):
+        X, y, Xq, k = case
+        model = fit(ClassifierSpec(kind="knn", k=k), dataset(X, y))
+        expected = reference_knn_proba(model, Xq)
+        assert np.array_equal(predict_proba(model, Xq), expected)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classifiers, "_KNN_CHUNK_BYTES", 1)
+            assert np.array_equal(predict_proba(model, Xq), expected)
+
+
 class TestGaussianNB:
     def test_hand_computed_posterior_1d(self):
         # Four 1-D points, two per class. The oracle below redoes the whole
@@ -624,7 +663,7 @@ class TestArrayDescent:
         model = fit(ClassifierSpec(kind=kind, n_trees=12, seed=5), dataset(X, y))
         assert np.array_equal(predict_proba(model, Xq), reference_proba(model, Xq))
 
-    @pytest.mark.parametrize("kind", ["decision_tree", "extra_trees"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_no_rows(self, kind):
         X, y = blobs(40)
         model = fit(ClassifierSpec(kind=kind), dataset(X, y))

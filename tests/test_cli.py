@@ -473,6 +473,12 @@ class TestReportCommand:
             # a row one cell short: decision_tree's mean cell is cut
             ("accuracy_B1.csv", "0.4,0.55\n", "0.4\n", "line 3: 3 cells, the header has 4"),
             ("accuracy_B1.csv", "0.7,", "0.7x,", "line 3: column '2012.1' has non-numeric value '0.7x'"),
+            # cells `float` reads that are not accuracies
+            ("accuracy_B1.csv", "0.7,", "1_5,", "line 3: column '2012.1' has non-numeric value '1_5'"),
+            ("accuracy_B1.csv", "0.7,", "nan,", "line 3: column '2012.1' has 'nan', not an accuracy in [0, 1]"),
+            ("accuracy_B1.csv", "0.4,", "inf,", "line 3: column '2012.2' has 'inf', not an accuracy in [0, 1]"),
+            ("accuracy_B1.csv", "0.55\nmean", "1.5\nmean", "line 3: column 'mean' has '1.5', not an accuracy in [0, 1]"),
+            ("accuracy_B1.csv", "mean,0.6", "mean,-0.0001", "line 4: column '2012.1' has '-0.0001', not an accuracy in [0, 1]"),
             ("accuracy_B1.csv", "2012.1", "2012.x", "line 1: malformed term '2012.x', expected YYYY.K"),
             ("accuracy_B1.csv", "classifier,", "", "line 1: expected the header classifier,<terms>,mean"),
             # a stray file beside a good one, read after it
