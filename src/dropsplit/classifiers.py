@@ -230,8 +230,9 @@ def _grow_forests(spec: ClassifierSpec, sets: list[tuple]) -> list[_Trees]:
     over the node's non-constant features, then one ``random()`` per chosen
     feature, each giving the threshold ``min + u * (max - min)``. Each step
     pops the next splittable node of one lane after another, at most one per
-    lane and until their rows would pass ``_FOREST_STEP_BYTES``, gathers those
-    rows once, makes all their draws as lane arrays and scores all their
+    lane and until their rows would pass ``_FOREST_STEP_BYTES``, so a node
+    over it runs alone; in a pass where a root passes it, the lanes line up
+    fewest nodes made first. A step gathers its rows once, makes all their draws as lane arrays and scores all their
     candidate thresholds together; the first lowest Gini cost in chosen order
     wins. Only a lane's own pops touch its stack, so the trees are node for
     node those grown one at a time.
@@ -318,11 +319,19 @@ def _grow_lanes(spec: ClassifierSpec, sets) -> tuple[np.ndarray, list]:
     # Per step: (lane, node, feature, left child), threshold, (left, right)
     # class-1 shares; packed every 16k splits or so.
     log, steps, logged = [], [], 0
+    # A step takes the longest prefix of the live lanes whose nodes fit the
+    # budget, and at least one lane. With a root over the budget, lane order
+    # would let the lane at the head grow its whole tree alone, one node per
+    # step, before the next lane's root could run; fewest nodes made first
+    # keeps the lanes growing together.
+    crowded = bool(lane_rows.max() > row_budget)
     while True:
         draws.release(top == 0)
         live = top.nonzero()[0]
         if not live.size:
             break
+        if crowded:
+            live = live[made[live].argsort(kind="stable")]
         popped = stack[:, live, top[live] - 1]
         fits = int(popped[2].cumsum().searchsorted(row_budget, side="right"))
         lanes = live[: max(fits, 1)]
@@ -601,8 +610,9 @@ def fit_each(spec: ClassifierSpec, trains: list[LabeledDataset]) -> list[Trained
             raise ValueError("training set must be a nonempty 2-D matrix")
         if len(X) != len(y):
             raise ValueError(f"{len(X)} rows but {len(y)} labels")
-        bad = np.setdiff1d(train.y, (0, 1))
-        if len(bad):
+        labels = np.asarray(train.y)
+        if ((labels != 0) & (labels != 1)).any():
+            bad = np.setdiff1d(labels, (0, 1))
             raise ValueError(f"labels must be 0 (dropout) or 1 (graduated), got {bad.tolist()}")
         means, stds = _standardize_params(X)
         models.append(TrainedModel(spec=spec, n_features=X.shape[1], feature_means=means, feature_stds=stds, state=None))
@@ -616,14 +626,16 @@ def fit_each(spec: ClassifierSpec, trains: list[LabeledDataset]) -> list[Trained
         elif spec.kind == "knn":
             state = (Z.copy(), y.copy())
         else:  # gaussian_nb
-            classes = np.unique(y)
             priors = {}
             params = {}
-            for cls in classes:
-                rows = Z[y == cls]
-                priors[int(cls)] = math.log(len(rows) / len(y))
+            for cls in (0, 1):
+                of_class = y == cls
+                if not of_class.any():
+                    continue
+                rows = Z[of_class]
+                priors[cls] = math.log(len(rows) / len(y))
                 var = rows.var(axis=0)
-                params[int(cls)] = (rows.mean(axis=0), np.maximum(var, spec.variance_floor))
+                params[cls] = (rows.mean(axis=0), np.maximum(var, spec.variance_floor))
             state = (priors, params)
         models[-1].state = state
     for model, forest in zip(models, _grow_forests(spec, forest_sets) if forest_sets else []):
@@ -638,9 +650,8 @@ def _finite_matrix(X, what: str) -> np.ndarray:
         raise ValueError(
             f"{what} must be a 2-D matrix with at least one column, got shape {X.shape}"
         )
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        row = int(finite.argmin())
+    if not np.isfinite(X).all():
+        row = int(np.isfinite(X).all(axis=1).argmin())
         raise ValueError(f"{what} row {row} holds a non-finite value: {X[row].tolist()}")
     return X
 

@@ -10,7 +10,7 @@ period means breaking ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .splits import (
     SplitError,
     SplitRequest,
     apply_rule,
-    build_split,
+    split_sides,
 )
 from .terms import Term, format_term, to_ordinal
 
@@ -138,37 +138,29 @@ def run_grid(
 
 
 def _build_term(grid, cohort, tab: VectorTable, approaches, specs, t, split_seed) -> tuple:
-    """Build term t's splits, recording their sizes and skips; returns
-    (t, one training set per distinct train rule, the (approach, rule, test)
-    of each built split). The sets it returns hold only their X and y."""
+    """Build term t's splits as row indices (`split_sides`), recording their
+    sizes and skips; returns (t, one training set per distinct train rule,
+    the (approach, rule, test) of each built split). The sets it returns hold
+    only their X and y, gathered straight from the table."""
     grid.enrolled[t] = len(tab.enrolled(to_ordinal(t, cohort.terms_per_year)))
     trains = {}  # one per distinct training set: A's own, else its train rule's
     held = []
     for approach in approaches:
         a = approach.value
         try:
-            train, test = build_split(cohort, SplitRequest(approach, t, split_seed), spec=tab.spec)
+            train, test = split_sides(cohort, SplitRequest(approach, t, split_seed), spec=tab.spec)
         except SplitError as exc:
             grid.sizes[(a, t)] = SetSizes(0, 0, 0, 0)
             for spec in specs:
                 grid.skips[(a, spec.label, t)] = str(exc)
             continue
-        grid.sizes[(a, t)] = SetSizes(
-            train_students=len(train.student_ids),
-            train_rows=train.n,
-            test_students=len(test.student_ids),
-            test_rows=test.n,
-        )
-        grid.exclusion_counts[(a, t)] = len(train.meta.exclusions) + len(test.meta.exclusions)
+        grid.sizes[(a, t)] = SetSizes(train.students, len(train.rows), test.students, len(test.rows))
+        grid.exclusion_counts[(a, t)] = len(train.excluded) + len(test.excluded)
         key = approach if approach is SplitApproach.A else RULES[approach].train
-        trains.setdefault(key, _xy(train))
-        held.append((a, key, _xy(test)))
+        if key not in trains:
+            trains[key] = LabeledDataset(*train.xy(tab))
+        held.append((a, key, LabeledDataset(*test.xy(tab))))
     return t, trains, held
-
-
-def _xy(ds: LabeledDataset) -> LabeledDataset:
-    """ds with its X and y only, all that fitting and scoring read."""
-    return replace(ds, rows=(), meta=replace(ds.meta, exclusions=()))
 
 
 def _fit_and_score(grid: EvaluationGrid, specs: list[ClassifierSpec], terms: list[tuple]) -> None:
@@ -322,9 +314,8 @@ def predict_enrolled(
     defined = pick.count > 0
     result.exclusions = [(tab.student_ids[i], r) for i, r, ok in zip(enrolled.tolist(), pick.reason.tolist(), defined) if not ok]
     if defined.any():
-        X, _, rows = tab.take(pick.start[defined], pick.as_of)
-        labels = predict(model, X)
-        result.predictions = [(sid, int(lb)) for (sid, _), lb in zip(rows, labels)]
+        labels = predict(model, tab.take(pick.start[defined], pick.as_of)[0])
+        result.predictions = [(tab.student_ids[i], int(lb)) for i, lb in zip(enrolled[defined].tolist(), labels)]
     return result
 
 

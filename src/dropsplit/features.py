@@ -163,12 +163,12 @@ def _term_totals(courses: CourseTable):
 class VectorTable:
     """Every defined as-of vector of a cohort, as arrays.
 
-    Row r is the vector of student row_student[r] as of rows[r][1]. Student i
-    (cohort order, which is student id order) owns the rows first[i] ..
-    first[i] + count[i] - 1, as of each term from just after its first course
-    term through one past its final one: the earlier windows are empty, and
-    windows only grow. Labels are -1 for enrolled students, and exit is past
-    every ordinal for them.
+    Row r is the vector of student row_student[r] as of the term `names`
+    gives it. Student i (cohort order, which is student id order) owns the
+    rows first[i] .. first[i] + count[i] - 1, as of each term from just after
+    its first course term through one past its final one: the earlier
+    windows are empty, and windows only grow. Labels are -1 for enrolled
+    students, and exit is past every ordinal for them.
     """
 
     spec: FeatureSetSpec
@@ -182,7 +182,6 @@ class VectorTable:
     X: np.ndarray  # (rows, features)
     labels: np.ndarray
     row_student: np.ndarray
-    rows: list[tuple[str, Term]]  # (student id, as-of term) of each row
     horizon: int  # ordinal of the cohort's last term
 
     @staticmethod
@@ -220,13 +219,10 @@ class VectorTable:
         labels = np.fromiter(
             (-1 if (label := student_label(s)) is None else label for s in students), np.int64, n_students
         )
-        student_ids = tuple(s.student_id for s in students)
-        terms = {o: from_ordinal(o, tpy) for o in np.unique(as_of).tolist()}
-        spans = zip(student_ids, (last + 2 - count).tolist(), (last + 2).tolist())
         return VectorTable(
             spec=spec,
             terms_per_year=tpy,
-            student_ids=student_ids,
+            student_ids=tuple(s.student_id for s in students),
             entrance=entrance,
             last=last,
             exit=exits,
@@ -235,7 +231,6 @@ class VectorTable:
             X=X,
             labels=labels[row_student],
             row_student=row_student,
-            rows=[(sid, terms[o]) for sid, lo, hi in spans for o in range(lo, hi)],
             horizon=to_ordinal(cohort.range.hi, tpy),
         )
 
@@ -279,21 +274,28 @@ class VectorTable:
         reason = np.where(o <= self.entrance[si], "starts_at_reference_term", "no_records_before_reference")
         return Pick(self.first[si] + i, (i >= 0).astype(np.int64), reason, o)
 
-    def take(self, idx: np.ndarray, as_of: int | None = None) -> tuple[np.ndarray, np.ndarray, list[tuple[str, Term]]]:
-        """Rows idx as a feature matrix, labels and (student id, as-of term) pairs.
+    def take(self, idx: np.ndarray, as_of: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Rows idx as a feature matrix and labels.
 
         With as_of, each row is reported as of that ordinal; of the
         aggregates only elapsed_terms reads the as-of term itself.
         """
         X = self.X[idx]
-        rows = self.rows
-        if as_of is None:
-            return X, self.labels[idx], [rows[r] for r in idx.tolist()]
-        if "elapsed_terms" in self.spec.time_features:
+        if as_of is not None and "elapsed_terms" in self.spec.time_features:
             j = len(self.spec.static_names) + self.spec.time_features.index("elapsed_terms")
             X[:, j] = as_of - self.entrance[self.row_student[idx]]
-        t = from_ordinal(as_of, self.terms_per_year)
-        return X, self.labels[idx], [(rows[r][0], t) for r in idx.tolist()]
+        return X, self.labels[idx]
+
+    def names(self, idx: np.ndarray, as_of: int | None = None) -> list[tuple[str, Term]]:
+        """The (student id, as-of term) of rows idx, each as of as_of if given."""
+        student = self.row_student[idx]
+        if as_of is None:  # student i's rows run as of last[i] + 2 - count[i] onward
+            ords = (idx + (self.last + 2 - self.count - self.first)[student]).tolist()
+        else:
+            ords = [as_of] * len(idx)
+        terms = {o: from_ordinal(o, self.terms_per_year) for o in set(ords)}
+        ids = self.student_ids
+        return [(ids[i], terms[o]) for i, o in zip(student.tolist(), ords)]
 
 
 class VectorCache(dict):

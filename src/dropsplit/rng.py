@@ -10,17 +10,17 @@ an output word; bounded integers use rejection sampling; shuffles are
 descending Fisher-Yates.
 
 `xoshiro_words` is the one scalar recurrence: it steps one stream in a
-generator with its state in locals. `Xoshiro256StarStar` seeds it and writes
-the draws derived from its words (`random`, `randbelow`, `normal`, `shuffle`,
-`sample_indices`) once; it is the reference. `LaneDraws` steps many streams
-together: its uint64 state holds the four words of every lane, and each step
-is a few numpy operations over all lanes at once (numpy's uint64 multiply
-wraps mod 2^64, as the masks here do), ``_BLOCK`` steps per pass. Every lane
-yields the words of the scalar stream of its seed. It makes `random`,
-`randbelow`, `sample_indices` (as `sample`) and `normal` for many lanes in one
-call, as arrays, each lane reading its own words from its own position and
-with its own bounds; it keeps the operations of `Xoshiro256StarStar` value for
-value.
+generator with its state in locals. `Xoshiro256StarStar` seeds it and makes
+the one scalar draw the program uses, `shuffle`. `LaneDraws` steps many
+streams together: its uint64 state holds the four words of every lane, and
+each step is a few numpy operations over all lanes at once (numpy's uint64
+multiply wraps mod 2^64, as the masks here do), ``_BLOCK`` steps per pass.
+Every lane yields the words of the scalar stream of its seed. It makes
+`random`, `randbelow`, `sample_indices` (as `sample`) and `normal` for many
+lanes in one call, as arrays, each lane reading its own words from its own
+position and with its own bounds. Their scalar definitions, one stream and
+one call at a time, are the reference `ScalarStream` in `tests/conftest.py`;
+`LaneDraws` gives its values, value for value.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def xoshiro_words(s0: int, s1: int, s2: int, s3: int) -> Iterator[int]:
 
 class Xoshiro256StarStar:
     """One xoshiro256** stream, seeded via splitmix64 expansion of one 64-bit
-    seed, and the draws derived from its words."""
+    seed: its words, and shuffles drawn from them."""
 
     def __init__(self, seed: int) -> None:
         state = check_seed(seed)
@@ -108,23 +108,6 @@ class Xoshiro256StarStar:
     def next_u64(self) -> int:
         return next(self._words)
 
-    def random(self) -> float:
-        """Uniform float in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * _UNIT
-
-    def randbelow(self, n: int) -> int:
-        """Unbiased uniform integer in [0, n) via rejection sampling."""
-        if n <= 0:
-            raise ValueError(f"randbelow needs n >= 1, got {n}")
-        nbits = (n - 1).bit_length()
-        if not nbits:
-            return 0
-        shift = 64 - nbits
-        while True:
-            r = self.next_u64() >> shift
-            if r < n:
-                return r
-
     def shuffle(self, items: list) -> None:
         """In-place descending Fisher-Yates shuffle."""
         next_u64 = self.next_u64
@@ -134,37 +117,6 @@ class Xoshiro256StarStar:
             while j > i:
                 j = next_u64() >> shift
             items[i], items[j] = items[j], items[i]
-
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        """Gaussian deviate via Box-Muller; draws two uniforms per call."""
-        u1 = 1.0 - self.random()  # (0, 1], keeps log finite
-        u2 = self.random()
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        return mean + std * z
-
-    def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), order given by the draw sequence.
-
-        A partial Fisher-Yates over range(n): pick i swaps positions i and
-        i + randbelow(n - i). Only swapped positions are stored, so a call
-        costs O(k), not O(n).
-        """
-        if not 0 <= k <= n:
-            raise ValueError(f"cannot sample {k} from {n}")
-        next_u64 = self.next_u64
-        moved: dict[int, int] = {}
-        out = []
-        for i in range(k):
-            j = i
-            if n - i > 1:  # j += randbelow(n - i), inlined
-                shift = 64 - (n - i - 1).bit_length()
-                r = next_u64() >> shift
-                while r >= n - i:
-                    r = next_u64() >> shift
-                j += r
-            out.append(moved.get(j, j))
-            moved[j] = moved.get(i, i)
-        return out
 
 
 def _splitmix64_lanes(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,10 +135,10 @@ class LaneDraws:
     a ``(4, lanes)`` uint64 array, one row per state word, so each operation
     of a step runs over all lanes in contiguous memory. Each call draws for
     each lane of an index array (no lane twice), and each lane reads on from
-    its own position, so the values a lane gets are those the
-    `Xoshiro256StarStar` method of the same name gives its stream, call for
-    call. The arithmetic is that of `Xoshiro256StarStar`, operation for
-    operation: the correctly rounded IEEE operations, square root among them,
+    its own position, so the values a lane gets are those the scalar
+    reference, `ScalarStream` in `tests/conftest.py`, gives its stream from
+    the method of the same name, call for call. The arithmetic is that of the
+    reference, operation for operation: the correctly rounded IEEE operations, square root among them,
     give the same double on an array as on a Python float, but numpy's SIMD
     ``log`` and ``cos`` may differ in the last ulp, so `math.log` and
     `math.cos` are mapped over the values.
@@ -286,11 +238,14 @@ class LaneDraws:
         return words
 
     def random(self, lanes: np.ndarray) -> np.ndarray:
-        """`Xoshiro256StarStar.random` for each of `lanes`."""
+        """A uniform float in [0, 1), from the top 53 bits of one word, for each
+        of `lanes` (`ScalarStream.random`)."""
         return (self._take(lanes, 1)[:, 0] >> np.uint64(11)).astype(np.float64) * _UNIT
 
     def randbelow(self, lanes: np.ndarray, n) -> np.ndarray:
-        """`Xoshiro256StarStar.randbelow(n)` for each of `lanes`, as int64.
+        """An unbiased integer in [0, n) for each of `lanes`, as int64
+        (`ScalarStream.randbelow`): the top bits of a word that n - 1 needs,
+        drawn again while they are n or more.
 
         `n` is one bound for every lane or an array of one bound per lane, each
         in [1, 2**63]. A word is drawn again only for the lanes whose last word
@@ -312,8 +267,8 @@ class LaneDraws:
 
     def sample(self, lanes: np.ndarray, pool: np.ndarray, n: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For each lane i, ``k[i]`` entries of ``pool[i, :n[i]]`` at the positions
-        `Xoshiro256StarStar.sample_indices(n[i], k[i])` draws, then ``k[i]``
-        `Xoshiro256StarStar.random` values: an extra-trees split's features
+        `ScalarStream.sample_indices(n[i], k[i])` draws, then ``k[i]``
+        `ScalarStream.random` values: an extra-trees split's features
         and cut points.
 
         A partial Fisher-Yates permutes the rows of the C-contiguous integer
@@ -364,7 +319,8 @@ class LaneDraws:
         return pool[:, :d], uniforms.astype(np.float64) * _UNIT
 
     def normal(self, lanes: np.ndarray, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        """`Xoshiro256StarStar.normal(mean, std)` for each of `lanes`."""
+        """A Gaussian deviate for each of `lanes` (`ScalarStream.normal`): Box-Muller
+        over two uniforms u1, u2, ``mean + std * sqrt(-2 log(1 - u1)) cos(2 pi u2)``."""
         u = (self._take(lanes, 2) >> np.uint64(11)).astype(np.float64) * _UNIT
         u1 = 1.0 - u[:, 0]
         u2 = u[:, 1]

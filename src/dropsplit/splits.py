@@ -9,10 +9,14 @@ partition of the pooled students that ignores time entirely.
 
 Each rule in `RULES` picks rows of the cohort's `VectorTable` for a whole
 population at once; the populations are masks on the table's exit and
-entrance ordinals. A side is then one gather of the chosen rows, which come
-out sorted by (student id, as-of term) because the table is, so no
-classifier can depend on incidental row order. Every student excluded by a
-precondition is recorded with a reason code, in population order.
+entrance ordinals. A side (`Side`) is integers: the chosen row indices,
+sorted by (student id, as-of term) because the table is, so no classifier
+can depend on incidental row order, and the cohort positions of the students
+excluded by a precondition, each with a reason code, in population order.
+`split_sides` gives a split as two sides, which the walk-forward grid
+gathers straight into X and y; `build_split` and `apply_rule` give them as
+`LabeledDataset`s, with each row's (student id, as-of term) and an
+`Exclusion` per excluded student.
 """
 
 from __future__ import annotations
@@ -70,14 +74,14 @@ class DatasetMeta:
 class LabeledDataset:
     """Feature matrix, labels, and per-row provenance for one split side.
 
-    The walk-forward grid holds its sets with no provenance (`rows` empty),
+    The walk-forward grid holds its sets as X and y alone (no rows, no meta),
     so `n` counts labels.
     """
 
     X: np.ndarray
     y: np.ndarray
-    rows: tuple[tuple[str, Term], ...]
-    meta: DatasetMeta
+    rows: tuple[tuple[str, Term], ...] = ()
+    meta: DatasetMeta | None = None
 
     @property
     def n(self) -> int:
@@ -88,13 +92,43 @@ class LabeledDataset:
         return {sid for sid, _ in self.rows}
 
 
-def _dataset(tab: VectorTable, idx, as_of: int | None, role: str, exclusions: list[Exclusion]) -> LabeledDataset:
-    X, y, rows = tab.take(np.asarray(idx, dtype=np.int64), as_of)
-    unlabeled = np.flatnonzero(y < 0)
-    if len(unlabeled):
-        sid = rows[unlabeled[0]][0]
-        raise ValueError(f"student {sid} has no label; enrolled students cannot enter a split")
-    return LabeledDataset(X=X, y=y, rows=tuple(rows), meta=DatasetMeta(role, tab.spec.names, tuple(exclusions)))
+class Side(NamedTuple):
+    """One split side as integers: what a rule or approach A picked.
+
+    `rows` are table rows in row order, reported as of `as_of` where it is
+    set; `students` counts the students with a row, and `excluded` holds the
+    cohort positions of the students without a vector, in population order,
+    with their reason codes in `reasons`.
+    """
+
+    rows: np.ndarray
+    as_of: int | None
+    students: int
+    excluded: np.ndarray
+    reasons: np.ndarray
+
+    def xy(self, tab: VectorTable) -> tuple[np.ndarray, np.ndarray]:
+        """The side's feature matrix and labels; an unlabeled row is a ValueError
+        naming its student."""
+        X, y = tab.take(self.rows, self.as_of)
+        unlabeled = np.flatnonzero(y < 0)
+        if len(unlabeled):
+            sid = tab.student_ids[tab.row_student[self.rows[unlabeled[0]]]]
+            raise ValueError(f"student {sid} has no label; enrolled students cannot enter a split")
+        return X, y
+
+    def dataset(self, tab: VectorTable, role: str, excluded_role: str | None = None) -> LabeledDataset:
+        """The side with its provenance: each row's (student id, as-of term),
+        and each excluded student's `Exclusion` under excluded_role (default
+        role)."""
+        X, y = self.xy(tab)
+        excluded_role = excluded_role or role
+        exclusions = tuple(
+            Exclusion(tab.student_ids[i], excluded_role, reason)
+            for i, reason in zip(self.excluded.tolist(), self.reasons.tolist())
+        )
+        rows = tuple(tab.names(self.rows, self.as_of))
+        return LabeledDataset(X=X, y=y, rows=rows, meta=DatasetMeta(role, tab.spec.names, exclusions))
 
 
 # A rule picks, for students at cohort positions si, the table rows of their
@@ -146,63 +180,53 @@ RULES: dict[SplitApproach, Rules] = {
 }
 
 
-def _choose(
-    rule: Rule, si: np.ndarray, t: Term, tab: VectorTable, role: str, exclusions: list[Exclusion]
-) -> tuple[np.ndarray, int | None]:
-    """The rows a rule picks for students si, in row order, and the as-of
-    ordinal they are pinned at; students without a vector are appended to
-    exclusions in the order of si."""
-    pick = rule(tab, si, to_ordinal(t, tab.terms_per_year))
+def _choose(rule: Rule, si: np.ndarray, o: int, tab: VectorTable) -> Side:
+    """The side a rule picks for students si at reference ordinal o: their
+    rows in row order, and the students without a vector in the order of si."""
+    pick = rule(tab, si, o)
     undefined = np.flatnonzero(pick.count == 0)
-    exclusions += [
-        Exclusion(tab.student_ids[i], role, reason)
-        for i, reason in zip(si[undefined].tolist(), pick.reason[undefined].tolist())
-    ]
     order = np.argsort(si, kind="stable")  # cohort order is (student id, as-of) row order
     start, count = pick.start[order], pick.count[order]
     ends = np.cumsum(count)
     idx = np.arange(ends[-1] if len(ends) else 0) + np.repeat(start - ends + count, count)
-    return idx, pick.as_of
+    return Side(idx, pick.as_of, len(si) - len(undefined), si[undefined], pick.reason[undefined])
 
 
 def apply_rule(approach: SplitApproach, role: str, si: np.ndarray, t: Term, tab: VectorTable) -> LabeledDataset:
     """One side of a split: the approach's rule for role ("train" or "test") applied
     to the students at cohort positions si, every undefined vector an exclusion."""
-    exclusions: list[Exclusion] = []
-    idx, as_of = _choose(getattr(RULES[approach], role), si, t, tab, role, exclusions)
-    return _dataset(tab, idx, as_of, role, exclusions)
+    rule = getattr(RULES[approach], role)
+    return _choose(rule, si, to_ordinal(t, tab.terms_per_year), tab).dataset(tab, role)
 
 
-def _pooled(
-    before: np.ndarray, onward: np.ndarray, t: Term, seed: int, tab: VectorTable
-) -> tuple[LabeledDataset, LabeledDataset]:
+def _pooled(before: np.ndarray, onward: np.ndarray, t: Term, seed: int, tab: VectorTable) -> tuple[Side, Side]:
     """Approach A: a seeded random partition of both populations' vectors.
 
     Set sizes match the temporal populations so accuracy is comparable with
     the temporal approaches, but membership ignores exit order entirely. Every
-    exclusion is recorded on the train side, with role "pool".
+    exclusion goes to the train side, in population order.
     """
-    rules = RULES[SplitApproach.A]
-    excl: list[Exclusion] = []
-    rows_before, _ = _choose(rules.train, before, t, tab, "pool", excl)
-    rows_onward, _ = _choose(rules.test, onward, t, tab, "pool", excl)
-    if not len(rows_before):
+    rules, o = RULES[SplitApproach.A], to_ordinal(t, tab.terms_per_year)
+    train, test = _choose(rules.train, before, o, tab), _choose(rules.test, onward, o, tab)
+    if not len(train.rows):
         raise SplitError(f"no students exited before reference term {t}")
-    if not len(rows_onward):
+    if not len(test.rows):
         raise SplitError(f"no students active at {t} exited within the window")
     # One row per student, so row order is student id order.
-    pool = sorted(rows_before.tolist() + rows_onward.tolist())
+    pool = np.sort(np.concatenate([train.rows, test.rows])).tolist()
     Xoshiro256StarStar(seed).shuffle(pool)
-    n_train = len(rows_before)
-    train = _dataset(tab, sorted(pool[:n_train]), None, "train", excl)
-    test = _dataset(tab, sorted(pool[n_train:]), None, "test", [])
-    return train, test
+    n_train = len(train.rows)
+    excluded = np.concatenate([train.excluded, test.excluded])
+    reasons = np.concatenate([train.reasons, test.reasons])
+    train_rows, test_rows = (np.sort(np.array(part, dtype=np.int64)) for part in (pool[:n_train], pool[n_train:]))
+    return (
+        Side(train_rows, None, len(train_rows), excluded, reasons),
+        Side(test_rows, None, len(test_rows), excluded[:0], reasons[:0]),
+    )
 
 
-def build_split(
-    c: Cohort, request: SplitRequest, spec: FeatureSetSpec | None = None
-) -> tuple[LabeledDataset, LabeledDataset]:
-    """Materialize one approach's (train, test) pair at a reference term T.
+def split_sides(c: Cohort, request: SplitRequest, spec: FeatureSetSpec | None = None) -> tuple[Side, Side]:
+    """One approach's (train, test) sides at a reference term T, as integers.
 
     Train rows come from students who exited before T, test rows from students
     active at T who exited by the end of the window; RULES says which vectors
@@ -216,11 +240,22 @@ def build_split(
     before, onward = tab.exited_before(o), tab.exited_from(o)
     if request.approach is SplitApproach.A:
         return _pooled(before, onward, t, request.seed, tab)
-    train = apply_rule(request.approach, "train", before, t, tab)
-    test = apply_rule(request.approach, "test", onward, t, tab)
-    if not train.n:
+    rules = RULES[request.approach]
+    train, test = _choose(rules.train, before, o, tab), _choose(rules.test, onward, o, tab)
+    if not len(train.rows):
         raise SplitError(f"train side empty: no student exited before {t} with a usable vector")
-    if not test.n:
+    if not len(test.rows):
         raise SplitError(f"test side empty: no student active at {t} exited within the window with a usable vector")
     return train, test
 
+
+def build_split(
+    c: Cohort, request: SplitRequest, spec: FeatureSetSpec | None = None
+) -> tuple[LabeledDataset, LabeledDataset]:
+    """Materialize one approach's (train, test) pair at a reference term T:
+    `split_sides`, with each row's provenance and each exclusion's `Exclusion`.
+    Approach A records every exclusion on the train side, with role "pool"."""
+    train, test = split_sides(c, request, spec)
+    tab = vector_table(c, spec)
+    pooled = "pool" if request.approach is SplitApproach.A else None
+    return train.dataset(tab, "train", pooled), test.dataset(tab, "test")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -16,11 +17,45 @@ from dropsplit.records import (
     check_reference,
     ingest,
 )
+from dropsplit.rng import Xoshiro256StarStar
 from dropsplit.splits import DatasetMeta, LabeledDataset
 from dropsplit.synthgen import GeneratorConfig, generate, write_courses_csv, write_students_csv
 from dropsplit.terms import DEFAULT_TERMS_PER_YEAR, Term, TermRange, from_ordinal, term_distance, to_ordinal
 
 ATTRS = (("entrance_age", 18.0), ("sex_code", 1.0), ("degree_code", 2.0))
+
+
+class ScalarStream(Xoshiro256StarStar):
+    """One stream and the draws `rng.LaneDraws` makes for many, one call at a
+    time: the reference its lanes match value for value, and the stream the
+    reference generator and forest in these tests draw from."""
+
+    def random(self) -> float:
+        """Uniform float in [0, 1) from the top 53 bits."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def randbelow(self, n: int) -> int:
+        """Unbiased uniform integer in [0, n) by rejection sampling; n = 1 reads no word."""
+        nbits = (n - 1).bit_length()
+        while True:
+            r = self.next_u64() >> (64 - nbits) if nbits else 0
+            if r < n:
+                return r
+
+    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
+        """Gaussian deviate via Box-Muller; draws two uniforms per call."""
+        u1 = 1.0 - self.random()  # (0, 1], keeps log finite
+        u2 = self.random()
+        return mean + std * (math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2))
+
+    def sample_indices(self, n: int, k: int) -> list[int]:
+        """k distinct indices from range(n) in draw order: a partial Fisher-Yates
+        whose pick i swaps positions i and i + randbelow(n - i)."""
+        pool = list(range(n))
+        for i in range(k):
+            j = i + self.randbelow(n - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:k]
 
 
 class Row(NamedTuple):

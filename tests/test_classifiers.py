@@ -19,9 +19,9 @@ from dropsplit.classifiers import (
     predict,
     predict_proba,
 )
-from dropsplit.rng import LaneDraws, Xoshiro256StarStar, derive_seed
+from dropsplit.rng import LaneDraws, derive_seed
 
-from conftest import from_arrays
+from conftest import ScalarStream, from_arrays
 
 ALL_KINDS = ["decision_tree", "extra_trees", "knn", "gaussian_nb"]
 
@@ -442,7 +442,7 @@ def reference_forest(spec, X, y):
     return [
         reference_grow_tree(
             Z, y, spec.max_depth, spec.min_samples_split,
-            reference_split_chooser(Xoshiro256StarStar(derive_seed(spec.seed, t)), k),
+            reference_split_chooser(ScalarStream(derive_seed(spec.seed, t)), k),
         )
         for t in range(spec.n_trees)
     ]
@@ -585,6 +585,38 @@ class TestFitEach:
         sets = [dataset(*blobs(20)), dataset(np.zeros((4, 3)), [0, 1, 0, 1])]
         with pytest.raises(ValueError, match="dimensions"):
             fit_each(ClassifierSpec(kind="extra_trees"), sets)
+
+    def test_roots_over_the_step_budget_grow_together(self, monkeypatch):
+        # The row budget is one row short of the smaller set, so every root
+        # passes it and runs alone. The lanes must then grow together: a
+        # lane's node over the budget used to wait at the head of the step's
+        # prefix, so the two forests grew one node per step, 3,057 steps, the
+        # sum of their trees' splits. After the roots, a step leaves a lane
+        # out only when the lanes' nodes together pass the budget, which
+        # costs a few percent of the largest tree's splits here.
+        steps = []
+
+        class Counting(LaneDraws):
+            def sample(self, *args):
+                steps.append(len(args[0]))
+                return super().sample(*args)
+
+        sets = [dataset(*blobs(600, separation=1.0, std=1.5, seed=3)), dataset(*blobs(500, separation=1.0, std=1.5, seed=4))]
+        spec = ClassifierSpec(kind="extra_trees", n_trees=4, seed=3)
+        alone = fit_each(spec, sets)
+        per_row = 8 * (2 + 3 * _subsample_count(spec.feature_subsample, 2) + 3)  # as `_grow_lanes` counts a row
+        monkeypatch.setattr(classifiers, "_FOREST_STEP_BYTES", per_row * 499)
+        monkeypatch.setattr(classifiers, "LaneDraws", Counting)
+        models = fit_each(spec, sets)
+        splits = []
+        for model, reference in zip(models, alone):
+            for name in ("feature", "threshold", "left", "prob1", "roots"):
+                assert getattr(model.state, name).tolist() == getattr(reference.state, name).tolist(), name
+            feature, roots = model.state.feature, model.state.roots
+            splits += [int(np.count_nonzero(feature[lo:hi] != -1)) for lo, hi in zip(roots, [*roots[1:], len(feature)])]
+        lanes, largest = len(splits), max(splits)
+        assert steps[:lanes] == [1] * lanes
+        assert len(steps) <= lanes + largest * 11 // 10
 
     def test_finished_lanes_do_not_pin_the_words(self, monkeypatch):
         # The 2-row set's tree is done after one split; while the 300-row

@@ -34,7 +34,9 @@ def time_block(vec):
 def table_vectors(tab, pick):
     """The vectors of the rows a table pick chose for its first student."""
     start, count = int(pick.start[0]), int(pick.count[0])
-    X, y, rows = tab.take(np.arange(start, start + count), pick.as_of)
+    idx = np.arange(start, start + count)
+    X, y = tab.take(idx, pick.as_of)
+    rows = tab.names(idx, pick.as_of)
     return [FeatureVector(sid, t, tuple(v), None if lb < 0 else lb) for (sid, t), v, lb in zip(rows, X.tolist(), y.tolist())]
 
 
@@ -59,6 +61,11 @@ def pick_one(c, choose, spec=None, sid=None):
 
 def as_of(t):
     return lambda tab, si: tab.as_of(si, to_ordinal(t))
+
+
+def row_names(tab):
+    """The (student id, as-of term) of every row of a table."""
+    return tab.names(np.arange(len(tab.X)))
 
 
 def student_rows(tab):
@@ -96,7 +103,7 @@ class TestFeatureVector:
     def test_domain_errors(self, alice):
         # Rows run as of each term after entrance through one past the final activity.
         tab = vector_table(alice)
-        assert [t for _, t in tab.rows] == [Term(2012, 2), Term(2013, 1), Term(2013, 2), Term(2014, 1)]
+        assert [t for _, t in row_names(tab)] == [Term(2012, 2), Term(2013, 1), Term(2013, 2), Term(2014, 1)]
         assert pick_one(alice, as_of(Term(2012, 1))) == "starts_at_reference_term"  # entrance term itself
         assert pick_one(alice, as_of(Term(2011, 2))) == "starts_at_reference_term"
         # Past the end there is no row of its own: the full history, as of that term.
@@ -148,7 +155,7 @@ class TestNamedVectors:
 class TestVectorAsOf:
     def test_matches_table_row_inside_domain(self, alice):
         tab = vector_table(alice)
-        row = tab.rows.index(("alice", Term(2013, 1)))
+        row = row_names(tab).index(("alice", Term(2013, 1)))
         vec = pick_one(alice, as_of(Term(2013, 1)))
         assert vec.values == tuple(tab.X[row]) == naive_values(alice, alice.students[0], Term(2013, 1), tab.spec)
 
@@ -181,7 +188,7 @@ class TestExpandHistory:
         # No vector is as of the entrance term or earlier.
         tab = vector_table(alice)
         assert table_vectors(tab, tab.history(ONLY))[0].as_of == next_term(Term(2012, 1))
-        assert all(t > Term(2012, 1) for _, t in tab.rows)
+        assert all(t > Term(2012, 1) for _, t in row_names(tab))
 
     def test_empty_range_yields_empty_list(self, tiny_cohort):
         tab = vector_table(tiny_cohort)
@@ -268,7 +275,7 @@ def test_vectors_match_naive_reference(drawn, gap):
         assert table_outcome(tab, tab.as_of(ONLY, to_ordinal(t))) == as_of_reason
         # A term has a row of its own exactly when it lies in (entrance .. end]
         # and its window holds a record.
-        assert ((s.student_id, t) in tab.rows) == (t <= end and expected is not None)
+        assert ((s.student_id, t) in row_names(tab)) == (t <= end and expected is not None)
     at_end = naive_values(c, s, end, FULL_SPEC) or "no_course_records"
     assert table_outcome(tab, tab.at_end(ONLY)) == at_end
     s_last = last(c, s)

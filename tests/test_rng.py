@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from dropsplit import rng
 from dropsplit.rng import LaneDraws, Xoshiro256StarStar, check_seed, derive_seed, splitmix64, xoshiro_words
 
+from conftest import ScalarStream
+
 # Frozen first outputs for seed 0 and seed 42; any change to the stream
 # definition breaks every recorded manifest, so these must never move.
 GOLDEN_SEED0 = [
@@ -63,14 +65,14 @@ def test_same_seed_same_stream():
 
 
 def test_random_unit_interval():
-    gen = Xoshiro256StarStar(5)
+    gen = ScalarStream(5)
     values = [gen.random() for _ in range(2000)]
     assert all(0.0 <= v < 1.0 for v in values)
     assert 0.45 < sum(values) / len(values) < 0.55
 
 
 def test_randbelow_bounds_and_coverage():
-    gen = Xoshiro256StarStar(9)
+    gen = ScalarStream(9)
     counts = Counter(gen.randbelow(6) for _ in range(6000))
     assert set(counts) == set(range(6))
     assert all(800 < counts[v] < 1200 for v in range(6))
@@ -93,7 +95,7 @@ def test_shuffle_frozen_seed42():
 
 
 def test_normal_moments():
-    gen = Xoshiro256StarStar(13)
+    gen = ScalarStream(13)
     values = [gen.normal() for _ in range(5000)]
     mean = sum(values) / len(values)
     var = sum((v - mean) ** 2 for v in values) / len(values)
@@ -102,7 +104,7 @@ def test_normal_moments():
 
 
 def test_sample_indices_distinct():
-    gen = Xoshiro256StarStar(17)
+    gen = ScalarStream(17)
     for _ in range(100):
         picked = gen.sample_indices(10, 4)
         assert len(set(picked)) == 4
@@ -142,64 +144,35 @@ def test_scalar_stream_rejects_seed_outside_64_bits():
 
 # --- lanes against the scalar reference ---------------------------------------
 #
-# The derived draws as the scalar class first defined them; the
-# `Xoshiro256StarStar` methods inline or restructure some of them, and must
-# give the same values.
-
-
-def reference_randbelow(gen, n: int) -> int:
-    nbits = (n - 1).bit_length()
-    while True:
-        r = gen.next_u64() >> (64 - nbits) if nbits else 0
-        if r < n:
-            return r
+# `ScalarStream` (conftest) draws one stream one call at a time; every
+# `LaneDraws` method must give its values. The program's one scalar draw,
+# `Xoshiro256StarStar.shuffle`, inlines randbelow and must give the shuffle
+# defined here.
 
 
 def reference_shuffle(gen, items: list) -> None:
     for i in range(len(items) - 1, 0, -1):
-        j = reference_randbelow(gen, i + 1)
+        j = gen.randbelow(i + 1)
         items[i], items[j] = items[j], items[i]
 
 
-def reference_sample_indices(gen, n: int, k: int) -> list[int]:
-    pool = list(range(n))
-    out = []
-    for i in range(k):
-        j = i + reference_randbelow(gen, n - i)
-        pool[i], pool[j] = pool[j], pool[i]
-        out.append(pool[i])
-    return out
-
-
-def by_reference(gen, op):
+def by_reference(gen, op, shuffle=reference_shuffle):
     name, *args = op
     if name == "words":
         return [gen.next_u64() for _ in range(args[0])]
-    if name == "randbelow":
-        return reference_randbelow(gen, *args)
     if name == "shuffle":
         items = list(range(args[0]))
-        reference_shuffle(gen, items)
+        shuffle(gen, items)
         return items
     if name == "sample_indices":
         # k indices, then one uniform each: the draws of an extra-trees split.
-        picks = reference_sample_indices(gen, *args)
+        picks = gen.sample_indices(*args)
         return picks, [gen.random() for _ in picks]
     return getattr(gen, name)(*args)
 
 
 def by_stream(gen, op):
-    name, *args = op
-    if name == "words":
-        return [gen.next_u64() for _ in range(args[0])]
-    if name == "shuffle":
-        items = list(range(args[0]))
-        gen.shuffle(items)
-        return items
-    if name == "sample_indices":
-        picks = gen.sample_indices(*args)
-        return picks, [gen.random() for _ in picks]
-    return getattr(gen, name)(*args)
+    return by_reference(gen, op, shuffle=Xoshiro256StarStar.shuffle)
 
 
 class OneLane:
@@ -218,7 +191,7 @@ def by_lane(lane, op):
     if name == "words":
         return draws._take(i, args[0])[0].tolist()
     if name == "randbelow" and args[0] > 2**63:
-        return reference_randbelow(lane, *args)  # past LaneDraws.randbelow's range
+        return ScalarStream.randbelow(lane, *args)  # past LaneDraws.randbelow's range
     if name == "shuffle":
         items = list(range(args[0]))
         for j in range(len(items) - 1, 0, -1):
@@ -267,11 +240,11 @@ def test_lanes_match_scalar_reference(seeds, schedule, how, block):
     """
     with mock.patch.object(rng, "_BLOCK", block):
         if how == "stream":
-            lanes, draw = [Xoshiro256StarStar(seed) for seed in seeds], by_stream
+            lanes, draw = [ScalarStream(seed) for seed in seeds], by_stream
         else:
             draws = LaneDraws(seeds)
             lanes, draw = [OneLane(draws, i) for i in range(len(seeds))], by_lane
-        scalars = [Xoshiro256StarStar(seed) for seed in seeds]
+        scalars = [ScalarStream(seed) for seed in seeds]
         for which, op in schedule:
             i = which % len(seeds)
             assert draw(lanes[i], op) == by_reference(scalars[i], op)
@@ -332,7 +305,7 @@ def lane_call(draws, kind, args, lanes):
 
 def lane_reference(gen, kind, args, i):
     if kind == "randbelow_each":
-        return reference_randbelow(gen, args[0][i])
+        return gen.randbelow(args[0][i])
     if kind == "sample":
         return by_reference(gen, ("sample_indices", args[0][i], args[1][i]))
     return by_reference(gen, (kind, *args))
@@ -351,7 +324,7 @@ def lane_reference(gen, kind, args, i):
     block=st.sampled_from([1, 3, 16, rng._BLOCK]),
 )
 def test_lane_draws_match_scalar_reference(seeds, calls, block):
-    """Each lane of a call gets the `Xoshiro256StarStar` value of its stream, call for call.
+    """Each lane of a call gets the `ScalarStream` value of its stream, call for call.
 
     Calls name lanes in any order and leave some out, so lanes read at
     different rates and a refill keeps words that some lanes have not read;
@@ -359,7 +332,7 @@ def test_lane_draws_match_scalar_reference(seeds, calls, block):
     """
     with mock.patch.object(rng, "_BLOCK", block):
         draws = LaneDraws(seeds)
-        scalars = [Xoshiro256StarStar(seed) for seed in seeds]
+        scalars = [ScalarStream(seed) for seed in seeds]
         released: set[int] = set()
         for kind, args, *lanes in calls:
             if kind == "release":
@@ -384,7 +357,7 @@ def test_refill_drops_released_lanes_and_keeps_lane_numbers():
     seeds = [derive_seed(9, i) for i in range(6)]
     with mock.patch.object(rng, "_BLOCK", 4):
         draws = LaneDraws(seeds)
-        scalars = [Xoshiro256StarStar(seed) for seed in seeds]
+        scalars = [ScalarStream(seed) for seed in seeds]
         draws._take(np.arange(6), 3)
         draws.release(np.array([1, 3]))
         live = np.array([5, 0, 4, 2])
@@ -402,7 +375,7 @@ def test_lane_randbelow_with_a_bound_per_lane(block):
     seeds = [derive_seed(3, i) for i in range(len(bounds))]
     with mock.patch.object(rng, "_BLOCK", block):
         draws = LaneDraws(seeds)
-        scalars = [Xoshiro256StarStar(seed) for seed in seeds]
+        scalars = [ScalarStream(seed) for seed in seeds]
         lanes = np.arange(len(seeds))
         for _ in range(40):
             got = draws.randbelow(lanes, np.array(bounds, dtype=np.uint64)).tolist()
@@ -418,7 +391,7 @@ def test_lane_fisher_yates_matches_sample_indices(block):
     seeds = [derive_seed(11, i) for i in range(len(cases))]
     with mock.patch.object(rng, "_BLOCK", block):
         draws = LaneDraws(seeds)
-        scalars = [Xoshiro256StarStar(seed) for seed in seeds]
+        scalars = [ScalarStream(seed) for seed in seeds]
         n, k = (np.array(c, dtype=np.int64) for c in zip(*cases))
         for _ in range(20):
             pool = np.tile(np.arange(100, 112), (len(cases), 1))
@@ -426,6 +399,48 @@ def test_lane_fisher_yates_matches_sample_indices(block):
             for row, (gen, (ni, ki)) in enumerate(zip(scalars, cases)):
                 assert picks[row, :ki].tolist() == [100 + p for p in gen.sample_indices(ni, ki)]
                 assert u[row, :ki].tolist() == [gen.random() for _ in range(ki)]
+
+
+def test_lane_sample_widens_a_short_window():
+    # `sample` looks for a call's picks in a window of 4d + 8 words per lane,
+    # 16 at d = 2. Seeds 36282 and 93590 reject so often that their two picks
+    # from 33 read 17 and 19 words, so the window is widened to 32 and the
+    # draws made again. Idle lanes share the call: k = 0 reads no word, and
+    # a pick from n = 1 reads none.
+    cases = [(36282, 33, 2), (5, 1, 0), (93590, 33, 2), (6, 33, 2), (7, 1, 1), (8, 33, 0)]
+
+    class Counting(ScalarStream):
+        words = 0
+
+        def next_u64(self):
+            self.words += 1
+            return super().next_u64()
+
+    read = []
+    for seed, n, k in cases:
+        gen = Counting(seed)
+        gen.sample_indices(n, k)
+        read.append(gen.words)
+    assert read[0] > 16 and read[2] > 16 and max(read[1:2] + read[3:]) <= 16
+
+    windows = []
+
+    class Recording(LaneDraws):
+        def _window(self, lanes, n):
+            windows.append(n)
+            return super()._window(lanes, n)
+
+    seeds, n, k = (np.array(c, dtype=np.int64) for c in zip(*cases))
+    draws = Recording(seeds.tolist())
+    lanes = np.arange(len(cases))
+    picks, u = draws.sample(lanes, np.tile(np.arange(100, 133), (len(cases), 1)), n, k)
+    assert windows == [16 + 2, 32 + 2]
+    scalars = [ScalarStream(seed) for seed, _, _ in cases]
+    for row, (gen, (_, ni, ki)) in enumerate(zip(scalars, cases)):
+        assert picks[row, :ki].tolist() == [100 + p for p in gen.sample_indices(ni, ki)]
+        assert u[row, :ki].tolist() == [gen.random() for _ in range(ki)]
+    # Every lane reads on where its stream does.
+    assert draws._take(lanes, 2).tolist() == [[gen.next_u64() for _ in range(2)] for gen in scalars]
 
 
 def test_lane_randbelow_rejects_n_outside_its_range():
@@ -444,5 +459,5 @@ def test_lane_normals_match_scalar_bit_for_bit():
     draws = LaneDraws(seeds)
     lanes = np.arange(len(seeds))
     got = np.stack([draws.normal(lanes) for _ in range(3)], axis=1).tolist()
-    want = [[gen.normal() for _ in range(3)] for gen in map(Xoshiro256StarStar, seeds)]
+    want = [[gen.normal() for _ in range(3)] for gen in map(ScalarStream, seeds)]
     assert [list(map(repr, row)) for row in got] == [list(map(repr, row)) for row in want]

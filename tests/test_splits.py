@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from dropsplit.features import CANONICAL_TIME_FEATURES, FeatureSetSpec, student_label, vector_table
 from dropsplit.records import truncate_records
 from dropsplit.rng import Xoshiro256StarStar
+from dropsplit import splits
 from dropsplit.splits import (
+    RULES,
     DatasetMeta,
     Exclusion,
     LabeledDataset,
@@ -18,6 +20,7 @@ from dropsplit.splits import (
     SplitRequest,
     apply_rule,
     build_split,
+    split_sides,
 )
 from dropsplit.terms import Term, TermRange, from_ordinal, iter_terms, next_term, term_distance, to_ordinal
 
@@ -290,6 +293,20 @@ class TestCrossCutting:
         assert test.rows[row][1] == t
 
 
+    def test_unlabeled_row_names_its_student(self, tiny_cohort):
+        # dave is enrolled, so no population of a split holds that student;
+        # a caller that hands dave to a rule gets an error naming dave, from
+        # the dataset and from the integer side alike.
+        tab = vector_table(tiny_cohort)
+        t = Term(2014, 1)
+        si = np.array([tab.student_ids.index(sid) for sid in ("bob", "dave")])
+        with pytest.raises(ValueError, match="student dave has no label"):
+            apply_rule(SplitApproach.B1, "train", si, t, tab)
+        side = splits._choose(RULES[SplitApproach.B1].train, si, to_ordinal(t), tab)
+        with pytest.raises(ValueError, match="student dave has no label"):
+            side.xy(tab)
+
+
 class TestSharedCache:
     def test_cache_of_the_same_features_is_used(self, medium_synth):
         medium_synth.vector_tables.clear()
@@ -524,6 +541,28 @@ def test_rows_and_exclusions_account_for_each_population(cohort, seed):
                 assert len(excluded) == len(set(excluded))
                 assert not set(excluded) & set().union(*in_rows)
                 assert set(excluded).union(*in_rows) == population
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_cohorts(), st.integers(0, 2**32))
+def test_sides_count_what_the_datasets_hold(cohort, seed):
+    """`split_sides` is `build_split` without provenance: the same X and y,
+    and students, rows and exclusions counted as the datasets hold them."""
+    tab = vector_table(cohort)
+    for t in iter_terms(WINDOW.lo, WINDOW.hi):
+        for approach in SplitApproach:
+            request = SplitRequest(approach, t, seed)
+            sides = split_or_error(split_sides, cohort, request)
+            datasets = split_or_error(build_split, cohort, request)
+            if isinstance(datasets, str):
+                assert sides == datasets
+                continue
+            for side, ds in zip(sides, datasets):
+                X, y = side.xy(tab)
+                assert X.tobytes() == ds.X.tobytes() and y.tolist() == ds.y.tolist()
+                assert (side.students, len(side.rows)) == (len(ds.student_ids), ds.n)
+                excluded = [(tab.student_ids[i], r) for i, r in zip(side.excluded.tolist(), side.reasons.tolist())]
+                assert excluded == [(e.student_id, e.reason) for e in ds.meta.exclusions]
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from dropsplit import rng, synthgen
 from dropsplit.records import EnrollmentStatus, IngestConfig, IngestError, ingest
-from dropsplit.rng import Xoshiro256StarStar, derive_seed
+from dropsplit.rng import derive_seed
 from dropsplit.synthgen import (
     GeneratorConfig,
     RegimeChange,
@@ -26,7 +26,7 @@ from dropsplit.synthgen import (
 )
 from dropsplit.terms import Term, iter_terms, next_term, term_distance
 
-from conftest import Row, build_cohort, ingest_written, rows
+from conftest import Row, ScalarStream, build_cohort, ingest_written, rows
 
 
 def small_config(**overrides) -> GeneratorConfig:
@@ -81,7 +81,7 @@ class Course(NamedTuple):
     course_code: str
 
 
-def simulate_student(cfg: GeneratorConfig, entrance: Term, gen: Xoshiro256StarStar):
+def simulate_student(cfg: GeneratorConfig, entrance: Term, gen: ScalarStream):
     """One student's career: (static attributes, all courses, status, exit term)."""
     ability = gen.normal(cfg.ability_mean, cfg.ability_std)
     admission = round(
@@ -139,7 +139,7 @@ def simulate_student(cfg: GeneratorConfig, entrance: Term, gen: Xoshiro256StarSt
     raise AssertionError("max_terms >= 1 ends every career")
 
 
-class CountingStream(Xoshiro256StarStar):
+class CountingStream(ScalarStream):
     words = 0
 
     def next_u64(self) -> int:
